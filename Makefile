@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-check bench-obs vet profile
+.PHONY: build test race bench bench-compare bench-figures bench-json bench-check bench-obs vet profile
 
 build:
 	$(GO) build ./...
@@ -14,10 +14,23 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The repository's benchmark (bench/README.md, BENCHMARK.json): one ACQ
+# refinement end to end and per layer over the workload matrix, through
+# the driver's own command. BENCH_ARGS narrows it, e.g.
+#   make bench BENCH_ARGS="-workload tpch_sql_join -seconds 10 -trace 0 -out change.jsonl"
+BENCH_ARGS ?= -seed 1
+bench:
+	sh bench/run.sh $(BENCH_ARGS)
+
+# Judge two sets of runs appended with -out against the benchmark's
+# bounds: make bench-compare A=parent.jsonl B=change.jsonl
+bench-compare:
+	sh bench/run.sh -compare $(A) $(B)
+
 # Figure-regeneration benchmarks (bench-friendly scale; full scale via
 # cmd/acqbench -rows 1000000). The parallel-exploration sweep is
 # BenchmarkParallelExplore.
-bench:
+bench-figures:
 	$(GO) test -run xxx -bench=. -benchmem .
 
 # Machine-readable baselines: the fig. 8 ratio sweep, the cached

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -17,9 +16,11 @@ import (
 //
 // The regions are independent (ACQUIRE's cell sub-queries are mutually
 // disjoint), so they are dispatched to a worker pool bounded by the
-// engine's Parallelism (default GOMAXPROCS). The query is bound once;
-// each region then runs exactly the same per-region code as Aggregate,
-// so results are deterministic — identical for every worker count.
+// engine's Parallelism (default GOMAXPROCS). The query is bound once and
+// what the regions share is planned once (joinplan.go); each region then
+// runs exactly the same per-region code as Aggregate, each worker out of
+// its own scratch, so results are deterministic — identical for every
+// worker count.
 // Cancellation is checked before each region; on cancellation or the
 // first region error the pool drains and the error is returned.
 func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []relq.Region) ([]agg.Partial, error) {
@@ -47,7 +48,8 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 	if w > len(regions) {
 		w = len(regions)
 	}
-	run := e.regionRunner(q, b)
+	p := e.newBatchPlan(b, regions)
+	p.attachCache(q)
 	// Per-region execution times land in the "evaluate" phase
 	// histogram inside aggregateBound; the dispatch event records the
 	// batch shape (width × workers) for the structured log.
@@ -62,7 +64,7 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 	if parent := obs.SpanFromContext(ctx); parent.Active() {
 		bsp := parent.StartChild("engine.batch")
 		bsp.SetAttrs(obs.Int("regions", int64(len(regions))), obs.Int("workers", int64(w)))
-		run = e.tracedRunner(q, b, bsp)
+		p.span = bsp
 		before := e.Snapshot()
 		defer func() {
 			d := e.Snapshot().Sub(before)
@@ -77,15 +79,16 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 		}()
 	}
 	if w <= 1 {
+		sc := new(regionScratch)
 		for i := range regions {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			p, err := run(regions[i])
+			part, err := p.run(sc, i)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = p
+			out[i] = part
 		}
 		return out, nil
 	}
@@ -105,6 +108,7 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := new(regionScratch)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(regions) || failed.Load() {
@@ -114,12 +118,12 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 					fail(err)
 					return
 				}
-				p, err := run(regions[i])
+				part, err := p.run(sc, i)
 				if err != nil {
 					fail(err)
 					return
 				}
-				out[i] = p
+				out[i] = part
 			}
 		}()
 	}
@@ -128,50 +132,4 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 		return nil, firstErr
 	}
 	return out, nil
-}
-
-// regionRunner returns the per-region execution function of one bound
-// query — the unit of work both AggregateBatch and the sharded
-// scatter-gather path dispatch to their worker pools. With a region
-// cache attached, every region first consults the cache under its
-// (query shape, region) fingerprint; concurrent identical regions —
-// including ones dispatched by other sessions sharing the cache —
-// collapse onto one execution. The fingerprint is computed once per
-// batch.
-func (e *Engine) regionRunner(q *relq.Query, b *binding) func(relq.Region) (agg.Partial, error) {
-	if c := e.regionCache.Load(); c != nil {
-		fp := e.batchFingerprint(q, b)
-		return func(r relq.Region) (agg.Partial, error) {
-			p, _, err := e.aggregateCached(c, fp, b, r)
-			return p, err
-		}
-	}
-	return func(r relq.Region) (agg.Partial, error) { return e.aggregateBound(b, r) }
-}
-
-// tracedRunner is regionRunner with per-region "evaluate" child spans
-// under parent: each span records the region's (query shape, region)
-// fingerprint and — with a cache attached — whether it hit. Only built
-// when the incoming context carries an active span.
-func (e *Engine) tracedRunner(q *relq.Query, b *binding, parent obs.SpanRef) func(relq.Region) (agg.Partial, error) {
-	if c := e.regionCache.Load(); c != nil {
-		fp := e.batchFingerprint(q, b)
-		return func(r relq.Region) (agg.Partial, error) {
-			sp := parent.StartChild("evaluate")
-			p, hit, err := e.aggregateCached(c, fp, b, r)
-			if sp.Active() {
-				k := fp.WithRegion(r)
-				sp.SetAttrs(obs.String("fingerprint", fmt.Sprintf("%016x%016x", k.Hi, k.Lo)),
-					obs.Bool("cache_hit", hit))
-			}
-			sp.End()
-			return p, err
-		}
-	}
-	return func(r relq.Region) (agg.Partial, error) {
-		sp := parent.StartChild("evaluate")
-		p, err := e.aggregateBound(b, r)
-		sp.End()
-		return p, err
-	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"acquire/internal/agg"
@@ -41,6 +42,29 @@ type selBind struct {
 	tbl int
 	ord int
 	vec []float64
+	// bound and scale (= 100/Width) are dim's PScore constants, hoisted
+	// so per-row violation loops do not divide (see violation).
+	bound, scale float64
+}
+
+// violation is sd.dim.Violation(v) bit for bit — the same float
+// expressions in the same order — with the 100/Width division taken at
+// bind time instead of per row.
+func (sd *selBind) violation(v float64) float64 {
+	switch sd.dim.Kind {
+	case relq.SelectLE:
+		if v <= sd.bound {
+			return 0
+		}
+		return (v - sd.bound) * sd.scale
+	case relq.SelectGE:
+		if v >= sd.bound {
+			return 0
+		}
+		return (sd.bound - v) * sd.scale
+	default: // SelectEQ: bind admits no other kind into selDims
+		return math.Abs(v-sd.bound) * sd.scale
+	}
 }
 
 type joinBind struct {
@@ -119,7 +143,8 @@ func (e *Engine) bind(q *relq.Query) (*binding, error) {
 			if err != nil {
 				return nil, err
 			}
-			b.selDims = append(b.selDims, selBind{dim: d, di: i, tbl: ti, ord: ord, vec: vec})
+			b.selDims = append(b.selDims, selBind{dim: d, di: i, tbl: ti, ord: ord, vec: vec,
+				bound: d.Bound, scale: 100 / d.Width})
 		case relq.JoinBand:
 			lt, _, lv, err := numVec(d.Left)
 			if err != nil {

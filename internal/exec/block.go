@@ -368,15 +368,3 @@ func filterViolationDense(buf []int32, d *relq.Dimension, vec []float64, lo, hi 
 	}
 	return sel[:k]
 }
-
-// filterSemi keeps rows whose scaled join key appears in the probe key
-// set — the scan-level semi-join pushdown. NaN keys are dropped: a NaN
-// key can never match any probe key in the hash join either.
-func filterSemi(sel []int32, vec []float64, coef float64, set *f64Set) []int32 {
-	k := 0
-	for _, r := range sel {
-		sel[k] = r
-		k += b2i(set.contains(coef * vec[r]))
-	}
-	return sel[:k]
-}

@@ -3,7 +3,6 @@ package exec
 import (
 	"log/slog"
 	"math"
-	"strings"
 
 	"acquire/internal/agg"
 	"acquire/internal/index"
@@ -14,10 +13,7 @@ import (
 // the violation interval it must satisfy, the grid dimension its column
 // occupies, and the driving value interval the region admits on it.
 type boxConstraint struct {
-	dim      *relq.Dimension
-	vec      []float64
-	di       int // query-dimension index (violation vector slot)
-	ord      int // column ordinal in the table (zone-map key)
+	sd       *selBind
 	pos      int // grid dimension
 	iv       relq.ViolInterval
 	val      index.Interval // admitted value interval (conservative)
@@ -36,12 +32,13 @@ type boxConstraint struct {
 // a cell is interior only when the padded bin spans prove every
 // resident row's violation vector inside the region, so boundary rows
 // get the exact per-row check of the scan path and results agree.
-func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (agg.Partial, bool, error) {
-	if len(b.tables) != 1 || len(b.joinDims) != 0 || len(b.equiJoins) != 0 ||
+func (e *Engine) boxAggregate(p *batchPlan, region relq.Region, eo *engineObs) (agg.Partial, bool, error) {
+	b := p.b
+	if p.grids == nil || len(b.tables) != 1 || len(b.joinDims) != 0 || len(b.equiJoins) != 0 ||
 		len(b.ranges[0]) != 0 || len(b.strFlts[0]) != 0 || b.spec.Func == relq.AggUser {
 		return agg.Zero(), false, nil
 	}
-	g := e.grid(b.q.Tables[0])
+	g := p.grids[0].g
 	if g == nil || !g.HasAggs() {
 		return agg.Zero(), false, nil
 	}
@@ -51,21 +48,17 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 			return agg.Zero(), false, nil
 		}
 	}
-	gridCols := g.Columns()
-	colPos := make(map[string]int, len(gridCols))
-	for i, c := range gridCols {
-		colPos[strings.ToLower(c)] = i
-	}
+	ndims := p.grids[0].dims
 
 	cons := make([]boxConstraint, 0, len(b.selDims))
 	for i := range b.selDims {
 		sd := &b.selDims[i]
-		pos, ok := colPos[strings.ToLower(sd.dim.Col.Column)]
-		if !ok {
+		pos := p.grids[0].pos[i]
+		if pos < 0 {
 			return agg.Zero(), false, nil // dimension not indexed
 		}
-		ivs := valueIntervals(sd.dim, region[sd.di])
-		switch len(ivs) {
+		ivs, n := valueIntervals(sd.dim, region[sd.di])
+		switch n {
 		case 0:
 			return agg.Zero(), true, nil // dimension admits nothing
 		case 1:
@@ -75,17 +68,16 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 			return agg.Zero(), false, nil
 		}
 		cons = append(cons, boxConstraint{
-			dim: sd.dim, vec: sd.vec, di: sd.di, ord: sd.ord, pos: pos,
-			iv: region[sd.di], val: ivs[0],
+			sd: sd, pos: pos, iv: region[sd.di], val: ivs[0],
 		})
 	}
 
 	// Bin box: per grid dimension, the full bin range intersected with
 	// every constraint's driving interval (padded so float rounding at
 	// an interval edge can only widen the box, never lose a row).
-	los := make([]int, len(gridCols))
-	his := make([]int, len(gridCols))
-	for d := range gridCols {
+	los := make([]int, ndims)
+	his := make([]int, ndims)
+	for d := range los {
 		los[d], his[d] = 0, g.Bins(d)-1
 	}
 	for i := range cons {
@@ -132,9 +124,9 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 		c.interior = make([]bool, his[c.pos]-los[c.pos]+1)
 		for bin := los[c.pos]; bin <= his[c.pos]; bin++ {
 			sLo, sHi := g.BinSpan(c.pos, bin)
-			vLo, vHi := c.dim.Violation(sLo), c.dim.Violation(sHi)
+			vLo, vHi := c.sd.violation(sLo), c.sd.violation(sHi)
 			minV, maxV := math.Min(vLo, vHi), math.Max(vLo, vHi)
-			if c.dim.Kind == relq.SelectEQ && sLo <= c.dim.Bound && c.dim.Bound <= sHi {
+			if c.sd.dim.Kind == relq.SelectEQ && sLo <= c.sd.bound && c.sd.bound <= sHi {
 				minV = 0
 			}
 			c.interior[bin-los[c.pos]] = minV > c.iv.Lo && maxV <= c.iv.Hi
@@ -150,15 +142,15 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 	// sides (v > iv.Lo && v <= iv.Hi), so every skipped row is one the
 	// filter would have rejected anyway. Only the vectorized branch
 	// consults them; the legacy per-row loop stays byte-for-byte put.
-	vecPath := !e.legacyScan.Load() && len(cons) == len(b.q.Dims)
+	vecPath := !p.legacy && len(cons) == len(b.q.Dims)
 	var zps []zonePred
 	if vecPath {
 		for i := range cons {
-			zlo, zhi := pruneInterval(cons[i].dim, cons[i].iv)
+			zlo, zhi := pruneInterval(cons[i].sd.dim, cons[i].iv)
 			if math.IsInf(zlo, -1) && math.IsInf(zhi, 1) {
 				continue
 			}
-			zm := e.zoneMapFor(b.tables[0], cons[i].ord, cons[i].vec)
+			zm := e.zoneMapFor(b.tables[0], cons[i].sd.ord, cons[i].sd.vec)
 			zps = append(zps, zonePred{zm: zm, lo: zlo, hi: zhi})
 		}
 	}
@@ -169,7 +161,7 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 	out := agg.Zero()
 	var cellsMerged, boundaryRows, runsSkipped int64
 	viol := make([]float64, len(b.q.Dims))
-	cur := make([]int, len(gridCols))
+	cur := make([]int, ndims)
 	copy(cur, los)
 	for {
 		cell := 0
@@ -203,7 +195,7 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 				boundaryRows += int64(len(rows))
 				for _, r := range rows {
 					for i := range cons {
-						viol[cons[i].di] = cons[i].dim.Violation(cons[i].vec[r])
+						viol[cons[i].sd.di] = cons[i].sd.dim.Violation(cons[i].sd.vec[r])
 					}
 					if !region.Contains(viol) {
 						continue
@@ -273,7 +265,7 @@ func boundaryCellVec(b *binding, cons []boxConstraint, zps []zonePred, g *index.
 			c := &cons[i]
 			k := 0
 			for _, r := range sel {
-				v := c.dim.Violation(c.vec[r])
+				v := c.sd.violation(c.sd.vec[r])
 				sel[k] = r
 				k += b2i(v > c.iv.Lo && v <= c.iv.Hi)
 			}

@@ -98,16 +98,28 @@ func (e *Engine) batchFingerprint(q *relq.Query, b *binding) relq.Fingerprint {
 	return fp.Mix(gens...)
 }
 
-// aggregateCached executes one bound region through the region cache
-// and reports whether it hit. A hit (including joining another
-// caller's in-flight execution of the same region) returns the stored
-// partial without touching the execution path — Stats.Queries does
-// not move. A miss executes aggregateBound exactly once per key under
-// the cache's singleflight and stores the result.
-func (e *Engine) aggregateCached(c *regioncache.Cache, fp relq.Fingerprint, b *binding, region relq.Region) (agg.Partial, bool, error) {
-	k := fp.WithRegion(region)
-	p, hit, evicted, err := c.Do(regioncache.Key{Hi: k.Hi, Lo: k.Lo}, func() (agg.Partial, error) {
-		return e.aggregateBound(b, region)
+// attachCache points the plan's region executions at the engine's
+// region cache, if one is attached: every region first consults the
+// cache under its (query shape, region) fingerprint, and concurrent
+// identical regions — including ones dispatched by other sessions
+// sharing the cache — collapse onto one execution. The query-shape
+// fingerprint is computed once per batch.
+func (p *batchPlan) attachCache(q *relq.Query) {
+	if c := p.e.regionCache.Load(); c != nil {
+		p.cache, p.fp = c, p.e.batchFingerprint(q, p.b)
+	}
+}
+
+// aggregateCached executes region i of a bound batch through the
+// plan's region cache and reports whether it hit. A hit (including
+// joining another caller's in-flight execution of the same region)
+// returns the stored partial without touching the execution path —
+// Stats.Queries does not move. A miss executes aggregateBound exactly
+// once per key under the cache's singleflight and stores the result.
+func (e *Engine) aggregateCached(p *batchPlan, sc *regionScratch, i int) (agg.Partial, bool, error) {
+	k := p.fp.WithRegion(p.regions[i])
+	part, hit, evicted, err := p.cache.Do(regioncache.Key{Hi: k.Hi, Lo: k.Lo}, func() (agg.Partial, error) {
+		return e.aggregateBound(p, sc, i)
 	})
 	if err != nil {
 		return agg.Zero(), false, err
@@ -120,5 +132,5 @@ func (e *Engine) aggregateCached(c *regioncache.Cache, fp relq.Fingerprint, b *b
 	if evicted > 0 {
 		e.countCacheEvictions(evicted)
 	}
-	return p, hit, nil
+	return part, hit, nil
 }

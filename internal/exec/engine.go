@@ -621,31 +621,32 @@ func (e *Engine) Aggregate(q *relq.Query, region relq.Region) (agg.Partial, erro
 	if err != nil {
 		return agg.Zero(), err
 	}
-	return e.aggregateBound(b, region)
+	return e.aggregateBound(e.newBatchPlan(b, []relq.Region{region}), new(regionScratch), 0)
 }
 
-// aggregateBound executes one bound region. With an observer attached
-// it also times the execution into the "evaluate" phase histogram and
-// emits a debug-level engine.query event; without one, the only
-// instrumentation cost is a nil pointer load.
-func (e *Engine) aggregateBound(b *binding, region relq.Region) (agg.Partial, error) {
+// aggregateBound executes region i of a bound batch. With an observer
+// attached it also times the execution into the "evaluate" phase
+// histogram and emits a debug-level engine.query event; without one,
+// the only instrumentation cost is a nil pointer load.
+func (e *Engine) aggregateBound(p *batchPlan, sc *regionScratch, i int) (agg.Partial, error) {
 	eo := e.obsState.Load()
 	if eo == nil {
-		return e.aggregateRegion(b, region, nil)
+		return e.aggregateRegion(p, sc, i, nil)
 	}
 	sp := eo.o.StartPhase("evaluate")
-	p, err := e.aggregateRegion(b, region, eo)
+	part, err := e.aggregateRegion(p, sc, i, eo)
 	d := sp.End()
 	if eo.o.LogEnabled(slog.LevelDebug) {
 		eo.o.Debug("engine.query",
-			"tables", len(b.tables), "dims", len(region),
+			"tables", len(p.b.tables), "dims", len(p.regions[i]),
 			"duration_ms", float64(d.Microseconds())/1000,
 			"err", err != nil)
 	}
-	return p, err
+	return part, err
 }
 
-func (e *Engine) aggregateRegion(b *binding, region relq.Region, eo *engineObs) (agg.Partial, error) {
+func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int, eo *engineObs) (agg.Partial, error) {
+	b, region := p.b, p.regions[i]
 	if len(region) != len(b.q.Dims) {
 		return agg.Zero(), fmt.Errorf("exec: region has %d dims, query has %d", len(region), len(b.q.Dims))
 	}
@@ -659,8 +660,8 @@ func (e *Engine) aggregateRegion(b *binding, region relq.Region, eo *engineObs) 
 
 	// Grid-index emptiness check (§7.4): conservative per-table test
 	// over the select dimensions.
-	for ti := range b.tables {
-		if e.cellProvablyEmpty(b, region, ti) {
+	for ti := range p.grids {
+		if cellProvablyEmpty(b, &p.grids[ti], sc, region, ti) {
 			e.stats.Load().cellsSkipped.Add(1)
 			if eo != nil {
 				eo.cells.Add(1)
@@ -672,59 +673,41 @@ func (e *Engine) aggregateRegion(b *binding, region relq.Region, eo *engineObs) 
 
 	// Box-aggregate kernel: eligible single-table queries are answered
 	// from the aggregate grid's stored partials and posting lists.
-	if p, ok, err := e.boxAggregate(b, region, eo); ok || err != nil {
-		return p, err
+	if part, ok, err := e.boxAggregate(p, region, eo); ok || err != nil {
+		return part, err
 	}
 
-	// Phase 1: per-table candidate scan. On the vectorized path a
-	// static attach plan (computable before any scan, since pickNext
-	// never looks at candidates) enables scan-level semi-join
-	// pushdown: a table whose planned attach edge is an equi edge to
-	// an already-scanned table is pre-filtered by that table's key
-	// set, shrinking the join build side before it is ever built.
-	legacy := e.legacyScan.Load()
-	var plan []planEdge
-	if !legacy && len(b.tables) > 1 {
-		plan = e.attachPlan(b)
-	}
-	cands := make([][]int32, len(b.tables))
-	for ti := range b.tables {
-		var c []int32
-		var err error
-		if legacy {
-			c, err = e.scanTableLegacy(b, region, ti)
-		} else {
-			c, err = e.vscanTable(b, region, ti, semiPredFor(b, plan, cands, ti))
-		}
-		if err != nil {
-			return agg.Zero(), err
-		}
-		cands[ti] = c
-		if len(cands[ti]) == 0 {
-			return agg.Zero(), nil
-		}
-	}
-
-	// Phase 2: join.
-	tuples, order, err := e.join(b, region, cands)
-	if err != nil {
+	// Candidate scans and join (joinplan.go). The tuples may alias memo
+	// entries, which the region holds until its fold is done.
+	defer p.release(i)
+	tuples, err := p.tuples(sc, i)
+	if err != nil || len(tuples) == 0 {
 		return agg.Zero(), err
 	}
 
-	// Phase 3: final filter + aggregate.
-	return e.finalize(b, region, tuples, order)
+	// Final filter + aggregate. The vectorized fold checks region
+	// dimensions individually, which requires every query dimension to
+	// be bound (always true today — the guard is belt and braces against
+	// future dimension kinds).
+	if p.legacy || len(b.selDims)+len(b.joinDims) != len(b.q.Dims) {
+		return e.finalizeLegacy(b, region, tuples, p.pos), nil
+	}
+	return e.finalizeVec(b, region, tuples, len(p.order), p.pos), nil
 }
 
-// scanTable returns the candidate row indexes of table ti: rows passing
-// every fixed filter on the table and every local select dimension's
-// region upper bound. Dispatches between the block-vectorized default
-// and the row-at-a-time legacy path; both produce the identical
-// candidate list in the identical order.
-func (e *Engine) scanTable(b *binding, region relq.Region, ti int) ([]int32, error) {
-	if e.legacyScan.Load() {
-		return e.scanTableLegacy(b, region, ti)
+// legacyTuples is the row-at-a-time scan + join of one region: every
+// table scanned in table order (the first empty candidate list ends the
+// region), then attached by join.
+func (e *Engine) legacyTuples(b *binding, region relq.Region) ([]int32, error) {
+	cands := make([][]int32, len(b.tables))
+	for ti := range b.tables {
+		c, err := e.scanTableLegacy(b, region, ti)
+		if err != nil || len(c) == 0 {
+			return nil, err
+		}
+		cands[ti] = c
 	}
-	return e.vscanTable(b, region, ti, nil)
+	return e.join(b, region, cands)
 }
 
 // scanTableLegacy is the row-at-a-time scan.
@@ -735,8 +718,9 @@ func (e *Engine) scanTable(b *binding, region relq.Region, ti int) ([]int32, err
 // generation through a sorted index; the remaining predicates are
 // verified per candidate. When no condition narrows the table below
 // half its rows, a full scan is used instead. The vectorized path
-// shares this access-path choice (scanDrives/pickIndexDrive) and only
-// changes how the surviving predicates are evaluated.
+// (vscanTable) shares this access-path choice (scanDrives/pickIndexDrive)
+// and only changes how the surviving predicates are evaluated; both
+// produce the identical candidate list in the identical order.
 func (e *Engine) scanTableLegacy(b *binding, region relq.Region, ti int) ([]int32, error) {
 	t := b.tables[ti]
 	n := t.NumRows()
@@ -789,84 +773,118 @@ func (e *Engine) scanTableLegacy(b *binding, region relq.Region, ti int) ([]int3
 	return e.parallelFilterRows(candidates, verify), nil
 }
 
-// cellProvablyEmpty consults a registered grid index to prove the
-// region empty on table ti without scanning. It is conservative: it
-// only answers true when the index covers every select dimension on the
-// table and no occupied grid cell intersects any of the region's value
-// boxes.
-func (e *Engine) cellProvablyEmpty(b *binding, region relq.Region, ti int) bool {
-	g := e.grid(b.q.Tables[ti])
-	if g == nil {
+// gridBind is one table's registered grid index as the bound query sees
+// it: the grid, and for every select dimension (aligned with
+// binding.selDims) the grid dimension its column occupies, or -1 when
+// the dimension is on another table or its column is not indexed.
+// Resolved once per batch, so regions do no name lookups.
+type gridBind struct {
+	g    *index.Grid
+	dims int // grid dimensionality
+	pos  []int
+}
+
+// bindGrids resolves the grid registered on each of b's tables; nil
+// when none of them has one.
+func (e *Engine) bindGrids(b *binding) []gridBind {
+	var out []gridBind
+	for ti := range b.tables {
+		g := e.grid(b.q.Tables[ti])
+		if g == nil {
+			continue
+		}
+		if out == nil {
+			out = make([]gridBind, len(b.tables))
+		}
+		cols := g.Columns()
+		pos := make([]int, len(b.selDims))
+		for i, sd := range b.selDims {
+			pos[i] = -1
+			if sd.tbl != ti {
+				continue
+			}
+			for j, c := range cols {
+				if strings.EqualFold(c, sd.dim.Col.Column) {
+					pos[i] = j
+				}
+			}
+		}
+		out[ti] = gridBind{g: g, dims: len(cols), pos: pos}
+	}
+	return out
+}
+
+// gridAlt is one select dimension's contribution to the emptiness
+// test: its grid dimension and the one or two value intervals the
+// region admits on it.
+type gridAlt struct {
+	pos    int
+	ivs    [2]index.Interval
+	n, cur int
+}
+
+// cellProvablyEmpty consults table ti's grid index to prove the region
+// empty on it without scanning. It is conservative: it only answers
+// true when the index covers every select dimension on the table and
+// no occupied grid cell intersects any of the region's value boxes.
+func cellProvablyEmpty(b *binding, gb *gridBind, sc *regionScratch, region relq.Region, ti int) bool {
+	if gb.g == nil {
 		return false
 	}
-	gridCols := g.Columns()
-	colPos := make(map[string]int, len(gridCols))
-	for i, c := range gridCols {
-		colPos[strings.ToLower(c)] = i
-	}
-
 	// Each local select dimension maps its violation interval to one or
 	// two value intervals on its column; the cross product of the
 	// per-dimension alternatives forms the boxes to test.
-	type alt struct {
-		pos       int
-		intervals []index.Interval
-	}
-	var alts []alt
-	covered := 0
-	for _, sd := range b.selDims {
+	alts := sc.alts[:0]
+	for i := range b.selDims {
+		sd := &b.selDims[i]
 		if sd.tbl != ti {
 			continue
 		}
-		pos, ok := colPos[strings.ToLower(sd.dim.Col.Column)]
-		if !ok {
+		if gb.pos[i] < 0 {
 			return false // index does not cover this dimension
 		}
-		ivs := valueIntervals(sd.dim, region[sd.di])
-		if len(ivs) == 0 {
+		ivs, n := valueIntervals(sd.dim, region[sd.di])
+		if n == 0 {
 			return true // dimension interval admits no values at all
 		}
-		alts = append(alts, alt{pos: pos, intervals: ivs})
-		covered++
+		alts = append(alts, gridAlt{pos: gb.pos[i], ivs: ivs, n: n})
 	}
-	if covered == 0 {
+	sc.alts = alts
+	if len(alts) == 0 {
 		return false // nothing to prove with
 	}
 
-	box := make([]index.Interval, len(gridCols))
-	var walk func(i int) bool // returns true if some box is occupied
-	walk = func(i int) bool {
-		if i == len(alts) {
-			for j := range box {
-				used := false
-				for _, a := range alts {
-					if a.pos == j {
-						used = true
-					}
-				}
-				if !used {
-					box[j] = index.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
-				}
-			}
-			occ, err := g.AnyInBox(box)
-			return err != nil || occ // on error, assume occupied
-		}
-		for _, iv := range alts[i].intervals {
-			box[alts[i].pos] = iv
-			if walk(i + 1) {
-				return true
-			}
-		}
-		return false
+	box := sc.box[:0]
+	for d := 0; d < gb.dims; d++ {
+		box = append(box, index.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)})
 	}
-	return !walk(0)
+	sc.box = box
+	// Odometer over the alternatives, alts[k].cur the k-th digit.
+	for {
+		for k := range alts {
+			box[alts[k].pos] = alts[k].ivs[alts[k].cur]
+		}
+		if occ, err := gb.g.AnyInBox(box); err != nil || occ {
+			return false // on error, assume occupied
+		}
+		k := len(alts) - 1
+		for ; k >= 0; k-- {
+			if alts[k].cur++; alts[k].cur < alts[k].n {
+				break
+			}
+			alts[k].cur = 0
+		}
+		if k < 0 {
+			return true
+		}
+	}
 }
 
-// valueIntervals maps a violation interval to the value interval(s) it
-// admits on the dimension's column (closed, conservative).
-func valueIntervals(d *relq.Dimension, iv relq.ViolInterval) []index.Interval {
+// valueIntervals maps a violation interval to the n <= 2 value
+// intervals it admits on the dimension's column (closed, conservative).
+func valueIntervals(d *relq.Dimension, iv relq.ViolInterval) (ivs [2]index.Interval, n int) {
 	if iv.Hi < 0 {
-		return nil
+		return ivs, 0
 	}
 	switch d.Kind {
 	case relq.SelectLE:
@@ -875,40 +893,42 @@ func valueIntervals(d *relq.Dimension, iv relq.ViolInterval) []index.Interval {
 		if iv.Lo >= 0 {
 			lo = d.BoundAt(iv.Lo)
 		}
-		return []index.Interval{{Lo: lo, Hi: hi}}
+		ivs[0] = index.Interval{Lo: lo, Hi: hi}
+		return ivs, 1
 	case relq.SelectGE:
 		lo := d.BoundAt(iv.Hi)
 		hi := math.Inf(1)
 		if iv.Lo >= 0 {
 			hi = d.BoundAt(iv.Lo)
 		}
-		return []index.Interval{{Lo: lo, Hi: hi}}
+		ivs[0] = index.Interval{Lo: lo, Hi: hi}
+		return ivs, 1
 	case relq.SelectEQ:
 		bandHi := d.BoundAt(iv.Hi)
 		if iv.Lo <= 0 {
-			return []index.Interval{{Lo: d.Bound - bandHi, Hi: d.Bound + bandHi}}
+			ivs[0] = index.Interval{Lo: d.Bound - bandHi, Hi: d.Bound + bandHi}
+			return ivs, 1
 		}
 		bandLo := d.BoundAt(iv.Lo)
-		return []index.Interval{
-			{Lo: d.Bound - bandHi, Hi: d.Bound - bandLo},
-			{Lo: d.Bound + bandLo, Hi: d.Bound + bandHi},
-		}
+		ivs[0] = index.Interval{Lo: d.Bound - bandHi, Hi: d.Bound - bandLo}
+		ivs[1] = index.Interval{Lo: d.Bound + bandLo, Hi: d.Bound + bandHi}
+		return ivs, 2
 	default:
-		return []index.Interval{{Lo: math.Inf(-1), Hi: math.Inf(1)}}
+		ivs[0] = index.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
+		return ivs, 1
 	}
 }
 
-// join attaches tables one at a time, preferring hash equi-joins, then
-// band joins, then cartesian products for disconnected components.
-// Returns flattened tuples (stride = len(order)) of candidate-row
-// positions translated to base-table row indexes, plus the attach order
-// (table indexes).
-func (e *Engine) join(b *binding, region relq.Region, cands [][]int32) ([]int32, []int, error) {
+// join is the row-at-a-time join: it attaches tables one at a time,
+// preferring hash equi-joins, then band joins, then cartesian products
+// for disconnected components — the attach order attachPlan computes
+// ahead of time for the batch plan. Returns flattened tuples (stride =
+// number of tables, columns in attach order) of base-table row indexes,
+// or nil as soon as an attach leaves none.
+func (e *Engine) join(b *binding, region relq.Region, cands [][]int32) ([]int32, error) {
 	nt := len(b.tables)
 	if nt == 1 {
-		out := make([]int32, len(cands[0]))
-		copy(out, cands[0])
-		return out, []int{0}, nil
+		return cands[0], nil
 	}
 
 	attached := map[int]int{0: 0} // table index -> position in order
@@ -928,17 +948,17 @@ func (e *Engine) join(b *binding, region relq.Region, cands [][]int32) ([]int32,
 			}
 		}
 		var err error
-		tuples, err = e.attach(b, region, tuples, order, attached, cands, next, edge)
+		tuples, err = e.attachLegacy(b, region, tuples, order, attached, cands, next, edge)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		attached[next] = len(order)
 		order = append(order, next)
 		if len(tuples) == 0 {
-			return nil, order, nil
+			return nil, nil
 		}
 	}
-	return tuples, order, nil
+	return tuples, nil
 }
 
 // joinEdge describes how a new table connects to the attached set.
@@ -977,19 +997,10 @@ func (e *Engine) pickNext(b *binding, attached map[int]int) (int, *joinEdge) {
 	return -1, nil
 }
 
-// attach joins the tuples with table `next` via the edge, dispatching
-// between the pre-sized vectorized attach and the incremental legacy
-// one. Both emit the identical tuple stream (same tuples, same order,
-// same overflow error).
-func (e *Engine) attach(b *binding, region relq.Region, tuples []int32, order []int, attached map[int]int, cands [][]int32, next int, edge *joinEdge) ([]int32, error) {
-	if e.legacyScan.Load() {
-		return e.attachLegacy(b, region, tuples, order, attached, cands, next, edge)
-	}
-	return e.attachVec(b, region, tuples, order, attached, cands, next, edge)
-}
-
 // attachLegacy is the row-at-a-time attach with incrementally grown
-// output and hash table.
+// output and hash table. The batch plan's attaches (joinplan.go) emit
+// the identical tuple stream: same tuples, same order, same overflow
+// error.
 func (e *Engine) attachLegacy(b *binding, region relq.Region, tuples []int32, order []int, attached map[int]int, cands [][]int32, next int, edge *joinEdge) ([]int32, error) {
 	stride := len(order)
 	ntup := len(tuples) / max(stride, 1)
@@ -1058,9 +1069,13 @@ func (e *Engine) attachLegacy(b *binding, region relq.Region, tuples []int32, or
 			key float64
 			row int32
 		}
-		sorted := make([]kv, len(nextCands))
-		for i, r := range nextCands {
-			sorted[i] = kv{key: buildCoef * buildVec[r], row: r}
+		// NaN keys are left out: no band contains them, and under `<`
+		// they have no place in the order the searches below rely on.
+		sorted := make([]kv, 0, len(nextCands))
+		for _, r := range nextCands {
+			if k := buildCoef * buildVec[r]; k == k {
+				sorted = append(sorted, kv{key: k, row: r})
+			}
 		}
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
 		for ti := 0; ti < ntup; ti++ {
@@ -1090,30 +1105,13 @@ func (e *Engine) attachLegacy(b *binding, region relq.Region, tuples []int32, or
 	return out, nil
 }
 
-// finalize verifies every join condition and the region on each tuple,
-// folding qualifying tuples into the aggregate. Dispatches between the
-// block-compacted vectorized fold and the row-at-a-time legacy one;
-// both step the aggregate over the same tuples in the same order on the
-// same parallelFold chunk grid, so even SUM bits agree. The vectorized
-// fold checks region dimensions individually, which requires every
-// query dimension to be bound (always true today — the guard is belt
-// and braces against future dimension kinds).
-func (e *Engine) finalize(b *binding, region relq.Region, tuples []int32, order []int) (agg.Partial, error) {
-	if e.legacyScan.Load() || len(b.selDims)+len(b.joinDims) != len(b.q.Dims) {
-		return e.finalizeLegacy(b, region, tuples, order)
-	}
-	return e.finalizeVec(b, region, tuples, order)
-}
-
-func (e *Engine) finalizeLegacy(b *binding, region relq.Region, tuples []int32, order []int) (agg.Partial, error) {
-	stride := len(order)
-	if stride == 0 {
-		return agg.Zero(), nil
-	}
-	pos := make([]int, len(b.tables)) // table index -> slot in tuple
-	for slot, ti := range order {
-		pos[ti] = slot
-	}
+// finalizeLegacy verifies every join condition and the region on each
+// tuple, folding qualifying tuples into the aggregate row at a time.
+// finalizeVec steps the aggregate over the same tuples in the same
+// order on the same parallelFold chunk grid, so even SUM bits agree.
+// pos maps a table index to its slot in a tuple.
+func (e *Engine) finalizeLegacy(b *binding, region relq.Region, tuples []int32, pos []int) agg.Partial {
+	stride := len(pos)
 	ntup := len(tuples) / stride
 	e.countTuples(int64(ntup))
 
@@ -1152,5 +1150,5 @@ func (e *Engine) finalizeLegacy(b *binding, region relq.Region, tuples []int32, 
 		}
 		return p
 	})
-	return part, nil
+	return part
 }

@@ -63,13 +63,15 @@ func (e *Engine) Explain(q *relq.Query, region relq.Region) (*Plan, error) {
 	}
 	plan := &Plan{}
 
-	// Per-table access decisions, mirroring scanTable's logic.
+	// Per-table access decisions, mirroring the scan's logic.
+	grids := e.bindGrids(b)
+	sc := new(regionScratch)
 	access := make([]PlanStep, len(b.tables))
 	for ti, t := range b.tables {
 		n := t.NumRows()
 		step := PlanStep{Table: t.Name(), Access: "full scan", EstimatedRows: n}
 
-		if e.cellProvablyEmpty(b, region, ti) {
+		if grids != nil && cellProvablyEmpty(b, &grids[ti], sc, region, ti) {
 			step.Access = "grid-index skip"
 			step.EstimatedRows = 0
 			access[ti] = step
@@ -91,8 +93,8 @@ func (e *Engine) Explain(q *relq.Query, region relq.Region) (*Plan, error) {
 			if sd.tbl != ti {
 				continue
 			}
-			ivs := valueIntervals(sd.dim, region[sd.di])
-			if len(ivs) == 1 {
+			ivs, n := valueIntervals(sd.dim, region[sd.di])
+			if n == 1 {
 				drives = append(drives, drive{ord: sd.ord, lo: ivs[0].Lo, hi: ivs[0].Hi})
 			}
 		}
@@ -115,34 +117,20 @@ func (e *Engine) Explain(q *relq.Query, region relq.Region) (*Plan, error) {
 		access[ti] = step
 	}
 
-	// Join order, mirroring join()'s greedy connectivity walk.
-	attached := map[int]int{0: 0}
-	order := []int{0}
-	joins := make([]string, len(b.tables))
-	for len(order) < len(b.tables) {
-		next, edge := e.pickNext(b, attached)
-		how := "cartesian"
-		if next < 0 {
-			for ti := range b.tables {
-				if _, ok := attached[ti]; !ok {
-					next = ti
-					break
-				}
-			}
-		} else if edge.equi != nil {
-			how = "hash equi-join"
-		} else if edge.band != nil {
-			how = "band join"
-		}
-		joins[next] = how
-		attached[next] = len(order)
-		order = append(order, next)
-	}
-
-	for _, ti := range order {
+	// Join order and methods, from the attach plan execution uses.
+	edges := e.attachPlan(b)
+	plan.Steps = make([]PlanStep, len(b.tables))
+	for ti, edge := range edges {
 		s := access[ti]
-		s.Join = joins[ti]
-		plan.Steps = append(plan.Steps, s)
+		switch {
+		case edge.equi != nil:
+			s.Join = "hash equi-join"
+		case edge.band != nil:
+			s.Join = "band join"
+		case edge.slot > 0:
+			s.Join = "cartesian"
+		}
+		plan.Steps[edge.slot] = s
 	}
 	return plan, nil
 }

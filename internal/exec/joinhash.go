@@ -1,23 +1,19 @@
 package exec
 
 import (
-	"fmt"
 	"math"
-	"sort"
-
-	"acquire/internal/relq"
+	"math/bits"
 )
 
-// This file holds the vectorized join machinery: an open-addressed
-// float64 key set (semi-join pushdown), an order-preserving grouped
-// hash table (the pre-sized equi-join build side), and attachVec — the
-// block-path counterpart of the row-at-a-time attach.
+// This file holds the vectorized join's hash structure: an
+// order-preserving grouped hash table, the pre-sized equi-join build
+// side the batch plan memoizes (joinplan.go).
 //
-// Both hash structures replicate Go's map semantics for float64 keys,
-// which the legacy path relies on: +0 and -0 are the same key, and a
-// NaN key is unreachable — a build row with a NaN key can never match
-// any probe (NaN != NaN), so dropping such rows at insert preserves
-// the emitted tuple stream exactly.
+// It replicates Go's map semantics for float64 keys, which the legacy
+// path relies on: +0 and -0 are the same key, and a NaN key is
+// unreachable — a build row with a NaN key can never match any probe
+// (NaN != NaN), so dropping such rows at insert preserves the emitted
+// tuple stream exactly.
 
 // hashF64 mixes the normalized bit pattern of a key (splitmix64-style
 // finalizer — cheap and well distributed for the clustered integer-ish
@@ -41,10 +37,10 @@ func normKey(k float64) float64 {
 }
 
 // Join keys are very often small dense integers (generated surrogate
-// keys, TPC-H style foreign keys), where a direct-indexed bitmap or
-// offset table beats any hash probe by an order of magnitude. Both
-// structures therefore carry a dense fast path, taken when every key
-// is integral and the key span is modest relative to the key count.
+// keys, TPC-H style foreign keys), where a direct-indexed bitmap beats
+// any hash probe. The table therefore carries a dense fast path, taken
+// when every key is integral and the key span is modest relative to
+// the key count.
 
 // denseSpanCap bounds the direct-indexed domain (~1M slots) so a
 // pathological key range can never balloon memory.
@@ -61,143 +57,93 @@ func denseLimit(n int) float64 {
 	return float64(limit)
 }
 
-// f64Set is an open-addressed membership set over float64 keys. Empty
-// slots hold NaN (a value no stored key can be, since NaN keys are
-// skipped on add and never match on contains). freeze() may replace
-// the probe loop with a direct-indexed bitmap.
-type f64Set struct {
-	keys []float64
-	mask uint64
-	// Dense-domain tracking: adds keep (kmin, kmax, allInt) current so
-	// freeze can decide eligibility without a rescan.
-	n          int
-	kmin, kmax float64
-	allInt     bool
-	dense      []bool
-	dmin       float64
-}
-
-// newF64Set sizes the table for n keys at <= 50% load.
-func newF64Set(n int) *f64Set {
-	cap := 8
-	for cap < 2*n {
-		cap *= 2
-	}
-	s := &f64Set{
-		keys: make([]float64, cap), mask: uint64(cap - 1),
-		kmin: math.Inf(1), kmax: math.Inf(-1), allInt: true,
-	}
-	for i := range s.keys {
-		s.keys[i] = math.NaN()
-	}
-	return s
-}
-
-func (s *f64Set) add(k float64) {
-	if k != k {
-		return // NaN keys are unreachable; don't store them
-	}
-	k = normKey(k)
-	if k != math.Trunc(k) {
-		s.allInt = false
-	} else {
-		if k < s.kmin {
-			s.kmin = k
-		}
-		if k > s.kmax {
-			s.kmax = k
-		}
-		s.n++
-	}
-	i := hashF64(k) & s.mask
-	for {
-		cur := s.keys[i]
-		if cur != cur {
-			s.keys[i] = k
-			return
-		}
-		if cur == k {
-			return
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-// freeze switches contains to a direct-indexed bitmap when every added
-// key was integral and the span is dense enough. Call after the last
-// add; further adds after freeze are not supported.
-func (s *f64Set) freeze() {
-	if !s.allInt || s.n == 0 {
-		return
-	}
-	span := s.kmax - s.kmin
-	if !(span >= 0) || span+1 > denseLimit(s.n) {
-		return
-	}
-	d := make([]bool, int(span)+1)
-	for _, k := range s.keys {
-		if k == k {
-			d[int(k-s.kmin)] = true
-		}
-	}
-	s.dense, s.dmin = d, s.kmin
-}
-
-func (s *f64Set) contains(k float64) bool {
-	if k != k {
-		return false
-	}
-	k = normKey(k)
-	if s.dense != nil {
-		i := k - s.dmin
-		if !(i >= 0) || i >= float64(len(s.dense)) || i != math.Trunc(i) {
-			return false
-		}
-		return s.dense[int(i)]
-	}
-	i := hashF64(k) & s.mask
-	for {
-		cur := s.keys[i]
-		if cur != cur {
-			return false
-		}
-		if cur == k {
-			return true
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
 // f64Groups is a grouped hash table: every distinct key maps to the
 // list of build rows carrying it, in build-input order — exactly the
-// per-key append order the legacy map build produces. Built in two
-// passes (count, prefix-sum, fill) into one exact-capacity rows array,
-// so nothing grows incrementally.
+// per-key append order the legacy map build produces. Built in passes
+// (count, prefix-sum, fill) into one exact-capacity rows array, so
+// nothing grows incrementally. Group g occupies rows[off[g]:off[g+1]].
 type f64Groups struct {
-	keys []float64 // open-addressed; NaN = empty slot
+	// Hash mode: keys is open-addressed (NaN = empty slot) and a key's
+	// group index is its slot.
+	keys []float64
 	mask uint64
-	off  []int32 // per slot: start offset into rows
-	cnt  []int32 // per slot: group length
+	// Dense mode (keys is nil): key k has id int(k - dmin); present is a
+	// bitmap over ids and rank[w] counts the ids set below word w, so a
+	// present id's group index is its rank among the set bits. The id
+	// domain costs one bit per id, not an offset slot per id — a build
+	// side holds far fewer rows than its key span.
+	dense   bool
+	dmin    float64
+	present []uint64
+	rank    []int32
+
+	off  []int32
 	rows []int32 // all build rows, grouped by key, input order within a group
-	// Dense mode: keys is nil and slots are indexed directly by
-	// int(key - dmin) instead of by hash probe.
-	dense bool
-	dmin  float64
+}
+
+// denseGroup returns the group index of id s, or -1 when no build row
+// carries it.
+func (g *f64Groups) denseGroup(s uint) int {
+	w, b := g.present[s>>6], uint64(1)<<(s&63)
+	if w&b == 0 {
+		return -1
+	}
+	return int(g.rank[s>>6]) + bits.OnesCount64(w&(b-1))
+}
+
+// fillGroups lays buildRows out by group: gids[j] is the group index
+// of buildRows[j], or -1 for a dropped (NaN-keyed) row. off must hold
+// ngroups+2 zeroed slots, which the count pass uses shifted by two so
+// that the fill pass's running cursors leave off[g] at the start of
+// group g.
+func (g *f64Groups) fillGroups(buildRows, gids []int32) {
+	for _, gi := range gids {
+		if gi >= 0 {
+			g.off[gi+2]++
+		}
+	}
+	for i := 2; i < len(g.off); i++ {
+		g.off[i] += g.off[i-1]
+	}
+	g.rows = make([]int32, g.off[len(g.off)-1])
+	for j, gi := range gids {
+		if gi >= 0 {
+			g.rows[g.off[gi+1]] = buildRows[j]
+			g.off[gi+1]++
+		}
+	}
+	g.off = g.off[:len(g.off)-1]
 }
 
 // buildDenseGroups is the direct-indexed build, taken when every key
-// is integral over a modest span. Returns nil when ineligible.
+// is integral over a modest span. Returns nil when ineligible. Only the
+// first pass reads the key column (a random access per build row); it
+// leaves each key in ids as an integer offset, which the later passes
+// turn in place into the key's id and then its group index.
 func buildDenseGroups(buildRows []int32, vec []float64, coef float64) *f64Groups {
+	const noKey = math.MinInt32 // a NaN key: the row is dropped, as in the hash build
+	ids := make([]int32, len(buildRows))
 	kmin, kmax := math.Inf(1), math.Inf(-1)
-	n := 0
-	for _, r := range buildRows {
+	k0, n := 0.0, 0
+	for j, r := range buildRows {
 		k := coef * vec[r]
-		if k != k {
-			continue // NaN keys dropped, as in the hash build
-		}
-		if k != math.Trunc(k) {
+		if float64(int64(k)) != k { // NaN, fractional, or beyond int64 (±Inf included)
+			if k != k {
+				ids[j] = noKey
+				continue
+			}
 			return nil
 		}
+		if n == 0 {
+			k0 = k
+		}
+		// Offsets from the first key: beyond the span cap (±Inf keys
+		// included) no span check below could pass either.
+		d := k - k0
+		if !(d >= -denseSpanCap && d <= denseSpanCap) {
+			return nil
+		}
+		ids[j] = int32(d)
 		if k < kmin {
 			kmin = k
 		}
@@ -213,28 +159,30 @@ func buildDenseGroups(buildRows []int32, vec []float64, coef float64) *f64Groups
 	if !(span >= 0) || span+1 > denseLimit(n) {
 		return nil
 	}
-	w := int(span) + 1
-	g := &f64Groups{dense: true, dmin: kmin, off: make([]int32, w), cnt: make([]int32, w)}
-	for _, r := range buildRows {
-		if k := coef * vec[r]; k == k {
-			g.cnt[int(k-kmin)]++
+	nw := (int(span) + 64) >> 6
+	g := &f64Groups{dense: true, dmin: kmin, present: make([]uint64, nw), rank: make([]int32, nw)}
+	shift := int32(kmin - k0)
+	for j, d := range ids {
+		if d == noKey {
+			ids[j] = -1
+			continue
+		}
+		s := uint(d - shift)
+		ids[j] = int32(s)
+		g.present[s>>6] |= 1 << (s & 63)
+	}
+	ngroups := 0
+	for i, w := range g.present {
+		g.rank[i] = int32(ngroups)
+		ngroups += bits.OnesCount64(w)
+	}
+	g.off = make([]int32, ngroups+2)
+	for j, s := range ids {
+		if s >= 0 {
+			ids[j] = int32(g.denseGroup(uint(s)))
 		}
 	}
-	run := int32(0)
-	for i := range g.off {
-		g.off[i] = run
-		run += g.cnt[i]
-	}
-	g.rows = make([]int32, n)
-	cur := make([]int32, w)
-	copy(cur, g.off)
-	for _, r := range buildRows {
-		if k := coef * vec[r]; k == k {
-			i := int(k - kmin)
-			g.rows[cur[i]] = r
-			cur[i]++
-		}
-	}
+	g.fillGroups(buildRows, ids)
 	return g
 }
 
@@ -251,17 +199,16 @@ func buildF64Groups(buildRows []int32, vec []float64, coef float64) *f64Groups {
 	g := &f64Groups{
 		keys: make([]float64, cap),
 		mask: uint64(cap - 1),
-		off:  make([]int32, cap),
-		cnt:  make([]int32, cap),
+		off:  make([]int32, cap+2),
 	}
 	for i := range g.keys {
 		g.keys[i] = math.NaN()
 	}
-	// Pass 1: count group sizes.
-	total := 0
-	for _, r := range buildRows {
+	gids := make([]int32, len(buildRows))
+	for j, r := range buildRows {
 		k := coef * vec[r]
 		if k != k {
+			gids[j] = -1
 			continue
 		}
 		k = normKey(k)
@@ -277,31 +224,9 @@ func buildF64Groups(buildRows []int32, vec []float64, coef float64) *f64Groups {
 			}
 			i = (i + 1) & g.mask
 		}
-		g.cnt[i]++
-		total++
+		gids[j] = int32(i)
 	}
-	// Prefix-sum offsets, then fill in input order.
-	run := int32(0)
-	for i := range g.off {
-		g.off[i] = run
-		run += g.cnt[i]
-	}
-	g.rows = make([]int32, total)
-	cur := make([]int32, len(g.off))
-	copy(cur, g.off)
-	for _, r := range buildRows {
-		k := coef * vec[r]
-		if k != k {
-			continue
-		}
-		k = normKey(k)
-		i := hashF64(k) & g.mask
-		for g.keys[i] != k {
-			i = (i + 1) & g.mask
-		}
-		g.rows[cur[i]] = r
-		cur[i]++
-	}
+	g.fillGroups(buildRows, gids)
 	return g
 }
 
@@ -314,14 +239,14 @@ func (g *f64Groups) lookup(k float64) []int32 {
 	k = normKey(k)
 	if g.dense {
 		i := k - g.dmin
-		if !(i >= 0) || i >= float64(len(g.off)) || i != math.Trunc(i) {
+		if !(i >= 0) || i >= float64(len(g.present)*64) || i != math.Trunc(i) {
 			return nil
 		}
-		s := int(i)
-		if g.cnt[s] == 0 {
+		gi := g.denseGroup(uint(i))
+		if gi < 0 {
 			return nil
 		}
-		return g.rows[g.off[s] : g.off[s]+g.cnt[s]]
+		return g.rows[g.off[gi]:g.off[gi+1]]
 	}
 	i := hashF64(k) & g.mask
 	for {
@@ -330,146 +255,8 @@ func (g *f64Groups) lookup(k float64) []int32 {
 			return nil
 		}
 		if cur == k {
-			return g.rows[g.off[i] : g.off[i]+g.cnt[i]]
+			return g.rows[g.off[i]:g.off[i+1]]
 		}
 		i = (i + 1) & g.mask
-	}
-}
-
-// attachVec joins the tuples with table `next` via the edge — the
-// vectorized attach. It emits the exact tuple stream of the legacy
-// attach (same tuples, same order, same overflow error) but sizes
-// everything up front: a counting pass fixes the output length so the
-// result array is allocated once at exact capacity, the equi build
-// side goes through the two-pass grouped table instead of an
-// incrementally grown map, and when the probe side is much smaller
-// than the build side the build rows are pre-filtered by the probe key
-// set (a row whose key matches no probe can never emit).
-func (e *Engine) attachVec(b *binding, region relq.Region, tuples []int32, order []int, attached map[int]int, cands [][]int32, next int, edge *joinEdge) ([]int32, error) {
-	stride := len(order)
-	ntup := len(tuples) / max(stride, 1)
-	nextCands := cands[next]
-	newStride := stride + 1
-
-	overflow := func() error {
-		return fmt.Errorf("exec: intermediate join result exceeds %d tuples", e.MaxIntermediate)
-	}
-
-	switch {
-	case edge != nil && edge.equi != nil:
-		ej := edge.equi
-		// Probe side is the attached table; build side is `next`.
-		var probeVec, buildVec []float64
-		var probeCoef, buildCoef float64
-		var probePos int
-		if !edge.flip { // next is right side
-			probeVec, probeCoef, probePos = ej.lvec, ej.lc, attached[ej.ltbl]
-			buildVec, buildCoef = ej.rvec, ej.rc
-		} else {
-			probeVec, probeCoef, probePos = ej.rvec, ej.rc, attached[ej.rtbl]
-			buildVec, buildCoef = ej.lvec, ej.lc
-		}
-		buildRows := nextCands
-		// Build-side semi filter: when the probe side is far smaller,
-		// drop build rows whose key matches no probe key before
-		// building the table. Dropped rows are unreachable from every
-		// probe, so the join output is unchanged.
-		if ntup > 0 && len(buildRows) >= 4*ntup {
-			pset := newF64Set(ntup)
-			for ti := 0; ti < ntup; ti++ {
-				pset.add(probeCoef * probeVec[tuples[ti*stride+probePos]])
-			}
-			pset.freeze()
-			kept := make([]int32, 0, 4*ntup)
-			for _, r := range buildRows {
-				if pset.contains(buildCoef * buildVec[r]) {
-					kept = append(kept, r)
-				}
-			}
-			buildRows = kept
-		}
-		g := buildF64Groups(buildRows, buildVec, buildCoef)
-		total := 0
-		for ti := 0; ti < ntup; ti++ {
-			k := probeCoef * probeVec[tuples[ti*stride+probePos]]
-			total += len(g.lookup(k))
-			if total > e.MaxIntermediate {
-				return nil, overflow()
-			}
-		}
-		out := make([]int32, 0, total*newStride)
-		for ti := 0; ti < ntup; ti++ {
-			k := probeCoef * probeVec[tuples[ti*stride+probePos]]
-			for _, r := range g.lookup(k) {
-				out = append(out, tuples[ti*stride:(ti+1)*stride]...)
-				out = append(out, r)
-			}
-		}
-		return out, nil
-
-	case edge != nil && edge.band != nil:
-		jd := edge.band
-		maxBand := jd.dim.BoundAt(region[jd.di].Hi)
-		var probeVec, buildVec []float64
-		var probeCoef, buildCoef float64
-		var probePos int
-		if !edge.flip { // next is right side
-			probeVec, probeCoef, probePos = jd.lvec, jd.lc, attached[jd.ltbl]
-			buildVec, buildCoef = jd.rvec, jd.rc
-		} else {
-			probeVec, probeCoef, probePos = jd.rvec, jd.rc, attached[jd.rtbl]
-			buildVec, buildCoef = jd.lvec, jd.lc
-		}
-		if buildCoef == 0 {
-			return nil, fmt.Errorf("exec: zero join coefficient")
-		}
-		// Sort build side by scaled value once; both the counting and
-		// the fill pass run the identical binary-search + linear band
-		// walk, so they agree row for row (including NaN key and NaN
-		// center behavior, where comparisons are all-false).
-		type kv struct {
-			key float64
-			row int32
-		}
-		sorted := make([]kv, len(nextCands))
-		for i, r := range nextCands {
-			sorted[i] = kv{key: buildCoef * buildVec[r], row: r}
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
-		total := 0
-		for ti := 0; ti < ntup; ti++ {
-			center := probeCoef * probeVec[tuples[ti*stride+probePos]]
-			lo := sort.Search(len(sorted), func(i int) bool { return sorted[i].key >= center-maxBand })
-			for i := lo; i < len(sorted) && sorted[i].key <= center+maxBand; i++ {
-				total++
-			}
-			if total > e.MaxIntermediate {
-				return nil, overflow()
-			}
-		}
-		out := make([]int32, 0, total*newStride)
-		for ti := 0; ti < ntup; ti++ {
-			center := probeCoef * probeVec[tuples[ti*stride+probePos]]
-			lo := sort.Search(len(sorted), func(i int) bool { return sorted[i].key >= center-maxBand })
-			for i := lo; i < len(sorted) && sorted[i].key <= center+maxBand; i++ {
-				out = append(out, tuples[ti*stride:(ti+1)*stride]...)
-				out = append(out, sorted[i].row)
-			}
-		}
-		return out, nil
-
-	default: // cartesian
-		if len(nextCands) > 0 && ntup > e.MaxIntermediate/len(nextCands) {
-			return nil, overflow()
-		}
-		total := ntup * len(nextCands)
-		out := make([]int32, 0, total*newStride)
-		for ti := 0; ti < ntup; ti++ {
-			for _, r := range nextCands {
-				out = append(out, tuples[ti*stride:(ti+1)*stride]...)
-				out = append(out, r)
-			}
-		}
-		return out, nil
 	}
 }

@@ -6,43 +6,6 @@ import (
 	"testing"
 )
 
-func TestF64SetMapSemantics(t *testing.T) {
-	s := newF64Set(4)
-	s.add(1.5)
-	s.add(math.Copysign(0, -1)) // -0 must alias +0
-	s.add(math.NaN())           // NaN keys are unreachable
-
-	if !s.contains(1.5) || s.contains(2.5) {
-		t.Error("basic membership broken")
-	}
-	if !s.contains(0) || !s.contains(math.Copysign(0, -1)) {
-		t.Error("-0 and +0 must be the same key, as in a Go map")
-	}
-	if s.contains(math.NaN()) {
-		t.Error("NaN must never match (NaN != NaN)")
-	}
-}
-
-func TestF64SetAgainstGoMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	keys := make([]float64, 500)
-	for i := range keys {
-		keys[i] = math.Floor(rng.Float64() * 100) // heavy duplication
-	}
-	s := newF64Set(len(keys))
-	m := make(map[float64]struct{})
-	for _, k := range keys {
-		s.add(k)
-		m[k] = struct{}{}
-	}
-	for probe := -10.0; probe <= 110; probe += 0.5 {
-		_, want := m[probe]
-		if got := s.contains(probe); got != want {
-			t.Fatalf("contains(%v) = %v, map says %v", probe, got, want)
-		}
-	}
-}
-
 func TestF64GroupsMatchesMapBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	vec := make([]float64, 800)
@@ -89,56 +52,6 @@ func TestF64GroupsMatchesMapBuild(t *testing.T) {
 	}
 }
 
-func TestF64SetDenseAgainstGoMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := newF64Set(300)
-	m := make(map[float64]struct{})
-	for i := 0; i < 300; i++ {
-		k := math.Floor(rng.Float64() * 2500) // integral: dense-eligible
-		s.add(k)
-		m[k] = struct{}{}
-	}
-	s.add(math.Copysign(0, -1))
-	m[math.Copysign(0, -1)] = struct{}{}
-	s.add(math.NaN())
-	s.freeze()
-	if s.dense == nil {
-		t.Fatal("integral small-span keys must take the dense bitmap path")
-	}
-	probes := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0.5, 1e9, math.Copysign(0, -1)}
-	for k := -20.0; k <= 2520; k += 1 {
-		probes = append(probes, k)
-	}
-	for _, k := range probes {
-		_, want := m[k]
-		if got := s.contains(k); got != want {
-			t.Fatalf("dense contains(%v) = %v, map says %v", k, got, want)
-		}
-	}
-}
-
-func TestF64SetDenseIneligible(t *testing.T) {
-	frac := newF64Set(4)
-	frac.add(1.5)
-	frac.freeze()
-	if frac.dense != nil {
-		t.Error("fractional keys must not take the dense path")
-	}
-	sparse := newF64Set(4)
-	sparse.add(0)
-	sparse.add(1e9)
-	sparse.freeze()
-	if sparse.dense != nil {
-		t.Error("a huge key span must not take the dense path")
-	}
-	inf := newF64Set(4)
-	inf.add(math.Inf(1))
-	inf.freeze()
-	if inf.dense != nil {
-		t.Error("infinite keys must not take the dense path")
-	}
-}
-
 func TestF64GroupsDenseMatchesMapBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	vec := make([]float64, 600)
@@ -179,6 +92,28 @@ func TestF64GroupsDenseMatchesMapBuild(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("dense lookup(%v)[%d] = %d, map order has %d", k, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestF64GroupsDenseIneligible pins which builds may take the
+// bitmap-indexed mode.
+func TestF64GroupsDenseIneligible(t *testing.T) {
+	rows := []int32{0, 1}
+	for name, vec := range map[string][]float64{
+		"fractional keys":  {1.5, 2},
+		"a huge key span":  {0, 1e9},
+		"an infinite key":  {1, math.Inf(1)},
+		"only NaN keys":    {math.NaN(), math.NaN()},
+		"a -infinite key":  {math.Inf(-1), 3},
+		"fractional coefs": {1, 3},
+	} {
+		coef := 1.0
+		if name == "fractional coefs" {
+			coef = 0.5
+		}
+		if buildF64Groups(rows, vec, coef).dense {
+			t.Errorf("%s must not take the dense path", name)
 		}
 	}
 }

@@ -44,29 +44,12 @@ func (e *Engine) Materialize(q *relq.Query, region relq.Region, limit int) (*Res
 		return rs, nil
 	}
 
-	cands := make([][]int32, len(b.tables))
-	for ti := range b.tables {
-		c, err := e.scanTable(b, region, ti)
-		if err != nil {
-			return nil, err
-		}
-		cands[ti] = c
-		if len(c) == 0 {
-			return rs, nil
-		}
-	}
-	tuples, order, err := e.join(b, region, cands)
+	p := e.newBatchPlan(b, []relq.Region{region})
+	tuples, err := p.tuples(new(regionScratch), 0)
 	if err != nil {
 		return nil, err
 	}
-	stride := len(order)
-	if stride == 0 || len(tuples) == 0 {
-		return rs, nil
-	}
-	pos := make([]int, len(b.tables))
-	for slot, ti := range order {
-		pos[ti] = slot
-	}
+	stride, pos := len(p.order), p.pos
 
 	viol := make([]float64, len(q.Dims))
 	ntup := len(tuples) / stride

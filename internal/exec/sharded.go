@@ -213,15 +213,19 @@ func (sv *ShardedEvaluator) AggregateBatch(ctx context.Context, q *relq.Query, r
 	if nr == 0 {
 		return nil, nil
 	}
-	runs := make([]func(relq.Region) (agg.Partial, error), ns)
+	// One batch plan per shard engine: each binds against its own shard
+	// catalog and memoizes its own candidates (joinplan.go).
+	runs := make([]func(*regionScratch, int) (agg.Partial, error), ns)
 	for s, e := range sv.engines {
 		b, err := e.bind(q)
 		if err != nil {
 			return nil, err
 		}
-		runs[s] = e.regionRunner(q, b)
+		p := e.newBatchPlan(b, regions)
+		p.attachCache(q)
+		runs[s] = p.run
 	}
-	// The scatter path dispatches to shard regionRunners directly, never
+	// The scatter path dispatches to the shard plans directly, never
 	// through Engine.AggregateBatch, so the pending-batch storm marks and
 	// the between-batches auto-cluster sweeps are managed here: every
 	// shard engine is marked busy for the scatter's duration (concurrent
@@ -280,9 +284,9 @@ func (sv *ShardedEvaluator) AggregateBatch(ctx context.Context, q *relq.Query, r
 		lastEnd = make([]atomic.Int64, ns)
 		for s := range runs {
 			s, inner := s, runs[s]
-			runs[s] = func(r relq.Region) (agg.Partial, error) {
+			runs[s] = func(sc *regionScratch, i int) (agg.Partial, error) {
 				t0 := clk.Now()
-				p, err := inner(r)
+				p, err := inner(sc, i)
 				t1 := clk.Now()
 				busyNS[s].Add(t1.Sub(t0).Nanoseconds())
 				for n := t1.UnixNano(); ; {
@@ -303,11 +307,12 @@ func (sv *ShardedEvaluator) AggregateBatch(ctx context.Context, q *relq.Query, r
 		w = total
 	}
 	if w <= 1 {
+		sc := new(regionScratch)
 		for t := 0; t < total; t++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			p, err := runs[t/nr](regions[t%nr])
+			p, err := runs[t/nr](sc, t%nr)
 			if err != nil {
 				return nil, err
 			}
@@ -329,6 +334,7 @@ func (sv *ShardedEvaluator) AggregateBatch(ctx context.Context, q *relq.Query, r
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sc := new(regionScratch)
 				for {
 					t := int(next.Add(1)) - 1
 					if t >= total || failed.Load() {
@@ -338,7 +344,7 @@ func (sv *ShardedEvaluator) AggregateBatch(ctx context.Context, q *relq.Query, r
 						fail(err)
 						return
 					}
-					p, err := runs[t/nr](regions[t%nr])
+					p, err := runs[t/nr](sc, t%nr)
 					if err != nil {
 						fail(err)
 						return

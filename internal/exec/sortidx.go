@@ -7,8 +7,11 @@ import (
 	"acquire/internal/data"
 )
 
-// sortedIdx is a lazily built secondary index: column values in sorted
-// order with their row ids. Scans use it the way Postgres uses a B-tree
+// sortedIdx is a lazily built secondary index: the column's non-NaN
+// values in sorted order with their row ids. NaN rows are left out — no
+// range contains them, and under `<` they have no place in a sort
+// order, so a NaN among the values would leave the binary searches
+// below undefined. Scans use it the way Postgres uses a B-tree
 // index: the most selective range predicate drives candidate
 // generation, and the remaining predicates are verified per candidate.
 // This is what makes ACQUIRE's highly selective cell queries cheap
@@ -35,15 +38,17 @@ func (e *Engine) sortedIndex(t *data.Table, ord int) (*sortedIdx, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &sortedIdx{
-		vals: make([]float64, len(vec)),
-		rows: make([]int32, len(vec)),
-	}
-	perm := make([]int32, len(vec))
-	for i := range perm {
-		perm[i] = int32(i)
+	perm := make([]int32, 0, len(vec))
+	for i, v := range vec {
+		if v == v {
+			perm = append(perm, int32(i))
+		}
 	}
 	sort.Slice(perm, func(a, b int) bool { return vec[perm[a]] < vec[perm[b]] })
+	idx := &sortedIdx{
+		vals: make([]float64, len(perm)),
+		rows: make([]int32, len(perm)),
+	}
 	for i, r := range perm {
 		idx.vals[i] = vec[r]
 		idx.rows[i] = r

@@ -3,6 +3,8 @@ package exec
 import (
 	"math"
 	"testing"
+
+	"acquire/internal/data"
 )
 
 // sortedFrom builds a sortedIdx directly from an already-sorted value
@@ -77,5 +79,47 @@ func TestRangeRowsContents(t *testing.T) {
 	}
 	if got := ix.rangeRows(1, 1.5); len(got) != 1 || got[0] != 4 {
 		t.Errorf("rangeRows(1,1.5) = %v, want [4]", got)
+	}
+}
+
+// TestSortedIndexSkipsNaN builds the index over a NaN-bearing column:
+// NaN has no place in a `<` sort order, so a NaN left among the values
+// would make the range searches miss rows. Every range must return
+// exactly the rows a linear scan finds.
+func TestSortedIndexSkipsNaN(t *testing.T) {
+	vals := []float64{10, math.Inf(1), 63, math.Inf(1), 31, 96, 16, 25, 52, math.NaN(), 19, 86, 63, math.NaN(), 61, math.Inf(-1)}
+	cat := data.NewCatalog()
+	tbl := data.NewTable("t", data.MustSchema(data.Column{Name: "v", Type: data.Float64}))
+	for _, v := range vals {
+		if err := tbl.AppendRow(data.FloatValue(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := New(cat).sortedIndex(tbl, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []float64{math.Inf(-1), 0, 19, 50, 63, 86.5, 100, math.Inf(1)}
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			want := map[int32]bool{}
+			for r, v := range vals {
+				if v >= lo && v <= hi {
+					want[int32(r)] = true
+				}
+			}
+			got := ix.rangeRows(lo, hi)
+			if len(got) != len(want) || ix.rangeSize(lo, hi) != len(want) {
+				t.Fatalf("[%v, %v]: %d rows (size %d), want %d", lo, hi, len(got), ix.rangeSize(lo, hi), len(want))
+			}
+			for _, r := range got {
+				if !want[r] {
+					t.Fatalf("[%v, %v]: row %d (value %v) is out of range", lo, hi, r, vals[r])
+				}
+			}
+		}
 	}
 }

@@ -13,19 +13,22 @@ import (
 
 // TestSnapshotResetCoherent drives Snapshot and ResetStats from
 // concurrent goroutines while a writer bumps counters in a fixed
-// pattern (queries first, then rowsScanned, through one cell-pointer
-// read per iteration — the same access pattern the engine's hot path
-// uses). Because ResetStats swaps the whole counter generation, every
-// snapshot must come from a single generation: with one writer,
-// queries >= rowsScanned and their difference is at most 1 in every
-// observable state. The pre-fix sequential reset (zeroing queries
-// before rowsScanned) violates this: a snapshot between the two
-// stores sees queries == 0 with rowsScanned still at its old value.
-// Run with -race to also exercise the memory-model side.
+// pattern (queries, then rowsScanned, through one cell-pointer read per
+// iteration — the same access pattern the engine's hot path uses).
+// Because ResetStats swaps the whole counter generation, every snapshot
+// must come from a single generation. The writer's pair of increments
+// and the reader's Snapshot exclude each other through pair (the
+// resetter runs free), so within one generation a snapshot never sees
+// half a pair and queries == rowsScanned exactly — whatever the
+// scheduler does. The pre-fix sequential reset (zeroing queries before
+// rowsScanned) violates this: a snapshot between the two stores sees
+// queries == 0 with rowsScanned still at its old value. Run with -race
+// to also exercise the memory-model side.
 func TestSnapshotResetCoherent(t *testing.T) {
 	e := New(data.NewCatalog())
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var pair sync.RWMutex
 
 	wg.Add(1)
 	go func() { // writer: the hot-path access pattern
@@ -36,9 +39,11 @@ func TestSnapshotResetCoherent(t *testing.T) {
 				return
 			default:
 			}
+			pair.RLock()
 			c := e.stats.Load()
 			c.queries.Add(1)
 			c.rowsScanned.Add(1)
+			pair.RUnlock()
 		}
 	}()
 	wg.Add(1)
@@ -51,9 +56,10 @@ func TestSnapshotResetCoherent(t *testing.T) {
 
 	bad := 0
 	for i := 0; i < 20000; i++ {
+		pair.Lock()
 		s := e.Snapshot()
-		d := s.Queries - s.RowsScanned
-		if d < 0 || d > 1 {
+		pair.Unlock()
+		if d := s.Queries - s.RowsScanned; d != 0 {
 			bad++
 			if bad < 5 {
 				t.Errorf("incoherent snapshot: %+v (queries-rows = %d)", s, d)

@@ -19,8 +19,8 @@ import (
 // aggregate in the same tuple order with the same chunk association.
 // What changes is the shape of the work: per-block selection vectors
 // compacted one predicate at a time, zone maps that skip blocks which
-// provably cannot contain a candidate, scan-level semi-join pushdown,
-// and pre-sized join hash tables.
+// provably cannot contain a candidate, and pre-sized join hash tables
+// bound once per batch (joinplan.go).
 //
 // One nuance since two-sided pruneInterval hulls landed: on zone-pruned
 // full scans the candidate list may be a strict subset of the legacy
@@ -77,11 +77,11 @@ func scanDrives(b *binding, region relq.Region, ti int) (drives []scanDrive, emp
 		if sd.tbl != ti {
 			continue
 		}
-		ivs := valueIntervals(sd.dim, region[sd.di])
-		if len(ivs) == 0 {
+		ivs, n := valueIntervals(sd.dim, region[sd.di])
+		if n == 0 {
 			return nil, true // dimension admits nothing
 		}
-		if len(ivs) == 1 {
+		if n == 1 {
 			drives = append(drives, scanDrive{ord: sd.ord, lo: ivs[0].Lo, hi: ivs[0].Hi})
 		}
 	}
@@ -155,16 +155,6 @@ func (e *Engine) preferClusteredScan(t *data.Table, d scanDrive, size, n int) bo
 	return false
 }
 
-// semiPred is a scan-level semi-join pushdown predicate: keep only rows
-// whose scaled join key appears in the already-scanned probe side's key
-// set. Only attached below the join when the static attach plan proves
-// the dropped rows could never emit (see attachPlan).
-type semiPred struct {
-	set  *f64Set
-	vec  []float64
-	coef float64
-}
-
 // blockFilter is the compiled predicate chain applied to each block's
 // selection vector. Predicate order matches the legacy verify loop
 // (ranges, strings, locals); the chain is a conjunction, so the kept
@@ -173,7 +163,6 @@ type blockFilter struct {
 	ranges []rangeBind
 	strs   []stringBind
 	locals []localDim
-	semi   *semiPred
 }
 
 func (f *blockFilter) apply(sel []int32) []int32 {
@@ -202,9 +191,6 @@ func (f *blockFilter) applySkip(sel []int32, skipR, skipL int) []int32 {
 			return sel
 		}
 		sel = filterViolation(sel, f.locals[i].dim, f.locals[i].vec, f.locals[i].hi)
-	}
-	if f.semi != nil && len(sel) > 0 {
-		sel = filterSemi(sel, f.semi.vec, f.semi.coef, f.semi.set)
 	}
 	return sel
 }
@@ -242,7 +228,7 @@ func observeDensity(eo *engineObs, kept, blockLen int) {
 
 // zonePreds compiles the block-skip tests for a full scan: one per
 // fixed range with a finite bound, one per local select dimension's
-// conservative value hull. String-set and semi predicates never prune —
+// conservative value hull. String-set predicates never prune —
 // zone maps only summarize numeric order.
 func (e *Engine) zonePreds(t *data.Table, f *blockFilter) []zonePred {
 	var zps []zonePred
@@ -264,25 +250,27 @@ func (e *Engine) zonePreds(t *data.Table, f *blockFilter) []zonePred {
 	return zps
 }
 
-// vscanTable is the vectorized scanTable: identical access-path choice
-// and candidate output, executed block-at-a-time. On the full-scan path
-// blocks failing a zone test are skipped without touching rows —
-// RowsScanned counts only rows in visited blocks (skipped blocks are
-// reported via BlocksSkipped), keeping the rows-touched statistics
-// honest about physical work.
-func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, semi *semiPred) ([]int32, error) {
+// vscanTable is the vectorized scan of table ti: scanTableLegacy's
+// access-path choice and candidate output, executed block-at-a-time.
+// Candidates are appended to out (the caller's scratch buffer, possibly
+// nil) and the extended slice is returned. On the full-scan path blocks
+// failing a zone test are skipped without touching rows — RowsScanned
+// counts only rows in visited blocks (skipped blocks are reported via
+// BlocksSkipped), keeping the rows-touched statistics honest about
+// physical work.
+func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, out []int32) ([]int32, error) {
 	t := b.tables[ti]
 	n := t.NumRows()
 	drives, empty := scanDrives(b, region, ti)
 	if empty {
-		return nil, nil
+		return out, nil
 	}
-	f := &blockFilter{ranges: b.ranges[ti], strs: b.strFlts[ti], locals: localDimsFor(b, region, ti), semi: semi}
+	f := &blockFilter{ranges: b.ranges[ti], strs: b.strFlts[ti], locals: localDimsFor(b, region, ti)}
 	eo := e.obsState.Load()
 
 	candidates, indexed, margs, err := e.pickIndexDrive(t, n, drives)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	if indexed {
 		e.countRows(int64(len(candidates)))
@@ -290,7 +278,7 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, semi *semiPr
 			eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
 				"rows", int64(len(candidates)), "full_scan", false)
 		}
-		out := e.blockFilterRows(candidates, f, eo)
+		out = e.blockFilterRows(candidates, f, eo, out)
 		if e.autoCluster.Load() {
 			e.wstats.observe(tableKey(t), n, drives, margs)
 		}
@@ -298,7 +286,7 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, semi *semiPr
 	}
 
 	zps := e.zonePreds(t, f)
-	out, rowsScanned, blocksScanned, axisSkips := e.blockScan(n, zps, f, eo)
+	out, rowsScanned, blocksScanned, axisSkips := e.blockScan(n, zps, f, eo, out)
 	var blocksSkipped int64
 	for _, s := range axisSkips {
 		blocksSkipped += s
@@ -330,16 +318,17 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, semi *semiPr
 func tableKey(t *data.Table) string { return strings.ToLower(t.Name()) }
 
 // blockScan runs the zone-pruned block scan over [0, n) in ascending
-// row order. Large tables fan blocks out to the worker pool in
-// contiguous chunks concatenated in chunk order, so the output matches
-// the sequential scan exactly. axisSkips is aligned with zps: skipped
-// blocks are attributed to the first predicate that fired (skipAxis),
-// giving per-axis pruning visibility on interleaved layouts.
-func (e *Engine) blockScan(n int, zps []zonePred, f *blockFilter, eo *engineObs) (out []int32, rowsScanned, blocksScanned int64, axisSkips []int64) {
+// row order, appending survivors to out. Large tables fan blocks out to
+// the worker pool in contiguous chunks concatenated in chunk order, so
+// the output matches the sequential scan exactly. axisSkips is aligned
+// with zps: skipped blocks are attributed to the first predicate that
+// fired (skipAxis), giving per-axis pruning visibility on interleaved
+// layouts.
+func (e *Engine) blockScan(n int, zps []zonePred, f *blockFilter, eo *engineObs, out []int32) (_ []int32, rowsScanned, blocksScanned int64, axisSkips []int64) {
 	nb := numBlocks(n)
 	w := e.workers()
 	if w == 1 || n < parallelThreshold {
-		return scanBlockRange(0, nb, n, zps, f, eo)
+		return scanBlockRange(0, nb, n, zps, f, eo, out)
 	}
 	parts := chunks(nb, w)
 	outs := make([][]int32, len(parts))
@@ -352,17 +341,12 @@ func (e *Engine) blockScan(n int, zps []zonePred, f *blockFilter, eo *engineObs)
 		go func(ci int) {
 			defer func() { done <- struct{}{} }()
 			outs[ci], rows[ci], scanned[ci], skips[ci] =
-				scanBlockRange(parts[ci][0], parts[ci][1], n, zps, f, eo)
+				scanBlockRange(parts[ci][0], parts[ci][1], n, zps, f, eo, nil)
 		}(ci)
 	}
 	for range parts {
 		<-done
 	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out = make([]int32, 0, total)
 	axisSkips = make([]int64, len(zps))
 	for ci := range outs {
 		out = append(out, outs[ci]...)
@@ -375,10 +359,10 @@ func (e *Engine) blockScan(n int, zps []zonePred, f *blockFilter, eo *engineObs)
 	return out, rowsScanned, blocksScanned, axisSkips
 }
 
-// scanBlockRange scans blocks [b0, b1) of an n-row table.
-func scanBlockRange(b0, b1, n int, zps []zonePred, f *blockFilter, eo *engineObs) (out []int32, rows, scanned int64, axisSkips []int64) {
+// scanBlockRange scans blocks [b0, b1) of an n-row table, appending
+// survivors to out.
+func scanBlockRange(b0, b1, n int, zps []zonePred, f *blockFilter, eo *engineObs, out []int32) (_ []int32, rows, scanned int64, axisSkips []int64) {
 	var buf [blockRows]int32
-	out = make([]int32, 0, 64)
 	axisSkips = make([]int64, len(zps))
 	for bi := b0; bi < b1; bi++ {
 		lo := bi * blockRows
@@ -397,13 +381,13 @@ func scanBlockRange(b0, b1, n int, zps []zonePred, f *blockFilter, eo *engineObs
 }
 
 // blockFilterRows applies the filter chain to an explicit candidate
-// list (the index path) in blockRows-sized gather chunks, preserving
-// candidate order. Large lists split across the worker pool with
-// chunk-ordered concatenation.
-func (e *Engine) blockFilterRows(cands []int32, f *blockFilter, eo *engineObs) []int32 {
+// list (the index path) in blockRows-sized gather chunks, appending
+// survivors to out in candidate order. Large lists split across the
+// worker pool with chunk-ordered concatenation.
+func (e *Engine) blockFilterRows(cands []int32, f *blockFilter, eo *engineObs, out []int32) []int32 {
 	w := e.workers()
 	if w == 1 || len(cands) < parallelThreshold {
-		return gatherFilterRange(cands, 0, len(cands), f, eo)
+		return gatherFilterRange(cands, 0, len(cands), f, eo, out)
 	}
 	parts := chunks(len(cands), w)
 	outs := make([][]int32, len(parts))
@@ -411,27 +395,22 @@ func (e *Engine) blockFilterRows(cands []int32, f *blockFilter, eo *engineObs) [
 	for ci := range parts {
 		go func(ci int) {
 			defer func() { done <- struct{}{} }()
-			outs[ci] = gatherFilterRange(cands, parts[ci][0], parts[ci][1], f, eo)
+			outs[ci] = gatherFilterRange(cands, parts[ci][0], parts[ci][1], f, eo, nil)
 		}(ci)
 	}
 	for range parts {
 		<-done
 	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out := make([]int32, 0, total)
 	for _, o := range outs {
 		out = append(out, o...)
 	}
 	return out
 }
 
-// gatherFilterRange filters cands[lo:hi] block by block.
-func gatherFilterRange(cands []int32, lo, hi int, f *blockFilter, eo *engineObs) []int32 {
+// gatherFilterRange filters cands[lo:hi] block by block, appending
+// survivors to out.
+func gatherFilterRange(cands []int32, lo, hi int, f *blockFilter, eo *engineObs, out []int32) []int32 {
 	var buf [blockRows]int32
-	out := make([]int32, 0, hi-lo)
 	for blo := lo; blo < hi; blo += blockRows {
 		bhi := min(blo+blockRows, hi)
 		sel := buf[:bhi-blo]
@@ -443,178 +422,97 @@ func gatherFilterRange(cands []int32, lo, hi int, f *blockFilter, eo *engineObs)
 	return out
 }
 
-// planEdge records, for one table, the join edge the attach loop will
-// use when that table is attached. pickNext depends only on the
-// binding's edge lists and the attached set — never on candidate
-// contents — so the plan is computable before any table is scanned.
-type planEdge struct {
-	equi     *equiBind
-	probeTbl int // attached-side table of the equi edge; -1 otherwise
-}
-
-// attachPlan simulates join()'s attach order without candidates and
-// returns each table's planned edge. Used to prove scan-level semi-join
-// pushdown sound: filtering table ti's candidates by the key set of an
-// earlier-scanned table is only allowed when ti's planned attach edge
-// is exactly the equi edge to that table — then every dropped row would
-// have matched zero probes and the tuple stream is unchanged.
-func (e *Engine) attachPlan(b *binding) []planEdge {
-	nt := len(b.tables)
-	plan := make([]planEdge, nt)
-	for i := range plan {
-		plan[i] = planEdge{probeTbl: -1}
-	}
-	if nt == 1 {
-		return plan
-	}
-	attached := map[int]int{0: 0}
-	for len(attached) < nt {
-		next, edge := e.pickNext(b, attached)
-		if next < 0 {
-			for ti := 0; ti < nt; ti++ {
-				if _, ok := attached[ti]; !ok {
-					next = ti
-					break
-				}
-			}
-		}
-		if edge != nil && edge.equi != nil {
-			probe := edge.equi.ltbl
-			if edge.flip {
-				probe = edge.equi.rtbl
-			}
-			plan[next] = planEdge{equi: edge.equi, probeTbl: probe}
-		}
-		attached[next] = len(attached)
-	}
-	return plan
-}
-
-// semiPredFor builds the scan-level pushdown predicate for table ti, or
-// nil when pushdown is unsound or unprofitable. Requirements: ti's
-// planned attach edge is an equi edge whose probe side was already
-// scanned (table index < ti), and the probe candidate set is at least
-// 4x smaller than ti's row count (otherwise the key-set probe costs
-// more than it saves).
-func semiPredFor(b *binding, plan []planEdge, cands [][]int32, ti int) *semiPred {
-	if plan == nil || plan[ti].equi == nil {
-		return nil
-	}
-	probe := plan[ti].probeTbl
-	if probe < 0 || probe >= ti {
-		return nil
-	}
-	prev := cands[probe]
-	if len(prev)*4 > b.tables[ti].NumRows() {
-		return nil
-	}
-	ej := plan[ti].equi
-	var pvec, bvec []float64
-	var pc, bc float64
-	if ej.ltbl == probe {
-		pvec, pc, bvec, bc = ej.lvec, ej.lc, ej.rvec, ej.rc
-	} else {
-		pvec, pc, bvec, bc = ej.rvec, ej.rc, ej.lvec, ej.lc
-	}
-	set := newF64Set(len(prev))
-	for _, r := range prev {
-		set.add(pc * pvec[r])
-	}
-	set.freeze()
-	return &semiPred{set: set, vec: bvec, coef: bc}
-}
-
 // finalizeVec is the vectorized finalize: the same parallelFold chunk
 // grid as the legacy path (identical chunk boundaries, identical merge
 // order), with each chunk processed in blockRows-sized sub-blocks whose
 // selection vector is compacted one condition at a time. Qualifying
 // tuples step the aggregate in ascending tuple order — the exact
-// StepValue sequence of the legacy fold, so SUM bits match.
-func (e *Engine) finalizeVec(b *binding, region relq.Region, tuples []int32, order []int) (agg.Partial, error) {
-	stride := len(order)
-	if stride == 0 {
-		return agg.Zero(), nil
-	}
-	pos := make([]int, len(b.tables)) // table index -> slot in tuple
-	for slot, ti := range order {
-		pos[ti] = slot
-	}
+// StepValue sequence of the legacy fold, so SUM bits match. pos maps a
+// table index to its slot in a tuple of the given stride.
+func (e *Engine) finalizeVec(b *binding, region relq.Region, tuples []int32, stride int, pos []int) agg.Partial {
 	ntup := len(tuples) / stride
 	e.countTuples(int64(ntup))
+	if ntup < parallelThreshold {
+		// parallelFold would run this same single chunk; calling it
+		// directly keeps the per-region closure off the heap.
+		return foldTuples(b, region, tuples, stride, pos, 0, ntup)
+	}
+	return e.parallelFold(ntup, func(lo, hi int) agg.Partial {
+		return foldTuples(b, region, tuples, stride, pos, lo, hi)
+	})
+}
 
-	part := e.parallelFold(ntup, func(lo, hi int) agg.Partial {
-		p := agg.Zero()
-		var buf [blockRows]int
-		for blo := lo; blo < hi; blo += blockRows {
-			bhi := min(blo+blockRows, hi)
-			sel := buf[:0]
-			for t := blo; t < bhi; t++ {
-				sel = append(sel, t)
-			}
-			for i := range b.equiJoins {
-				ej := &b.equiJoins[i]
-				ls, rs := pos[ej.ltbl], pos[ej.rtbl]
-				k := 0
-				for _, t := range sel {
-					row := tuples[t*stride:]
-					sel[k] = t
-					if ej.lc*ej.lvec[row[ls]] == ej.rc*ej.rvec[row[rs]] {
-						k++
-					}
-				}
-				sel = sel[:k]
-				if len(sel) == 0 {
-					break
+// foldTuples folds tuples [lo, hi) of one parallelFold chunk.
+func foldTuples(b *binding, region relq.Region, tuples []int32, stride int, pos []int, lo, hi int) agg.Partial {
+	p := agg.Zero()
+	var buf [blockRows]int
+	for blo := lo; blo < hi; blo += blockRows {
+		bhi := min(blo+blockRows, hi)
+		sel := buf[:0]
+		for t := blo; t < bhi; t++ {
+			sel = append(sel, t)
+		}
+		for i := range b.equiJoins {
+			ej := &b.equiJoins[i]
+			ls, rs := pos[ej.ltbl], pos[ej.rtbl]
+			k := 0
+			for _, t := range sel {
+				row := tuples[t*stride:]
+				sel[k] = t
+				if ej.lc*ej.lvec[row[ls]] == ej.rc*ej.rvec[row[rs]] {
+					k++
 				}
 			}
-			for i := range b.selDims {
-				if len(sel) == 0 {
-					break
-				}
-				sd := &b.selDims[i]
-				iv := region[sd.di]
-				slot := pos[sd.tbl]
-				k := 0
-				for _, t := range sel {
-					v := sd.dim.Violation(sd.vec[tuples[t*stride+slot]])
-					sel[k] = t
-					if v > iv.Lo && v <= iv.Hi {
-						k++
-					}
-				}
-				sel = sel[:k]
-			}
-			for i := range b.joinDims {
-				if len(sel) == 0 {
-					break
-				}
-				jd := &b.joinDims[i]
-				iv := region[jd.di]
-				ls, rs := pos[jd.ltbl], pos[jd.rtbl]
-				k := 0
-				for _, t := range sel {
-					row := tuples[t*stride:]
-					v := jd.dim.JoinViolation(jd.lvec[row[ls]], jd.rvec[row[rs]])
-					sel[k] = t
-					if v > iv.Lo && v <= iv.Hi {
-						k++
-					}
-				}
-				sel = sel[:k]
-			}
-			if b.aggTbl >= 0 {
-				slot := pos[b.aggTbl]
-				for _, t := range sel {
-					b.spec.StepValue(&p, b.aggVec[tuples[t*stride+slot]])
-				}
-			} else {
-				for _, t := range sel {
-					_ = t
-					b.spec.StepValue(&p, 1.0)
-				}
+			sel = sel[:k]
+			if len(sel) == 0 {
+				break
 			}
 		}
-		return p
-	})
-	return part, nil
+		for i := range b.selDims {
+			if len(sel) == 0 {
+				break
+			}
+			sd := &b.selDims[i]
+			iv := region[sd.di]
+			slot := pos[sd.tbl]
+			k := 0
+			for _, t := range sel {
+				v := sd.violation(sd.vec[tuples[t*stride+slot]])
+				sel[k] = t
+				if v > iv.Lo && v <= iv.Hi {
+					k++
+				}
+			}
+			sel = sel[:k]
+		}
+		for i := range b.joinDims {
+			if len(sel) == 0 {
+				break
+			}
+			jd := &b.joinDims[i]
+			iv := region[jd.di]
+			ls, rs := pos[jd.ltbl], pos[jd.rtbl]
+			k := 0
+			for _, t := range sel {
+				row := tuples[t*stride:]
+				v := jd.dim.JoinViolation(jd.lvec[row[ls]], jd.rvec[row[rs]])
+				sel[k] = t
+				if v > iv.Lo && v <= iv.Hi {
+					k++
+				}
+			}
+			sel = sel[:k]
+		}
+		if b.aggTbl >= 0 {
+			slot := pos[b.aggTbl]
+			for _, t := range sel {
+				b.spec.StepValue(&p, b.aggVec[tuples[t*stride+slot]])
+			}
+		} else {
+			for range sel {
+				b.spec.StepValue(&p, 1.0)
+			}
+		}
+	}
+	return p
 }

@@ -22,21 +22,34 @@ var errMethods = []string{"ACQUIRE", "TQGen", "BinSearch"} // Top-k has no error
 // aggregate ratio 0.1-0.9, all four methods; reports execution time,
 // relative aggregate error and refinement score.
 func Figure8(ctx context.Context, cfg Config) ([]Figure, error) {
+	rows, err := figure8Rows(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return figure8Figures(rows), nil
+}
+
+// figure8Rows measures every method at each of Ratios; rows[i][method]
+// carries the deterministic work counters next to the timings.
+func figure8Rows(ctx context.Context, cfg Config) ([]map[string]Measurement, error) {
 	cfg = cfg.WithDefaults()
 	e, err := usersEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var rows []map[string]Measurement
-	var xs []float64
 	for _, r := range Ratios {
 		row, err := compareAll(ctx, e, cfg, 3, r)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
-		xs = append(xs, r)
 	}
+	return rows, nil
+}
+
+func figure8Figures(rows []map[string]Measurement) []Figure {
+	xs := Ratios
 	return []Figure{
 		{ID: "8.a", Title: "Execution time vs aggregate ratio", XLabel: "aggregate ratio", X: xs,
 			YLabel: "time (ms)", Series: seriesFrom(allMethods, rows, func(m Measurement) float64 { return m.Millis })},
@@ -44,26 +57,19 @@ func Figure8(ctx context.Context, cfg Config) ([]Figure, error) {
 			YLabel: "relative error", Series: seriesFrom(errMethods, rows, func(m Measurement) float64 { return m.Err })},
 		{ID: "8.c", Title: "Refinement score vs aggregate ratio", XLabel: "aggregate ratio", X: xs,
 			YLabel: "refinement score", Series: seriesFrom(allMethods, rows, func(m Measurement) float64 { return m.Refinement })},
-	}, nil
+	}
 }
 
 // Figure9 reproduces Figures 9.a-9.c: ratio 0.3, 1-5 flexible
 // predicates.
 func Figure9(ctx context.Context, cfg Config) ([]Figure, error) {
-	cfg = cfg.WithDefaults()
-	e, err := usersEngine(cfg)
+	rows, err := figure9Rows(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var rows []map[string]Measurement
-	var xs []float64
-	for _, d := range DimCounts {
-		row, err := compareAll(ctx, e, cfg, d, 0.3)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-		xs = append(xs, float64(d))
+	xs := make([]float64, len(DimCounts))
+	for i, d := range DimCounts {
+		xs[i] = float64(d)
 	}
 	return []Figure{
 		{ID: "9.a", Title: "Execution time vs number of dimensions", XLabel: "dimensions", X: xs,
@@ -73,6 +79,24 @@ func Figure9(ctx context.Context, cfg Config) ([]Figure, error) {
 		{ID: "9.c", Title: "Refinement score vs dimensions", XLabel: "dimensions", X: xs,
 			YLabel: "refinement score", Series: seriesFrom(allMethods, rows, func(m Measurement) float64 { return m.Refinement })},
 	}, nil
+}
+
+// figure9Rows measures every method at each of DimCounts.
+func figure9Rows(ctx context.Context, cfg Config) ([]map[string]Measurement, error) {
+	cfg = cfg.WithDefaults()
+	e, err := usersEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var rows []map[string]Measurement
+	for _, d := range DimCounts {
+		row, err := compareAll(ctx, e, cfg, d, 0.3)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // TableSizes is the Figure 10.a axis at default bench scale; pass a

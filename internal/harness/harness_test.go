@@ -5,6 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"acquire/internal/core"
+	"acquire/internal/relq"
+	"acquire/internal/workload"
 )
 
 // tinyCfg keeps harness tests fast; the shapes under test are scale
@@ -14,14 +18,15 @@ func tinyCfg() Config {
 }
 
 func TestFigure8ShapesHold(t *testing.T) {
-	figs, err := Figure8(context.Background(), tinyCfg())
+	rows, err := figure8Rows(context.Background(), tinyCfg())
 	if err != nil {
 		t.Fatalf("Figure8: %v", err)
 	}
+	figs := figure8Figures(rows)
 	if len(figs) != 3 {
 		t.Fatalf("figures = %d", len(figs))
 	}
-	timeFig, errFig, refFig := figs[0], figs[1], figs[2]
+	errFig, refFig := figs[1], figs[2]
 
 	get := func(f Figure, name string) []float64 {
 		for _, s := range f.Series {
@@ -33,15 +38,15 @@ func TestFigure8ShapesHold(t *testing.T) {
 		return nil
 	}
 
-	acqT := get(timeFig, "ACQUIRE")
-	tqT := get(timeFig, "TQGen")
-	for i := range acqT {
-		// Headline shape: TQGen is much slower than ACQUIRE at every
-		// ratio (paper: 2 orders of magnitude; we assert >3x at toy
-		// scale — EXPERIMENTS.md records the measured factors at the
-		// full scale).
-		if tqT[i] < 3*acqT[i] {
-			t.Errorf("ratio %v: TQGen %vms not ≫ ACQUIRE %vms", timeFig.X[i], tqT[i], acqT[i])
+	// Headline shape, on the paper's cost unit (§8: evaluation-layer
+	// executions) so it holds on any machine: TQGen spends its fixed
+	// K^d-per-round budget whatever the ratio, ACQUIRE stays below it
+	// everywhere and far below once the target is within a few layers.
+	// EXPERIMENTS.md records the measured time factors at full scale.
+	for i, row := range rows {
+		acq, tq := row["ACQUIRE"].Executions, row["TQGen"].Executions
+		if tq <= acq || Ratios[i] >= 0.3 && tq < 3*acq {
+			t.Errorf("ratio %v: TQGen %d executions not ≫ ACQUIRE %d", Ratios[i], tq, acq)
 		}
 	}
 
@@ -75,28 +80,24 @@ func TestFigure8ShapesHold(t *testing.T) {
 func TestFigure9ExponentialTQGen(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Rows = 2000
-	figs, err := Figure9(context.Background(), cfg)
+	rows, err := figure9Rows(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Figure9: %v", err)
 	}
-	timeFig := figs[0]
-	var tq, acq []float64
-	for _, s := range timeFig.Series {
-		if s.Name == "TQGen" {
-			tq = s.Y
+	// Asserted on evaluation-layer executions, the paper's cost unit and
+	// a deterministic count, not on milliseconds.
+	for i, d := range DimCounts {
+		tq, acq := rows[i]["TQGen"].Executions, rows[i]["ACQUIRE"].Executions
+		// TQGen's cost explodes with dimensionality: every round
+		// evaluates a full K^d grid.
+		if want := int64(cfg.TQGenRounds) * int64(math.Pow(float64(cfg.TQGenGridK), float64(d))); tq != want {
+			t.Errorf("d=%d: TQGen ran %d executions, want rounds*K^d = %d", d, tq, want)
 		}
-		if s.Name == "ACQUIRE" {
-			acq = s.Y
+		// ACQUIRE explores only the layers below its answer and stays
+		// several times under TQGen at every dimensionality.
+		if 4*acq > tq {
+			t.Errorf("d=%d: ACQUIRE %d executions not well under TQGen %d", d, acq, tq)
 		}
-	}
-	// TQGen's cost explodes with dimensionality: d=5 ≫ d=1.
-	if tq[4] < 10*tq[0] {
-		t.Errorf("TQGen d=5 (%vms) should dwarf d=1 (%vms)", tq[4], tq[0])
-	}
-	// ACQUIRE grows far slower than TQGen.
-	if tq[4]/math.Max(tq[0], 0.001) < acq[4]/math.Max(acq[0], 0.001) {
-		t.Errorf("ACQUIRE growth (%v→%v) should be slower than TQGen (%v→%v)",
-			acq[0], acq[4], tq[0], tq[4])
 	}
 }
 
@@ -170,12 +171,30 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AblationIncremental: %v", err)
 	}
-	inc, naive := figs[0].Series[0].Y, figs[0].Series[1].Y
+	if len(figs[0].Series) != 2 || len(figs[0].Series[0].Y) != len(Ratios) {
+		t.Fatalf("ablation.incremental shape: %+v", figs[0])
+	}
 	// At the lowest ratio (deepest search) the incremental explorer
-	// must not be slower than whole-query re-execution by any
-	// meaningful margin.
-	if inc[0] > naive[0]*1.5 {
-		t.Errorf("incremental %vms slower than naive %vms at ratio 0.1", inc[0], naive[0])
+	// must touch fewer rows than whole-query re-execution: its cell
+	// queries are disjoint, whole queries re-read every prefix. Rows
+	// scanned is the deterministic stand-in for the figure's time axis.
+	e, err := tpchEngine(cfg.WithDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := workload.BuildCalibrated(e, workload.Spec{Kind: workload.TPCH, Dims: 3, Agg: relq.AggCount, Ratio: Ratios[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsScanned := func(noIncremental bool) int64 {
+		before := e.Snapshot().RowsScanned
+		if _, err := RunACQUIRE(context.Background(), e, q, core.Options{Gamma: cfg.Gamma, Delta: cfg.Delta, NoIncremental: noIncremental}); err != nil {
+			t.Fatal(err)
+		}
+		return e.Snapshot().RowsScanned - before
+	}
+	if inc, naive := rowsScanned(false), rowsScanned(true); inc > naive {
+		t.Errorf("incremental scanned %d rows, whole-query %d at ratio %v", inc, naive, Ratios[0])
 	}
 
 	if _, err := AblationGridIndex(context.Background(), cfg); err != nil {

@@ -27,8 +27,9 @@ var ScanStudyRounds = 10
 //     touching rows. The rows-touched figure records the reduction.
 //   - "join": the TPCH supplier ⋈ partsupp ⋈ part SUM workload on the
 //     generators' unclustered layout, where the win comes from the
-//     scan-level semi-join pushdown (partsupp pre-filtered by the
-//     surviving supplier keys) and pre-sized join hash tables.
+//     batch-bound join plan (partsupp, which carries no flexible
+//     predicate here, is scanned and grouped once per batch rather
+//     than once per region) and pre-sized join hash tables.
 //
 // Both engines share one catalog per workload; the legacy engine is the
 // same Engine with SetLegacyScan(true). When cfg.Obs is set, the study
@@ -126,9 +127,9 @@ func ScanPathStudy(ctx context.Context, cfg Config) ([]Figure, error) {
 		return nil, err
 	}
 
-	// Workload 2: the three-table SUM join. The supplier s_acctbal
-	// dimension keeps the build side selective, which is what the
-	// partsupp-side semi-join pushdown converts into skipped work.
+	// Workload 2: the three-table SUM join. partsupp has no select
+	// dimension of its own, so every region of a batch shares one scan
+	// and one grouped build of it.
 	tcat, err := tpch.Generate(tpch.Config{Rows: cfg.Rows, Zipf: cfg.Zipf, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
