@@ -17,12 +17,14 @@ import (
 // The regions are independent (ACQUIRE's cell sub-queries are mutually
 // disjoint), so they are dispatched to a worker pool bounded by the
 // engine's Parallelism (default GOMAXPROCS). The query is bound once and
-// what the regions share is planned once (joinplan.go); each region then
-// runs exactly the same per-region code as Aggregate, each worker out of
-// its own scratch, so results are deterministic — identical for every
-// worker count.
-// Cancellation is checked before each region; on cancellation or the
-// first region error the pool drains and the error is returned.
+// what the regions share is planned once (joinplan.go). The pool runs
+// two rounds: every region's front, then — for a single-table batch —
+// the units that scan the regions their fronts deferred, grouped by the
+// index slab they drive from (sharedrive.go). Each partial is the one
+// Aggregate computes for the region, bit for bit, so results are
+// deterministic — identical for every worker count.
+// Cancellation is checked before each region and unit; on cancellation
+// or the first error the pool drains and the error is returned.
 func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []relq.Region) ([]agg.Partial, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -50,16 +52,17 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 	}
 	p := e.newBatchPlan(b, regions)
 	p.attachCache(q)
-	// Per-region execution times land in the "evaluate" phase
-	// histogram inside aggregateBound; the dispatch event records the
-	// batch shape (width × workers) for the structured log.
+	// Per-region and per-unit execution times land in the "evaluate"
+	// phase histogram; the dispatch event records the batch shape
+	// (width × workers) for the structured log.
 	if o := e.Observer(); o.LogEnabled(slog.LevelDebug) {
 		o.Debug("engine.batch", "regions", len(regions), "workers", w)
 	}
 	// Hierarchical tracing: when the context carries a span, the batch
 	// gets a child span (with this engine's stat deltas — rows scanned,
-	// gridagg merges, cache traffic) and every region a nested
-	// "evaluate" span carrying its fingerprint and cache outcome. The
+	// gridagg merges, cache traffic) and nested "evaluate" spans: one
+	// per region its front resolved, carrying its fingerprint and cache
+	// outcome, and one per scan unit, carrying its region count. The
 	// untraced path pays one context lookup and allocates nothing.
 	if parent := obs.SpanFromContext(ctx); parent.Active() {
 		bsp := parent.StartChild("engine.batch")
@@ -78,21 +81,45 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 			bsp.End()
 		}()
 	}
-	if w <= 1 {
-		sc := new(regionScratch)
-		for i := range regions {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			part, err := p.run(sc, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = part
-		}
+	defer p.abandon()
+	scs := make([]regionScratch, max(w, 1))
+	if err := drain(ctx, scs, len(regions), func(sc *regionScratch, i int) error {
+		return p.front(sc, i, out)
+	}); err != nil {
+		return nil, err
+	}
+	if len(p.deferred) == 0 {
 		return out, nil
 	}
+	if err := p.planUnits(&scs[0]); err != nil {
+		return nil, err
+	}
+	if err := drain(ctx, scs, len(p.units), func(sc *regionScratch, u int) error {
+		return p.runUnit(sc, u, out)
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
+// drain runs task(sc, t) for every t in [0, n) on a pool of up to
+// len(scs) workers, each out of its own scratch, pulling t from one
+// atomic counter. Cancellation is checked before each task; on
+// cancellation or the first task error the pool drains and the error is
+// returned.
+func drain(ctx context.Context, scs []regionScratch, n int, task func(sc *regionScratch, t int) error) error {
+	w := min(len(scs), n)
+	if w <= 1 {
+		for t := 0; t < n; t++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := task(&scs[0], t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var (
 		next     atomic.Int64
 		failed   atomic.Bool
@@ -106,30 +133,24 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 	}
 	for k := 0; k < w; k++ {
 		wg.Add(1)
-		go func() {
+		go func(sc *regionScratch) {
 			defer wg.Done()
-			sc := new(regionScratch)
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(regions) || failed.Load() {
+				t := int(next.Add(1)) - 1
+				if t >= n || failed.Load() {
 					return
 				}
 				if err := ctx.Err(); err != nil {
 					fail(err)
 					return
 				}
-				part, err := p.run(sc, i)
-				if err != nil {
+				if err := task(sc, t); err != nil {
 					fail(err)
 					return
 				}
-				out[i] = part
 			}
-		}()
+		}(&scs[k])
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return firstErr
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"strings"
 
-	"acquire/internal/agg"
 	"acquire/internal/exec/regioncache"
 	"acquire/internal/relq"
 )
@@ -102,35 +101,13 @@ func (e *Engine) batchFingerprint(q *relq.Query, b *binding) relq.Fingerprint {
 // region cache, if one is attached: every region first consults the
 // cache under its (query shape, region) fingerprint, and concurrent
 // identical regions — including ones dispatched by other sessions
-// sharing the cache — collapse onto one execution. The query-shape
+// sharing the cache — collapse onto one execution (front, in
+// sharedrive.go). A hit returns the stored partial without touching
+// the execution path — Stats.Queries does not move; a miss executes
+// exactly once per key and stores the result. The query-shape
 // fingerprint is computed once per batch.
 func (p *batchPlan) attachCache(q *relq.Query) {
 	if c := p.e.regionCache.Load(); c != nil {
 		p.cache, p.fp = c, p.e.batchFingerprint(q, p.b)
 	}
-}
-
-// aggregateCached executes region i of a bound batch through the
-// plan's region cache and reports whether it hit. A hit (including
-// joining another caller's in-flight execution of the same region)
-// returns the stored partial without touching the execution path —
-// Stats.Queries does not move. A miss executes aggregateBound exactly
-// once per key under the cache's singleflight and stores the result.
-func (e *Engine) aggregateCached(p *batchPlan, sc *regionScratch, i int) (agg.Partial, bool, error) {
-	k := p.fp.WithRegion(p.regions[i])
-	part, hit, evicted, err := p.cache.Do(regioncache.Key{Hi: k.Hi, Lo: k.Lo}, func() (agg.Partial, error) {
-		return e.aggregateBound(p, sc, i)
-	})
-	if err != nil {
-		return agg.Zero(), false, err
-	}
-	if hit {
-		e.countCacheHits(1)
-	} else {
-		e.countCacheMisses(1)
-	}
-	if evicted > 0 {
-		e.countCacheEvictions(evicted)
-	}
-	return part, hit, nil
 }

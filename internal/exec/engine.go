@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"acquire/internal/agg"
 	"acquire/internal/data"
@@ -34,7 +35,10 @@ type Stats struct {
 	// Queries is the number of query executions (cell queries and whole
 	// queries alike — each is one round trip to the evaluation layer).
 	Queries int64
-	// RowsScanned counts base-table rows touched by scans. Rows in
+	// RowsScanned counts base-table rows touched by scans — rows
+	// physically read, not rows per region: when the regions of a batch
+	// drive from the same sorted-index slab, the slab is gathered once
+	// for all of them and counted once (sharedrive.go). Rows in
 	// zone-map-skipped blocks are never touched and are not counted
 	// (see BlocksSkipped).
 	RowsScanned int64
@@ -44,7 +48,11 @@ type Stats struct {
 	// BlocksSkipped counts column blocks proven candidate-free by zone
 	// maps and skipped without touching any row.
 	BlocksSkipped int64
-	// TuplesExamined counts join tuples tested against regions.
+	// TuplesExamined counts the tuples that reach the final region test:
+	// per region, its scanned candidates or joined tuples; per
+	// drive-shared pass, the slab rows that survive the fixed filters
+	// and the member regions' common upper bounds — each counted once,
+	// then tested against every member.
 	TuplesExamined int64
 	// CellsSkipped counts queries answered empty by the grid index
 	// without scanning (§7.4).
@@ -621,41 +629,57 @@ func (e *Engine) Aggregate(q *relq.Query, region relq.Region) (agg.Partial, erro
 	if err != nil {
 		return agg.Zero(), err
 	}
-	return e.aggregateBound(e.newBatchPlan(b, []relq.Region{region}), new(regionScratch), 0)
+	var out [1]agg.Partial
+	err = e.newBatchPlan(b, []relq.Region{region}).whole(new(regionScratch), 0, out[:])
+	return out[0], err
 }
 
-// aggregateBound executes region i of a bound batch. With an observer
-// attached it also times the execution into the "evaluate" phase
-// histogram and emits a debug-level engine.query event; without one,
-// the only instrumentation cost is a nil pointer load.
-func (e *Engine) aggregateBound(p *batchPlan, sc *regionScratch, i int) (agg.Partial, error) {
+// aggregateBound executes region i of a bound batch as far as
+// aggregateRegion takes it. With an observer attached it also times the
+// execution into the "evaluate" phase histogram and emits a debug-level
+// engine.query event; without one, the only instrumentation cost is a
+// nil pointer load. A deferred region reports nothing here: the unit
+// that scans it does (sharedrive.go).
+func (e *Engine) aggregateBound(p *batchPlan, sc *regionScratch, i int) (agg.Partial, bool, error) {
 	eo := e.obsState.Load()
 	if eo == nil {
 		return e.aggregateRegion(p, sc, i, nil)
 	}
 	sp := eo.o.StartPhase("evaluate")
-	part, err := e.aggregateRegion(p, sc, i, eo)
-	d := sp.End()
+	part, deferred, err := e.aggregateRegion(p, sc, i, eo)
+	if !deferred {
+		eo.queryDone(p, sp.End(), 1, err)
+	}
+	return part, deferred, err
+}
+
+// queryDone emits the debug-level engine.query event of one timed
+// execution: a region, or a unit of regions scanned together.
+func (eo *engineObs) queryDone(p *batchPlan, d time.Duration, regions int, err error) {
 	if eo.o.LogEnabled(slog.LevelDebug) {
 		eo.o.Debug("engine.query",
-			"tables", len(p.b.tables), "dims", len(p.regions[i]),
+			"tables", len(p.b.tables), "dims", len(p.b.q.Dims), "regions", regions,
 			"duration_ms", float64(d.Microseconds())/1000,
 			"err", err != nil)
 	}
-	return part, err
 }
 
-func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int, eo *engineObs) (agg.Partial, error) {
+// aggregateRegion executes region i of a bound batch: its front — the
+// arity check, the execution count, the empty region, the grid index's
+// emptiness proof, the box-aggregate kernel — and then its scan stage.
+// On a drive-shared plan the scan stage is not run here: deferred=true
+// hands the region to the units.
+func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int, eo *engineObs) (_ agg.Partial, deferred bool, _ error) {
 	b, region := p.b, p.regions[i]
 	if len(region) != len(b.q.Dims) {
-		return agg.Zero(), fmt.Errorf("exec: region has %d dims, query has %d", len(region), len(b.q.Dims))
+		return agg.Zero(), false, fmt.Errorf("exec: region has %d dims, query has %d", len(region), len(b.q.Dims))
 	}
 	e.stats.Load().queries.Add(1)
 	if eo != nil {
 		eo.queries.Add(1)
 	}
 	if region.Empty() {
-		return agg.Zero(), nil
+		return agg.Zero(), false, nil
 	}
 
 	// Grid-index emptiness check (§7.4): conservative per-table test
@@ -667,28 +691,38 @@ func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int, eo *eng
 				eo.cells.Add(1)
 				eo.o.Debug("engine.grid_skip", "table", b.q.Tables[ti])
 			}
-			return agg.Zero(), nil
+			return agg.Zero(), false, nil
 		}
 	}
 
 	// Box-aggregate kernel: eligible single-table queries are answered
 	// from the aggregate grid's stored partials and posting lists.
 	if part, ok, err := e.boxAggregate(p, region, eo); ok || err != nil {
-		return part, err
+		return part, false, err
 	}
 
-	// Candidate scans and join (joinplan.go). The tuples may alias memo
-	// entries, which the region holds until its fold is done.
+	if p.shared {
+		return agg.Zero(), true, nil
+	}
+	part, err := e.scanAggregate(p, sc, i)
+	return part, false, err
+}
+
+// scanAggregate is the per-region scan stage: region i's candidate
+// scans and join (joinplan.go), then the final filter and fold.
+func (e *Engine) scanAggregate(p *batchPlan, sc *regionScratch, i int) (agg.Partial, error) {
+	// The tuples may alias memo entries, which the region holds until
+	// its fold is done.
 	defer p.release(i)
 	tuples, err := p.tuples(sc, i)
 	if err != nil || len(tuples) == 0 {
 		return agg.Zero(), err
 	}
 
-	// Final filter + aggregate. The vectorized fold checks region
-	// dimensions individually, which requires every query dimension to
-	// be bound (always true today — the guard is belt and braces against
-	// future dimension kinds).
+	// The vectorized fold checks region dimensions individually, which
+	// requires every query dimension to be bound (always true today —
+	// the guard is belt and braces against future dimension kinds).
+	b, region := p.b, p.regions[i]
 	if p.legacy || len(b.selDims)+len(b.joinDims) != len(b.q.Dims) {
 		return e.finalizeLegacy(b, region, tuples, p.pos), nil
 	}
@@ -718,27 +752,24 @@ func (e *Engine) legacyTuples(b *binding, region relq.Region) ([]int32, error) {
 // generation through a sorted index; the remaining predicates are
 // verified per candidate. When no condition narrows the table below
 // half its rows, a full scan is used instead. The vectorized path
-// (vscanTable) shares this access-path choice (scanDrives/pickIndexDrive)
-// and only changes how the surviving predicates are evaluated; both
-// produce the identical candidate list in the identical order.
+// (vscanTable) shares this access-path choice (accessPath) and only
+// changes how the surviving predicates are evaluated; both produce the
+// identical candidate list in the identical order.
 func (e *Engine) scanTableLegacy(b *binding, region relq.Region, ti int) ([]int32, error) {
-	t := b.tables[ti]
-	n := t.NumRows()
-	locals := localDimsFor(b, region, ti)
+	n := b.tables[ti].NumRows()
 	ranges := b.ranges[ti]
 	strs := b.strFlts[ti]
 
-	drives, empty := scanDrives(b, region, ti)
-	if empty {
-		return nil, nil // some dimension admits nothing
+	ac, err := e.accessPath(b, region, ti, new(regionScratch))
+	if err != nil || ac.empty {
+		return nil, err // an empty access: some dimension admits nothing
 	}
-	candidates, indexed, _, err := e.pickIndexDrive(t, n, drives)
-	if err != nil {
-		return nil, err
-	}
-	fullScan := !indexed
+	locals := localDims(b, region, ti, -1, nil)
+	fullScan := !ac.indexed
 	scanned := int64(n)
+	var candidates []int32
 	if !fullScan {
+		candidates = ac.ix.rows[ac.lo:ac.hi]
 		scanned = int64(len(candidates))
 	}
 	e.countRows(scanned)

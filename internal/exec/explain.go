@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"acquire/internal/relq"
@@ -12,7 +11,8 @@ import (
 type PlanStep struct {
 	// Table is the table this step concerns.
 	Table string
-	// Access is "index range scan", "full scan" or "grid-index skip".
+	// Access is "index range scan", "full scan", "grid-index skip", or
+	// "no scan" when a select dimension's interval admits no value.
 	Access string
 	// DrivingColumn names the column whose sorted index drives the
 	// scan (empty for full scans).
@@ -63,7 +63,7 @@ func (e *Engine) Explain(q *relq.Query, region relq.Region) (*Plan, error) {
 	}
 	plan := &Plan{}
 
-	// Per-table access decisions, mirroring the scan's logic.
+	// Per-table access decisions: the scan's own (accessPath).
 	grids := e.bindGrids(b)
 	sc := new(regionScratch)
 	access := make([]PlanStep, len(b.tables))
@@ -78,41 +78,18 @@ func (e *Engine) Explain(q *relq.Query, region relq.Region) (*Plan, error) {
 			continue
 		}
 
-		type drive struct {
-			ord    int
-			lo, hi float64
+		ac, err := e.accessPath(b, region, ti, sc)
+		if err != nil {
+			return nil, err
 		}
-		var drives []drive
-		for i := range b.ranges[ti] {
-			rb := b.ranges[ti][i]
-			if !math.IsInf(rb.lo, -1) || !math.IsInf(rb.hi, 1) {
-				drives = append(drives, drive{ord: rb.ord, lo: rb.lo, hi: rb.hi})
-			}
-		}
-		for _, sd := range b.selDims {
-			if sd.tbl != ti {
-				continue
-			}
-			ivs, n := valueIntervals(sd.dim, region[sd.di])
-			if n == 1 {
-				drives = append(drives, drive{ord: sd.ord, lo: ivs[0].Lo, hi: ivs[0].Hi})
-			}
-		}
-		bestSize := n + 1
-		bestOrd := -1
-		for _, d := range drives {
-			ix, err := e.sortedIndex(t, d.ord)
-			if err != nil {
-				return nil, err
-			}
-			if sz := ix.rangeSize(d.lo, d.hi); sz < bestSize {
-				bestSize, bestOrd = sz, d.ord
-			}
-		}
-		if bestOrd >= 0 && bestSize <= n/2 {
+		switch {
+		case ac.empty:
+			step.Access = "no scan"
+			step.EstimatedRows = 0
+		case ac.indexed:
 			step.Access = "index range scan"
-			step.DrivingColumn = t.Schema().Columns[bestOrd].Name
-			step.EstimatedRows = bestSize
+			step.DrivingColumn = t.Schema().Columns[ac.drive.ord].Name
+			step.EstimatedRows = ac.hi - ac.lo
 		}
 		access[ti] = step
 	}

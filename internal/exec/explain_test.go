@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"acquire/internal/data"
 	"acquire/internal/relq"
 )
 
@@ -146,5 +147,85 @@ func TestExplainErrors(t *testing.T) {
 		Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1}}
 	if _, err := e.Explain(bad, relq.Region{}); err == nil {
 		t.Error("unknown table: expected error")
+	}
+}
+
+// TestExplainAgreesWithExecution: Explain reads the access path the
+// scan reads (accessPath), so what it reports is what the counters then
+// show — on a plain table, and on one clustered over the driving
+// column, where a moderately selective drive stays on the zone-pruned
+// full scan.
+func TestExplainAgreesWithExecution(t *testing.T) {
+	plain := sdCatalog(t, 70, 16384, false)
+	tbl, err := plain.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := data.SortedBy(tbl, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered := data.NewCatalog()
+	if err := clustered.Register(sorted); err != nil {
+		t.Fatal(err)
+	}
+	q := &relq.Query{
+		Tables: []string{"t"},
+		Dims: []relq.Dimension{
+			{Kind: relq.SelectLE, Col: sdCol("c"), Bound: 10, Width: 100},
+			{Kind: relq.SelectLE, Col: sdCol("a"), Bound: 60, Width: 100},
+		},
+		Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpGE, Target: 1},
+	}
+	regions := []relq.Region{
+		relq.PrefixRegion([]float64{0, 0}),   // c <= 10: a narrow drive
+		relq.PrefixRegion([]float64{25, 10}), // c <= 35: more than n/8, less than n/2
+		relq.PrefixRegion([]float64{70, 30}), // nothing narrows the table to half
+		relq.CellRegion([]int{3, 1}, 10),
+	}
+	for name, cat := range map[string]*data.Catalog{"plain": plain, "clustered": clustered} {
+		e := New(cat)
+		sawFull, sawIndex := false, false
+		for _, r := range regions {
+			plan, err := e.Explain(q, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := plan.Steps[0]
+			before := e.Snapshot()
+			if _, err := e.Aggregate(q, r); err != nil {
+				t.Fatal(err)
+			}
+			d := e.Snapshot().Sub(before)
+			switch step.Access {
+			case "index range scan":
+				sawIndex = true
+				if d.BlocksScanned+d.BlocksSkipped != 0 || d.RowsScanned != int64(step.EstimatedRows) {
+					t.Errorf("%s %v: Explain says %+v, execution counted %+v", name, r, step, d)
+				}
+			case "full scan":
+				sawFull = true
+				if d.BlocksScanned+d.BlocksSkipped != int64(numBlocks(tbl.NumRows())) {
+					t.Errorf("%s %v: Explain says %+v, execution counted %+v", name, r, step, d)
+				}
+			default:
+				t.Errorf("%s %v: unexpected access %+v", name, r, step)
+			}
+		}
+		if !sawFull || !sawIndex {
+			t.Errorf("%s: regions exercised index=%v full=%v, want both", name, sawIndex, sawFull)
+		}
+	}
+	// The layouts disagree on exactly the moderately selective drive.
+	pp, err := New(plain).Explain(q, regions[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := New(clustered).Explain(q, regions[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp.Steps[0].Access != "index range scan" || cp.Steps[0].Access != "full scan" {
+		t.Errorf("c <= 35: plain table %+v, clustered table %+v", pp.Steps[0], cp.Steps[0])
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"acquire/internal/agg"
 	"acquire/internal/exec/regioncache"
 	"acquire/internal/index"
 	"acquire/internal/obs"
@@ -137,6 +136,18 @@ type batchPlan struct {
 	cache *regioncache.Cache
 	fp    relq.Fingerprint
 	span  obs.SpanRef
+
+	// The drive-shared scan stage (sharedrive.go). shared marks a plan
+	// whose regions scan one table on the vectorized path: a region that
+	// gets past its front is not scanned there but deferred, and the
+	// deferred regions are cut into the units a second round of
+	// dispatch drains. flights holds the cache claims of the deferred
+	// regions (nil without a cache).
+	shared   bool
+	mu       sync.Mutex // guards deferred while the fronts run
+	deferred []unitKey
+	units    []unitSpan
+	flights  []*regioncache.Flight
 }
 
 // tableMemo maps every region of the batch to the entry holding its
@@ -177,6 +188,12 @@ type regionScratch struct {
 	// box and alts serve cellProvablyEmpty.
 	box  []index.Interval
 	alts []gridAlt
+	// drives, margs, locals and filter serve accessPath and the scan it
+	// chooses.
+	drives []scanDrive
+	margs  []int
+	locals []localDim
+	filter blockFilter
 }
 
 // newBatchPlan binds the region-invariant state of executing b over
@@ -198,6 +215,11 @@ func (e *Engine) newBatchPlan(b *binding, regions []relq.Region) *batchPlan {
 	if nt > 1 && !p.legacy {
 		p.memo = newTableMemos(b, regions)
 	}
+	// The shared pass checks region dimensions individually, which
+	// requires every query dimension to be bound to the table (always
+	// true today — the guard is belt and braces against future
+	// dimension kinds).
+	p.shared = nt == 1 && !p.legacy && len(b.selDims) == len(b.q.Dims)
 	return p
 }
 
@@ -260,27 +282,6 @@ func (p *batchPlan) release(i int) {
 	}
 }
 
-// run executes region i of the batch: through the region cache when
-// one is attached, under an "evaluate" child span carrying the region's
-// fingerprint and cache outcome when the batch is traced.
-func (p *batchPlan) run(sc *regionScratch, i int) (agg.Partial, error) {
-	if p.cache == nil {
-		sp := p.span.StartChild("evaluate")
-		part, err := p.e.aggregateBound(p, sc, i)
-		sp.End()
-		return part, err
-	}
-	sp := p.span.StartChild("evaluate")
-	part, hit, err := p.e.aggregateCached(p, sc, i)
-	if sp.Active() {
-		k := p.fp.WithRegion(p.regions[i])
-		sp.SetAttrs(obs.String("fingerprint", fmt.Sprintf("%016x%016x", k.Hi, k.Lo)),
-			obs.Bool("cache_hit", hit))
-	}
-	sp.End()
-	return part, err
-}
-
 // tuples returns region i's joined tuples (stride = number of tables,
 // columns in attach order) ahead of the final filter: the scanned
 // candidates of a single-table query, the attach loop's output
@@ -292,7 +293,7 @@ func (p *batchPlan) tuples(sc *regionScratch, i int) ([]int32, error) {
 		return p.e.legacyTuples(p.b, p.regions[i])
 	}
 	if len(p.b.tables) == 1 {
-		rows, err := p.e.vscanTable(p.b, p.regions[i], 0, sc.rows[:0])
+		rows, err := p.e.vscanTable(p.b, p.regions[i], 0, sc, sc.rows[:0])
 		sc.rows = rows[:0]
 		return rows, err
 	}
@@ -313,7 +314,7 @@ func (p *batchPlan) tuples(sc *regionScratch, i int) ([]int32, error) {
 func (p *batchPlan) cands(sc *regionScratch, i, ti int) (*candEntry, error) {
 	ent := p.entry(i, ti)
 	ent.scan.Do(func() {
-		rows, err := p.e.vscanTable(p.b, p.regions[i], ti, sc.rows[:0])
+		rows, err := p.e.vscanTable(p.b, p.regions[i], ti, sc, sc.rows[:0])
 		sc.rows = rows[:0]
 		ent.rows, ent.err = slices.Clone(rows), err
 	})

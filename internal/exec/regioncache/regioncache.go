@@ -48,9 +48,14 @@ type entry struct {
 	prev, next *entry
 }
 
-// flight is one in-flight loader execution; waiters block on done and
-// then read val/err.
-type flight struct {
+// Flight is one in-flight execution of a key. Its holder — Do, or the
+// caller TryClaim handed it to — executes the region and must call Fill
+// exactly once, whatever the outcome; until then concurrent callers for
+// the key block on done, and afterwards read val/err.
+type Flight struct {
+	c    *Cache
+	k    Key
+	gen  uint64 // the shard's generation at claim time
 	done chan struct{}
 	val  agg.Partial
 	err  error
@@ -65,7 +70,7 @@ type shard struct {
 	// gen is bumped by Invalidate; a fill whose flight started under an
 	// older generation is discarded instead of resurrecting stale data.
 	gen      uint64
-	inflight map[Key]*flight
+	inflight map[Key]*Flight
 
 	hits, misses, evictions int64
 }
@@ -95,7 +100,7 @@ func New(maxBytes int64) *Cache {
 	}
 	for i := range c.shards {
 		c.shards[i].table = make(map[Key]*entry)
-		c.shards[i].inflight = make(map[Key]*flight)
+		c.shards[i].inflight = make(map[Key]*Flight)
 	}
 	return c
 }
@@ -111,48 +116,78 @@ func (c *Cache) shard(k Key) *shard {
 func (c *Cache) Do(k Key, fn func() (agg.Partial, error)) (val agg.Partial, hit bool, evicted int64, err error) {
 	s := c.shard(k)
 	for {
-		s.mu.Lock()
-		if e, ok := s.table[k]; ok {
-			s.touch(e)
-			s.hits++
-			s.mu.Unlock()
-			return e.val, true, 0, nil
+		v, ok, own, other := c.claim(s, k)
+		if ok {
+			return v, true, 0, nil
 		}
-		if f, ok := s.inflight[k]; ok {
-			s.mu.Unlock()
-			<-f.done
-			if f.err == nil {
+		if other != nil {
+			<-other.done
+			if other.err == nil {
 				s.mu.Lock()
 				s.hits++
 				s.mu.Unlock()
-				return f.val, true, 0, nil
+				return other.val, true, 0, nil
 			}
 			// The owner failed (possibly its own cancellation): retry
 			// with our fn rather than inheriting a foreign error.
 			continue
 		}
-		f := &flight{done: make(chan struct{})}
-		gen := s.gen
-		s.inflight[k] = f
-		s.misses++
-		s.mu.Unlock()
-
-		f.val, f.err = fn()
-
-		s.mu.Lock()
-		// Only the registered flight may deregister itself: Invalidate
-		// swaps the inflight map, and a successor flight for the same
-		// key may already be registered there.
-		if s.inflight[k] == f {
-			delete(s.inflight, k)
-		}
-		if f.err == nil && s.gen == gen {
-			evicted = s.insert(k, f.val, c.capShard)
-		}
-		s.mu.Unlock()
-		close(f.done)
-		return f.val, false, evicted, f.err
+		val, err = fn()
+		return val, false, own.Fill(val, err), err
 	}
+}
+
+// TryClaim is Do's first half for a caller that computes several keys
+// in one pass and fills them afterwards. It never blocks, so claims may
+// be held while further keys are claimed. One of three things happens:
+// the key is resident (hit); the caller now owns its execution (fl is
+// non-nil and counts as the miss); or another execution of the key is
+// in flight (neither) — then come back through Do, which waits for it,
+// once every claim of one's own is filled.
+func (c *Cache) TryClaim(k Key) (val agg.Partial, hit bool, fl *Flight) {
+	val, hit, fl, _ = c.claim(c.shard(k), k)
+	return val, hit, fl
+}
+
+// claim looks k up and registers a flight for it when it is neither
+// resident nor in flight; other is the in-flight execution otherwise.
+func (c *Cache) claim(s *shard, k Key) (val agg.Partial, hit bool, own, other *Flight) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.table[k]; ok {
+		s.touch(e)
+		s.hits++
+		return e.val, true, nil, nil
+	}
+	if f, ok := s.inflight[k]; ok {
+		return val, false, nil, f
+	}
+	f := &Flight{c: c, k: k, gen: s.gen, done: make(chan struct{})}
+	s.inflight[k] = f
+	s.misses++
+	return val, false, f, nil
+}
+
+// Fill ends the flight with the execution's outcome: a value is stored
+// (unless Invalidate ran since the claim) and handed to the waiters, an
+// error sends each waiter off to execute for itself. It returns the
+// number of entries the fill displaced.
+func (f *Flight) Fill(val agg.Partial, err error) (evicted int64) {
+	s := f.c.shard(f.k)
+	f.val, f.err = val, err
+	s.mu.Lock()
+	// Only the registered flight may deregister itself: Invalidate
+	// swaps the inflight map, and a successor flight for the same
+	// key may already be registered there.
+	if s.inflight[f.k] == f {
+		delete(s.inflight, f.k)
+	}
+	if err == nil && s.gen == f.gen {
+		evicted = s.insert(f.k, val, f.c.capShard)
+	}
+	s.mu.Unlock()
+	close(f.done)
+	return evicted
 }
 
 // Get returns the cached partial for k, refreshing its recency. It
@@ -189,7 +224,7 @@ func (c *Cache) Invalidate() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.table = make(map[Key]*entry)
-		s.inflight = make(map[Key]*flight)
+		s.inflight = make(map[Key]*Flight)
 		s.head, s.tail = nil, nil
 		s.bytes = 0
 		s.gen++

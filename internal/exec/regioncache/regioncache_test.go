@@ -241,3 +241,67 @@ func TestStatsString(t *testing.T) {
 		t.Errorf("Len = %s, want 64", got)
 	}
 }
+
+// TryClaim never blocks and has three outcomes: a claim (which counts
+// the miss and must be filled), busy while that claim is open, and a
+// hit once it is filled. A Do that arrives while the claim is open
+// waits for the fill and shares its value.
+func TestTryClaimFill(t *testing.T) {
+	c := New(1 << 20)
+	k := kn(1)
+	_, hit, fl := c.TryClaim(k)
+	if hit || fl == nil {
+		t.Fatalf("first TryClaim: hit=%v flight=%v, want a claim", hit, fl)
+	}
+	if _, hit, again := c.TryClaim(k); hit || again != nil {
+		t.Fatalf("TryClaim on a claimed key: hit=%v flight=%v, want busy", hit, again)
+	}
+
+	waiter := make(chan agg.Partial)
+	go func() {
+		v, hit, _, err := c.Do(k, func() (agg.Partial, error) {
+			t.Error("Do ran its loader while the key was claimed")
+			return agg.Partial{}, nil
+		})
+		if !hit || err != nil {
+			t.Errorf("waiting Do: hit=%v err=%v", hit, err)
+		}
+		waiter <- v
+	}()
+	// The waiter either blocks on the flight or, if it is slow to
+	// start, hits the filled entry; both deliver the filled value.
+	if ev := fl.Fill(agg.Partial{Count: 7}, nil); ev != 0 {
+		t.Errorf("fill evicted %d entries", ev)
+	}
+	if v := <-waiter; v.Count != 7 {
+		t.Errorf("waiter got %+v", v)
+	}
+	if v, hit, fl := c.TryClaim(k); !hit || fl != nil || v.Count != 7 {
+		t.Fatalf("TryClaim after fill: %+v hit=%v flight=%v", v, hit, fl)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 2 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 miss, 2 hits, 1 entry", st)
+	}
+}
+
+// A claim filled with an error stores nothing and frees the key; a
+// claim that Invalidate overtook delivers to its waiters but is not
+// stored.
+func TestTryClaimFailedAndInvalidated(t *testing.T) {
+	c := New(1 << 20)
+	k := kn(2)
+	_, _, fl := c.TryClaim(k)
+	fl.Fill(agg.Partial{}, errors.New("boom"))
+	if c.Contains(k) {
+		t.Fatal("failed fill was stored")
+	}
+	_, hit, fl := c.TryClaim(k)
+	if hit || fl == nil {
+		t.Fatalf("TryClaim after a failed fill: hit=%v flight=%v, want a fresh claim", hit, fl)
+	}
+	c.Invalidate()
+	fl.Fill(agg.Partial{Count: 3}, nil)
+	if c.Contains(k) {
+		t.Fatal("fill from before Invalidate was stored")
+	}
+}

@@ -6,8 +6,8 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -214,17 +214,22 @@ func (sv *ShardedEvaluator) AggregateBatch(ctx context.Context, q *relq.Query, r
 		return nil, nil
 	}
 	// One batch plan per shard engine: each binds against its own shard
-	// catalog and memoizes its own candidates (joinplan.go).
-	runs := make([]func(*regionScratch, int) (agg.Partial, error), ns)
+	// catalog, memoizes its own candidates (joinplan.go) and cuts its own
+	// scan units (sharedrive.go).
+	plans := make([]*batchPlan, ns)
 	for s, e := range sv.engines {
 		b, err := e.bind(q)
 		if err != nil {
 			return nil, err
 		}
-		p := e.newBatchPlan(b, regions)
-		p.attachCache(q)
-		runs[s] = p.run
+		plans[s] = e.newBatchPlan(b, regions)
+		plans[s].attachCache(q)
 	}
+	defer func() {
+		for _, p := range plans {
+			p.abandon()
+		}
+	}()
 	// The scatter path dispatches to the shard plans directly, never
 	// through Engine.AggregateBatch, so the pending-batch storm marks and
 	// the between-batches auto-cluster sweeps are managed here: every
@@ -282,81 +287,52 @@ func (sv *ShardedEvaluator) AggregateBatch(ctx context.Context, q *relq.Query, r
 		}
 		busyNS = make([]atomic.Int64, ns)
 		lastEnd = make([]atomic.Int64, ns)
-		for s := range runs {
-			s, inner := s, runs[s]
-			runs[s] = func(sc *regionScratch, i int) (agg.Partial, error) {
-				t0 := clk.Now()
-				p, err := inner(sc, i)
-				t1 := clk.Now()
-				busyNS[s].Add(t1.Sub(t0).Nanoseconds())
-				for n := t1.UnixNano(); ; {
-					cur := lastEnd[s].Load()
-					if n <= cur || lastEnd[s].CompareAndSwap(cur, n) {
-						break
-					}
-				}
-				return p, err
+	}
+	// account books one finished task of shard s that started at t0.
+	account := func(s int, t0 time.Time) {
+		t1 := clk.Now()
+		busyNS[s].Add(t1.Sub(t0).Nanoseconds())
+		for n := t1.UnixNano(); ; {
+			cur := lastEnd[s].Load()
+			if n <= cur || lastEnd[s].CompareAndSwap(cur, n) {
+				break
 			}
 		}
 	}
 
+	// Two rounds on one pool, as in Engine.AggregateBatch: the flattened
+	// shard × region grid of fronts, then the shards' scan units laid end
+	// to end. parts is shard-major, one row of nr partials per shard.
 	parts := make([]agg.Partial, ns*nr)
-	total := ns * nr
-	w := sv.workers()
-	if w > total {
-		w = total
+	row := func(s int) []agg.Partial { return parts[s*nr : (s+1)*nr] }
+	scs := make([]regionScratch, min(sv.workers(), ns*nr))
+	if err := drain(ctx, scs, ns*nr, func(sc *regionScratch, t int) error {
+		s, i := t/nr, t%nr
+		if timed {
+			defer account(s, clk.Now())
+		}
+		return plans[s].front(sc, i, row(s))
+	}); err != nil {
+		return nil, err
 	}
-	if w <= 1 {
-		sc := new(regionScratch)
-		for t := 0; t < total; t++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			p, err := runs[t/nr](sc, t%nr)
-			if err != nil {
-				return nil, err
-			}
-			parts[t] = p
+	ends := make([]int, ns) // ends[s]: the units of shards 0..s
+	total := 0
+	for s, p := range plans {
+		if err := p.planUnits(&scs[0]); err != nil {
+			return nil, err
 		}
-	} else {
-		var (
-			next     atomic.Int64
-			failed   atomic.Bool
-			errOnce  sync.Once
-			firstErr error
-			wg       sync.WaitGroup
-		)
-		fail := func(err error) {
-			errOnce.Do(func() { firstErr = err })
-			failed.Store(true)
+		total += len(p.units)
+		ends[s] = total
+	}
+	if err := drain(ctx, scs, total, func(sc *regionScratch, t int) error {
+		s := sort.SearchInts(ends, t+1)
+		u := t - (ends[s] - len(plans[s].units))
+		if timed {
+			defer account(s, clk.Now())
 		}
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := new(regionScratch)
-				for {
-					t := int(next.Add(1)) - 1
-					if t >= total || failed.Load() {
-						return
-					}
-					if err := ctx.Err(); err != nil {
-						fail(err)
-						return
-					}
-					p, err := runs[t/nr](sc, t%nr)
-					if err != nil {
-						fail(err)
-						return
-					}
-					parts[t] = p
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
+		return plans[s].runUnit(sc, u, row(s))
+	}); err != nil {
+		return nil, err
 	}
 
 	if timed {

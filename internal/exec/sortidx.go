@@ -59,22 +59,14 @@ func (e *Engine) sortedIndex(t *data.Table, ord int) (*sortedIdx, error) {
 	return idx, nil
 }
 
-// rangeSize counts how many rows fall in [lo, hi].
-func (ix *sortedIdx) rangeSize(lo, hi float64) int {
-	a := sort.SearchFloat64s(ix.vals, lo)
-	b := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] > hi })
+// slab returns the positions [a, b) of the index whose values fall in
+// [lo, hi]: b-a rows qualify, and rows[a:b] are their ids in value
+// order. An interval that admits nothing returns a == b.
+func (ix *sortedIdx) slab(lo, hi float64) (a, b int) {
+	a = sort.SearchFloat64s(ix.vals, lo)
+	b = sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] > hi })
 	if b < a {
-		return 0
+		b = a
 	}
-	return b - a
-}
-
-// rangeRows returns the row ids with value in [lo, hi].
-func (ix *sortedIdx) rangeRows(lo, hi float64) []int32 {
-	a := sort.SearchFloat64s(ix.vals, lo)
-	b := sort.Search(len(ix.vals), func(i int) bool { return ix.vals[i] > hi })
-	if b <= a {
-		return nil
-	}
-	return ix.rows[a:b]
+	return a, b
 }

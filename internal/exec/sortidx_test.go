@@ -45,17 +45,9 @@ func TestRangeSizeEdgeCases(t *testing.T) {
 		{"unbounded", normal, math.Inf(-1), math.Inf(1), 6},
 	}
 	for _, c := range cases {
-		if got := c.ix.rangeSize(c.lo, c.hi); got != c.want {
-			t.Errorf("%s: rangeSize(%v, %v) = %d, want %d", c.name, c.lo, c.hi, got, c.want)
-		}
-		// rangeRows must agree with rangeSize on cardinality, and return
-		// nil (not an empty non-nil slice) for empty ranges.
-		rows := c.ix.rangeRows(c.lo, c.hi)
-		if len(rows) != c.want {
-			t.Errorf("%s: rangeRows returned %d rows, want %d", c.name, len(rows), c.want)
-		}
-		if c.want == 0 && rows != nil {
-			t.Errorf("%s: empty range returned non-nil slice", c.name)
+		// An empty range is an empty slab (a == b), never a reversed one.
+		if a, b := c.ix.slab(c.lo, c.hi); b-a != c.want {
+			t.Errorf("%s: slab(%v, %v) = [%d, %d), want %d rows", c.name, c.lo, c.hi, a, b, c.want)
 		}
 	}
 }
@@ -66,19 +58,20 @@ func TestRangeRowsContents(t *testing.T) {
 		vals: []float64{1, 2, 2, 2, 3},
 		rows: []int32{4, 0, 2, 3, 1},
 	}
-	got := ix.rangeRows(2, 2)
+	rangeRows := func(lo, hi float64) []int32 {
+		a, b := ix.slab(lo, hi)
+		return ix.rows[a:b]
+	}
+	got := rangeRows(2, 2)
 	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("rangeRows(2,2) = %v, want [0 2 3]", got)
+		t.Errorf("rows in [2,2] = %v, want [0 2 3]", got)
 	}
-	if n := ix.rangeSize(2, 2); n != 3 {
-		t.Errorf("rangeSize(2,2) = %d, want 3", n)
+	// Boundary behavior: [lo, hi] is closed on both sides.
+	if got := rangeRows(2, 3); len(got) != 4 {
+		t.Errorf("rows in [2,3] = %v, want 4 rows", got)
 	}
-	// Half-open boundary behavior: [lo, hi] is closed on both sides.
-	if got := ix.rangeRows(2, 3); len(got) != 4 {
-		t.Errorf("rangeRows(2,3) = %v, want 4 rows", got)
-	}
-	if got := ix.rangeRows(1, 1.5); len(got) != 1 || got[0] != 4 {
-		t.Errorf("rangeRows(1,1.5) = %v, want [4]", got)
+	if got := rangeRows(1, 1.5); len(got) != 1 || got[0] != 4 {
+		t.Errorf("rows in [1,1.5] = %v, want [4]", got)
 	}
 }
 
@@ -111,9 +104,10 @@ func TestSortedIndexSkipsNaN(t *testing.T) {
 					want[int32(r)] = true
 				}
 			}
-			got := ix.rangeRows(lo, hi)
-			if len(got) != len(want) || ix.rangeSize(lo, hi) != len(want) {
-				t.Fatalf("[%v, %v]: %d rows (size %d), want %d", lo, hi, len(got), ix.rangeSize(lo, hi), len(want))
+			a, b := ix.slab(lo, hi)
+			got := ix.rows[a:b]
+			if len(got) != len(want) {
+				t.Fatalf("[%v, %v]: %d rows, want %d", lo, hi, len(got), len(want))
 			}
 			for _, r := range got {
 				if !want[r] {

@@ -42,18 +42,23 @@ type localDim struct {
 	lo  float64
 }
 
-// localDimsFor collects table ti's local select dimensions.
-func localDimsFor(b *binding, region relq.Region, ti int) []localDim {
-	var locals []localDim
-	for _, sd := range b.selDims {
-		if sd.tbl == ti {
-			locals = append(locals, localDim{
-				dim: sd.dim, vec: sd.vec, ord: sd.ord,
-				hi: region[sd.di].Hi, lo: region[sd.di].Lo,
-			})
+// localDims collects table ti's local select dimensions into locals.
+// last names a select dimension (an index into b.selDims, negative for
+// none) to put at the end of the list — see vscanTable.
+func localDims(b *binding, region relq.Region, ti, last int, locals []localDim) []localDim {
+	for j := range b.selDims {
+		if sd := &b.selDims[j]; sd.tbl == ti && j != last {
+			locals = append(locals, sd.local(region))
 		}
 	}
+	if last >= 0 {
+		locals = append(locals, b.selDims[last].local(region))
+	}
 	return locals
+}
+
+func (sd *selBind) local(region relq.Region) localDim {
+	return localDim{dim: sd.dim, vec: sd.vec, ord: sd.ord, hi: region[sd.di].Hi, lo: region[sd.di].Lo}
 }
 
 // scanDrive is one candidate driving interval: a fixed range or a
@@ -61,41 +66,62 @@ func localDimsFor(b *binding, region relq.Region, ti int) []localDim {
 type scanDrive struct {
 	ord    int
 	lo, hi float64
+	// src names the predicate the interval came from: i for the table's
+	// fixed range i, len(ranges)+j for the select dimension selDims[j].
+	src int
 }
 
-// scanDrives collects table ti's driving intervals. empty=true means
-// some select dimension admits no values at all — the scan returns no
-// candidates without touching the table.
-func scanDrives(b *binding, region relq.Region, ti int) (drives []scanDrive, empty bool) {
+// scanDrives collects table ti's driving intervals into drives.
+// empty=true means some select dimension admits no values at all — the
+// scan returns no candidates without touching the table.
+func scanDrives(b *binding, region relq.Region, ti int, drives []scanDrive) (_ []scanDrive, empty bool) {
 	ranges := b.ranges[ti]
 	for i := range ranges {
 		if !math.IsInf(ranges[i].lo, -1) || !math.IsInf(ranges[i].hi, 1) {
-			drives = append(drives, scanDrive{ord: ranges[i].ord, lo: ranges[i].lo, hi: ranges[i].hi})
+			drives = append(drives, scanDrive{ord: ranges[i].ord, lo: ranges[i].lo, hi: ranges[i].hi, src: i})
 		}
 	}
-	for _, sd := range b.selDims {
+	for j := range b.selDims {
+		sd := &b.selDims[j]
 		if sd.tbl != ti {
 			continue
 		}
 		ivs, n := valueIntervals(sd.dim, region[sd.di])
 		if n == 0 {
-			return nil, true // dimension admits nothing
+			return drives, true // dimension admits nothing
 		}
 		if n == 1 {
-			drives = append(drives, scanDrive{ord: sd.ord, lo: ivs[0].Lo, hi: ivs[0].Hi})
+			drives = append(drives, scanDrive{ord: sd.ord, lo: ivs[0].Lo, hi: ivs[0].Hi, src: len(ranges) + j})
 		}
 	}
 	return drives, false
 }
 
-// pickIndexDrive selects the most selective driving interval and, when
-// it narrows the table to at most half its rows, returns the matching
-// candidate rows from the sorted index (in value order — the shared
-// access-path choice of both scan paths). It also returns every drive's
-// exact in-interval row count from the sorted indexes (margs, aligned
-// with drives): the per-column *marginal* selectivities the workload
-// statistics learn from, already computed here as a byproduct of access-
-// path selection.
+// access is the access path of one table under one region — the one
+// decision that the scan, the unit grouping of a drive-shared batch
+// (sharedrive.go) and Explain all read.
+type access struct {
+	// empty: some select dimension admits no value at all, so the table
+	// has no candidates and is not touched.
+	empty bool
+	// indexed: the candidates are the slab ix.rows[lo:hi] of the sorted
+	// index over drive's column, in value order. Otherwise the table is
+	// scanned block by block behind its zone maps.
+	indexed bool
+	drive   scanDrive
+	ix      *sortedIdx
+	lo, hi  int
+}
+
+// accessPath chooses table ti's access path under the region, the way a
+// DBMS with secondary indexes would: the most selective driving
+// interval (a fixed range, or a select dimension's value interval under
+// the region) generates the candidates through its sorted index when it
+// narrows the table to at most half its rows; the remaining predicates
+// are verified per candidate. It leaves the table's driving intervals
+// in sc.drives and each one's exact in-interval row count in sc.margs:
+// the per-column *marginal* selectivities the workload statistics learn
+// from, a byproduct of the selection.
 //
 // One layout-aware refinement: when the table is clustered over the
 // best drive's column (single-column or Z-order interleave) with at
@@ -107,29 +133,30 @@ func scanDrives(b *binding, region relq.Region, ti int) (drives []scanDrive, emp
 // *both* interleaved axes where the index can use only one. Clearly
 // narrow drives (<= n/8) still take the index. Both scan paths share
 // this choice, so legacy/vectorized equivalence is unaffected.
-func (e *Engine) pickIndexDrive(t *data.Table, n int, drives []scanDrive) ([]int32, bool, []int, error) {
-	if len(drives) == 0 {
-		return nil, false, nil, nil
+func (e *Engine) accessPath(b *binding, region relq.Region, ti int, sc *regionScratch) (access, error) {
+	var ac access
+	sc.drives, ac.empty = scanDrives(b, region, ti, sc.drives[:0])
+	sc.margs = sc.margs[:0]
+	if ac.empty {
+		return ac, nil
 	}
-	margs := make([]int, len(drives))
+	t := b.tables[ti]
+	n := t.NumRows()
 	bestSize := n + 1
-	var best *sortedIdx
-	var bestDrive scanDrive
-	for i, d := range drives {
+	for _, d := range sc.drives {
 		ix, err := e.sortedIndex(t, d.ord)
 		if err != nil {
-			return nil, false, nil, err
+			return ac, err
 		}
-		sz := ix.rangeSize(d.lo, d.hi)
-		margs[i] = sz
-		if sz < bestSize {
-			bestSize, best, bestDrive = sz, ix, d
+		lo, hi := ix.slab(d.lo, d.hi)
+		sc.margs = append(sc.margs, hi-lo)
+		if hi-lo < bestSize {
+			bestSize = hi - lo
+			ac.drive, ac.ix, ac.lo, ac.hi = d, ix, lo, hi
 		}
 	}
-	if best != nil && bestSize <= n/2 && !e.preferClusteredScan(t, bestDrive, bestSize, n) {
-		return best.rangeRows(bestDrive.lo, bestDrive.hi), true, margs, nil
-	}
-	return nil, false, margs, nil
+	ac.indexed = ac.ix != nil && bestSize <= n/2 && !e.preferClusteredScan(t, ac.drive, bestSize, n)
+	return ac, nil
 }
 
 // preferClusteredScan reports whether a moderately-selective best drive
@@ -163,6 +190,10 @@ type blockFilter struct {
 	ranges []rangeBind
 	strs   []stringBind
 	locals []localDim
+	// driven is the index in ranges of the fixed range an index scan's
+	// candidates were driven from, -1 when there is none. The slab holds
+	// exactly the rows with lo <= v <= hi, so the chain leaves it out.
+	driven int
 }
 
 func (f *blockFilter) apply(sel []int32) []int32 {
@@ -177,6 +208,9 @@ func (f *blockFilter) applySkip(sel []int32, skipR, skipL int) []int32 {
 	for i := skipR; i < len(f.ranges); i++ {
 		if len(sel) == 0 {
 			return sel
+		}
+		if i == f.driven {
+			continue
 		}
 		sel = filterRange(sel, f.ranges[i].vec, f.ranges[i].lo, f.ranges[i].hi)
 	}
@@ -258,31 +292,45 @@ func (e *Engine) zonePreds(t *data.Table, f *blockFilter) []zonePred {
 // counts only rows in visited blocks (skipped blocks are reported via
 // BlocksSkipped), keeping the rows-touched statistics honest about
 // physical work.
-func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, out []int32) ([]int32, error) {
+//
+// On the index path the predicate the slab was driven from does not
+// head the filter chain, where it would gather the whole candidate list
+// to reject next to nothing. A driving fixed range is dropped (the slab
+// is exact). A driving select dimension's value interval is only a
+// conservative image of its violation bound, so its filter stays, but
+// runs last, over the survivors of the others: the candidate list — and
+// with it parallelFold's chunk grid — stays the legacy path's exactly.
+func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionScratch, out []int32) ([]int32, error) {
 	t := b.tables[ti]
 	n := t.NumRows()
-	drives, empty := scanDrives(b, region, ti)
-	if empty {
-		return out, nil
-	}
-	f := &blockFilter{ranges: b.ranges[ti], strs: b.strFlts[ti], locals: localDimsFor(b, region, ti)}
-	eo := e.obsState.Load()
-
-	candidates, indexed, margs, err := e.pickIndexDrive(t, n, drives)
-	if err != nil {
+	ac, err := e.accessPath(b, region, ti, sc)
+	if err != nil || ac.empty {
 		return out, err
 	}
-	if indexed {
+	eo := e.obsState.Load()
+	f := &sc.filter
+	*f = blockFilter{ranges: b.ranges[ti], strs: b.strFlts[ti], driven: -1}
+	if e.autoCluster.Load() {
+		e.wstats.observe(tableKey(t), n, sc.drives, sc.margs)
+	}
+
+	lastSel := -1
+	if ac.indexed {
+		if lastSel = ac.drive.src - len(f.ranges); lastSel < 0 {
+			f.driven = ac.drive.src
+		}
+	}
+	sc.locals = localDims(b, region, ti, lastSel, sc.locals[:0])
+	f.locals = sc.locals
+
+	if ac.indexed {
+		candidates := ac.ix.rows[ac.lo:ac.hi]
 		e.countRows(int64(len(candidates)))
 		if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
 			eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
 				"rows", int64(len(candidates)), "full_scan", false)
 		}
-		out = e.blockFilterRows(candidates, f, eo, out)
-		if e.autoCluster.Load() {
-			e.wstats.observe(tableKey(t), n, drives, margs)
-		}
-		return out, nil
+		return e.blockFilterRows(candidates, f, eo, out), nil
 	}
 
 	zps := e.zonePreds(t, f)
@@ -302,9 +350,6 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, out []int32)
 	// instead of letting it look like silently-stale zone maps.
 	if t.ClusterTail() >= blockRows {
 		e.countDegradedScans(1)
-	}
-	if e.autoCluster.Load() {
-		e.wstats.observe(tableKey(t), n, drives, margs)
 	}
 	if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
 		eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
