@@ -100,8 +100,12 @@ type Result struct {
 	// Closest is the query attaining the smallest aggregate error —
 	// returned per §6 when no query satisfies the constraint.
 	Closest *relq.RefinedQuery
-	// Explored counts grid queries investigated; CellQueries counts
-	// evaluation-layer executions (cells in incremental mode).
+	// Explored counts grid queries investigated. CellQueries counts the
+	// refined queries the search had the evaluation layer evaluate, the
+	// paper's §8 cost unit: one per cell sub-query (whole grid query in
+	// naive mode) plus one per §6 repartitioning probe. It is not the
+	// engine's region count (exec.Stats.Queries): an incremental probe
+	// is one query fetched as up to d shell regions.
 	Explored    int
 	CellQueries int
 	// StoredPoints is the size of the sub-aggregate store.
@@ -278,7 +282,7 @@ func runSearch(ctx context.Context, q *relq.Query, sp *space, fr frontier, x *ex
 		searchSpan.End()
 		attrs := []any{"satisfied", res.Satisfied, "explored", res.Explored,
 			"cell_queries", res.CellQueries, "stored_points", res.StoredPoints,
-			"exhausted", res.Exhausted}
+			"exhausted", res.Exhausted, "probes", x.probes, "probe_regions", x.probeRegions}
 		var engDelta exec.Stats
 		if hasEngStats {
 			engDelta = engStats.Snapshot().Sub(engBefore)
@@ -292,7 +296,9 @@ func runSearch(ctx context.Context, q *relq.Query, sp *space, fr frontier, x *ex
 			root.SetAttrs(obs.Bool("satisfied", res.Satisfied),
 				obs.Int("explored", int64(res.Explored)),
 				obs.Int("cell_queries", int64(res.CellQueries)),
-				obs.Bool("exhausted", res.Exhausted))
+				obs.Bool("exhausted", res.Exhausted),
+				obs.Int("probes", int64(x.probes)),
+				obs.Int("probe_regions", int64(x.probeRegions)))
 			if hasEngStats {
 				root.SetAttrs(obs.Int("rows_scanned", engDelta.RowsScanned),
 					obs.Int("cache_hits", engDelta.CacheHits),
@@ -426,7 +432,12 @@ search:
 				// §6: repartition the cell for b iterations.
 				spRep := o.StartPhase("repartition")
 				rsp := lsp.StartChild("repartition")
+				probes0, regions0 := x.probes, x.probeRegions
 				sub, found, err := repartition(obs.ContextWithSpan(ctx, rsp), x, sp, pt, spec, errFn, target, opts, q)
+				if rsp.Active() {
+					rsp.SetAttrs(obs.Int("probes", int64(x.probes-probes0)),
+						obs.Int("regions", int64(x.probeRegions-regions0)), obs.Bool("found", found))
+				}
 				rsp.End()
 				spRep.End()
 				if err != nil {
@@ -482,9 +493,13 @@ search:
 
 // repartition is the §6 overshoot handling: the satisfying refinement
 // lies inside the cell below pt (between the previous grid layer and
-// pt). Binary-search the cell diagonal for b iterations, executing the
-// whole refined query at each probe (off-grid points cannot reuse the
-// sub-aggregate store).
+// pt). Binary-search the cell diagonal for b iterations. Off-grid
+// points cannot reuse the sub-aggregate store, but the search holds the
+// partial of the last prefix known not to overshoot — first the cell's
+// lower corner, out of the store — so each probe fetches only the thin
+// shell between that prefix and the probe and merges it on
+// (explorer.probe). The naive mode re-executes the whole refined query
+// at every probe, by definition.
 func repartition(ctx context.Context, x *explorer, sp *space, pt point, spec agg.Spec, errFn agg.ErrorFunc, target float64, opts Options, q *relq.Query) (relq.RefinedQuery, bool, error) {
 	if !spec.Monotone() {
 		return relq.RefinedQuery{}, false, nil
@@ -507,17 +522,19 @@ func repartition(ctx context.Context, x *explorer, sp *space, pt point, spec agg
 	}
 	// Every query in the cell dominates the cell's lower corner, so if
 	// the corner already overshoots, the whole cell does: the crossing
-	// surface is not here and the binary search would waste b whole
-	// executions. The corner is a contained grid point, so its
-	// aggregate is already in the incremental store (Theorem 3) — the
-	// check costs nothing.
+	// surface is not here and the binary search would waste b probes.
+	// The corner is a contained grid point, so its aggregate is already
+	// in the incremental store (Theorem 3) — the check costs nothing,
+	// and the corner's partial is the first base of the delta probes:
+	// base is always the partial of prefix(lo).
+	var base agg.Partial
 	if x.incremental {
 		cornerParts, err := x.computeAll(ctx, corner)
 		if err != nil {
 			return relq.RefinedQuery{}, false, err
 		}
-		cornerVal := spec.Final(cornerParts[x.sp.dims])
-		if agg.Overshoots(q.Constraint, cornerVal, opts.Delta) {
+		base = cornerParts[x.sp.dims]
+		if agg.Overshoots(q.Constraint, spec.Final(base), opts.Delta) {
 			return relq.RefinedQuery{}, false, nil
 		}
 	}
@@ -529,7 +546,13 @@ func repartition(ctx context.Context, x *explorer, sp *space, pt point, spec agg
 		for i := range mid {
 			mid[i] = (lo[i] + hi[i]) / 2
 		}
-		partial, err := x.directAggregate(ctx, mid)
+		var partial agg.Partial
+		var err error
+		if x.incremental {
+			partial, err = x.probe(ctx, base, lo, mid)
+		} else {
+			partial, err = x.directAggregate(ctx, mid)
+		}
 		if err != nil {
 			return relq.RefinedQuery{}, false, err
 		}
@@ -546,6 +569,7 @@ func repartition(ctx context.Context, x *explorer, sp *space, pt point, spec agg
 			copy(hi, mid)
 		} else {
 			copy(lo, mid)
+			base = partial
 		}
 	}
 	return relq.RefinedQuery{}, false, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -209,18 +210,27 @@ func TestTwoDimensionalSearch(t *testing.T) {
 	}
 }
 
-func TestIncrementalMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+// mixedTable builds t(a, b, c, e, v): four dimension columns over
+// [0, 100) — c whole-valued, so an equality predicate on it selects rows
+// — and a positive, long-tailed aggregate column whose running MAX and
+// SUM move in jumps.
+func mixedTable(t testing.TB, seed int64, n int) *data.Catalog {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	tbl := data.NewTable("t", data.MustSchema(
-		data.Column{Name: "x", Type: data.Float64},
-		data.Column{Name: "y", Type: data.Float64},
+		data.Column{Name: "a", Type: data.Float64},
+		data.Column{Name: "b", Type: data.Float64},
+		data.Column{Name: "c", Type: data.Float64},
+		data.Column{Name: "e", Type: data.Float64},
 		data.Column{Name: "v", Type: data.Float64},
 	))
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < n; i++ {
 		if err := tbl.AppendRow(
 			data.FloatValue(rng.Float64()*100),
 			data.FloatValue(rng.Float64()*100),
-			data.FloatValue(rng.Float64()*10),
+			data.FloatValue(math.Floor(rng.Float64()*100)),
+			data.FloatValue(rng.Float64()*100),
+			data.FloatValue(1+rng.ExpFloat64()*10),
 		); err != nil {
 			t.Fatal(err)
 		}
@@ -229,44 +239,163 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 	if err := cat.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
-	e := exec.New(cat)
+	return cat
+}
 
-	for trial, c := range []relq.Constraint{
-		{Func: relq.AggCount, Op: relq.CmpEQ, Target: 900},
-		{Func: relq.AggSum, Attr: relq.ColumnRef{Table: "t", Column: "v"}, Op: relq.CmpGE, Target: 3000},
-		{Func: relq.AggMax, Attr: relq.ColumnRef{Table: "t", Column: "v"}, Op: relq.CmpGE, Target: 9.9},
-		{Func: relq.AggAvg, Attr: relq.ColumnRef{Table: "t", Column: "v"}, Op: relq.CmpEQ, Target: 5},
-	} {
-		q := &relq.Query{
-			Tables: []string{"t"},
-			Dims: []relq.Dimension{
-				{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "t", Column: "x"}, Bound: 30, Width: 70},
-				{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "t", Column: "y"}, Bound: 30, Width: 70},
-			},
-			Constraint: c,
-		}
-		inc, err := Run(e, q, Options{Gamma: 20, Delta: 0.05})
+// mixedDims returns d = 1..4 refinable predicates over mixedTable, with
+// LE, GE and EQ kinds mixed from d = 2 on.
+func mixedDims(d int) []relq.Dimension {
+	col := func(c string) relq.ColumnRef { return relq.ColumnRef{Table: "t", Column: c} }
+	le := relq.Dimension{Kind: relq.SelectLE, Col: col("a"), Bound: 30, Width: 70}
+	ge := relq.Dimension{Kind: relq.SelectGE, Col: col("b"), Bound: 70, Width: 70}
+	eq := relq.Dimension{Kind: relq.SelectEQ, Col: col("c"), Bound: 50, Width: 50}
+	le2 := relq.Dimension{Kind: relq.SelectLE, Col: col("e"), Bound: 30, Width: 70}
+	return [][]relq.Dimension{{le}, {ge, eq}, {le, ge, eq}, {le, ge, eq, le2}}[d-1]
+}
+
+// betweenLayers returns the query over dims whose =-constraint targets
+// the aggregate of the off-grid refinement 1.4 grid steps out on every
+// dimension: a target strictly between grid layers, which only §6
+// repartitioning can meet within a tight δ (TestRepartitionOnOvershoot).
+func betweenLayers(t testing.TB, e *exec.Engine, f relq.AggFunc, dims []relq.Dimension, gamma float64) *relq.Query {
+	t.Helper()
+	c := relq.Constraint{Func: f, Op: relq.CmpEQ}
+	if f != relq.AggCount {
+		c.Attr = relq.ColumnRef{Table: "t", Column: "v"}
+	}
+	q := &relq.Query{Tables: []string{"t"}, Dims: dims, Constraint: c}
+	at := make([]float64, len(dims))
+	for i := range at {
+		at[i] = 1.4 * gamma / float64(len(dims))
+	}
+	q.Constraint.Target = finalAt(t, e.Aggregate, q, at)
+	return q
+}
+
+// finalAt evaluates the constraint aggregate of the whole refined query
+// at scores with the given engine entry point.
+func finalAt(t testing.TB, aggregate func(*relq.Query, relq.Region) (agg.Partial, error), q *relq.Query, scores []float64) float64 {
+	t.Helper()
+	p, err := aggregate(q, relq.PrefixRegion(scores))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := agg.SpecFor(q.Constraint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec.Final(p)
+}
+
+// TestIncrementalMatchesNaive: the incremental search — Eq. 17 on the
+// grid, delta probes (explorer.probe) between its layers — walks the
+// same path and returns the same refined queries as whole-query
+// re-execution, on every evaluation-layer configuration, and every
+// aggregate it returns is the engine's own for that refined query.
+func TestIncrementalMatchesNaive(t *testing.T) {
+	const gamma, delta, depth = 20, 0.005, 8
+	cat := mixedTable(t, 11, 12000)
+	plain := exec.New(cat)
+
+	type config struct {
+		name string
+		ev   Evaluator
+	}
+	configs := []config{{"plain", plain}}
+	grid := exec.New(cat)
+	if err := grid.BuildGridAggIndex("t", []string{"a", "b", "c", "e"}, []string{"v"}, 8); err != nil {
+		t.Fatal(err)
+	}
+	configs = append(configs, config{"gridagg", grid})
+	cached := exec.New(cat)
+	cached.EnableRegionCache(16 << 20)
+	configs = append(configs, config{"cache-cold", cached}, config{"cache-warm", cached})
+	for n := 1; n <= 4; n++ {
+		sv, err := exec.NewSharded(cat, n)
 		if err != nil {
-			t.Fatalf("trial %d incremental: %v", trial, err)
+			t.Fatal(err)
 		}
-		naive, err := Run(e, q, Options{Gamma: 20, Delta: 0.05, NoIncremental: true})
-		if err != nil {
-			t.Fatalf("trial %d naive: %v", trial, err)
-		}
-		if inc.Satisfied != naive.Satisfied {
-			t.Errorf("trial %d: satisfied %v vs %v", trial, inc.Satisfied, naive.Satisfied)
-			continue
-		}
-		if inc.Satisfied {
-			if math.Abs(inc.Best.QScore-naive.Best.QScore) > 1e-9 {
-				t.Errorf("trial %d: best QScore %v vs %v", trial, inc.Best.QScore, naive.Best.QScore)
+		configs = append(configs, config{fmt.Sprintf("shards-%d", n), sv})
+	}
+
+	// Answers found by §6, per aggregate and per dimensionality: the
+	// matrix is only worth its time if repartitioning decided cases in it.
+	byFunc, byDims := map[relq.AggFunc]int{}, map[int]int{}
+	for d := 1; d <= 4; d++ {
+		for _, f := range []relq.AggFunc{relq.AggCount, relq.AggSum, relq.AggMin, relq.AggMax, relq.AggAvg} {
+			q := betweenLayers(t, plain, f, mixedDims(d), gamma)
+			// Relative error on every aggregate: under the default hinge
+			// a SUM or MAX above its target satisfies and never overshoots.
+			opts := Options{Gamma: gamma, Delta: delta, RepartitionDepth: depth, ErrFn: agg.RelativeError}
+			var trace TraceBuffer
+			naiveOpts := opts
+			naiveOpts.NoIncremental, naiveOpts.Trace = true, &trace
+			naive, err := Run(plain, q, naiveOpts)
+			if err != nil {
+				t.Fatalf("d=%d %s naive: %v", d, f, err)
 			}
-			if math.Abs(inc.Best.Aggregate-naive.Best.Aggregate) > 1e-6*(1+math.Abs(naive.Best.Aggregate)) {
-				t.Errorf("trial %d: best aggregate %v vs %v", trial, inc.Best.Aggregate, naive.Best.Aggregate)
+			// CellQueries differ in one place only: the naive mode holds
+			// no corner aggregate to test for free, so it spends its b
+			// probes on an overshooting cell whose corner overshoots too.
+			wantCells := naive.CellQueries
+			monotone := agg.Spec{Func: f}.Monotone()
+			step := gamma / float64(d)
+			for _, ev := range trace.Events {
+				switch ev.Outcome {
+				case "repartitioned":
+					byFunc[f]++
+					byDims[d]++
+				case "overshoot":
+					corner, atOrigin := cellCorner(ev.Scores, step)
+					if monotone && !atOrigin && agg.Overshoots(q.Constraint, finalAt(t, plain.Aggregate, q, corner), delta) {
+						wantCells -= depth
+					}
+				}
+			}
+			for _, cfg := range configs {
+				label := fmt.Sprintf("d=%d %s %s", d, f, cfg.name)
+				inc, err := Run(cfg.ev, q, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if inc.Satisfied != naive.Satisfied || inc.Explored != naive.Explored || len(inc.Queries) != len(naive.Queries) {
+					t.Errorf("%s: satisfied/explored/answers %v/%d/%d, naive %v/%d/%d (search paths must match)", label,
+						inc.Satisfied, inc.Explored, len(inc.Queries), naive.Satisfied, naive.Explored, len(naive.Queries))
+					continue
+				}
+				if inc.CellQueries != wantCells {
+					t.Errorf("%s: %d cell queries, want %d (naive %d)", label, inc.CellQueries, wantCells, naive.CellQueries)
+				}
+				exact := f == relq.AggCount || f == relq.AggMin || f == relq.AggMax
+				for i, rq := range inc.Queries {
+					for k, s := range rq.Scores {
+						if math.Float64bits(s) != math.Float64bits(naive.Queries[i].Scores[k]) {
+							t.Errorf("%s: answer %d scores %v, naive %v", label, i, rq.Scores, naive.Queries[i].Scores)
+							break
+						}
+					}
+					direct := finalAt(t, plain.Aggregate, q, rq.Scores)
+					if exact && math.Float64bits(rq.Aggregate) != math.Float64bits(direct) {
+						t.Errorf("%s: answer %d aggregate %v, engine %v (must be bit-identical)", label, i, rq.Aggregate, direct)
+					}
+					oracle := finalAt(t, plain.NaiveAggregate, q, rq.Scores)
+					for _, want := range []float64{direct, oracle} {
+						if math.Abs(rq.Aggregate-want) > 1e-9*(1+math.Abs(want)) {
+							t.Errorf("%s: answer %d aggregate %v, want %v", label, i, rq.Aggregate, want)
+						}
+					}
+				}
 			}
 		}
-		if inc.Explored != naive.Explored {
-			t.Errorf("trial %d: explored %d vs %d (search paths must match)", trial, inc.Explored, naive.Explored)
+	}
+	for _, f := range []relq.AggFunc{relq.AggCount, relq.AggSum, relq.AggMax} {
+		if byFunc[f] == 0 {
+			t.Errorf("%s: no case was answered by repartitioning", f)
+		}
+	}
+	for d := 1; d <= 4; d++ {
+		if byDims[d] == 0 {
+			t.Errorf("d=%d: no case was answered by repartitioning", d)
 		}
 	}
 }

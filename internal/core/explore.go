@@ -35,11 +35,19 @@ type explorer struct {
 	// use; the store memoizes everything that must persist.
 	cache *pstore[agg.Partial]
 
-	// cellQueries counts evaluation-layer round trips (cell executions
-	// in incremental mode, whole-query executions in naive mode).
+	// cellQueries counts refined-space queries the search had evaluated,
+	// the paper's §8 cost unit: one per cell sub-query (incremental) or
+	// whole grid query (naive), and one per §6 repartitioning probe in
+	// either mode. It is not the engine's region count: an incremental
+	// probe is one query here and up to d shell regions there
+	// (probeRegions below, exec.Stats.Queries).
 	// Atomic: sessions may run searches concurrently and the snapshot
 	// in Result must be race-free.
 	cellQueries atomic.Int64
+	// probes and probeRegions count the §6 probes of the search and the
+	// regions they sent to the evaluation layer (span attributes only;
+	// written on the search goroutine).
+	probes, probeRegions int
 }
 
 func newExplorer(e Evaluator, q *relq.Query, sp *space, spec agg.Spec, incremental bool) *explorer {
@@ -204,11 +212,60 @@ func (x *explorer) computeAll(ctx context.Context, p point) ([]agg.Partial, erro
 }
 
 // directAggregate executes the whole refined query at an arbitrary
-// (possibly off-grid) score vector — used by cell repartitioning, which
-// probes points between grid layers (§6).
+// (possibly off-grid) score vector: the §6 repartitioning probe of the
+// naive mode, whose definition is whole-query re-execution. Incremental
+// searches probe by delta (probe).
 func (x *explorer) directAggregate(ctx context.Context, scores []float64) (agg.Partial, error) {
 	x.cellQueries.Add(1)
+	x.probes++
+	x.probeRegions++
 	return x.evalOne(ctx, relq.PrefixRegion(scores))
+}
+
+// probe returns the partial of the off-grid refined query at score
+// vector mid, given base, the partial of the refined query at lo ≤ mid:
+// prefix(mid) \ prefix(lo) is fetched as its disjoint shell boxes in one
+// batch and merged onto base (§2.6), so a §6 probe scans what it newly
+// admits, not the prefix the search already holds. Boxes are built and
+// merged in dimension order on the calling goroutine, so the partial
+// does not depend on the evaluator's worker count.
+func (x *explorer) probe(ctx context.Context, base agg.Partial, lo, mid []float64) (agg.Partial, error) {
+	x.cellQueries.Add(1)
+	x.probes++
+	boxes := shellRegions(lo, mid)
+	if len(boxes) == 0 {
+		return base, nil
+	}
+	x.probeRegions += len(boxes)
+	parts, err := x.engine.AggregateBatch(ctx, x.q, boxes)
+	if err != nil {
+		return agg.Zero(), err
+	}
+	for _, p := range parts {
+		base = agg.Merge(base, p)
+	}
+	return base, nil
+}
+
+// shellRegions decomposes prefix(mid) \ prefix(lo), lo ≤ mid, into at
+// most d disjoint boxes: box i spans (-1, lo_j] on the dimensions j < i,
+// (lo_i, mid_i] on dimension i and (-1, mid_j] on j > i. A tuple of the
+// shell lands in the box of the first dimension on which it exceeds lo.
+// A dimension with mid_i == lo_i has an empty box and is left out.
+func shellRegions(lo, mid []float64) []relq.Region {
+	boxes := make([]relq.Region, 0, len(mid))
+	for i := range mid {
+		if !(mid[i] > lo[i]) {
+			continue
+		}
+		box := relq.PrefixRegion(mid)
+		for j := 0; j < i; j++ {
+			box[j].Hi = lo[j]
+		}
+		box[i].Lo = lo[i]
+		boxes = append(boxes, box)
+	}
+	return boxes
 }
 
 // storedPoints reports how many grid points hold cached sub-aggregates.

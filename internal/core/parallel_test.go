@@ -11,6 +11,7 @@ import (
 	"acquire/internal/agg"
 	"acquire/internal/exec"
 	"acquire/internal/histogram"
+	"acquire/internal/obs"
 	"acquire/internal/relq"
 )
 
@@ -320,5 +321,36 @@ func TestContractContextCancellation(t *testing.T) {
 	}
 	if res == nil {
 		t.Fatal("cancelled contraction returned no partial result")
+	}
+}
+
+// A context cancelled between two §6 probes stops the repartition before
+// the next probe is sent and returns the partial result with the
+// context's error.
+func TestRepartitionCancelledBetweenProbes(t *testing.T) {
+	e := lineTable(t, 1000)
+	// Step 10: the origin counts 10, the next grid point 20, and the
+	// first probe, 5 score units out, 15 — not yet 17±1 %. The second
+	// probe would be the answer.
+	q := countQ(17, leDim(10))
+	opts := Options{Gamma: 10, Delta: 0.01,
+		Observer: obs.NewObserver(nil).WithRecorder(obs.NewFlightRecorder(obs.RecorderConfig{}))}
+	if res, err := Run(e, q, opts); err != nil || !res.Satisfied || res.CellQueries != 4 {
+		t.Fatalf("uncancelled: %+v, %v; want an answer on the second probe", res, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Cancel as soon as the evaluation layer has answered the first probe.
+	log := &fetchLog{Evaluator: e, afterProbe: cancel}
+	res, err := RunContext(ctx, log, q, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res == nil || res.Satisfied || res.Explored != 2 || res.CellQueries != 3 || res.Closest == nil {
+		t.Errorf("partial result %+v, want 2 explored, 2 cells + 1 probe, the closest grid query", res)
+	}
+	if len(log.explore) != 2 || len(log.open) != 1 {
+		t.Errorf("%d cells and %d probes reached the evaluation layer, want 2 and 1: no probe after the cancellation", len(log.explore), len(log.open))
 	}
 }

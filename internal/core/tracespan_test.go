@@ -95,6 +95,32 @@ func TestSearchSpanTree(t *testing.T) {
 		t.Errorf("no expand spans")
 	}
 
+	// §6 is visible in the tree: each repartition span says how many
+	// probes it ran, how many regions they sent and whether one of them
+	// was the answer, and the root totals them. This search overshoots
+	// once, at u=1, and the first probe (the box (0, 5]) satisfies.
+	var reparts int
+	for _, s := range spans {
+		if s.Name != "repartition" {
+			continue
+		}
+		reparts++
+		probes, _ := s.Attr("probes")
+		regions, _ := s.Attr("regions")
+		found, ok := s.Attr("found")
+		if probes.I64() != 1 || regions.I64() != 1 || !ok || !found.B() {
+			t.Errorf("repartition span attrs probes=%d regions=%d found=%v, want 1, 1, true", probes.I64(), regions.I64(), found.B())
+		}
+	}
+	if reparts != 1 {
+		t.Errorf("%d repartition spans, want 1", reparts)
+	}
+	probes, _ := root.Attr("probes")
+	regions, _ := root.Attr("probe_regions")
+	if probes.I64() != 1 || regions.I64() != 1 {
+		t.Errorf("root probes=%d probe_regions=%d, want 1 and 1", probes.I64(), regions.I64())
+	}
+
 	// The trace exports as valid Chrome JSON.
 	var buf bytes.Buffer
 	if err := tr.WriteChromeJSON(&buf); err != nil {

@@ -94,8 +94,12 @@ func TestFigure9ExponentialTQGen(t *testing.T) {
 			t.Errorf("d=%d: TQGen ran %d executions, want rounds*K^d = %d", d, tq, want)
 		}
 		// ACQUIRE explores only the layers below its answer and stays
-		// several times under TQGen at every dimensionality.
-		if 4*acq > tq {
+		// several times under TQGen at every dimensionality. Executions
+		// is the engine's region count for every method, and a §6 probe
+		// is up to d thin shell boxes where it was one wide prefix: at
+		// d=2 ACQUIRE reads 29 regions (22 with whole-prefix probes)
+		// against TQGen's 108, hence 3× and not 4×.
+		if 3*acq > tq {
 			t.Errorf("d=%d: ACQUIRE %d executions not well under TQGen %d", d, acq, tq)
 		}
 	}
