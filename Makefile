@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare bench-figures bench-json bench-check bench-obs vet profile
+.PHONY: build test race bench bench-compare bench-figures bench-json bench-check bench-obs vet profile loc
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The three sizes every ROADMAP re-anchor quotes: non-test Go lines under
+# internal/exec, non-test Go lines outside bench/, and _test.go lines.
+loc:
+	@printf 'internal/exec source lines:  %s\n' "$$(find internal/exec -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'source lines outside bench/: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@printf 'test lines (_test.go):       %s\n' "$$(find . -name '*_test.go' | xargs cat | wc -l)"
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): one ACQ
 # refinement end to end and per layer over the workload matrix, through
@@ -34,9 +41,8 @@ bench-figures:
 	$(GO) test -run xxx -bench=. -benchmem .
 
 # Machine-readable baselines: the fig. 8 ratio sweep, the cached
-# repeated-workload study, the shard sweep, the scan-path study and the
-# clustering studies — figures, config and the metric registry snapshot
-# in one JSON file each. The committed BENCH_*.json files are the
+# repeated-workload study and the shard sweep — figures, config and the
+# metric registry snapshot in one JSON file each. The committed BENCH_*.json files are the
 # reference artifacts; regenerate after a perf-relevant change and
 # compare before committing. Every write goes through schema validation
 # (harness.ValidateResults) plus a temp-file rename, and the final
@@ -47,9 +53,6 @@ bench-json:
 	$(GO) test -run xxx -bench BenchmarkRepeatedWorkload -benchtime 1x .
 	$(GO) run ./cmd/acqbench -experiment repeated -cache -rows 20000 -json BENCH_cache.json
 	$(GO) run ./cmd/acqbench -experiment shards -rows 100000 -json BENCH_shards.json
-	$(GO) run ./cmd/acqbench -experiment scan -rows 20000 -json BENCH_scan.json
-	$(GO) run ./cmd/acqbench -experiment autocluster -rows 20000 -json BENCH_autocluster.json
-	$(GO) run ./cmd/acqbench -experiment zorder -rows 20000 -json BENCH_zorder.json
 	$(GO) run ./cmd/benchcheck BENCH_*.json
 
 # Validate the committed benchmark artifacts against the harness

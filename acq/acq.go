@@ -181,12 +181,6 @@ type Session struct {
 	// cacheBytes is the region-cache capacity (0 = caching off); kept
 	// so an evaluation-layer switch re-attaches an equally sized cache.
 	cacheBytes int64
-	// autoCluster mirrors the engines' workload-adaptive clustering
-	// switch, so EnableSharding can carry it onto fresh shard engines.
-	autoCluster bool
-	// zorder mirrors the engines' Z-order layout admission, carried onto
-	// fresh shard engines the same way.
-	zorder bool
 }
 
 // NewSession creates an empty session; load tables with LoadCSV or
@@ -299,12 +293,6 @@ func (s *Session) EnableSharding(n int) error {
 	if s.cacheBytes > 0 {
 		sv.EnableRegionCache(s.cacheBytes)
 	}
-	if s.autoCluster {
-		sv.SetAutoCluster(true)
-	}
-	if s.zorder {
-		sv.SetZOrder(true)
-	}
 	wasExact := s.usingExact()
 	s.sharded = sv
 	if wasExact {
@@ -355,57 +343,6 @@ func (s *Session) ScatterStats() ScatterStats {
 		return ScatterStats{}
 	}
 	return s.sharded.ScatterStats()
-}
-
-// EnableAutoCluster turns on workload-adaptive clustering on the
-// session's exact engines (monolithic and, when sharding is active,
-// every shard): scans feed per-column range statistics and the engine
-// re-sorts tables around the learned dominant column between region
-// batches, so zone-map block skipping engages without a hand-picked
-// clustering column. Values, violations and aggregates are unchanged by
-// a re-sort; physical row ids of later Materialize/ViolationScan calls
-// refer to the re-clustered layout.
-func (s *Session) EnableAutoCluster() {
-	s.autoCluster = true
-	s.eng.SetAutoCluster(true)
-	if s.sharded != nil {
-		s.sharded.SetAutoCluster(true)
-	}
-}
-
-// DisableAutoCluster stops statistics collection and clustering sweeps;
-// already re-sorted tables keep their layout.
-func (s *Session) DisableAutoCluster() {
-	s.autoCluster = false
-	s.eng.SetAutoCluster(false)
-	if s.sharded != nil {
-		s.sharded.SetAutoCluster(false)
-	}
-}
-
-// EnableZOrder admits two-column Z-order (space-filling-curve) layouts
-// into the auto-clustering election on the session's exact engines:
-// when two range columns both carry workload weight, a table may be
-// re-laid along their interleaved rank curve so zone maps prune on both
-// axes. No-op unless auto-clustering is also enabled (EnableAutoCluster
-// or the engine policy).
-func (s *Session) EnableZOrder() {
-	s.zorder = true
-	s.eng.SetZOrder(true)
-	if s.sharded != nil {
-		s.sharded.SetZOrder(true)
-	}
-}
-
-// DisableZOrder removes Z-order layouts from future elections; a table
-// already interleaved keeps its layout until a single-column challenger
-// beats it through the usual hysteresis and payback gates.
-func (s *Session) DisableZOrder() {
-	s.zorder = false
-	s.eng.SetZOrder(false)
-	if s.sharded != nil {
-		s.sharded.SetZOrder(false)
-	}
 }
 
 // Estimate executes the original (unrefined) query and returns its

@@ -74,15 +74,6 @@ var experiments = []experiment{
 	{"shards", "sharded evaluation stack sweep: scatter-gather AggregateBatch vs the monolithic engine (fig. 8 workload)", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
 		return harness.ShardSweep(ctx, c)
 	}},
-	{"scan", "vectorized scan path study: legacy vs block-vectorized on the clustered fig. 8 and tpch join workloads (see -cluster)", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
-		return harness.ScanPathStudy(ctx, c)
-	}},
-	{"autocluster", "workload-adaptive clustering study: plain vs learned vs explicit -cluster layouts on the fig. 8 workload", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
-		return harness.AutoClusterStudy(ctx, c)
-	}},
-	{"zorder", "multi-dimensional skipping study: single-column vs Z-order auto-clustering on a two-range-axis workload, plus re-sort scheduling and per-shard divergence", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
-		return harness.ZOrderStudy(ctx, c)
-	}},
 }
 
 func main() {
@@ -115,9 +106,7 @@ func run(ctx context.Context, args []string) error {
 		gridAgg = fs.Bool("gridagg", false, "build aggregate-augmented grids: answer eligible cell queries from stored per-cell partials")
 		cache   = fs.Bool("cache", false, "attach a cross-search partial-aggregate cache to every engine")
 		shards  = fs.Int("shards", 1, "run harness engines as a ShardedEvaluator over N range-partitioned shards")
-		cluster = fs.String("cluster", "", "re-sort generated tables by this numeric column before building engines (engages the vectorized path's zone maps)")
-		autoCl  = fs.Bool("autocluster", false, "enable workload-adaptive clustering: engines learn the dominant range column from their own scans and re-sort between batches")
-		zorder  = fs.Bool("zorder", false, "with -autocluster: admit two-column Z-order layouts so zone maps prune on both range axes (implies -autocluster)")
+		cluster = fs.String("cluster", "", "re-sort generated tables by this numeric column before building engines (engages the scan's zone maps)")
 		cacheMB = fs.Int("cache-mb", 64, "region cache capacity in MiB (with -cache)")
 		metrics = fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address while experiments run")
 		logJSON = fs.Bool("log-json", false, "emit structured search/engine events as JSON on stderr")
@@ -132,7 +121,7 @@ func run(ctx context.Context, args []string) error {
 	cfg := harness.Config{
 		Rows: *rows, Seed: *seed, Delta: *delta, Gamma: *gamma,
 		TQGenGridK: *gridK, TQGenRounds: *rounds, GridAgg: *gridAgg,
-		Shards: *shards, Cluster: *cluster, AutoCluster: *autoCl, ZOrder: *zorder,
+		Shards: *shards, Cluster: *cluster,
 	}
 	if *cache {
 		cfg.CacheMB = *cacheMB

@@ -19,8 +19,10 @@ func TestNamesAndKnown(t *testing.T) {
 			t.Errorf("known(%q) = false", want)
 		}
 	}
-	if known("nonsense") {
-		t.Error("known(nonsense) = true")
+	for _, gone := range []string{"nonsense", "scan", "autocluster", "zorder"} {
+		if known(gone) {
+			t.Errorf("known(%q) = true", gone)
+		}
 	}
 }
 
@@ -55,6 +57,13 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-experiment", "fig10a", "-sizes", "a,b"}); err == nil {
 		t.Error("bad sizes: expected error")
+	}
+	// The clustering studies and their flag are gone, not hidden.
+	if err := run(context.Background(), []string{"-experiment", "autocluster"}); err == nil {
+		t.Error("-experiment autocluster: expected an unknown-experiment error")
+	}
+	if err := run(context.Background(), []string{"-autocluster", "-experiment", "table1"}); err == nil {
+		t.Error("-autocluster: expected an unknown-flag error")
 	}
 }
 

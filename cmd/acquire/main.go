@@ -66,8 +66,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cache   = fs.Bool("cache", false, "cache partial aggregates across searches (results stay bit-identical)")
 		cacheMB = fs.Int("cache-mb", 64, "partial-aggregate cache capacity in MiB (with -cache)")
 		shards  = fs.Int("shards", 1, "scatter-gather exact execution across N range-partitioned in-process shards")
-		autoCl  = fs.Bool("autocluster", false, "learn the workload's dominant range column and re-sort tables around it between region batches")
-		zorder  = fs.Bool("zorder", false, "admit two-column Z-order layouts so zone maps prune on both range axes (implies -autocluster)")
 		maxOut  = fs.Int("max", 5, "maximum refined queries to print")
 		taxPath = fs.String("taxonomy", "", "make a string predicate refinable: column=outline-file (§7.3)")
 		explain = fs.Bool("explain", false, "print the search trace (one line per explored refined query)")
@@ -227,12 +225,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *cache {
 		s.EnableCache(int64(*cacheMB) << 20)
-	}
-	if *autoCl || *zorder {
-		s.EnableAutoCluster()
-	}
-	if *zorder {
-		s.EnableZOrder()
 	}
 
 	orig, err := s.Estimate(q)

@@ -36,89 +36,9 @@ func SortedBy(t *Table, column string) (*Table, error) {
 	})
 
 	out := permuted(t, perm)
-	out.clusterCols = []string{t.schema.Columns[ord].Name}
+	out.clusterCol = t.schema.Columns[ord].Name
 	out.sortedRows = out.rows
 	return out, nil
-}
-
-// MergeClusteredTail merges a clustered table's unsorted append tail
-// back into its sorted run: the tail rows are sorted by the clustering
-// key and two-run merged with the existing prefix, O(n + k log k) for a
-// k-row tail instead of a full re-sort. Row order among equal keys is
-// the stable one (prefix rows before tail rows, each in original
-// order), so a single-column merge is bitwise identical to SortedBy
-// over the same rows, and a Z-order merge is bitwise identical to a
-// stable re-sort by the frozen-cut curve keys (the cuts are not
-// re-derived — sound for pruning, since zone maps summarize values,
-// not keys). It is an error to call this on an unclustered table; a
-// table with no tail is returned unchanged.
-func MergeClusteredTail(t *Table) (*Table, error) {
-	if len(t.clusterCols) == 0 {
-		return nil, fmt.Errorf("data: table %s is not clustered", t.name)
-	}
-	if t.sortedRows >= t.rows {
-		return t, nil
-	}
-	rowLess, err := t.clusterLess()
-	if err != nil {
-		return nil, err
-	}
-
-	s := t.sortedRows
-	tail := make([]int, t.rows-s)
-	for i := range tail {
-		tail[i] = s + i
-	}
-	sort.SliceStable(tail, func(a, b int) bool {
-		return rowLess(tail[a], tail[b])
-	})
-
-	perm := make([]int, 0, t.rows)
-	i, j := 0, 0
-	for i < s && j < len(tail) {
-		// Prefix wins ties: prefix rows precede tail rows in the
-		// original order, which is what stability requires.
-		if rowLess(tail[j], i) {
-			perm = append(perm, tail[j])
-			j++
-		} else {
-			perm = append(perm, i)
-			i++
-		}
-	}
-	for ; i < s; i++ {
-		perm = append(perm, i)
-	}
-	perm = append(perm, tail[j:]...)
-
-	out := permuted(t, perm)
-	out.clusterCols = t.clusterCols
-	out.zcuts = t.zcuts
-	out.sortedRows = out.rows
-	return out, nil
-}
-
-// clusterLess returns the row comparator of the table's current
-// clustering key: the column value (NaNs last) for single-column
-// layouts, the Z-order curve key recomputed from the frozen quantizer
-// cuts for interleaved ones.
-func (t *Table) clusterLess() (func(a, b int) bool, error) {
-	if len(t.clusterCols) == 1 {
-		ord := t.schema.Ordinal(t.clusterCols[0])
-		if ord < 0 {
-			return nil, fmt.Errorf("data: table %s lost cluster column %q", t.name, t.clusterCols[0])
-		}
-		key, err := t.NumericColumn(ord)
-		if err != nil {
-			return nil, fmt.Errorf("data: cluster column must be numeric: %w", err)
-		}
-		return func(a, b int) bool { return keyLess(key[a], key[b]) }, nil
-	}
-	keys, err := zorderKeys(t, t.clusterCols, t.zcuts)
-	if err != nil {
-		return nil, err
-	}
-	return func(a, b int) bool { return keys[a] < keys[b] }, nil
 }
 
 // keyLess is the clustering comparator: ascending, NaNs last.

@@ -50,24 +50,6 @@ func appendClusterRows(t *testing.T, tbl *Table, k int, seed int64) {
 	}
 }
 
-// sameRows asserts two tables hold bitwise-identical column vectors.
-func sameRows(t *testing.T, got, want *Table) {
-	t.Helper()
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("rows: got %d, want %d", got.NumRows(), want.NumRows())
-	}
-	for ord := range want.schema.Columns {
-		for row := 0; row < want.NumRows(); row++ {
-			gv, wv := got.ValueAt(row, ord), want.ValueAt(row, ord)
-			if gv.Kind != wv.Kind ||
-				math.Float64bits(gv.F) != math.Float64bits(wv.F) ||
-				gv.I != wv.I || gv.S != wv.S {
-				t.Fatalf("col %d row %d: got %+v, want %+v", ord, row, gv, wv)
-			}
-		}
-	}
-}
-
 func TestSortedByClusterInfo(t *testing.T) {
 	tbl := clusterTestTable(t, 500, 1)
 	if col, sorted := tbl.ClusterInfo(); col != "" || sorted != 0 {
@@ -127,59 +109,6 @@ func TestSortedByClusterInfo(t *testing.T) {
 	}
 	if _, err := SortedBy(tbl, "nope"); err == nil {
 		t.Fatal("SortedBy on a missing column: expected error")
-	}
-}
-
-// TestMergeClusteredTailMatchesSortedBy is the tail-merge soundness
-// property the auto-clustering sweep depends on: merging an unsorted
-// append tail into the sorted run must be bitwise identical to a full
-// re-sort of the same rows (stability included — prefix rows precede
-// tail rows among equal keys, which SortedBy's stable sort reproduces).
-func TestMergeClusteredTailMatchesSortedBy(t *testing.T) {
-	for _, tc := range []struct{ n, tail int }{
-		{100, 1}, {100, 99}, {1000, 40}, {1000, 1000}, {3, 2},
-	} {
-		tbl := clusterTestTable(t, tc.n, int64(tc.n))
-		sorted, err := SortedBy(tbl, "key")
-		if err != nil {
-			t.Fatal(err)
-		}
-		appendClusterRows(t, sorted, tc.tail, int64(tc.tail)+7)
-
-		merged, err := MergeClusteredTail(sorted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if merged == sorted {
-			t.Fatalf("n=%d tail=%d: merge returned the input table", tc.n, tc.tail)
-		}
-		if col, nr := merged.ClusterInfo(); col != "key" || nr != tc.n+tc.tail {
-			t.Fatalf("n=%d tail=%d: merged ClusterInfo = (%q, %d)", tc.n, tc.tail, col, nr)
-		}
-
-		want, err := SortedBy(sorted, "key")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, merged, want)
-	}
-}
-
-func TestMergeClusteredTailEdgeCases(t *testing.T) {
-	tbl := clusterTestTable(t, 50, 9)
-	if _, err := MergeClusteredTail(tbl); err == nil {
-		t.Fatal("unclustered table: expected error")
-	}
-	sorted, err := SortedBy(tbl, "key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := MergeClusteredTail(sorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != sorted {
-		t.Fatal("no-tail merge should return the table unchanged")
 	}
 }
 

@@ -19,19 +19,14 @@ type Table struct {
 	floats  map[int][]float64 // ordinal -> vector
 	strings map[int][]string  // ordinal -> vector
 
-	// Clustering metadata: clusterCols names the numeric column(s) the
-	// rows were last sorted by — one column for a plain sort (SortedBy),
-	// two for a Z-order interleave (ZOrderBy) — and sortedRows is the
-	// length of the sorted prefix run. For Z-order layouts zcuts holds
-	// the per-axis quantile cut points frozen at layout time, so a tail
-	// merge can recompute curve keys without re-deriving quantiles.
-	// Appends after clustering land beyond sortedRows as an explicitly-
-	// degraded unsorted tail; the executor reads ClusterInfo/ClusterSpec
-	// to decide whether (and how far) zone maps stay trustworthy-by-
-	// construction and when a tail merge pays for itself.
-	clusterCols []string
-	zcuts       [][]float64
-	sortedRows  int
+	// Clustering metadata: clusterCol names the numeric column the rows
+	// were last sorted by (SortedBy; empty when unclustered) and
+	// sortedRows is the length of the sorted prefix run. Appends after
+	// clustering land beyond sortedRows as an explicitly-degraded
+	// unsorted tail; the executor reads ClusterInfo and ClusterTail to
+	// decide whether zone maps stay trustworthy by construction.
+	clusterCol string
+	sortedRows int
 
 	// stats are lazily computed min/max per numeric ordinal; ACQUIRE
 	// needs attribute domains to anchor predicate intervals (§2.2:
@@ -81,33 +76,18 @@ func (t *Table) Schema() *Schema { return t.schema }
 // NumRows returns the row count.
 func (t *Table) NumRows() int { return t.rows }
 
-// ClusterInfo reports the single clustering column the table was last
-// sorted by and the length of the sorted prefix run. An unclustered
-// table — and a multi-column (Z-order) layout, which has no single sort
-// column — returns ("", 0); multi-column layouts report through
-// ClusterSpec. sortedRows < NumRows means appends have grown an
+// ClusterInfo reports the clustering column the table was last sorted
+// by and the length of the sorted prefix run; an unclustered table
+// returns ("", 0). sortedRows < NumRows means appends have grown an
 // unsorted tail beyond the clustered run.
 func (t *Table) ClusterInfo() (column string, sortedRows int) {
-	if len(t.clusterCols) == 1 {
-		return t.clusterCols[0], t.sortedRows
-	}
-	return "", 0
-}
-
-// ClusterSpec reports the full clustering column set (one column for a
-// plain sort, two for a Z-order interleave, nil when unclustered) and
-// the sorted prefix length. The returned slice is a copy.
-func (t *Table) ClusterSpec() (columns []string, sortedRows int) {
-	if len(t.clusterCols) == 0 {
-		return nil, 0
-	}
-	return append([]string(nil), t.clusterCols...), t.sortedRows
+	return t.clusterCol, t.sortedRows
 }
 
 // ClusterTail returns the number of rows appended after the last
 // clustering pass (zero for unclustered or fully-sorted tables).
 func (t *Table) ClusterTail() int {
-	if len(t.clusterCols) == 0 {
+	if t.clusterCol == "" {
 		return 0
 	}
 	return t.rows - t.sortedRows
@@ -254,14 +234,11 @@ func (t *Table) Slice(lo, hi int) *Table {
 	for ord, v := range t.strings {
 		out.strings[ord] = v[lo:hi:hi]
 	}
-	// A contiguous slice of a sorted run is itself sorted (true for the
-	// Z-order curve too — a run of consecutive curve positions): the
-	// view inherits the clustering spec, cut points included, with its
-	// prefix clamped to the overlap between [lo, hi) and the parent's
-	// sorted run.
-	if len(t.clusterCols) > 0 {
-		out.clusterCols = t.clusterCols
-		out.zcuts = t.zcuts
+	// A contiguous slice of a sorted run is itself sorted: the view
+	// inherits the clustering column, with its prefix clamped to the
+	// overlap between [lo, hi) and the parent's sorted run.
+	if t.clusterCol != "" {
+		out.clusterCol = t.clusterCol
 		if s := t.sortedRows - lo; s > 0 {
 			if s > out.rows {
 				s = out.rows

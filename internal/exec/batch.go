@@ -33,18 +33,6 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 	if err != nil {
 		return nil, err
 	}
-	// Auto-clustering sweeps run between batches, never mid-query: the
-	// batch computes entirely on the layout it bound, and a re-sort
-	// triggered by its own scan statistics only affects later batches.
-	// The pending-batch mark (taken after bind, released before the
-	// sweep) is the scheduler's storm signal: a sweep that would rewrite
-	// a layout while other batches are mid-flight defers instead, so the
-	// last batch out performs the amortized rewrite.
-	e.pendingBatches.Add(1)
-	defer func() {
-		e.pendingBatches.Add(-1)
-		e.maybeAutoCluster()
-	}()
 	out := make([]agg.Partial, len(regions))
 	w := e.workers()
 	if w > len(regions) {

@@ -161,6 +161,10 @@ func (e *Engine) bind(q *relq.Query) (*binding, error) {
 				dim: d, di: i, ltbl: lt, rtbl: rt, lvec: lv, rvec: rv,
 				lc: coefOr1(d.LCoef), rc: coefOr1(d.RCoef),
 			})
+		default:
+			// The fold tests the region one bound dimension at a time, so
+			// a dimension bound to nothing would go unchecked.
+			return nil, fmt.Errorf("exec: dimension %d has unknown kind %d", i, d.Kind)
 		}
 	}
 
@@ -231,8 +235,8 @@ func (e *Engine) bind(q *relq.Query) (*binding, error) {
 // data.Table.NumericColumn copies Int64 vectors on every call; the cache
 // makes repeated cell-query execution allocation-free. Hits require the
 // entry to have been built from this exact *Table at this row count
-// (see colEntry), so both appends and same-size catalog Replaces — an
-// auto-clustering re-sort is one — miss and rebuild.
+// (see colEntry), so both appends and same-size catalog Replaces miss
+// and rebuild.
 func (e *Engine) numericColumn(t *data.Table, col string) ([]float64, error) {
 	ord := t.Schema().Ordinal(col)
 	if ord < 0 {

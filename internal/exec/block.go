@@ -20,10 +20,9 @@ const blockRows = 1024
 // blockRows-row blocks: block bi covers rows [bi*blockRows,
 // (bi+1)*blockRows). A block whose [min, max] provably cannot satisfy a
 // range predicate is skipped without touching any row. nan flags blocks
-// containing at least one NaN: the scan path keeps NaN rows for fixed
-// ranges (`v < lo || v > hi` is false for NaN) and for select
-// dimensions (Violation(NaN) > hi is false), so a NaN-bearing block is
-// never skippable.
+// containing at least one NaN: the scan keeps NaN rows for select
+// dimensions until finalize (Violation(NaN) > hi is false), so a
+// NaN-bearing block is never skippable.
 //
 // All-NaN blocks get {min:+Inf, max:-Inf}; the nan flag already makes
 // them unskippable, and the degenerate interval keeps comparisons safe.
@@ -71,8 +70,8 @@ func buildZoneMap(vec []float64) *zoneMap {
 // first use. Zone maps live alongside the column and sorted-index
 // caches under the same table-identity scheme: a hit requires the exact
 // *Table the map was built from at the same column length, so both
-// appends and same-size catalog Replaces (auto-clustering re-sorts)
-// rebuild, and InvalidateTable drops the entry with the rest of the
+// appends and same-size catalog Replaces rebuild, and InvalidateTable
+// drops the entry with the rest of the
 // table's derived state. vec must be the column's current vector (as
 // resolved through numericColumn), so the build never re-fetches.
 func (e *Engine) zoneMapFor(t *data.Table, ord int, vec []float64) *zoneMap {
@@ -92,10 +91,9 @@ func (e *Engine) zoneMapFor(t *data.Table, ord int, vec []float64) *zoneMap {
 
 // zonePred is one block-skip test: skip a block when its zone interval
 // provably misses [lo, hi] and the block holds no NaN (NaN rows pass
-// the scan predicates this prunes for, so they pin their block). ord
-// records the column ordinal the predicate prunes on, so skips can be
-// attributed per axis — the visibility that tells a Z-order layout's
-// operator that *both* interleaved dimensions are earning their keep.
+// the select-dimension filters this prunes for, so they pin their
+// block). ord records the column ordinal the predicate prunes on, so
+// skips can be attributed per column.
 type zonePred struct {
 	zm     *zoneMap
 	lo, hi float64
@@ -164,10 +162,6 @@ func prunePad(lo, hi float64) (float64, float64) {
 // bound v > BoundAt(iv.Lo); SelectGE mirrors it. SelectEQ's admitted
 // set under iv.Lo > 0 is a band with a hole in the middle — not a
 // single interval — so only its outer (Hi) band prunes.
-//
-// Candidate lists on zone-pruned full scans may therefore be a subset
-// of the legacy path's (rows that could never reach the final result);
-// surviving tuples, their order, and every aggregate bit are unchanged.
 func pruneInterval(d *relq.Dimension, iv relq.ViolInterval) (float64, float64) {
 	lo, hi := math.Inf(-1), math.Inf(1)
 	switch d.Kind {
@@ -198,10 +192,7 @@ func pruneInterval(d *relq.Dimension, iv relq.ViolInterval) (float64, float64) {
 // for the predictor to miss on mixed-selectivity blocks. Dense variants
 // (filterRangeDense / filterViolationDense) run the chain's first
 // predicate straight over a contiguous column stride, emitting row ids
-// without the identity-fill + gather round trip. The keep conditions
-// are the exact negations of the row-at-a-time scan's reject
-// conditions — including their NaN behavior — so a filter chain keeps
-// precisely the rows the legacy verify loop keeps, in the same order.
+// without the identity-fill + gather round trip.
 
 // b2i converts a predicate result to an output-cursor increment. The
 // compiler lowers it to SETcc, keeping compaction loops branch-free.
@@ -212,20 +203,22 @@ func b2i(b bool) int {
 	return 0
 }
 
-// filterRange keeps rows with lo <= vec[r] <= hi, NaN included (the
-// scan's reject test `v < lo || v > hi` is false for NaN).
+// filterRange keeps rows with lo <= vec[r] <= hi. A NaN fails both
+// comparisons and is rejected, as it is when the range drives a sorted
+// index, so the answer does not depend on the access path.
 func filterRange(sel []int32, vec []float64, lo, hi float64) []int32 {
 	k := 0
 	for _, r := range sel {
 		v := vec[r]
 		sel[k] = r
-		k += b2i(!(v < lo || v > hi))
+		k += b2i(v >= lo && v <= hi)
 	}
 	return sel[:k]
 }
 
 // filterRangeDense filters the contiguous rows [lo, hi) of a column
-// against [plo, phi], appending surviving row ids into buf — the dense
+// against [plo, phi] (filterRange's test: NaN rejected), appending
+// surviving row ids into buf — the dense
 // first-predicate kernel of a full block scan. The main loop runs
 // 8-wide over a fixed stride: each lane is an independent load +
 // compare + unconditional store + SETcc advance, the shape
@@ -240,26 +233,26 @@ func filterRangeDense(buf []int32, vec []float64, lo, hi int, plo, phi float64) 
 		v4, v5, v6, v7 := col[i+4], col[i+5], col[i+6], col[i+7]
 		r := base + int32(i)
 		sel[k] = r
-		k += b2i(!(v0 < plo || v0 > phi))
+		k += b2i(v0 >= plo && v0 <= phi)
 		sel[k] = r + 1
-		k += b2i(!(v1 < plo || v1 > phi))
+		k += b2i(v1 >= plo && v1 <= phi)
 		sel[k] = r + 2
-		k += b2i(!(v2 < plo || v2 > phi))
+		k += b2i(v2 >= plo && v2 <= phi)
 		sel[k] = r + 3
-		k += b2i(!(v3 < plo || v3 > phi))
+		k += b2i(v3 >= plo && v3 <= phi)
 		sel[k] = r + 4
-		k += b2i(!(v4 < plo || v4 > phi))
+		k += b2i(v4 >= plo && v4 <= phi)
 		sel[k] = r + 5
-		k += b2i(!(v5 < plo || v5 > phi))
+		k += b2i(v5 >= plo && v5 <= phi)
 		sel[k] = r + 6
-		k += b2i(!(v6 < plo || v6 > phi))
+		k += b2i(v6 >= plo && v6 <= phi)
 		sel[k] = r + 7
-		k += b2i(!(v7 < plo || v7 > phi))
+		k += b2i(v7 >= plo && v7 <= phi)
 	}
 	for ; i < len(col); i++ {
 		v := col[i]
 		sel[k] = base + int32(i)
-		k += b2i(!(v < plo || v > phi))
+		k += b2i(v >= plo && v <= phi)
 	}
 	return sel[:k]
 }

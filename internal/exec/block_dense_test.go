@@ -105,7 +105,7 @@ func TestFilterViolationDenseMatchesScalar(t *testing.T) {
 					}
 				}
 				// The survivors must be exactly the rows the per-row
-				// Violation check keeps — the legacy scan's semantics.
+				// Violation check keeps.
 				for _, r := range got {
 					if d.Violation(vec[r]) > vhi {
 						t.Fatalf("kind %d vhi=%v: kept row %d with violation %v",

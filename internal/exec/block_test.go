@@ -70,12 +70,12 @@ func TestZonePredSkip(t *testing.T) {
 	}
 }
 
-func TestFilterRangeKeepsNaN(t *testing.T) {
+func TestFilterRangeRejectsNaN(t *testing.T) {
 	vec := []float64{1, math.NaN(), 5, 10, math.Inf(1), math.Inf(-1)}
 	sel := []int32{0, 1, 2, 3, 4, 5}
 	got := filterRange(sel, vec, 2, 11)
-	// Kept: NaN (reject test false), 5, 10. Dropped: 1, +Inf, -Inf.
-	want := []int32{1, 2, 3}
+	// Kept: 5, 10. Dropped: 1, NaN (inside no range), +Inf, -Inf.
+	want := []int32{2, 3}
 	if len(got) != len(want) {
 		t.Fatalf("kept %v, want %v", got, want)
 	}

@@ -140,19 +140,15 @@ func (e *Engine) boxAggregate(p *batchPlan, region relq.Region, eo *engineObs) (
 	// provably misses a hull is dropped without gathering a single row —
 	// sound here because the per-row keep test enforces both interval
 	// sides (v > iv.Lo && v <= iv.Hi), so every skipped row is one the
-	// filter would have rejected anyway. Only the vectorized branch
-	// consults them; the legacy per-row loop stays byte-for-byte put.
-	vecPath := !p.legacy && len(cons) == len(b.q.Dims)
+	// filter would have rejected anyway.
 	var zps []zonePred
-	if vecPath {
-		for i := range cons {
-			zlo, zhi := pruneInterval(cons[i].sd.dim, cons[i].iv)
-			if math.IsInf(zlo, -1) && math.IsInf(zhi, 1) {
-				continue
-			}
-			zm := e.zoneMapFor(b.tables[0], cons[i].sd.ord, cons[i].sd.vec)
-			zps = append(zps, zonePred{zm: zm, lo: zlo, hi: zhi})
+	for i := range cons {
+		zlo, zhi := pruneInterval(cons[i].sd.dim, cons[i].iv)
+		if math.IsInf(zlo, -1) && math.IsInf(zhi, 1) {
+			continue
 		}
+		zm := e.zoneMapFor(b.tables[0], cons[i].sd.ord, cons[i].sd.vec)
+		zps = append(zps, zonePred{zm: zm, lo: zlo, hi: zhi})
 	}
 
 	// Walk the box in odometer order (deterministic): interior cells
@@ -160,7 +156,6 @@ func (e *Engine) boxAggregate(p *batchPlan, region relq.Region, eo *engineObs) (
 	// with the exact per-row region check of the scan path.
 	out := agg.Zero()
 	var cellsMerged, boundaryRows, runsSkipped int64
-	viol := make([]float64, len(b.q.Dims))
 	cur := make([]int, ndims)
 	copy(cur, los)
 	for {
@@ -186,26 +181,10 @@ func (e *Engine) boxAggregate(p *batchPlan, region relq.Region, eo *engineObs) (
 					out = agg.Merge(out, agg.Partial{Count: cnt, Sum: sum, Min: mn, Max: mx})
 				}
 				cellsMerged++
-			} else if vecPath {
+			} else {
 				visited, skipped := boundaryCellVec(b, cons, zps, g, cell, &out)
 				boundaryRows += visited
 				runsSkipped += skipped
-			} else {
-				rows := g.PostingList(cell)
-				boundaryRows += int64(len(rows))
-				for _, r := range rows {
-					for i := range cons {
-						viol[cons[i].sd.di] = cons[i].sd.dim.Violation(cons[i].sd.vec[r])
-					}
-					if !region.Contains(viol) {
-						continue
-					}
-					v := 1.0
-					if b.aggTbl >= 0 {
-						v = b.aggVec[r]
-					}
-					b.spec.StepValue(&out, v)
-				}
 			}
 		}
 		d := len(cur) - 1
@@ -245,8 +224,7 @@ func (e *Engine) boxAggregate(p *batchPlan, region relq.Region, eo *engineObs) (
 // Violation in (iv.Lo, iv.Hi], exactly the per-dimension test
 // region.Contains performs, and cons covers every query dimension for
 // eligible queries. Skipped rows are rows that test would have rejected,
-// so survivors step the aggregate in posting-list order — the same
-// StepValue sequence as the legacy per-row loop, bit for bit.
+// so survivors step the aggregate in posting-list order.
 func boundaryCellVec(b *binding, cons []boxConstraint, zps []zonePred, g *index.Grid, cell int, out *agg.Partial) (visited, skipped int64) {
 	var buf [blockRows]int32
 	g.PostingRuns(cell, blockRows, func(bi int, rows []int32) {

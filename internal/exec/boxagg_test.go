@@ -249,11 +249,11 @@ func TestBuildGridAggIdempotent(t *testing.T) {
 // TestBoundaryZoneSkip covers the zone-consulting boundary-cell walk:
 // on a clustered layout, a boundary cell's posting list is cut into
 // per-block runs and runs whose blocks provably miss the pruned value
-// hull are skipped outright. The walk must gather strictly fewer
-// posting rows than the legacy per-row walk (the saving BlocksSkipped
-// accounts for), while every partial stays bitwise identical — the
-// per-row keep test enforces both interval sides, so a skipped run
-// can only hold rows the filter would reject anyway.
+// hull are skipped outright. The walk must gather strictly fewer rows
+// than the posting lists of the cells the region cuts through hold
+// (the saving BlocksSkipped accounts for), while every partial agrees
+// with the oracle — the per-row keep test enforces both interval sides,
+// so a skipped run can only hold rows the filter would reject anyway.
 func TestBoundaryZoneSkip(t *testing.T) {
 	const n = 20 * blockRows
 	cat := clusteredCatalog(t, n) // events(val sorted 0..1000, spend)
@@ -282,41 +282,57 @@ func TestBoundaryZoneSkip(t *testing.T) {
 		{{Lo: 10, Hi: 40}}, {{Lo: 33.3, Hi: 66.6}}, {{Lo: 0, Hi: 5}},
 	}
 
-	run := func(legacy bool) (parts []agg.Partial, d Stats) {
-		t.Helper()
-		e.SetLegacyScan(legacy)
-		defer e.SetLegacyScan(false)
-		before := e.Snapshot()
-		for _, q := range queries {
-			for _, region := range regions {
-				p, err := e.Aggregate(q, region)
-				if err != nil {
-					t.Fatal(err)
+	// A cell holding both rows inside the region and rows outside it can
+	// be neither merged nor left out: whatever the kernel's interior
+	// proof, an unpruned walk gathers at least those cells' whole lists.
+	tbl, err := cat.Table("events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, err := e.numericColumn(tbl, "val")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := e.grid("events")
+	var unpruned int64
+	for _, region := range regions {
+		for cell := 0; cell < g.NumCells(); cell++ {
+			rows, in := g.PostingList(cell), 0
+			for _, r := range rows {
+				if region.Contains([]float64{dims[0].Violation(val[r])}) {
+					in++
 				}
-				parts = append(parts, p)
+			}
+			if 0 < in && in < len(rows) {
+				unpruned += int64(len(rows))
 			}
 		}
-		return parts, e.Snapshot().Sub(before)
 	}
+	unpruned *= int64(len(queries))
 
-	vecParts, vd := run(false)
-	legParts, ld := run(true)
-	for i := range vecParts {
-		exactEqual(t, fmt.Sprintf("boundary query %d", i), vecParts[i], legParts[i])
+	before := e.Snapshot()
+	for qi, q := range queries {
+		for ri, region := range regions {
+			got, err := e.Aggregate(q, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkOracle(t, e, fmt.Sprintf("boundary query %d region %d", qi, ri), q, region, got)
+		}
 	}
-
-	if vd.BoundaryRows == 0 || ld.BoundaryRows == 0 {
-		t.Fatalf("expected boundary-cell work on both walks: vec %+v, legacy %+v", vd, ld)
+	d := e.Snapshot().Sub(before)
+	if d.BoundaryRows == 0 {
+		t.Fatalf("expected boundary-cell work: %+v", d)
 	}
-	if vd.BlocksSkipped == 0 {
-		t.Fatalf("zone-consulting walk skipped no posting runs: %+v", vd)
+	if d.BlocksSkipped == 0 {
+		t.Fatalf("zone-consulting walk skipped no posting runs: %+v", d)
 	}
-	if vd.BoundaryRows >= ld.BoundaryRows {
-		t.Fatalf("zone-consulting walk gathered %d boundary rows, legacy %d — expected a saving",
-			vd.BoundaryRows, ld.BoundaryRows)
+	if d.BoundaryRows >= unpruned {
+		t.Fatalf("zone-consulting walk gathered %d boundary rows, the cut cells' posting lists hold %d — expected a saving",
+			d.BoundaryRows, unpruned)
 	}
-	// The kernel (not the scan) answered: cells merged on both walks.
-	if vd.CellsMerged == 0 || ld.CellsMerged == 0 {
-		t.Fatalf("grid kernel not engaged: vec %+v, legacy %+v", vd, ld)
+	// The kernel (not the scan) answered.
+	if d.CellsMerged == 0 {
+		t.Fatalf("grid kernel not engaged: %+v", d)
 	}
 }

@@ -55,12 +55,9 @@ func (e *Engine) InvalidateRegionCache() {
 // it after rewriting a table's contents in place. Pure appends and
 // catalog Replaces need nothing: the column/sort/zone caches key on
 // table identity + row count, and the region-cache fingerprints carry
-// row-count generations. It also forgets the table's workload-derived
-// clustering statistics, so a replaced table re-learns its clustering
-// column from fresh traffic.
+// row-count generations.
 func (e *Engine) InvalidateTable(table string) {
 	key := strings.ToLower(table)
-	e.wstats.forget(key)
 	e.mu.Lock()
 	for k := range e.colCache {
 		if k.table == key {

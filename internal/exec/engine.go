@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,8 +41,8 @@ type Stats struct {
 	// zone-map-skipped blocks are never touched and are not counted
 	// (see BlocksSkipped).
 	RowsScanned int64
-	// BlocksScanned counts column blocks visited by the vectorized scan
-	// path (full scans only; index-driven scans count rows, not blocks).
+	// BlocksScanned counts column blocks visited by full scans
+	// (index-driven scans count rows, not blocks).
 	BlocksScanned int64
 	// BlocksSkipped counts column blocks proven candidate-free by zone
 	// maps and skipped without touching any row.
@@ -74,48 +73,29 @@ type Stats struct {
 	// CacheEvictions counts entries displaced from the region cache by
 	// fills attributed to this engine.
 	CacheEvictions int64
-	// Resorts counts auto-clustering re-sorts: the workload-statistics
-	// policy picked a clustering column and rewrote the table layout.
-	Resorts int64
-	// TailMerges counts auto-clustering tail merges: the unsorted append
-	// tail of a clustered table was merged back into its sorted run.
-	TailMerges int64
 	// DegradedScans counts full scans over clustered tables whose
 	// unsorted append tail has outgrown the block size — the layout
 	// regime where zone maps still prune the sorted prefix but the tail
 	// blocks span the whole domain and are never skippable.
 	DegradedScans int64
-	// ZOrderResorts counts auto-clustering re-sorts that produced a
-	// Z-order (two-column interleaved) layout; each also increments
-	// Resorts.
-	ZOrderResorts int64
-	// DeferredResorts counts layout actions (re-sorts or tail merges)
-	// the scheduler postponed because a batch storm was in flight —
-	// the cost model judged the rewrite cheaper to amortize after the
-	// pending batches drain.
-	DeferredResorts int64
 }
 
 // Sub returns the counter deltas s minus prev — the work performed
 // between two snapshots.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
-		Queries:         s.Queries - prev.Queries,
-		RowsScanned:     s.RowsScanned - prev.RowsScanned,
-		BlocksScanned:   s.BlocksScanned - prev.BlocksScanned,
-		BlocksSkipped:   s.BlocksSkipped - prev.BlocksSkipped,
-		TuplesExamined:  s.TuplesExamined - prev.TuplesExamined,
-		CellsSkipped:    s.CellsSkipped - prev.CellsSkipped,
-		CellsMerged:     s.CellsMerged - prev.CellsMerged,
-		BoundaryRows:    s.BoundaryRows - prev.BoundaryRows,
-		CacheHits:       s.CacheHits - prev.CacheHits,
-		CacheMisses:     s.CacheMisses - prev.CacheMisses,
-		CacheEvictions:  s.CacheEvictions - prev.CacheEvictions,
-		Resorts:         s.Resorts - prev.Resorts,
-		TailMerges:      s.TailMerges - prev.TailMerges,
-		DegradedScans:   s.DegradedScans - prev.DegradedScans,
-		ZOrderResorts:   s.ZOrderResorts - prev.ZOrderResorts,
-		DeferredResorts: s.DeferredResorts - prev.DeferredResorts,
+		Queries:        s.Queries - prev.Queries,
+		RowsScanned:    s.RowsScanned - prev.RowsScanned,
+		BlocksScanned:  s.BlocksScanned - prev.BlocksScanned,
+		BlocksSkipped:  s.BlocksSkipped - prev.BlocksSkipped,
+		TuplesExamined: s.TuplesExamined - prev.TuplesExamined,
+		CellsSkipped:   s.CellsSkipped - prev.CellsSkipped,
+		CellsMerged:    s.CellsMerged - prev.CellsMerged,
+		BoundaryRows:   s.BoundaryRows - prev.BoundaryRows,
+		CacheHits:      s.CacheHits - prev.CacheHits,
+		CacheMisses:    s.CacheMisses - prev.CacheMisses,
+		CacheEvictions: s.CacheEvictions - prev.CacheEvictions,
+		DegradedScans:  s.DegradedScans - prev.DegradedScans,
 	}
 }
 
@@ -124,22 +104,18 @@ func (s Stats) Sub(prev Stats) Stats {
 // reads counters that all belong to the same generation — never a
 // half-reset mixture.
 type statsCells struct {
-	queries         atomic.Int64
-	rowsScanned     atomic.Int64
-	blocksScanned   atomic.Int64
-	blocksSkipped   atomic.Int64
-	tuplesExamined  atomic.Int64
-	cellsSkipped    atomic.Int64
-	cellsMerged     atomic.Int64
-	boundaryRows    atomic.Int64
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
-	cacheEvictions  atomic.Int64
-	resorts         atomic.Int64
-	tailMerges      atomic.Int64
-	degradedScans   atomic.Int64
-	zorderResorts   atomic.Int64
-	deferredResorts atomic.Int64
+	queries        atomic.Int64
+	rowsScanned    atomic.Int64
+	blocksScanned  atomic.Int64
+	blocksSkipped  atomic.Int64
+	tuplesExamined atomic.Int64
+	cellsSkipped   atomic.Int64
+	cellsMerged    atomic.Int64
+	boundaryRows   atomic.Int64
+	cacheHits      atomic.Int64
+	cacheMisses    atomic.Int64
+	cacheEvictions atomic.Int64
+	degradedScans  atomic.Int64
 }
 
 // engineObs holds the pre-resolved observability handles of an
@@ -158,11 +134,7 @@ type engineObs struct {
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	cacheEvict    *obs.Counter
-	resorts       *obs.Counter
-	tailMerges    *obs.Counter
 	degraded      *obs.Counter
-	zorderResorts *obs.Counter
-	deferred      *obs.Counter
 	queryDur      *obs.Histogram
 	selDensity    *obs.Histogram
 
@@ -183,11 +155,6 @@ type Engine struct {
 	sortIdx  map[colKey]sortEntry
 	zones    map[colKey]zoneEntry
 
-	// legacyScan switches the row-at-a-time scan/join/finalize path
-	// back on (the vectorized block path is the default); it exists as
-	// the equivalence oracle for the block path and as an escape hatch.
-	legacyScan atomic.Bool
-
 	// MaxIntermediate bounds intermediate join sizes (tuples).
 	MaxIntermediate int
 	// Parallelism caps scan/aggregation workers; 0 means GOMAXPROCS.
@@ -202,30 +169,8 @@ type Engine struct {
 	// sessions (see cache.go); nil (the default) executes every region.
 	regionCache atomic.Pointer[regioncache.Cache]
 
-	// autoCluster enables the workload-adaptive clustering policy; see
-	// autocluster.go. wstats is its per-column touch/selectivity
-	// collector, fed by vscanTable and consulted by maybeAutoCluster at
-	// the end of each batch; sweepMu serializes layout rewrites.
-	autoCluster atomic.Bool
-	wstats      workloadStats
-	sweepMu     sync.Mutex
-	// ClusterPolicy overrides the auto-clustering thresholds; zero
-	// fields fall back to DefaultAutoClusterPolicy (see clusterPolicy).
-	ClusterPolicy AutoClusterPolicy
-	// zorder admits two-column Z-order layouts into the auto-clustering
-	// election (equivalent to ClusterPolicy.ZOrder; either enables).
-	zorder atomic.Bool
-
-	// pendingBatches counts AggregateBatch calls currently in flight —
-	// the backpressure signal the re-sort scheduler reads: a sweep that
-	// would rewrite a layout while other batches are executing defers
-	// instead (see sweepTable), so a batch storm never stalls behind a
-	// re-sort it could have amortized after draining.
-	pendingBatches atomic.Int64
-
 	// zoneSkips attributes zone-map block skips to the pruning column
-	// ("table.column" keys) — the per-axis visibility that shows both
-	// dimensions of a Z-order layout earning their keep.
+	// ("table.column" keys).
 	zoneSkipMu sync.Mutex
 	zoneSkips  map[string]int64
 }
@@ -239,7 +184,7 @@ type colKey struct {
 // by *table identity*: a hit requires the exact *data.Table the entry
 // was built from (pointer equality) at the same row count. Row-count
 // generations alone cannot see a catalog Replace that keeps the row
-// count — exactly what an auto-clustering re-sort does — while pointer
+// count — a re-sorted copy of the table, say — while pointer
 // identity retires such entries for free (the catalog hands out a new
 // *Table, so lookups against it miss and rebuild). In-place rewrites of
 // an existing table still require InvalidateTable, as before.
@@ -277,16 +222,6 @@ func New(cat *data.Catalog) *Engine {
 // Catalog exposes the underlying catalog (read-only use).
 func (e *Engine) Catalog() *data.Catalog { return e.cat }
 
-// SetLegacyScan switches between the block-vectorized execution path
-// (false, the default) and the row-at-a-time legacy path (true). Both
-// produce bit-identical results — the legacy path is kept as the
-// equivalence oracle of the property tests and as an operational
-// escape hatch.
-func (e *Engine) SetLegacyScan(on bool) { e.legacyScan.Store(on) }
-
-// LegacyScan reports whether the legacy scan path is active.
-func (e *Engine) LegacyScan() bool { return e.legacyScan.Load() }
-
 // SetObserver attaches an observer: engine counters are mirrored into
 // its registry (acquire_engine_* series, registered eagerly so they
 // expose as 0 before the first query), per-query durations land in
@@ -311,11 +246,7 @@ func (e *Engine) SetObserver(o *obs.Observer) {
 		cacheHits:     o.Counter("acquire_cache_hits_total", "Region executions answered from the cross-search partial-aggregate cache."),
 		cacheMisses:   o.Counter("acquire_cache_misses_total", "Region executions that missed the cross-search partial-aggregate cache and executed."),
 		cacheEvict:    o.Counter("acquire_cache_evictions_total", "Entries displaced from the cross-search partial-aggregate cache by the byte cap."),
-		resorts:       o.Counter("acquire_autocluster_resorts_total", "Auto-clustering re-sorts: the workload policy rewrote a table layout around a learned clustering column."),
-		tailMerges:    o.Counter("acquire_autocluster_tail_merges_total", "Auto-clustering tail merges: a clustered table's unsorted append tail merged back into its sorted run."),
 		degraded:      o.Counter("acquire_engine_cluster_degraded_scans_total", "Full scans over clustered tables whose unsorted append tail exceeds one block (zone maps blind on the tail)."),
-		zorderResorts: o.Counter("acquire_autocluster_zorder_resorts_total", "Auto-clustering re-sorts that produced a Z-order (two-column interleaved) layout."),
-		deferred:      o.Counter("acquire_autocluster_deferred_resorts_total", "Layout rewrites (re-sorts or tail merges) the scheduler postponed because a batch storm was in flight."),
 		queryDur:      o.Histogram(`acquire_phase_duration_seconds{phase="evaluate"}`, "Duration of search/engine phases by phase name.", nil),
 		selDensity: o.Histogram("acquire_engine_selection_density",
 			"Post-filter selection-vector density per scanned block (kept rows / block rows).",
@@ -339,22 +270,18 @@ func (e *Engine) Observer() *obs.Observer {
 func (e *Engine) Snapshot() Stats {
 	c := e.stats.Load()
 	return Stats{
-		Queries:         c.queries.Load(),
-		RowsScanned:     c.rowsScanned.Load(),
-		BlocksScanned:   c.blocksScanned.Load(),
-		BlocksSkipped:   c.blocksSkipped.Load(),
-		TuplesExamined:  c.tuplesExamined.Load(),
-		CellsSkipped:    c.cellsSkipped.Load(),
-		CellsMerged:     c.cellsMerged.Load(),
-		BoundaryRows:    c.boundaryRows.Load(),
-		CacheHits:       c.cacheHits.Load(),
-		CacheMisses:     c.cacheMisses.Load(),
-		CacheEvictions:  c.cacheEvictions.Load(),
-		Resorts:         c.resorts.Load(),
-		TailMerges:      c.tailMerges.Load(),
-		DegradedScans:   c.degradedScans.Load(),
-		ZOrderResorts:   c.zorderResorts.Load(),
-		DeferredResorts: c.deferredResorts.Load(),
+		Queries:        c.queries.Load(),
+		RowsScanned:    c.rowsScanned.Load(),
+		BlocksScanned:  c.blocksScanned.Load(),
+		BlocksSkipped:  c.blocksSkipped.Load(),
+		TuplesExamined: c.tuplesExamined.Load(),
+		CellsSkipped:   c.cellsSkipped.Load(),
+		CellsMerged:    c.cellsMerged.Load(),
+		BoundaryRows:   c.boundaryRows.Load(),
+		CacheHits:      c.cacheHits.Load(),
+		CacheMisses:    c.cacheMisses.Load(),
+		CacheEvictions: c.cacheEvictions.Load(),
+		DegradedScans:  c.degradedScans.Load(),
 	}
 }
 
@@ -432,38 +359,10 @@ func (e *Engine) countCacheEvictions(n int64) {
 	}
 }
 
-func (e *Engine) countResorts(n int64) {
-	e.stats.Load().resorts.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.resorts.Add(n)
-	}
-}
-
-func (e *Engine) countTailMerges(n int64) {
-	e.stats.Load().tailMerges.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.tailMerges.Add(n)
-	}
-}
-
 func (e *Engine) countDegradedScans(n int64) {
 	e.stats.Load().degradedScans.Add(n)
 	if eo := e.obsState.Load(); eo != nil {
 		eo.degraded.Add(n)
-	}
-}
-
-func (e *Engine) countZOrderResorts(n int64) {
-	e.stats.Load().zorderResorts.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.zorderResorts.Add(n)
-	}
-}
-
-func (e *Engine) countDeferredResorts(n int64) {
-	e.stats.Load().deferredResorts.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.deferred.Add(n)
 	}
 }
 
@@ -514,8 +413,7 @@ func (eo *engineObs) zoneSkipCounter(column string) *obs.Counter {
 
 // ZoneSkips returns a copy of the per-column zone-map skip attribution:
 // "table.column" -> blocks skipped because that column's zone predicate
-// fired first. On a Z-order layout both interleaved axes should appear
-// with nonzero counts once the workload exercises both dimensions.
+// fired first.
 func (e *Engine) ZoneSkips() map[string]int64 {
 	e.zoneSkipMu.Lock()
 	defer e.zoneSkipMu.Unlock()
@@ -525,18 +423,6 @@ func (e *Engine) ZoneSkips() map[string]int64 {
 	}
 	return out
 }
-
-// SetZOrder admits two-column Z-order layouts into the auto-clustering
-// election (no-op unless auto-clustering is also enabled). Off by
-// default: single-column elections are strictly cheaper to compute and
-// most workloads drive one dominant range column.
-func (e *Engine) SetZOrder(on bool) { e.zorder.Store(on) }
-
-// ZOrderOn reports whether Z-order layouts may be elected.
-func (e *Engine) ZOrderOn() bool { return e.zorder.Load() }
-
-// PendingBatches reports the number of AggregateBatch calls in flight.
-func (e *Engine) PendingBatches() int64 { return e.pendingBatches.Load() }
 
 // BuildGridIndex builds and registers a §7.4 grid bitmap index over the
 // named numeric columns of a table. Subsequent Aggregate calls use it to
@@ -667,8 +553,8 @@ func (eo *engineObs) queryDone(p *batchPlan, d time.Duration, regions int, err e
 // aggregateRegion executes region i of a bound batch: its front — the
 // arity check, the execution count, the empty region, the grid index's
 // emptiness proof, the box-aggregate kernel — and then its scan stage.
-// On a drive-shared plan the scan stage is not run here: deferred=true
-// hands the region to the units.
+// A single-table region's scan stage is not run here: deferred=true
+// hands the region to the units (sharedrive.go).
 func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int, eo *engineObs) (_ agg.Partial, deferred bool, _ error) {
 	b, region := p.b, p.regions[i]
 	if len(region) != len(b.q.Dims) {
@@ -701,7 +587,7 @@ func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int, eo *eng
 		return part, false, err
 	}
 
-	if p.shared {
+	if len(b.tables) == 1 {
 		return agg.Zero(), true, nil
 	}
 	part, err := e.scanAggregate(p, sc, i)
@@ -719,89 +605,7 @@ func (e *Engine) scanAggregate(p *batchPlan, sc *regionScratch, i int) (agg.Part
 		return agg.Zero(), err
 	}
 
-	// The vectorized fold checks region dimensions individually, which
-	// requires every query dimension to be bound (always true today —
-	// the guard is belt and braces against future dimension kinds).
-	b, region := p.b, p.regions[i]
-	if p.legacy || len(b.selDims)+len(b.joinDims) != len(b.q.Dims) {
-		return e.finalizeLegacy(b, region, tuples, p.pos), nil
-	}
-	return e.finalizeVec(b, region, tuples, len(p.order), p.pos), nil
-}
-
-// legacyTuples is the row-at-a-time scan + join of one region: every
-// table scanned in table order (the first empty candidate list ends the
-// region), then attached by join.
-func (e *Engine) legacyTuples(b *binding, region relq.Region) ([]int32, error) {
-	cands := make([][]int32, len(b.tables))
-	for ti := range b.tables {
-		c, err := e.scanTableLegacy(b, region, ti)
-		if err != nil || len(c) == 0 {
-			return nil, err
-		}
-		cands[ti] = c
-	}
-	return e.join(b, region, cands)
-}
-
-// scanTableLegacy is the row-at-a-time scan.
-//
-// Access path selection mirrors a DBMS with secondary indexes: the most
-// selective applicable range condition (a fixed range or a select
-// dimension's value interval under the region) drives candidate
-// generation through a sorted index; the remaining predicates are
-// verified per candidate. When no condition narrows the table below
-// half its rows, a full scan is used instead. The vectorized path
-// (vscanTable) shares this access-path choice (accessPath) and only
-// changes how the surviving predicates are evaluated; both produce the
-// identical candidate list in the identical order.
-func (e *Engine) scanTableLegacy(b *binding, region relq.Region, ti int) ([]int32, error) {
-	n := b.tables[ti].NumRows()
-	ranges := b.ranges[ti]
-	strs := b.strFlts[ti]
-
-	ac, err := e.accessPath(b, region, ti, new(regionScratch))
-	if err != nil || ac.empty {
-		return nil, err // an empty access: some dimension admits nothing
-	}
-	locals := localDims(b, region, ti, -1, nil)
-	fullScan := !ac.indexed
-	scanned := int64(n)
-	var candidates []int32
-	if !fullScan {
-		candidates = ac.ix.rows[ac.lo:ac.hi]
-		scanned = int64(len(candidates))
-	}
-	e.countRows(scanned)
-	if eo := e.obsState.Load(); eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
-		eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
-			"rows", scanned, "full_scan", fullScan)
-	}
-
-	verify := func(r int32) bool {
-		for i := range ranges {
-			v := ranges[i].vec[r]
-			if v < ranges[i].lo || v > ranges[i].hi {
-				return false
-			}
-		}
-		for i := range strs {
-			if _, ok := strs[i].set[strs[i].vec[r]]; !ok {
-				return false
-			}
-		}
-		for i := range locals {
-			if locals[i].dim.Violation(locals[i].vec[r]) > locals[i].hi {
-				return false
-			}
-		}
-		return true
-	}
-
-	if fullScan {
-		return e.parallelFilter(n, verify), nil
-	}
-	return e.parallelFilterRows(candidates, verify), nil
+	return e.finalizeVec(p.b, p.regions[i], tuples, len(p.order), p.pos), nil
 }
 
 // gridBind is one table's registered grid index as the bound query sees
@@ -948,238 +752,4 @@ func valueIntervals(d *relq.Dimension, iv relq.ViolInterval) (ivs [2]index.Inter
 		ivs[0] = index.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
 		return ivs, 1
 	}
-}
-
-// join is the row-at-a-time join: it attaches tables one at a time,
-// preferring hash equi-joins, then band joins, then cartesian products
-// for disconnected components — the attach order attachPlan computes
-// ahead of time for the batch plan. Returns flattened tuples (stride =
-// number of tables, columns in attach order) of base-table row indexes,
-// or nil as soon as an attach leaves none.
-func (e *Engine) join(b *binding, region relq.Region, cands [][]int32) ([]int32, error) {
-	nt := len(b.tables)
-	if nt == 1 {
-		return cands[0], nil
-	}
-
-	attached := map[int]int{0: 0} // table index -> position in order
-	order := []int{0}
-	tuples := make([]int32, len(cands[0]))
-	copy(tuples, cands[0])
-
-	for len(order) < nt {
-		next, edge := e.pickNext(b, attached)
-		if next < 0 {
-			// Disconnected: cartesian with the lowest unattached table.
-			for ti := 0; ti < nt; ti++ {
-				if _, ok := attached[ti]; !ok {
-					next = ti
-					break
-				}
-			}
-		}
-		var err error
-		tuples, err = e.attachLegacy(b, region, tuples, order, attached, cands, next, edge)
-		if err != nil {
-			return nil, err
-		}
-		attached[next] = len(order)
-		order = append(order, next)
-		if len(tuples) == 0 {
-			return nil, nil
-		}
-	}
-	return tuples, nil
-}
-
-// joinEdge describes how a new table connects to the attached set.
-type joinEdge struct {
-	equi *equiBind
-	band *joinBind
-	// flip is true when the new table is the edge's left side.
-	flip bool
-}
-
-// pickNext finds an unattached table connected to the attached set,
-// preferring equi edges.
-func (e *Engine) pickNext(b *binding, attached map[int]int) (int, *joinEdge) {
-	for i := range b.equiJoins {
-		ej := &b.equiJoins[i]
-		_, lIn := attached[ej.ltbl]
-		_, rIn := attached[ej.rtbl]
-		if lIn && !rIn {
-			return ej.rtbl, &joinEdge{equi: ej}
-		}
-		if rIn && !lIn {
-			return ej.ltbl, &joinEdge{equi: ej, flip: true}
-		}
-	}
-	for i := range b.joinDims {
-		jd := &b.joinDims[i]
-		_, lIn := attached[jd.ltbl]
-		_, rIn := attached[jd.rtbl]
-		if lIn && !rIn {
-			return jd.rtbl, &joinEdge{band: jd}
-		}
-		if rIn && !lIn {
-			return jd.ltbl, &joinEdge{band: jd, flip: true}
-		}
-	}
-	return -1, nil
-}
-
-// attachLegacy is the row-at-a-time attach with incrementally grown
-// output and hash table. The batch plan's attaches (joinplan.go) emit
-// the identical tuple stream: same tuples, same order, same overflow
-// error.
-func (e *Engine) attachLegacy(b *binding, region relq.Region, tuples []int32, order []int, attached map[int]int, cands [][]int32, next int, edge *joinEdge) ([]int32, error) {
-	stride := len(order)
-	ntup := len(tuples) / max(stride, 1)
-	nextCands := cands[next]
-	newStride := stride + 1
-
-	emit := func(out []int32, ti int, row int32) ([]int32, error) {
-		if (len(out)+newStride)/newStride > e.MaxIntermediate {
-			return nil, fmt.Errorf("exec: intermediate join result exceeds %d tuples", e.MaxIntermediate)
-		}
-		out = append(out, tuples[ti*stride:(ti+1)*stride]...)
-		out = append(out, row)
-		return out, nil
-	}
-
-	var out []int32
-	switch {
-	case edge != nil && edge.equi != nil:
-		ej := edge.equi
-		// Probe side is the attached table; build side is `next`.
-		var probeVec, buildVec []float64
-		var probeCoef, buildCoef float64
-		var probePos int
-		if !edge.flip { // next is right side
-			probeVec, probeCoef, probePos = ej.lvec, ej.lc, attached[ej.ltbl]
-			buildVec, buildCoef = ej.rvec, ej.rc
-		} else {
-			probeVec, probeCoef, probePos = ej.rvec, ej.rc, attached[ej.rtbl]
-			buildVec, buildCoef = ej.lvec, ej.lc
-		}
-		ht := make(map[float64][]int32, len(nextCands))
-		for _, r := range nextCands {
-			k := buildCoef * buildVec[r]
-			ht[k] = append(ht[k], r)
-		}
-		for ti := 0; ti < ntup; ti++ {
-			probeRow := tuples[ti*stride+probePos]
-			k := probeCoef * probeVec[probeRow]
-			for _, r := range ht[k] {
-				var err error
-				out, err = emit(out, ti, r)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-
-	case edge != nil && edge.band != nil:
-		jd := edge.band
-		maxBand := jd.dim.BoundAt(region[jd.di].Hi)
-		var probeVec, buildVec []float64
-		var probeCoef, buildCoef float64
-		var probePos int
-		if !edge.flip { // next is right side
-			probeVec, probeCoef, probePos = jd.lvec, jd.lc, attached[jd.ltbl]
-			buildVec, buildCoef = jd.rvec, jd.rc
-		} else {
-			probeVec, probeCoef, probePos = jd.rvec, jd.rc, attached[jd.rtbl]
-			buildVec, buildCoef = jd.lvec, jd.lc
-		}
-		if buildCoef == 0 {
-			return nil, fmt.Errorf("exec: zero join coefficient")
-		}
-		// Sort build side by scaled value; binary-search the band.
-		type kv struct {
-			key float64
-			row int32
-		}
-		// NaN keys are left out: no band contains them, and under `<`
-		// they have no place in the order the searches below rely on.
-		sorted := make([]kv, 0, len(nextCands))
-		for _, r := range nextCands {
-			if k := buildCoef * buildVec[r]; k == k {
-				sorted = append(sorted, kv{key: k, row: r})
-			}
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
-		for ti := 0; ti < ntup; ti++ {
-			probeRow := tuples[ti*stride+probePos]
-			center := probeCoef * probeVec[probeRow]
-			lo := sort.Search(len(sorted), func(i int) bool { return sorted[i].key >= center-maxBand })
-			for i := lo; i < len(sorted) && sorted[i].key <= center+maxBand; i++ {
-				var err error
-				out, err = emit(out, ti, sorted[i].row)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-
-	default: // cartesian
-		for ti := 0; ti < ntup; ti++ {
-			for _, r := range nextCands {
-				var err error
-				out, err = emit(out, ti, r)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// finalizeLegacy verifies every join condition and the region on each
-// tuple, folding qualifying tuples into the aggregate row at a time.
-// finalizeVec steps the aggregate over the same tuples in the same
-// order on the same parallelFold chunk grid, so even SUM bits agree.
-// pos maps a table index to its slot in a tuple.
-func (e *Engine) finalizeLegacy(b *binding, region relq.Region, tuples []int32, pos []int) agg.Partial {
-	stride := len(pos)
-	ntup := len(tuples) / stride
-	e.countTuples(int64(ntup))
-
-	part := e.parallelFold(ntup, func(lo, hi int) agg.Partial {
-		viol := make([]float64, len(b.q.Dims))
-		p := agg.Zero()
-	tuple:
-		for t := lo; t < hi; t++ {
-			row := tuples[t*stride : (t+1)*stride]
-
-			for i := range b.equiJoins {
-				ej := &b.equiJoins[i]
-				l := ej.lc * ej.lvec[row[pos[ej.ltbl]]]
-				r := ej.rc * ej.rvec[row[pos[ej.rtbl]]]
-				if l != r {
-					continue tuple
-				}
-			}
-			for i := range b.selDims {
-				sd := &b.selDims[i]
-				viol[sd.di] = sd.dim.Violation(sd.vec[row[pos[sd.tbl]]])
-			}
-			for i := range b.joinDims {
-				jd := &b.joinDims[i]
-				viol[jd.di] = jd.dim.JoinViolation(jd.lvec[row[pos[jd.ltbl]]], jd.rvec[row[pos[jd.rtbl]]])
-			}
-			if !region.Contains(viol) {
-				continue tuple
-			}
-
-			v := 1.0
-			if b.aggTbl >= 0 {
-				v = b.aggVec[row[pos[b.aggTbl]]]
-			}
-			b.spec.StepValue(&p, v)
-		}
-		return p
-	})
-	return part
 }

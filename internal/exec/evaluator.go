@@ -43,26 +43,6 @@ type Evaluator interface {
 	// GOMAXPROCS. Results are identical for every worker count.
 	SetParallelism(workers int)
 
-	// SetLegacyScan(true) switches from the block-vectorized scan path
-	// (the default) to the row-at-a-time legacy path. Both are
-	// bit-identical; the legacy path serves as equivalence oracle and
-	// operational escape hatch.
-	SetLegacyScan(on bool)
-
-	// SetAutoCluster(true) turns on workload-adaptive clustering: scans
-	// feed per-column range statistics and the engine re-sorts tables
-	// around the learned dominant column between batches (physical row
-	// ids of later ViolationScan/Materialize calls refer to the new
-	// layout; values and aggregates are unchanged).
-	SetAutoCluster(on bool)
-
-	// SetZOrder(true) admits two-column Z-order (space-filling-curve)
-	// layouts into the auto-clustering election: when two range columns
-	// both carry workload weight, the table may be re-laid along their
-	// interleaved rank curve so zone maps prune on both axes. No-op
-	// unless auto-clustering is enabled.
-	SetZOrder(on bool)
-
 	// SetObserver attaches (nil detaches) an observer; Observer returns
 	// the current one (nil-safe for phase timing).
 	SetObserver(o *obs.Observer)

@@ -438,6 +438,10 @@ func TestBindErrors(t *testing.T) {
 		{Tables: []string{"part"},
 			Fixed:      []relq.FixedPred{{Kind: relq.FixedStringIn, Col: relq.ColumnRef{Table: "part", Column: "p_size"}, Values: []string{"x"}}},
 			Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1}},
+		// A dimension of a kind bind has no binding for.
+		{Tables: []string{"part"},
+			Dims:       []relq.Dimension{{Kind: relq.DimKind(99), Col: relq.ColumnRef{Table: "part", Column: "p_size"}, Bound: 1, Width: 1}},
+			Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1}},
 	}
 	for i, q := range cases {
 		r := region

@@ -5,15 +5,14 @@ import (
 	"math/bits"
 )
 
-// This file holds the vectorized join's hash structure: an
-// order-preserving grouped hash table, the pre-sized equi-join build
-// side the batch plan memoizes (joinplan.go).
+// This file holds the join's hash structure: an order-preserving
+// grouped hash table, the pre-sized equi-join build side the batch plan
+// memoizes (joinplan.go).
 //
-// It replicates Go's map semantics for float64 keys, which the legacy
-// path relies on: +0 and -0 are the same key, and a NaN key is
-// unreachable — a build row with a NaN key can never match any probe
-// (NaN != NaN), so dropping such rows at insert preserves the emitted
-// tuple stream exactly.
+// It has Go's map semantics for float64 keys: +0 and -0 are the same
+// key, and a NaN key is unreachable — a build row with a NaN key can
+// never match any probe (NaN != NaN), so dropping such rows at insert
+// preserves the emitted tuple stream exactly.
 
 // hashF64 mixes the normalized bit pattern of a key (splitmix64-style
 // finalizer — cheap and well distributed for the clustered integer-ish
@@ -58,8 +57,8 @@ func denseLimit(n int) float64 {
 }
 
 // f64Groups is a grouped hash table: every distinct key maps to the
-// list of build rows carrying it, in build-input order — exactly the
-// per-key append order the legacy map build produces. Built in passes
+// list of build rows carrying it, in build-input order — the per-key
+// append order of a map[float64][]int32 build. Built in passes
 // (count, prefix-sum, fill) into one exact-capacity rows array, so
 // nothing grows incrementally. Group g occupies rows[off[g]:off[g+1]].
 type f64Groups struct {

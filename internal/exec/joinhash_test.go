@@ -27,7 +27,7 @@ func TestF64GroupsMatchesMapBuild(t *testing.T) {
 
 	g := buildF64Groups(rows, vec, coef)
 
-	// Oracle: the legacy map build. NaN-keyed entries exist in the map
+	// Oracle: a Go map build. NaN-keyed entries exist in the map
 	// but are unreachable by lookup; f64Groups drops them at build.
 	ht := make(map[float64][]int32, len(rows))
 	for _, r := range rows {

@@ -20,9 +20,9 @@ import (
 // violation intervals (§5.1), so everything that does not depend on the
 // region is bound once, after bind: the attach order and each attach
 // edge's sides, the grid positions of the select dimensions, and — for
-// multi-table queries on the vectorized path — a memo of per-table
-// candidate lists and equi-join build sides keyed by the table's local
-// intervals. A table's candidates depend only on the region's intervals
+// multi-table queries — a memo of per-table candidate lists and
+// equi-join build sides keyed by the table's local intervals. A
+// table's candidates depend only on the region's intervals
 // over that table's own dimensions, and the cells of one Expand layer
 // share each such interval combination many times over, so the first
 // region that needs a (table, intervals) entry scans and groups it and
@@ -30,10 +30,10 @@ import (
 //
 // Per region the plan keeps the attach order, the probe/build roles and
 // the emitted tuple stream of a stand-alone execution (same tuples in
-// the same order, same MaxIntermediate error), so partials are
-// bit-identical to the legacy path, which remains the oracle. Band-join
-// and cartesian attaches depend on the region (the band) or have no
-// build structure, and run per region inside the same attach loop.
+// the same order, same MaxIntermediate error), so a region's partial is
+// the same bits in a batch as alone. Band-join and cartesian attaches
+// depend on the region (the band) or have no build structure, and run
+// per region inside the same attach loop.
 //
 // Lifetime: a plan, its memo and the per-worker scratch are reachable
 // only from the call that built them — AggregateBatch, one shard's
@@ -59,6 +59,42 @@ type planEdge struct {
 	// the attached table, build values from this one.
 	probeVec, buildVec   []float64
 	probeCoef, buildCoef float64
+}
+
+// joinEdge describes how a new table connects to the attached set.
+type joinEdge struct {
+	equi *equiBind
+	band *joinBind
+	// flip is true when the new table is the edge's left side.
+	flip bool
+}
+
+// pickNext finds an unattached table connected to the attached set,
+// preferring equi edges.
+func (e *Engine) pickNext(b *binding, attached map[int]int) (int, *joinEdge) {
+	for i := range b.equiJoins {
+		ej := &b.equiJoins[i]
+		_, lIn := attached[ej.ltbl]
+		_, rIn := attached[ej.rtbl]
+		if lIn && !rIn {
+			return ej.rtbl, &joinEdge{equi: ej}
+		}
+		if rIn && !lIn {
+			return ej.ltbl, &joinEdge{equi: ej, flip: true}
+		}
+	}
+	for i := range b.joinDims {
+		jd := &b.joinDims[i]
+		_, lIn := attached[jd.ltbl]
+		_, rIn := attached[jd.rtbl]
+		if lIn && !rIn {
+			return jd.rtbl, &joinEdge{band: jd}
+		}
+		if rIn && !lIn {
+			return jd.ltbl, &joinEdge{band: jd, flip: true}
+		}
+	}
+	return -1, nil
 }
 
 // attachPlan walks the attach order — table 0, then whatever pickNext
@@ -118,16 +154,13 @@ type batchPlan struct {
 	e       *Engine
 	b       *binding
 	regions []relq.Region
-	// legacy is the scan-path switch as read when the batch was bound.
-	legacy bool
 
 	grids []gridBind // per table; nil when no table has a grid
 	edges []planEdge // per table
 	order []int      // attach order: order[slot] = table
 	pos   []int      // pos[table] = slot
 
-	// memo is per table; nil unless the query joins tables on the
-	// vectorized path.
+	// memo is per table; nil unless the query joins tables.
 	memo []tableMemo
 
 	// AggregateBatch's dispatch state: the attached region cache with
@@ -137,13 +170,11 @@ type batchPlan struct {
 	fp    relq.Fingerprint
 	span  obs.SpanRef
 
-	// The drive-shared scan stage (sharedrive.go). shared marks a plan
-	// whose regions scan one table on the vectorized path: a region that
-	// gets past its front is not scanned there but deferred, and the
-	// deferred regions are cut into the units a second round of
-	// dispatch drains. flights holds the cache claims of the deferred
-	// regions (nil without a cache).
-	shared   bool
+	// The drive-shared scan stage (sharedrive.go) of a plan whose
+	// regions scan one table: a region that gets past its front is not
+	// scanned there but deferred, and the deferred regions are cut into
+	// the units a second round of dispatch drains. flights holds the
+	// cache claims of the deferred regions (nil without a cache).
 	mu       sync.Mutex // guards deferred while the fronts run
 	deferred []unitKey
 	units    []unitSpan
@@ -188,10 +219,9 @@ type regionScratch struct {
 	// box and alts serve cellProvablyEmpty.
 	box  []index.Interval
 	alts []gridAlt
-	// drives, margs, locals and filter serve accessPath and the scan it
+	// drives, locals and filter serve accessPath and the scan it
 	// chooses.
 	drives []scanDrive
-	margs  []int
 	locals []localDim
 	filter blockFilter
 }
@@ -201,9 +231,8 @@ type regionScratch struct {
 func (e *Engine) newBatchPlan(b *binding, regions []relq.Region) *batchPlan {
 	p := &batchPlan{
 		e: e, b: b, regions: regions,
-		legacy: e.legacyScan.Load(),
-		grids:  e.bindGrids(b),
-		edges:  e.attachPlan(b),
+		grids: e.bindGrids(b),
+		edges: e.attachPlan(b),
 	}
 	nt := len(b.tables)
 	slots := make([]int, 2*nt)
@@ -212,14 +241,9 @@ func (e *Engine) newBatchPlan(b *binding, regions []relq.Region) *batchPlan {
 		p.order[p.edges[ti].slot] = ti
 		p.pos[ti] = p.edges[ti].slot
 	}
-	if nt > 1 && !p.legacy {
+	if nt > 1 {
 		p.memo = newTableMemos(b, regions)
 	}
-	// The shared pass checks region dimensions individually, which
-	// requires every query dimension to be bound to the table (always
-	// true today — the guard is belt and braces against future
-	// dimension kinds).
-	p.shared = nt == 1 && !p.legacy && len(b.selDims) == len(b.q.Dims)
 	return p
 }
 
@@ -285,13 +309,8 @@ func (p *batchPlan) release(i int) {
 // tuples returns region i's joined tuples (stride = number of tables,
 // columns in attach order) ahead of the final filter: the scanned
 // candidates of a single-table query, the attach loop's output
-// otherwise — or the row-at-a-time oracle's, which yields the same
-// tuples in the same order. The result may alias sc and is valid until
-// sc's next use.
+// otherwise. The result may alias sc and is valid until sc's next use.
 func (p *batchPlan) tuples(sc *regionScratch, i int) ([]int32, error) {
-	if p.legacy {
-		return p.e.legacyTuples(p.b, p.regions[i])
-	}
 	if len(p.b.tables) == 1 {
 		rows, err := p.e.vscanTable(p.b, p.regions[i], 0, sc, sc.rows[:0])
 		sc.rows = rows[:0]

@@ -15,8 +15,8 @@ import (
 
 // This file is the batch plan's property suite: on random join graphs
 // and random batches, AggregateBatch through the plan's memo must equal
-// a stand-alone Aggregate of every region, the row-at-a-time legacy
-// path and the nested-loop oracle, for every worker and shard count.
+// a stand-alone Aggregate of every region and the nested-loop oracle,
+// for every worker and shard count.
 
 // jpKey draws a join key: a small domain so keys repeat on both sides
 // (N:M), plus the values the key structures special-case.
@@ -223,16 +223,8 @@ func TestJoinPlanBatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		leg := New(cat)
-		leg.SetLegacyScan(true)
-		legacy, err := leg.AggregateBatch(ctx, q, regions)
-		if err != nil {
-			t.Fatalf("seed %d legacy: %v", seed, err)
-		}
+		overflows := false // some region joins to more than 3 tuples
 		for i := range regions {
-			if !jpSameBits(base[i], legacy[i]) {
-				t.Fatalf("%s: batch %+v != legacy %+v", label("legacy", i), base[i], legacy[i])
-			}
 			single, err := vec.Aggregate(q, regions[i])
 			if err != nil {
 				t.Fatal(err)
@@ -240,16 +232,8 @@ func TestJoinPlanBatchEquivalence(t *testing.T) {
 			if !jpSameBits(base[i], single) {
 				t.Fatalf("%s: batch %+v != Aggregate %+v", label("single", i), base[i], single)
 			}
-		}
-		for k := 0; k < 5; k++ {
-			i := rng.Intn(len(regions))
-			naive, err := vec.NaiveAggregate(q, regions[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !agg.ApproxEqual(base[i], naive, 1e-9) {
-				t.Fatalf("%s: batch %+v != naive %+v", label("naive", i), base[i], naive)
-			}
+			checkOracle(t, vec, label("naive", i), q, regions[i], base[i])
+			overflows = overflows || base[i].Count > 3
 		}
 		for _, w := range []int{1, 2, 8} {
 			e := New(cat)
@@ -282,12 +266,23 @@ func TestJoinPlanBatchEquivalence(t *testing.T) {
 			}
 		}
 
-		// A tight intermediate bound must fail both paths alike.
-		vec.MaxIntermediate, leg.MaxIntermediate = 3, 3
-		_, verr := vec.AggregateBatch(ctx, q, regions)
-		_, lerr := leg.AggregateBatch(ctx, q, regions)
-		if (verr == nil) != (lerr == nil) || verr != nil && verr.Error() != lerr.Error() {
-			t.Fatalf("seed %d: MaxIntermediate=3: vectorized err %v, legacy err %v", seed, verr, lerr)
+		// A tight intermediate bound: a region with more than three
+		// qualifying tuples joined to more than three, so the batch must
+		// fail, and only with the overflow error; a batch that stays
+		// under the bound is unchanged.
+		vec.MaxIntermediate = 3
+		tight, err := vec.AggregateBatch(ctx, q, regions)
+		switch {
+		case err == nil && overflows:
+			t.Fatalf("seed %d: MaxIntermediate=3: no error from a batch that joins to more than 3 tuples", seed)
+		case err != nil && err.Error() != "exec: intermediate join result exceeds 3 tuples":
+			t.Fatalf("seed %d: MaxIntermediate=3: %v", seed, err)
+		case err == nil:
+			for i := range regions {
+				if !jpSameBits(base[i], tight[i]) {
+					t.Fatalf("%s: %+v != %+v", label("MaxIntermediate=3", i), tight[i], base[i])
+				}
+			}
 		}
 	}
 }
@@ -359,7 +354,7 @@ func jpLayer() []relq.Region {
 
 // TestJoinPlanConcurrentBatchesUnderReplace batches from 8 goroutines
 // on one engine while the catalog replaces the fact table (same rows,
-// new *Table identity — what an auto-clustering re-sort does) between
+// new *Table identity) between
 // batches. Every batch binds one identity or the other and must return
 // the same partials. Run with -race.
 func TestJoinPlanConcurrentBatchesUnderReplace(t *testing.T) {

@@ -29,8 +29,8 @@ func (e *Engine) NaiveAggregate(q *relq.Query, region relq.Region) (agg.Partial,
 		if ti == len(b.tables) {
 			for i := range b.ranges {
 				for _, rb := range b.ranges[i] {
-					v := rb.vec[rows[i]]
-					if v < rb.lo || v > rb.hi {
+					// NaN is outside every range.
+					if v := rb.vec[rows[i]]; !(v >= rb.lo && v <= rb.hi) {
 						return
 					}
 				}

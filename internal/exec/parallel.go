@@ -46,89 +46,6 @@ func chunks(n, k int) [][2]int {
 	return out
 }
 
-// parallelFilter applies verify to every index in [0, n), returning
-// the passing indexes in order. Chunks are processed concurrently and
-// concatenated in chunk order, so the result is identical to the
-// sequential scan.
-func (e *Engine) parallelFilter(n int, verify func(r int32) bool) []int32 {
-	w := e.workers()
-	if w == 1 || n < parallelThreshold {
-		out := make([]int32, 0, 64)
-		for r := 0; r < n; r++ {
-			if verify(int32(r)) {
-				out = append(out, int32(r))
-			}
-		}
-		return out
-	}
-	parts := chunks(n, w)
-	results := make([][]int32, len(parts))
-	var wg sync.WaitGroup
-	for ci, c := range parts {
-		wg.Add(1)
-		go func(ci int, lo, hi int) {
-			defer wg.Done()
-			local := make([]int32, 0, (hi-lo)/8+8)
-			for r := lo; r < hi; r++ {
-				if verify(int32(r)) {
-					local = append(local, int32(r))
-				}
-			}
-			results[ci] = local
-		}(ci, c[0], c[1])
-	}
-	wg.Wait()
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	out := make([]int32, 0, total)
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
-}
-
-// parallelFilterRows is parallelFilter over an explicit candidate list.
-func (e *Engine) parallelFilterRows(cands []int32, verify func(r int32) bool) []int32 {
-	w := e.workers()
-	if w == 1 || len(cands) < parallelThreshold {
-		out := make([]int32, 0, 64)
-		for _, r := range cands {
-			if verify(r) {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	parts := chunks(len(cands), w)
-	results := make([][]int32, len(parts))
-	var wg sync.WaitGroup
-	for ci, c := range parts {
-		wg.Add(1)
-		go func(ci int, lo, hi int) {
-			defer wg.Done()
-			local := make([]int32, 0, (hi-lo)/8+8)
-			for _, r := range cands[lo:hi] {
-				if verify(r) {
-					local = append(local, r)
-				}
-			}
-			results[ci] = local
-		}(ci, c[0], c[1])
-	}
-	wg.Wait()
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	out := make([]int32, 0, total)
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
-}
-
 // foldChunk is the fixed chunk length of parallelFold. It is a
 // constant (not a function of worker count) so the merge tree — and
 // therefore the float association of SUM/AVG — depends only on the

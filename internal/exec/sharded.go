@@ -142,37 +142,6 @@ func (sv *ShardedEvaluator) SetParallelism(workers int) {
 	}
 }
 
-// SetLegacyScan switches every shard engine between the vectorized and
-// legacy scan paths.
-func (sv *ShardedEvaluator) SetLegacyScan(on bool) {
-	for _, e := range sv.engines {
-		e.SetLegacyScan(on)
-	}
-}
-
-// SetAutoCluster switches workload-adaptive clustering on every shard
-// engine. Each shard learns from its own scans and re-sorts its own
-// row range — shard catalogs are independent, so a re-sort never leaks
-// across shard boundaries and the fixed-order merge stays deterministic.
-func (sv *ShardedEvaluator) SetAutoCluster(on bool) {
-	for _, e := range sv.engines {
-		e.SetAutoCluster(on)
-	}
-}
-
-// SetZOrder admits Z-order layouts into every shard engine's election.
-// Each shard's sweep elects independently against its own row range's
-// statistics, so shards may legitimately diverge — an interior shard
-// whose rows all satisfy the workload's bound on one column sees that
-// column's marginal selectivity as ~1 and clusters on the other axis,
-// while boundary shards keep the two-axis (or single-axis) layout that
-// pays there.
-func (sv *ShardedEvaluator) SetZOrder(on bool) {
-	for _, e := range sv.engines {
-		e.SetZOrder(on)
-	}
-}
-
 // Aggregate executes one region by serial scatter-gather (the oracle
 // path: shard engines bypass their region caches exactly as
 // Engine.Aggregate does).
@@ -228,21 +197,6 @@ func (sv *ShardedEvaluator) AggregateBatch(ctx context.Context, q *relq.Query, r
 	defer func() {
 		for _, p := range plans {
 			p.abandon()
-		}
-	}()
-	// The scatter path dispatches to the shard plans directly, never
-	// through Engine.AggregateBatch, so the pending-batch storm marks and
-	// the between-batches auto-cluster sweeps are managed here: every
-	// shard engine is marked busy for the scatter's duration (concurrent
-	// scatters therefore see each other and defer layout rewrites), and
-	// each sweeps on the way out.
-	for _, e := range sv.engines {
-		e.pendingBatches.Add(1)
-	}
-	defer func() {
-		for _, e := range sv.engines {
-			e.pendingBatches.Add(-1)
-			e.maybeAutoCluster()
 		}
 	}()
 	sv.countScatter(nr)
@@ -430,11 +384,7 @@ func (sv *ShardedEvaluator) Snapshot() Stats {
 		out.CacheHits += s.CacheHits
 		out.CacheMisses += s.CacheMisses
 		out.CacheEvictions += s.CacheEvictions
-		out.Resorts += s.Resorts
-		out.TailMerges += s.TailMerges
 		out.DegradedScans += s.DegradedScans
-		out.ZOrderResorts += s.ZOrderResorts
-		out.DeferredResorts += s.DeferredResorts
 	}
 	return out
 }

@@ -15,8 +15,8 @@ import (
 	"acquire/internal/relq"
 )
 
-// This file is the scan stage of a single-table vectorized batch, where
-// the unit of work is the index drive, not the region. Per region the
+// This file is the scan stage of a single-table batch, where the unit
+// of work is the index drive, not the region. Per region the
 // engine picks the most selective driving interval (accessPath); the
 // cells of one Expand layer pick the same slab of the same sorted index
 // many times over, and scanning per region gathers it once per cell. So
@@ -176,20 +176,15 @@ func (p *batchPlan) deferRegion(i int, src int32, fl *regioncache.Flight) {
 }
 
 // place chooses the deferred region's access path and keys it by the
-// slab it drives from. Auto-clustering's workload statistics observe
-// the region here, once per region as a per-region scan would.
+// slab it drives from.
 func (p *batchPlan) place(sc *regionScratch, key *unitKey) error {
-	e, t := p.e, p.b.tables[0]
-	ac, err := e.accessPath(p.b, p.regions[key.i], 0, sc)
+	ac, err := p.e.accessPath(p.b, p.regions[key.i], 0, sc)
 	if err != nil {
 		return err
 	}
 	key.src = soloSrc
 	if ac.indexed && ac.hi-ac.lo < parallelThreshold {
 		key.src, key.lo, key.hi = int32(ac.drive.src), int32(ac.lo), int32(ac.hi)
-		if e.autoCluster.Load() {
-			e.wstats.observe(tableKey(t), t.NumRows(), sc.drives, sc.margs)
-		}
 	}
 	return nil
 }

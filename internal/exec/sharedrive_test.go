@@ -16,10 +16,9 @@ import (
 
 // This file is the drive-shared pass's property suite: on random
 // single-table batches over tables large enough for the index path,
-// AggregateBatch must equal a stand-alone Aggregate of every region and
-// the row-at-a-time legacy path bit for bit, and the row-scan oracle
-// within tolerance, for every worker count, shard count, cache state
-// and grid configuration.
+// AggregateBatch must equal a stand-alone Aggregate of every region bit
+// for bit, and the row-scan oracle within tolerance, for every worker
+// count, shard count, cache state and grid configuration.
 
 // sdValue draws a select-dimension value: small integers, so cell edges
 // are hit exactly and slabs repeat, plus — on a hostile table — the
@@ -43,11 +42,10 @@ func sdValue(rng *rand.Rand, span int, hostile, nan bool) float64 {
 // columns a and b (integers below 100) and c (continuous), a
 // non-integral aggregate/filter column w — so SUM association shows in
 // the low bits — and a string column s. A hostile table has ±Inf among
-// its dimension values, and NaN in b and c; the grid index bins finite
-// values only, so the grid configurations run on a table without them.
-// (No NaN in a, which sdQuery puts a fixed range on: an index drive
-// leaves a NaN out where the fixed-range filters of a full scan and the
-// oracle keep it, so the result would depend on the access path.)
+// its dimension values, and NaN in a, b and c (sdQuery puts a fixed
+// range on a: a NaN is outside it on every access path); the grid index
+// bins finite values only, so the grid configurations run on a table
+// without them.
 func sdCatalog(t testing.TB, seed int64, n int, hostile bool) *data.Catalog {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -64,7 +62,7 @@ func sdCatalog(t testing.TB, seed int64, n int, hostile bool) *data.Catalog {
 			c = math.NaN()
 		}
 		if err := tbl.AppendRow(
-			data.FloatValue(sdValue(rng, 100, hostile, false)),
+			data.FloatValue(sdValue(rng, 100, hostile, true)),
 			data.FloatValue(sdValue(rng, 100, hostile, true)),
 			data.FloatValue(c),
 			data.FloatValue(math.Floor(rng.Float64()*8000)/7),
@@ -169,11 +167,11 @@ func sdRegions(rng *rand.Rand, d, n int) []relq.Region {
 // compares, built once and reused across batches so that sort indexes
 // and grids are too.
 type sdFixture struct {
-	cat      *data.Catalog
-	vec, leg *Engine
-	workers  []*Engine
-	shards   []*ShardedEvaluator
-	cached   *Engine
+	cat     *data.Catalog
+	vec     *Engine
+	workers []*Engine
+	shards  []*ShardedEvaluator
+	cached  *Engine
 	// The grid configurations, over a table of finite values.
 	finite  *Engine
 	bitmap  *Engine // §7.4 bitmap grid: skips provably empty cells
@@ -183,8 +181,7 @@ type sdFixture struct {
 func newSDFixture(t testing.TB, seed int64, rows int) *sdFixture {
 	t.Helper()
 	f := &sdFixture{cat: sdCatalog(t, seed, rows, true)}
-	f.vec, f.leg = New(f.cat), New(f.cat)
-	f.leg.SetLegacyScan(true)
+	f.vec = New(f.cat)
 	for _, w := range []int{1, 2, 8} {
 		e := New(f.cat)
 		e.SetParallelism(w)
@@ -211,8 +208,8 @@ func newSDFixture(t testing.TB, seed int64, rows int) *sdFixture {
 }
 
 // check runs one batch through every configuration against the
-// fixture's plain vectorized engine.
-func (f *sdFixture) check(t *testing.T, rng *rand.Rand, name string, q *relq.Query, regions []relq.Region) {
+// fixture's plain engine.
+func (f *sdFixture) check(t *testing.T, name string, q *relq.Query, regions []relq.Region) {
 	t.Helper()
 	ctx := context.Background()
 	label := func(what string, i int) string {
@@ -222,14 +219,7 @@ func (f *sdFixture) check(t *testing.T, rng *rand.Rand, name string, q *relq.Que
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	legacy, err := f.leg.AggregateBatch(ctx, q, regions)
-	if err != nil {
-		t.Fatalf("%s legacy: %v", name, err)
-	}
 	for i := range regions {
-		if !jpSameBits(base[i], legacy[i]) {
-			t.Fatalf("%s: batch %+v != legacy %+v", label("legacy", i), base[i], legacy[i])
-		}
 		single, err := f.vec.Aggregate(q, regions[i])
 		if err != nil {
 			t.Fatal(err)
@@ -237,16 +227,7 @@ func (f *sdFixture) check(t *testing.T, rng *rand.Rand, name string, q *relq.Que
 		if !jpSameBits(base[i], single) {
 			t.Fatalf("%s: batch %+v != Aggregate %+v", label("single", i), base[i], single)
 		}
-	}
-	for k := 0; k < 4; k++ {
-		i := rng.Intn(len(regions))
-		naive, err := f.vec.NaiveAggregate(q, regions[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !agg.ApproxEqual(base[i], naive, 1e-9) {
-			t.Fatalf("%s: batch %+v != naive %+v", label("naive", i), base[i], naive)
-		}
+		checkOracle(t, f.vec, label("naive", i), q, regions[i], base[i])
 	}
 	same := func(what string, got []agg.Partial, bitwise bool) {
 		t.Helper()
@@ -313,7 +294,7 @@ func TestSharedDriveBatchEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7000 + 100*fi + seed)))
 			q := sdQuery(rng)
 			regions := sdRegions(rng, len(q.Dims), 24+rng.Intn(40))
-			f.check(t, rng, fmt.Sprintf("table %d seed %d", fi, seed), q, regions)
+			f.check(t, fmt.Sprintf("table %d seed %d", fi, seed), q, regions)
 		}
 	}
 }
@@ -331,14 +312,14 @@ func TestSharedDriveManyDimensions(t *testing.T) {
 			Bound: float64(30 + 5*d), Width: 60,
 		})
 	}
-	f.check(t, rng, "many dimensions", q, sdRegions(rng, len(q.Dims), 40))
+	f.check(t, "many dimensions", q, sdRegions(rng, len(q.Dims), 40))
 }
 
 // TestSharedDriveLongListFallsBack pins the fork: a region whose slab
 // holds parallelThreshold rows or more keeps the per-region scan, whose
 // fold re-associates SUM by parallelFold's chunks. The batch must match
-// Aggregate and the legacy path in every bit on such regions, next to
-// short-slab regions of the same batch that take the shared pass.
+// Aggregate in every bit on such regions, next to short-slab regions of
+// the same batch that take the shared pass.
 func TestSharedDriveLongListFallsBack(t *testing.T) {
 	const rows = 160_000
 	cat := sdCatalog(t, 60, rows, true)
@@ -360,8 +341,7 @@ func TestSharedDriveLongListFallsBack(t *testing.T) {
 		{{Lo: -1, Hi: 36.5}, {Lo: 2, Hi: 75}},
 		long,
 	}
-	vec, leg := New(cat), New(cat)
-	leg.SetLegacyScan(true)
+	vec := New(cat)
 	ctx := context.Background()
 
 	var sc regionScratch
@@ -381,18 +361,15 @@ func TestSharedDriveLongListFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := leg.AggregateBatch(ctx, q, regions)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, r := range regions {
 		single, err := vec.Aggregate(q, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !jpSameBits(base[i], single) || !jpSameBits(base[i], legacy[i]) {
-			t.Fatalf("region %d %v: batch %+v, Aggregate %+v, legacy %+v", i, r, base[i], single, legacy[i])
+		if !jpSameBits(base[i], single) {
+			t.Fatalf("region %d %v: batch %+v, Aggregate %+v", i, r, base[i], single)
 		}
+		checkOracle(t, vec, fmt.Sprintf("region %d %v", i, r), q, r, base[i])
 	}
 	if base[0].Count < parallelThreshold {
 		t.Fatalf("long region holds %d tuples; the fold never left its single chunk", base[0].Count)

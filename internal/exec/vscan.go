@@ -10,24 +10,19 @@ import (
 	"acquire/internal/relq"
 )
 
-// This file is the block-vectorized scan path — the default execution
-// mode. It produces surviving tuples and aggregates that are
-// bit-identical to the row-at-a-time legacy path (SetLegacyScan(true)):
-// access-path selection is shared code, blocks are visited in ascending
-// row order, filter chains keep exactly the rows the legacy verify loop
-// keeps (including NaN behavior), and the finalize fold steps the
-// aggregate in the same tuple order with the same chunk association.
-// What changes is the shape of the work: per-block selection vectors
-// compacted one predicate at a time, zone maps that skip blocks which
-// provably cannot contain a candidate, and pre-sized join hash tables
-// bound once per batch (joinplan.go).
+// This file is the scan path: block at a time. Blocks are visited in
+// ascending row order, each block's selection vector is compacted one
+// predicate at a time, zone maps skip blocks that provably cannot
+// contain a candidate, and the finalize fold steps the aggregate in
+// tuple order on a chunk grid that depends on the tuple count alone, so
+// every partial — SUM bits included — is the same for every worker
+// count. Engine.NaiveAggregate, which shares no scan, index or join
+// code with it, is the oracle the tests compare it against.
 //
-// One nuance since two-sided pruneInterval hulls landed: on zone-pruned
-// full scans the candidate list may be a strict subset of the legacy
-// path's — blocks whose every row provably fails the region's *lower*
-// bound are dropped at scan time, where the legacy path carries such
-// rows until finalize rejects them per tuple. Surviving tuples, their
-// order, and every aggregate/violation bit are identical.
+// On a zone-pruned full scan the candidate list leaves out blocks whose
+// every row provably fails the region's *lower* bound; finalize would
+// have rejected those rows per tuple, so the surviving tuples and their
+// order are the same either way.
 
 // localDim is one select dimension local to the scanned table: rows
 // with Violation(v) > hi (the region's upper bound on the dimension)
@@ -119,24 +114,18 @@ type access struct {
 // the region) generates the candidates through its sorted index when it
 // narrows the table to at most half its rows; the remaining predicates
 // are verified per candidate. It leaves the table's driving intervals
-// in sc.drives and each one's exact in-interval row count in sc.margs:
-// the per-column *marginal* selectivities the workload statistics learn
-// from, a byproduct of the selection.
+// in sc.drives.
 //
 // One layout-aware refinement: when the table is clustered over the
-// best drive's column (single-column or Z-order interleave) with at
-// most a sub-block append tail, a moderately selective drive (more
-// than n/8 rows) stays on the zone-pruned full-scan path instead of
-// the index. The clustered layout makes zone maps drop roughly the
-// same rows the index would, through dense block kernels instead of
-// per-row gathers — and on a Z-order layout the full scan prunes on
-// *both* interleaved axes where the index can use only one. Clearly
-// narrow drives (<= n/8) still take the index. Both scan paths share
-// this choice, so legacy/vectorized equivalence is unaffected.
+// best drive's column with at most a sub-block append tail, a
+// moderately selective drive (more than n/8 rows) stays on the
+// zone-pruned full-scan path instead of the index. The clustered
+// layout makes zone maps drop roughly the same rows the index would,
+// through dense block kernels instead of per-row gathers. Clearly
+// narrow drives (<= n/8) still take the index.
 func (e *Engine) accessPath(b *binding, region relq.Region, ti int, sc *regionScratch) (access, error) {
 	var ac access
 	sc.drives, ac.empty = scanDrives(b, region, ti, sc.drives[:0])
-	sc.margs = sc.margs[:0]
 	if ac.empty {
 		return ac, nil
 	}
@@ -149,7 +138,6 @@ func (e *Engine) accessPath(b *binding, region relq.Region, ti int, sc *regionSc
 			return ac, err
 		}
 		lo, hi := ix.slab(d.lo, d.hi)
-		sc.margs = append(sc.margs, hi-lo)
 		if hi-lo < bestSize {
 			bestSize = hi - lo
 			ac.drive, ac.ix, ac.lo, ac.hi = d, ix, lo, hi
@@ -161,7 +149,7 @@ func (e *Engine) accessPath(b *binding, region relq.Region, ti int, sc *regionSc
 
 // preferClusteredScan reports whether a moderately-selective best drive
 // should stay on the full-scan path because the table's clustered
-// layout covers its column (see pickIndexDrive).
+// layout covers its column (see accessPath).
 func (e *Engine) preferClusteredScan(t *data.Table, d scanDrive, size, n int) bool {
 	if size*8 <= n {
 		return false // clearly narrow: the index wins outright
@@ -169,23 +157,14 @@ func (e *Engine) preferClusteredScan(t *data.Table, d scanDrive, size, n int) bo
 	if t.ClusterTail() >= blockRows {
 		return false // degraded layout: tail blocks are never skippable
 	}
-	cols, _ := t.ClusterSpec()
-	if len(cols) == 0 {
-		return false
-	}
-	name := t.Schema().Columns[d.ord].Name
-	for _, c := range cols {
-		if strings.EqualFold(c, name) {
-			return true
-		}
-	}
-	return false
+	col, _ := t.ClusterInfo()
+	return col != "" && strings.EqualFold(col, t.Schema().Columns[d.ord].Name)
 }
 
 // blockFilter is the compiled predicate chain applied to each block's
-// selection vector. Predicate order matches the legacy verify loop
-// (ranges, strings, locals); the chain is a conjunction, so the kept
-// set is order-independent, and each filter preserves row order.
+// selection vector: ranges, strings, locals. The chain is a
+// conjunction, so the kept set is order-independent, and each filter
+// preserves row order.
 type blockFilter struct {
 	ranges []rangeBind
 	strs   []stringBind
@@ -284,22 +263,22 @@ func (e *Engine) zonePreds(t *data.Table, f *blockFilter) []zonePred {
 	return zps
 }
 
-// vscanTable is the vectorized scan of table ti: scanTableLegacy's
-// access-path choice and candidate output, executed block-at-a-time.
-// Candidates are appended to out (the caller's scratch buffer, possibly
-// nil) and the extended slice is returned. On the full-scan path blocks
-// failing a zone test are skipped without touching rows — RowsScanned
-// counts only rows in visited blocks (skipped blocks are reported via
-// BlocksSkipped), keeping the rows-touched statistics honest about
-// physical work.
+// vscanTable scans table ti along its access path (accessPath), block
+// at a time: the rows that pass the fixed filters and every local
+// select dimension's upper bound under the region, in the path's
+// candidate order. Candidates are appended to out (the caller's scratch
+// buffer, possibly nil) and the extended slice is returned. On the
+// full-scan path blocks failing a zone test are skipped without
+// touching rows — RowsScanned counts only rows in visited blocks
+// (skipped blocks are reported via BlocksSkipped), keeping the
+// rows-touched statistics honest about physical work.
 //
 // On the index path the predicate the slab was driven from does not
 // head the filter chain, where it would gather the whole candidate list
 // to reject next to nothing. A driving fixed range is dropped (the slab
 // is exact). A driving select dimension's value interval is only a
 // conservative image of its violation bound, so its filter stays, but
-// runs last, over the survivors of the others: the candidate list — and
-// with it parallelFold's chunk grid — stays the legacy path's exactly.
+// runs last, over the survivors of the others.
 func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionScratch, out []int32) ([]int32, error) {
 	t := b.tables[ti]
 	n := t.NumRows()
@@ -310,9 +289,6 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionSc
 	eo := e.obsState.Load()
 	f := &sc.filter
 	*f = blockFilter{ranges: b.ranges[ti], strs: b.strFlts[ti], driven: -1}
-	if e.autoCluster.Load() {
-		e.wstats.observe(tableKey(t), n, sc.drives, sc.margs)
-	}
 
 	lastSel := -1
 	if ac.indexed {
@@ -367,8 +343,7 @@ func tableKey(t *data.Table) string { return strings.ToLower(t.Name()) }
 // the worker pool in contiguous chunks concatenated in chunk order, so
 // the output matches the sequential scan exactly. axisSkips is aligned
 // with zps: skipped blocks are attributed to the first predicate that
-// fired (skipAxis), giving per-axis pruning visibility on interleaved
-// layouts.
+// fired (skipAxis).
 func (e *Engine) blockScan(n int, zps []zonePred, f *blockFilter, eo *engineObs, out []int32) (_ []int32, rowsScanned, blocksScanned int64, axisSkips []int64) {
 	nb := numBlocks(n)
 	w := e.workers()
@@ -467,13 +442,15 @@ func gatherFilterRange(cands []int32, lo, hi int, f *blockFilter, eo *engineObs,
 	return out
 }
 
-// finalizeVec is the vectorized finalize: the same parallelFold chunk
-// grid as the legacy path (identical chunk boundaries, identical merge
-// order), with each chunk processed in blockRows-sized sub-blocks whose
-// selection vector is compacted one condition at a time. Qualifying
-// tuples step the aggregate in ascending tuple order — the exact
-// StepValue sequence of the legacy fold, so SUM bits match. pos maps a
-// table index to its slot in a tuple of the given stride.
+// finalizeVec filters the joined tuples by the region and folds the
+// qualifying ones: parallelFold's chunk grid (boundaries and merge
+// order a function of the tuple count alone), each chunk processed in
+// blockRows-sized sub-blocks whose selection vector is compacted one
+// condition at a time. Every query dimension is a select or a join
+// dimension (bind rejects anything else), so the per-dimension tests
+// cover the whole region. Qualifying tuples step the aggregate in
+// ascending tuple order. pos maps a table index to its slot in a tuple
+// of the given stride.
 func (e *Engine) finalizeVec(b *binding, region relq.Region, tuples []int32, stride int, pos []int) agg.Partial {
 	ntup := len(tuples) / stride
 	e.countTuples(int64(ntup))

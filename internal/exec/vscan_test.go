@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"acquire/internal/agg"
@@ -13,23 +14,37 @@ import (
 	"acquire/internal/tpch"
 )
 
-// This file holds the vectorized-vs-legacy equivalence property suite:
-// the block scan path must be *bit-identical* to the row-at-a-time
-// path — same Count, same Sum bits, same Min/Max/User bits — across
+// This file holds the scan path's equivalence property suite: across
 // aggregates, joins, fixed predicates, NaN/±Inf columns, tail blocks,
-// shard counts and cache configurations. Tolerance-free comparison is
-// the point: any reassociation, reordering, or row loss in the
-// vectorized path shows up as a bit difference here.
+// shard counts and cache configurations, the engine must agree with
+// NaiveAggregate — nested loops over the cross product, sharing no scan,
+// index or join code with it — and with itself, bit for bit, between a
+// batch and a stand-alone Aggregate of the same region.
 
 // exactEqual fails unless two partials are bitwise identical.
 func exactEqual(t *testing.T, label string, got, want agg.Partial) {
 	t.Helper()
-	if got.Count != want.Count ||
-		math.Float64bits(got.Sum) != math.Float64bits(want.Sum) ||
-		math.Float64bits(got.Min) != math.Float64bits(want.Min) ||
-		math.Float64bits(got.Max) != math.Float64bits(want.Max) ||
-		math.Float64bits(got.User) != math.Float64bits(want.User) {
-		t.Fatalf("%s: vectorized %+v != legacy %+v", label, got, want)
+	if !jpSameBits(got, want) {
+		t.Fatalf("%s: %+v != %+v", label, got, want)
+	}
+}
+
+// oracleEqual fails unless got agrees with the oracle's partial over
+// the same tuples: Count, Min and Max bit for bit (a fold picks them, it
+// never rounds), Sum and User within agg.ApproxEqual's tolerance,
+// because the oracle steps the tuples in another order. A NaN or ±Inf
+// sum has no rounding to tolerate and must match outright.
+func oracleEqual(t *testing.T, label string, got, want agg.Partial) {
+	t.Helper()
+	g, w := got, want
+	if g.Sum == w.Sum || g.Sum != g.Sum && w.Sum != w.Sum {
+		g.Sum, w.Sum = 0, 0
+	}
+	if g.User == w.User || g.User != g.User && w.User != w.User {
+		g.User, w.User = 0, 0
+	}
+	if !agg.ApproxEqual(g, w, 1e-9) {
+		t.Fatalf("%s: engine %+v != oracle %+v", label, got, want)
 	}
 }
 
@@ -199,35 +214,53 @@ func registerUDAs(t testing.TB) {
 	}
 }
 
-// TestVectorLegacyEquivalence runs 160 randomized (query, region, agg)
+// checkOracle compares got with e.NaiveAggregate's partial of the
+// region.
+func checkOracle(t *testing.T, e *Engine, label string, q *relq.Query, region relq.Region, got agg.Partial) {
+	t.Helper()
+	want, err := e.NaiveAggregate(q, region)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", label, err)
+	}
+	oracleEqual(t, label, got, want)
+}
+
+// checkAgainstOracle runs one (query, region) through Aggregate, a
+// one-region AggregateBatch and NaiveAggregate: the first two must
+// agree bit for bit, and with the oracle by oracleEqual's rule.
+func checkAgainstOracle(t *testing.T, e *Engine, label string, q *relq.Query, region relq.Region) agg.Partial {
+	t.Helper()
+	got, err := e.Aggregate(q, region)
+	want, errN := e.NaiveAggregate(q, region)
+	if (err != nil) != (errN != nil) {
+		t.Fatalf("%s: error divergence: engine=%v oracle=%v", label, err, errN)
+	}
+	if err != nil {
+		return got
+	}
+	oracleEqual(t, label, got, want)
+	batch, err := e.AggregateBatch(context.Background(), q, []relq.Region{region})
+	if err != nil {
+		t.Fatalf("%s: batch: %v", label, err)
+	}
+	exactEqual(t, label+" batch vs Aggregate", batch[0], got)
+	return got
+}
+
+// TestScanOracleEquivalence runs 160 randomized (query, region, agg)
 // triples — COUNT/SUM/MIN/MAX/AVG plus a UDA, equi and band joins,
 // fixed ranges, string sets, NaN/±Inf aggregate values — through the
-// vectorized and legacy engines and requires bitwise-identical
-// partials.
-func TestVectorLegacyEquivalence(t *testing.T) {
+// engine and the nested-loop oracle.
+func TestScanOracleEquivalence(t *testing.T) {
 	registerUDAs(t)
-	cat := messyCatalog(t, 2500, 300, 7)
-	vec := New(cat)
-	leg := New(cat)
-	leg.SetLegacyScan(true)
-	if vec.LegacyScan() || !leg.LegacyScan() {
-		t.Fatal("legacy-scan flags not set as expected")
-	}
+	e := New(messyCatalog(t, 2500, 300, 7))
 
 	rng := rand.New(rand.NewSource(41))
 	nonzero := 0
 	for trial := 0; trial < 160; trial++ {
 		q, region := messyQuery(rng)
-		pv, errV := vec.Aggregate(q, region)
-		pl, errL := leg.Aggregate(q, region)
-		if (errV != nil) != (errL != nil) {
-			t.Fatalf("trial %d: error divergence: vector=%v legacy=%v", trial, errV, errL)
-		}
-		if errV != nil {
-			continue
-		}
-		exactEqual(t, fmt.Sprintf("trial %d (%v, region %v)", trial, q.Tables, region), pv, pl)
-		if pv.Count > 0 {
+		p := checkAgainstOracle(t, e, fmt.Sprintf("trial %d (%v, region %v)", trial, q.Tables, region), q, region)
+		if p.Count > 0 {
 			nonzero++
 		}
 	}
@@ -236,37 +269,28 @@ func TestVectorLegacyEquivalence(t *testing.T) {
 	}
 }
 
-// TestVectorLegacyEquivalenceTailBlocks sweeps table sizes around the
-// block boundary — empty tables, single rows, exactly one block, one
-// block plus one row — where off-by-one block math would bite.
-func TestVectorLegacyEquivalenceTailBlocks(t *testing.T) {
+// TestScanOracleEquivalenceTailBlocks sweeps table sizes around the
+// block boundary — single rows, exactly one block, one block plus one
+// row — where off-by-one block math would bite.
+func TestScanOracleEquivalenceTailBlocks(t *testing.T) {
 	registerUDAs(t)
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 16, blockRows - 1, blockRows, blockRows + 1, 2*blockRows + 511} {
-		cat := messyCatalog(t, n, 50, int64(n))
-		vec := New(cat)
-		leg := New(cat)
-		leg.SetLegacyScan(true)
+		e := New(messyCatalog(t, n, 50, int64(n)))
 		for trial := 0; trial < 8; trial++ {
 			q, region := messyQuery(rng)
-			pv, errV := vec.Aggregate(q, region)
-			pl, errL := leg.Aggregate(q, region)
-			if (errV != nil) != (errL != nil) {
-				t.Fatalf("n=%d trial %d: error divergence: %v vs %v", n, trial, errV, errL)
-			}
-			if errV != nil {
-				continue
-			}
-			exactEqual(t, fmt.Sprintf("n=%d trial %d", n, trial), pv, pl)
+			checkAgainstOracle(t, e, fmt.Sprintf("n=%d trial %d", n, trial), q, region)
 		}
 	}
 }
 
-// TestVectorLegacyEquivalenceSharded drives the sweep through
+// TestScanOracleEquivalenceSharded drives the sweep through
 // ShardedEvaluators at shard counts 1-16 with the region cache on and
-// off. Vector and legacy evaluators share the same shard layout and
-// merge order, so even SUM must agree bit for bit.
-func TestVectorLegacyEquivalenceSharded(t *testing.T) {
+// off: every merged partial against the oracle over the whole table,
+// and — the shard layout and merge order being the same — bit for bit
+// against the evaluator's own stand-alone Aggregate and against a
+// cached re-run.
+func TestScanOracleEquivalenceSharded(t *testing.T) {
 	const rows = 3000
 	cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: rows, Seed: 13})
 	if err != nil {
@@ -281,13 +305,12 @@ func TestVectorLegacyEquivalenceSharded(t *testing.T) {
 		usersQuery(relq.AggAvg, "spend", dims...),
 	}
 
+	oracle := New(cat)
 	rng := rand.New(rand.NewSource(29))
 	ctx := context.Background()
 	for _, shards := range []int{1, 2, 3, 5, 16} {
 		for _, cache := range []bool{false, true} {
-			vec := newShardedUsers(t, cat, shards, shardCfg{cache: cache})
-			leg := newShardedUsers(t, cat, shards, shardCfg{cache: cache})
-			leg.SetLegacyScan(true)
+			sv := newShardedUsers(t, cat, shards, shardCfg{cache: cache})
 
 			regions := make([]relq.Region, 6)
 			for i := range regions {
@@ -303,25 +326,27 @@ func TestVectorLegacyEquivalenceSharded(t *testing.T) {
 				}
 			}
 			for qi, q := range queries {
-				pv, err := vec.AggregateBatch(ctx, q, regions)
+				got, err := sv.AggregateBatch(ctx, q, regions)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl, err := leg.AggregateBatch(ctx, q, regions)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range pv {
-					exactEqual(t, fmt.Sprintf("shards=%d cache=%v q=%d region=%d", shards, cache, qi, i), pv[i], pl[i])
-				}
-				if cache {
-					// Cached re-execution must serve identical partials.
-					pv2, err := vec.AggregateBatch(ctx, q, regions)
+				for i := range got {
+					label := fmt.Sprintf("shards=%d cache=%v q=%d region=%d", shards, cache, qi, i)
+					checkOracle(t, oracle, label, q, regions[i], got[i])
+					single, err := sv.Aggregate(q, regions[i])
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i := range pv2 {
-						exactEqual(t, fmt.Sprintf("shards=%d cached-rerun q=%d region=%d", shards, qi, i), pv2[i], pl[i])
+					exactEqual(t, label+" batch vs Aggregate", got[i], single)
+				}
+				if cache {
+					// Cached re-execution must serve identical partials.
+					again, err := sv.AggregateBatch(ctx, q, regions)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range again {
+						exactEqual(t, fmt.Sprintf("shards=%d cached-rerun q=%d region=%d", shards, qi, i), again[i], got[i])
 					}
 				}
 			}
@@ -355,13 +380,11 @@ func clusteredCatalog(t testing.TB, n int) *data.Catalog {
 // column, a broad fixed range (too wide for the index path, narrow
 // enough to exclude whole blocks) must skip blocks without touching
 // their rows, RowsScanned must exclude the skipped rows, and the result
-// must still match the legacy scan exactly.
+// must still match the oracle.
 func TestVectorZoneSkip(t *testing.T) {
 	const n = 20 * blockRows
 	cat := clusteredCatalog(t, n)
 	vec := New(cat)
-	leg := New(cat)
-	leg.SetLegacyScan(true)
 
 	q := &relq.Query{
 		Tables: []string{"events"},
@@ -386,11 +409,7 @@ func TestVectorZoneSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := vec.Snapshot().Sub(before)
-	pl, err := leg.Aggregate(q, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactEqual(t, "zone-skip query", pv, pl)
+	checkOracle(t, vec, "zone-skip query", q, region, pv)
 
 	if d.BlocksSkipped == 0 {
 		t.Fatalf("expected zone maps to skip blocks on clustered data; stats: %+v", d)
@@ -405,27 +424,57 @@ func TestVectorZoneSkip(t *testing.T) {
 		t.Fatalf("scanned rows (%d) + skipped rows (%d blocks) should cover the table: got %d, want %d",
 			d.RowsScanned, d.BlocksSkipped, got, n)
 	}
-
-	// The legacy path reports every row scanned and no block counters.
-	legBefore := leg.Snapshot()
-	if _, err := leg.Aggregate(q, region); err != nil {
-		t.Fatal(err)
-	}
-	ld := leg.Snapshot().Sub(legBefore)
-	if ld.RowsScanned != int64(n) || ld.BlocksSkipped != 0 {
-		t.Fatalf("legacy stats unexpected: %+v", ld)
-	}
 }
 
-// TestViolationScanEquivalence compares the Top-k primitive row by row:
-// same rows, same order, same violation vectors bit for bit, same
-// aggregate values — and on a clustered layout the vectorized scan must
-// skip blocks while still emitting the identical row stream.
+// violationScanReference is ViolationScan as one loop over the table's
+// rows: those inside every fixed range (a NaN is inside none) and
+// string set, in row order, with the violation of each select
+// dimension. It reads the table through data.Table only.
+func violationScanReference(t *testing.T, cat *data.Catalog, q *relq.Query) []RowViolations {
+	t.Helper()
+	tbl, err := cat.Table(q.Tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	num := func(ref relq.ColumnRef, r int) float64 {
+		v, err := tbl.ValueAt(r, tbl.Schema().Ordinal(ref.Column)).AsFloat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	var out []RowViolations
+rows:
+	for r := 0; r < tbl.NumRows(); r++ {
+		for _, p := range q.Fixed {
+			if p.Kind == relq.FixedRange {
+				if v := num(p.Col, r); !(v >= p.Lo && v <= p.Hi) {
+					continue rows
+				}
+			} else if !slices.Contains(p.Values, tbl.ValueAt(r, tbl.Schema().Ordinal(p.Col.Column)).S) {
+				continue rows
+			}
+		}
+		rv := RowViolations{Row: int32(r), AggValue: 1}
+		for i := range q.Dims {
+			rv.Viol = append(rv.Viol, q.Dims[i].Violation(num(q.Dims[i].Col, r)))
+		}
+		if q.Constraint.Attr.Column != "" {
+			rv.AggValue = num(q.Constraint.Attr, r)
+		}
+		out = append(out, rv)
+	}
+	return out
+}
+
+// TestViolationScanEquivalence compares the Top-k primitive row by row
+// with a per-row reference loop: same rows, same order, same violation
+// vectors bit for bit, same aggregate values — and on a clustered layout
+// the scan must skip blocks while still emitting the identical row
+// stream.
 func TestViolationScanEquivalence(t *testing.T) {
 	cat := messyCatalog(t, 3*blockRows+100, 50, 23)
 	vec := New(cat)
-	leg := New(cat)
-	leg.SetLegacyScan(true)
 
 	q := &relq.Query{
 		Tables: []string{"orders"},
@@ -444,12 +493,9 @@ func TestViolationScanEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := leg.ViolationScan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rv) != len(rl) {
-		t.Fatalf("row count: vectorized %d != legacy %d", len(rv), len(rl))
+	rl := violationScanReference(t, cat, q)
+	if len(rv) != len(rl) || len(rv) == 0 {
+		t.Fatalf("row count: scan %d, reference %d", len(rv), len(rl))
 	}
 	for i := range rv {
 		if rv[i].Row != rl[i].Row ||
@@ -463,12 +509,10 @@ func TestViolationScanEquivalence(t *testing.T) {
 		}
 	}
 
-	// Clustered layout: the vectorized ViolationScan must engage zone
-	// maps on its fixed range and exclude skipped rows from RowsScanned.
+	// Clustered layout: ViolationScan must engage zone maps on its fixed
+	// range and exclude skipped rows from RowsScanned.
 	ccat := clusteredCatalog(t, 10*blockRows)
 	cvec := New(ccat)
-	cleg := New(ccat)
-	cleg.SetLegacyScan(true)
 	cq := &relq.Query{
 		Tables: []string{"events"},
 		Dims: []relq.Dimension{
@@ -485,12 +529,14 @@ func TestViolationScanEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cd := cvec.Snapshot().Sub(before)
-	cl, err := cleg.ViolationScan(cq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := violationScanReference(t, ccat, cq)
 	if len(cv) != len(cl) {
 		t.Fatalf("clustered row count: %d != %d", len(cv), len(cl))
+	}
+	for i := range cv {
+		if cv[i].Row != cl[i].Row {
+			t.Fatalf("clustered row %d: %d != %d", i, cv[i].Row, cl[i].Row)
+		}
 	}
 	if cd.BlocksSkipped == 0 {
 		t.Fatalf("clustered ViolationScan should skip blocks; stats %+v", cd)
@@ -507,8 +553,6 @@ func TestViolationScanEquivalence(t *testing.T) {
 func TestSemiJoinPushdownEquivalence(t *testing.T) {
 	cat := messyCatalog(t, 8000, 400, 31)
 	vec := New(cat)
-	leg := New(cat)
-	leg.SetLegacyScan(true)
 
 	// cust is table 0 (scanned first, becomes the probe side of the
 	// planned equi attach of orders); the tight c_score bound keeps its
@@ -537,29 +581,17 @@ func TestSemiJoinPushdownEquivalence(t *testing.T) {
 	}
 
 	for _, hi := range []float64{0, 3, 25, 90} {
-		region := relq.PrefixRegion([]float64{hi, hi})
-		pv, err := vec.Aggregate(q, region)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := leg.Aggregate(q, region)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactEqual(t, fmt.Sprintf("pushdown hi=%v", hi), pv, pl)
+		checkAgainstOracle(t, vec, fmt.Sprintf("pushdown hi=%v", hi), q, relq.PrefixRegion([]float64{hi, hi}))
 	}
 }
 
-// TestVectorLegacyEquivalenceAfterMutation checks zone-map retirement
+// TestScanOracleEquivalenceAfterMutation checks zone-map retirement
 // under appends: growing a table changes its column lengths, so the
 // table-identity cache scheme (exact *Table pointer + matching length)
-// must miss and rebuild — the vectorized path never prunes with stale
-// block bounds.
-func TestVectorLegacyEquivalenceAfterMutation(t *testing.T) {
+// must miss and rebuild — the scan never prunes with stale block bounds.
+func TestScanOracleEquivalenceAfterMutation(t *testing.T) {
 	cat := clusteredCatalog(t, 4*blockRows)
 	vec := New(cat)
-	leg := New(cat)
-	leg.SetLegacyScan(true)
 
 	q := &relq.Query{
 		Tables: []string{"events"},
@@ -573,15 +605,7 @@ func TestVectorLegacyEquivalenceAfterMutation(t *testing.T) {
 	}
 	region := relq.PrefixRegion([]float64{50})
 
-	pv, err := vec.Aggregate(q, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := leg.Aggregate(q, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactEqual(t, "pre-mutation", pv, pl)
+	pv := checkAgainstOracle(t, vec, "pre-mutation", q, region)
 
 	// Append out-of-order rows that an unrefreshed zone map would
 	// wrongly prune (values inside the fixed range land in new blocks,
@@ -596,17 +620,8 @@ func TestVectorLegacyEquivalenceAfterMutation(t *testing.T) {
 		}
 	}
 	vec.InvalidateTable("events")
-	leg.InvalidateTable("events")
 
-	pv2, err := vec.Aggregate(q, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl2, err := leg.Aggregate(q, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactEqual(t, "post-mutation", pv2, pl2)
+	pv2 := checkAgainstOracle(t, vec, "post-mutation", q, region)
 	if pv2.Count <= pv.Count {
 		t.Fatalf("appended qualifying rows must grow the count: %d -> %d", pv.Count, pv2.Count)
 	}
@@ -615,12 +630,12 @@ func TestVectorLegacyEquivalenceAfterMutation(t *testing.T) {
 // TestZoneMapRetirementSharded is the mutate-then-scan sweep of the
 // derived-state retirement story at shard counts 1-16: each round
 // mutates the fact table a different way — sub-block append, block-
-// sized append, and a same-size catalog Replace (an auto-clustering
-// style re-sort, where only the *Table identity changes, not the row
-// count) — then re-scans through InvalidateTable. The vectorized
-// sharded evaluator must stay bit-identical to its legacy twin after
-// every round; a stale zone map, column vector, or sorted index from a
-// previous generation shows up here as a pruned qualifying row.
+// sized append, and a same-size catalog Replace (a re-sorted copy,
+// where only the *Table identity changes, not the row count) — then
+// re-scans through InvalidateTable. The sharded evaluator must agree
+// with the oracle over the mutated table after every round; a stale
+// zone map, column vector, or sorted index from a previous generation
+// shows up here as a pruned qualifying row.
 func TestZoneMapRetirementSharded(t *testing.T) {
 	q := &relq.Query{
 		Tables: []string{"events"},
@@ -644,31 +659,21 @@ func TestZoneMapRetirementSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leg, err := NewShardedOn(cat, "events", shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leg.SetLegacyScan(true)
-
+		// A fresh engine per round: the oracle holds no derived state
+		// that a mutation could leave stale.
 		compare := func(round string) []agg.Partial {
 			t.Helper()
 			got, err := vec.AggregateBatch(context.Background(), q, regions)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := leg.AggregateBatch(context.Background(), q, regions)
-			if err != nil {
-				t.Fatal(err)
-			}
+			oracle := New(cat)
 			for i := range got {
-				exactEqual(t, fmt.Sprintf("shards=%d %s region %d", shards, round, i), got[i], want[i])
+				checkOracle(t, oracle, fmt.Sprintf("shards=%d %s region %d", shards, round, i), q, regions[i], got[i])
 			}
 			return got
 		}
-		invalidate := func() {
-			vec.InvalidateTable("events")
-			leg.InvalidateTable("events")
-		}
+		invalidate := func() { vec.InvalidateTable("events") }
 
 		base := compare("baseline")
 		tbl, err := cat.Table("events")
@@ -706,8 +711,7 @@ func TestZoneMapRetirementSharded(t *testing.T) {
 
 		// Round 3: same-size Replace — a re-sorted copy swaps in with an
 		// unchanged row count, so only table identity distinguishes the
-		// new layout from the old (the scheme an auto-clustering re-sort
-		// retires caches through).
+		// new layout from the old.
 		sorted, err := data.SortedBy(tbl, "val")
 		if err != nil {
 			t.Fatal(err)
@@ -737,5 +741,127 @@ func TestZoneMapRetirementSharded(t *testing.T) {
 			t.Fatalf("shards=%d: post-replace append: count %d -> %d, want +13",
 				shards, r3[2].Count, r4[2].Count)
 		}
+	}
+}
+
+// TestNaNUnderFixedRange pins one answer for a NaN in a fixed-range
+// column — outside the range, as SQL has it — whichever condition the
+// region makes the drive: the range's own sorted index (whose slab never
+// holds a NaN) or a select dimension's, behind which the range runs as a
+// filter.
+func TestNaNUnderFixedRange(t *testing.T) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(3))
+	tbl := data.NewTable("t", data.MustSchema(
+		data.Column{Name: "x", Type: data.Float64},
+		data.Column{Name: "y", Type: data.Float64},
+	))
+	for i := 0; i < n; i++ {
+		x := float64(i % 100)
+		if i%3 == 0 {
+			x = math.NaN()
+		}
+		if err := tbl.AppendRow(data.FloatValue(x), data.FloatValue(rng.Float64()*100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := data.NewCatalog()
+	if err := cat.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	e := New(cat)
+	q := &relq.Query{
+		Tables:     []string{"t"},
+		Dims:       []relq.Dimension{{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "t", Column: "y"}, Bound: 50, Width: 100}},
+		Fixed:      []relq.FixedPred{{Kind: relq.FixedRange, Col: relq.ColumnRef{Table: "t", Column: "x"}, Lo: 10, Hi: 30}},
+		Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1},
+	}
+	b, err := e.bind(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		region relq.Region
+		src    int // scanDrive.src: 0 the fixed range, 1 the select dimension
+	}{
+		{"range drives", relq.PrefixRegion([]float64{45}), 0},
+		{"dimension drives", relq.Region{{Lo: 10, Hi: 14}}, 1},
+	} {
+		ac, err := e.accessPath(b, tc.region, 0, new(regionScratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ac.indexed || ac.drive.src != tc.src {
+			t.Fatalf("%s: access path %+v, want an index drive from predicate %d", tc.name, ac.drive, tc.src)
+		}
+		if p := checkAgainstOracle(t, e, tc.name, q, tc.region); p.Count == 0 {
+			t.Fatalf("%s: no rows; the fixture is degenerate", tc.name)
+		}
+	}
+
+	got, err := e.ViolationScan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := violationScanReference(t, cat, q)
+	if len(got) != len(want) {
+		t.Fatalf("ViolationScan: %d rows, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Row != want[i].Row {
+			t.Fatalf("ViolationScan row %d is %d, reference %d", i, got[i].Row, want[i].Row)
+		}
+	}
+}
+
+// TestClusterTailDegradation is the SortedBy + append regression test:
+// appends after clustering land in an explicit unsorted tail, and full
+// scans over a block-or-bigger tail surface as DegradedScans instead of
+// silently losing pruning — while the answers stay the oracle's.
+func TestClusterTailDegradation(t *testing.T) {
+	cat := clusteredCatalog(t, 6*blockRows)
+	tbl, err := cat.Table("events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := data.SortedBy(tbl, "val")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Replace(sorted)
+	e := New(cat)
+	q := &relq.Query{
+		Tables: []string{"events"},
+		Dims: []relq.Dimension{
+			{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "events", Column: "spend"}, Bound: 20, Width: 30},
+		},
+		// 60% of the sorted domain: past the index path's cut, so the
+		// full scan runs behind the zone maps.
+		Fixed: []relq.FixedPred{
+			{Kind: relq.FixedRange, Col: relq.ColumnRef{Table: "events", Column: "val"}, Lo: 0, Hi: 600},
+		},
+		Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1},
+	}
+	region := relq.PrefixRegion([]float64{50})
+
+	before := e.Snapshot()
+	checkAgainstOracle(t, e, "clean layout", q, region)
+	if d := e.Snapshot().Sub(before); d.DegradedScans != 0 || d.BlocksSkipped == 0 {
+		t.Fatalf("clean clustered table: %+v, want block skips and no degraded scans", d)
+	}
+
+	for i := 0; i < blockRows+100; i++ {
+		if err := sorted.AppendRow(data.FloatValue(300), data.FloatValue(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sorted.ClusterTail() != blockRows+100 {
+		t.Fatalf("ClusterTail = %d, want %d", sorted.ClusterTail(), blockRows+100)
+	}
+	before = e.Snapshot()
+	checkAgainstOracle(t, e, "block-sized tail", q, region)
+	if d := e.Snapshot().Sub(before); d.DegradedScans == 0 {
+		t.Errorf("block-sized tail produced no degraded scans: %+v", d)
 	}
 }

@@ -62,23 +62,11 @@ type Config struct {
 	Shards int
 	// Cluster, when set, re-sorts every generated table that has this
 	// numeric column ascending by it before building engines (-cluster).
-	// A clustered layout is what lets the vectorized scan path's
-	// per-block zone maps prove blocks out of range and skip them; on
-	// the generators' i.i.d. layouts every block spans the full value
-	// domain and zone maps never fire.
+	// A clustered layout is what lets the scan's per-block zone maps
+	// prove blocks out of range and skip them; on the generators' i.i.d.
+	// layouts every block spans the full value domain and zone maps
+	// never fire.
 	Cluster string
-	// AutoCluster enables workload-adaptive clustering on every engine
-	// the harness builds (-autocluster): instead of a user-designated
-	// -cluster column, the engine learns the workload's dominant range
-	// column from its own scans and re-sorts the table between batches,
-	// after which zone maps engage exactly as under -cluster.
-	AutoCluster bool
-	// ZOrder admits two-column Z-order (space-filling-curve) layouts
-	// into the auto-clustering election on every engine the harness
-	// builds (-zorder): when two range columns both carry workload
-	// weight, tables may be re-laid along their interleaved rank curve
-	// so zone maps prune on both axes. Implies AutoCluster.
-	ZOrder bool
 	// Obs instruments every engine and search the harness builds
 	// (metrics, phase spans, events); nil runs uninstrumented. Excluded
 	// from results JSON — it is a live handle, not a parameter.
@@ -205,12 +193,6 @@ func newEngine(cat *data.Catalog, cfg Config) (exec.Evaluator, error) {
 	e.SetObserver(cfg.Obs)
 	if cfg.CacheMB > 0 {
 		e.EnableRegionCache(int64(cfg.CacheMB) << 20)
-	}
-	if cfg.AutoCluster || cfg.ZOrder {
-		e.SetAutoCluster(true)
-	}
-	if cfg.ZOrder {
-		e.SetZOrder(true)
 	}
 	return e, nil
 }
