@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare bench-figures bench-json bench-check bench-obs vet profile loc
+.PHONY: build test race bench bench-compare bench-figures bench-json bench-check bench-obs vet profile profile-join loc
 
 build:
 	$(GO) build ./...
@@ -77,3 +77,10 @@ profile:
 	curl -fsS -o cpu.pprof "http://$(PROFILE_ADDR)/debug/pprof/profile?seconds=10" || { kill $$BENCH_PID; exit 1; }; \
 	kill $$BENCH_PID 2>/dev/null; \
 	echo "wrote cpu.pprof"
+
+# CPU profile of the join path: the five fig. 11 ACQs as SQL text end to
+# end (BenchmarkTPCHJoinSearch, the op list of bench's tpch_sql_join).
+# Writes join.pprof and the test binary next to it; inspect with
+# `go tool pprof -top join.pprof`.
+profile-join:
+	$(GO) test -run xxx -bench TPCHJoinSearch -benchtime 50x -benchmem -cpuprofile join.pprof -o join.test .

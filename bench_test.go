@@ -19,6 +19,7 @@ import (
 	"acquire/internal/index"
 	"acquire/internal/obs"
 	"acquire/internal/relq"
+	"acquire/internal/sqlparse"
 	"acquire/internal/tpch"
 	"acquire/internal/workload"
 )
@@ -667,6 +668,62 @@ func BenchmarkJoinPushdown(b *testing.B) {
 	}
 	b.ReportMetric(float64(d.RowsScanned), "rows-scanned")
 	b.ReportMetric(float64(d.TuplesExamined), "tuples-examined")
+}
+
+// BenchmarkTPCHJoinSearch is the join path's profile target: one op
+// replays the five fig. 11 ACQs (COUNT and SUM at ratios 0.3 and 0.7,
+// MAX at 0.3) over supplier-part-partsupp at 50K partsupp rows as SQL
+// text through sqlparse.Parse, Analyze and core.RunContext — the
+// operation list of the repository benchmark's tpch_sql_join workload,
+// here under `go test` so that
+//
+//	go test -run xxx -bench TPCHJoinSearch -cpuprofile cpu.pprof .
+//
+// profiles it without touching bench/ (make profile-join). Reports the
+// rows an op scans, a counter that repeats exactly; -benchmem adds B/op.
+func BenchmarkTPCHJoinSearch(b *testing.B) {
+	cat, err := tpch.Generate(tpch.Config{Rows: 50000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := exec.New(cat)
+	var sqls []string
+	for _, a := range []struct {
+		f     relq.AggFunc
+		ratio float64
+	}{{relq.AggCount, 0.3}, {relq.AggCount, 0.7}, {relq.AggSum, 0.3}, {relq.AggSum, 0.7}, {relq.AggMax, 0.3}} {
+		q, err := workload.BuildCalibrated(e, workload.Spec{Kind: workload.TPCH, Dims: 3, Agg: a.f, Ratio: a.ratio})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sqls = append(sqls, q.ToSQL())
+	}
+	pass := func() {
+		for _, sql := range sqls {
+			ast, err := sqlparse.Parse(sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			q, err := sqlparse.Analyze(ast, cat)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := core.RunContext(context.Background(), e, q, core.Options{Gamma: 20, Delta: 0.05})
+			if err != nil || !res.Satisfied {
+				b.Fatalf("satisfied=%v err=%v: %s", res != nil && res.Satisfied, err, sql)
+			}
+		}
+	}
+	pass() // builds the column caches and sorted indexes
+	b.ReportAllocs()
+	b.ResetTimer()
+	var d exec.Stats
+	for i := 0; i < b.N; i++ {
+		before := e.Snapshot()
+		pass()
+		d = e.Snapshot().Sub(before)
+	}
+	b.ReportMetric(float64(d.RowsScanned), "rows_scanned/op")
 }
 
 // BenchmarkRepeatedWorkload times the cross-search partial-aggregate

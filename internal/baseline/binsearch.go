@@ -41,6 +41,7 @@ func BinSearch(e exec.Evaluator, q *relq.Query, opts BinSearchOptions) (*Outcome
 func BinSearchContext(ctx context.Context, e exec.Evaluator, q *relq.Query, opts BinSearchOptions) (*Outcome, error) {
 	sp := e.Observer().StartPhase("baseline_binsearch")
 	defer sp.End()
+	ctx = exec.WithJoinScope(ctx) // probes move one dimension: the other tables' candidates repeat
 	if opts.Delta == 0 {
 		opts.Delta = 0.05
 	}

@@ -58,6 +58,7 @@ func TQGen(e exec.Evaluator, q *relq.Query, opts TQGenOptions) (*Outcome, error)
 func TQGenContext(ctx context.Context, e exec.Evaluator, q *relq.Query, opts TQGenOptions) (*Outcome, error) {
 	sp := e.Observer().StartPhase("baseline_tqgen")
 	defer sp.End()
+	ctx = exec.WithJoinScope(ctx) // the grid's queries share their per-table candidates
 	opts = opts.withDefaults()
 	spec, err := agg.SpecFor(q.Constraint)
 	if err != nil {

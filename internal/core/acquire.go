@@ -171,7 +171,9 @@ func RunContext(ctx context.Context, e Evaluator, q *relq.Query, opts Options) (
 		return nil, err
 	}
 	x := newExplorer(e, q, sp, spec, !opts.NoIncremental)
-	return runSearch(ctx, q, sp, fr, x, spec, errFn, opts)
+	// One join memo for the whole search: a join's per-table slabs are
+	// scanned once per search, not once per layer (exec/joinplan.go).
+	return runSearch(exec.WithJoinScope(ctx), q, sp, fr, x, spec, errFn, opts)
 }
 
 // isCancellation reports whether err stems from context cancellation

@@ -1,0 +1,249 @@
+package core
+
+import (
+	"context"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"acquire/internal/agg"
+	"acquire/internal/exec"
+	"acquire/internal/relq"
+	"acquire/internal/tpch"
+	"acquire/internal/workload"
+)
+
+// This file checks §5's "every region of the data is scanned at most
+// once" one level below fetchonce_test.go: on a join, the base-table
+// slab behind each (table, intervals) combination is scanned once per
+// search, because RunContext opens one join scope for all its batches.
+// Everything here is a deterministic counter; nothing reads a clock.
+
+// regionLog forwards to an Evaluator and records every region sent.
+type regionLog struct {
+	Evaluator
+	regions []relq.Region
+}
+
+func (l *regionLog) AggregateBatch(ctx context.Context, q *relq.Query, regions []relq.Region) ([]agg.Partial, error) {
+	l.regions = append(l.regions, regions...)
+	return l.Evaluator.AggregateBatch(ctx, q, regions)
+}
+
+// scopePerBatch gives every batch a join scope of its own, shadowing the
+// search's: the memo's lifetime before it was the search's.
+type scopePerBatch struct{ Evaluator }
+
+func (s scopePerBatch) AggregateBatch(ctx context.Context, q *relq.Query, regions []relq.Region) ([]agg.Partial, error) {
+	return s.Evaluator.AggregateBatch(exec.WithJoinScope(ctx), q, regions)
+}
+
+// tpchSearch is the fig. 11 COUNT skeleton over a small TPC-H catalog:
+// supplier, part and partsupp with one SelectLE dimension each.
+func tpchSearch(t *testing.T, rows int) (*exec.Engine, *relq.Query) {
+	t.Helper()
+	cat, err := tpch.Generate(tpch.Config{Rows: rows, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := exec.New(cat)
+	q, err := workload.BuildCalibrated(e, workload.Spec{Kind: workload.TPCH, Dims: 3, Agg: relq.AggCount, Ratio: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, q
+}
+
+// rowsScanned runs one search and returns its result with the engine's
+// RowsScanned delta.
+func rowsScanned(t *testing.T, e *exec.Engine, ev Evaluator, q *relq.Query, opts Options) (*Result, int64) {
+	t.Helper()
+	before := e.Snapshot()
+	res, err := RunContext(context.Background(), ev, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, e.Snapshot().Sub(before).RowsScanned
+}
+
+// slabSum replays what a join that scans each (table, intervals) key
+// once must read for the regions, from the tables' columns alone. A
+// region scans its tables in FROM order and stops at the first one
+// without candidates, so a key counts once some region reaches it; what
+// it costs is its slab, the rows whose value lies in the closed value
+// interval of the region's violation interval — the sorted-index range
+// the engine drives the scan from. Every dimension is SelectLE, one per
+// table. A slab over half its table counts as the whole table (the
+// engine scans blocks instead, skipping some) and is reported in wide:
+// with any, the sum is an upper bound.
+func slabSum(t *testing.T, e *exec.Engine, q *relq.Query, regions []relq.Region) (sum int64, wide int) {
+	t.Helper()
+	type key struct {
+		table  int
+		lo, hi float64
+	}
+	cols := make([][]float64, len(q.Tables))
+	dimOf := make([]int, len(q.Tables))
+	for ti, name := range q.Tables {
+		tbl, err := e.Catalog().Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dimOf[ti] = -1
+		for di, d := range q.Dims {
+			if d.Kind != relq.SelectLE {
+				t.Fatalf("dimension %d is not SelectLE", di)
+			}
+			if strings.EqualFold(d.Col.Table, name) {
+				dimOf[ti] = di
+				if cols[ti], err = tbl.NumericColumn(tbl.Schema().Ordinal(d.Col.Column)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if dimOf[ti] < 0 {
+			t.Fatalf("table %s has no dimension", name)
+		}
+	}
+	seen := make(map[key]int) // key -> candidates
+	for _, r := range regions {
+		for ti := range q.Tables {
+			d, iv := &q.Dims[dimOf[ti]], r[dimOf[ti]]
+			k := key{ti, iv.Lo, iv.Hi}
+			cands, ok := seen[k]
+			if !ok && iv.Hi >= 0 {
+				slab := 0
+				for _, v := range cols[ti] {
+					if v <= d.BoundAt(iv.Hi) && (iv.Lo < 0 || v >= d.BoundAt(iv.Lo)) {
+						slab++
+						if d.Violation(v) <= iv.Hi {
+							cands++
+						}
+					}
+				}
+				if 2*slab > len(cols[ti]) {
+					slab = len(cols[ti])
+					wide++
+				}
+				sum += int64(slab)
+			}
+			seen[k] = cands
+			if cands == 0 {
+				break
+			}
+		}
+	}
+	return sum, wide
+}
+
+// TestJoinScanOnce: a whole search over the TPC-H join reads a
+// RowsScanned delta that repeats exactly, lies strictly below the same
+// search with a scope per batch, and equals the slabs of the distinct
+// (table, intervals) keys its regions reach — each scanned exactly once.
+func TestJoinScanOnce(t *testing.T) {
+	e, q := tpchSearch(t, 6000)
+	opts := Options{Gamma: 12, Delta: 0.05}
+	log := &regionLog{Evaluator: e}
+	res, rows := rowsScanned(t, e, log, q, opts)
+	if !res.Satisfied || len(log.regions) < 100 {
+		t.Fatalf("satisfied=%v after %d regions: the fixture does not search", res.Satisfied, len(log.regions))
+	}
+	if _, again := rowsScanned(t, e, e, q, opts); again != rows {
+		t.Errorf("RowsScanned %d on the first run, %d on the second", rows, again)
+	}
+	perBatchRes, perBatch := rowsScanned(t, e, scopePerBatch{e}, q, opts)
+	if !reflect.DeepEqual(res, perBatchRes) {
+		t.Errorf("result differs with a scope per batch:\n%+v\n%+v", res, perBatchRes)
+	}
+	if rows >= perBatch {
+		t.Errorf("RowsScanned %d with one scope, %d with a scope per batch: want strictly fewer", rows, perBatch)
+	}
+	if want, wide := slabSum(t, e, q, log.regions); rows != want || wide > 0 {
+		t.Errorf("RowsScanned %d, the distinct (table, intervals) slabs of the search hold %d rows (%d over half a table)", rows, want, wide)
+	}
+}
+
+// TestJoinScopeOverrun: a NoIncremental search sends nested prefix
+// regions, whose slabs add up to many times the tables; the scope stops
+// admitting when its budget is spent (RowsScanned rises above scan-once)
+// and the search still returns the result of a scope per batch, with
+// counters that repeat.
+func TestJoinScopeOverrun(t *testing.T) {
+	e, q := tpchSearch(t, 6000)
+	opts := Options{Gamma: 12, Delta: 0.05, NoIncremental: true}
+	log := &regionLog{Evaluator: e}
+	res, rows := rowsScanned(t, e, log, q, opts)
+	if _, again := rowsScanned(t, e, e, q, opts); again != rows {
+		t.Errorf("RowsScanned %d on the first run, %d on the second", rows, again)
+	}
+	perBatchRes, perBatch := rowsScanned(t, e, scopePerBatch{e}, q, opts)
+	if !reflect.DeepEqual(res, perBatchRes) {
+		t.Errorf("result differs with a scope per batch:\n%+v\n%+v", res, perBatchRes)
+	}
+	if rows >= perBatch {
+		t.Errorf("RowsScanned %d with one scope, %d with a scope per batch: want strictly fewer", rows, perBatch)
+	}
+	if once, _ := slabSum(t, e, q, log.regions); rows <= once {
+		t.Errorf("RowsScanned %d is scan-once (%d): the fixture does not overrun the scope's budget", rows, once)
+	}
+}
+
+// TestJoinScopeConcurrentSearches runs whole searches from eight
+// goroutines on one shared engine, each under the scope its RunContext
+// opened, while the catalog keeps replacing a table (same rows, new
+// identity, so scopes restart mid-search), and one more search over a
+// 4-shard evaluator, whose four engines read one scope at once. Every
+// search must return the result of an undisturbed one. Run with -race.
+func TestJoinScopeConcurrentSearches(t *testing.T) {
+	e, q := tpchSearch(t, 3000)
+	e.SetParallelism(2)
+	opts := Options{Gamma: 12, Delta: 0.05}
+	want, err := Run(e, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := e.Catalog()
+	sv, err := exec.NewSharded(cat, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(ev Evaluator, rounds int) {
+		for r := 0; r < rounds; r++ {
+			got, err := RunContext(context.Background(), ev, q, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			// COUNT partials are exact, so shards re-associate nothing.
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("round %d: result differs from the undisturbed search:\n%+v\n%+v", r, got, want)
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			search(e, 3)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		search(sv, 2)
+	}()
+	part, err := cat.Table("part")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 20; r++ {
+		cat.Replace(part.Slice(0, part.NumRows()))
+		if _, err := RunContext(context.Background(), e, q, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+}

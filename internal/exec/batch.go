@@ -38,7 +38,8 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 	if w > len(regions) {
 		w = len(regions)
 	}
-	p := e.newBatchPlan(b, regions)
+	scope, _ := ctx.Value(scopeKey{}).(*joinScope)
+	p := e.newBatchPlan(b, regions, scope)
 	p.attachCache(q)
 	// Per-region and per-unit execution times land in the "evaluate"
 	// phase histogram; the dispatch event records the batch shape

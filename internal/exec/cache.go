@@ -50,8 +50,8 @@ func (e *Engine) InvalidateRegionCache() {
 
 // InvalidateTable drops every piece of derived state computed from a
 // table's contents: its cached column vectors, sorted indexes, zone
-// maps, grid index, and the whole region cache (entries are keyed by
-// fingerprint, not table, so a per-table sweep is not possible). Call
+// maps, grid index, open join memos (by epoch) and the whole region
+// cache (keyed by fingerprint, so a per-table sweep is not possible). Call
 // it after rewriting a table's contents in place. Pure appends and
 // catalog Replaces need nothing: the column/sort/zone caches key on
 // table identity + row count, and the region-cache fingerprints carry
@@ -76,6 +76,7 @@ func (e *Engine) InvalidateTable(table string) {
 	}
 	delete(e.grids, key)
 	e.mu.Unlock()
+	e.epoch.Add(1)
 	e.InvalidateRegionCache()
 }
 

@@ -168,6 +168,8 @@ type Engine struct {
 	// regionCache memoizes per-region partials across searches and
 	// sessions (see cache.go); nil (the default) executes every region.
 	regionCache atomic.Pointer[regioncache.Cache]
+	// epoch counts InvalidateTable calls; it retires join memos (joinplan.go).
+	epoch atomic.Uint64
 
 	// zoneSkips attributes zone-map block skips to the pruning column
 	// ("table.column" keys).
@@ -516,7 +518,7 @@ func (e *Engine) Aggregate(q *relq.Query, region relq.Region) (agg.Partial, erro
 		return agg.Zero(), err
 	}
 	var out [1]agg.Partial
-	err = e.newBatchPlan(b, []relq.Region{region}).whole(new(regionScratch), 0, out[:])
+	err = e.newBatchPlan(b, []relq.Region{region}, nil).whole(new(regionScratch), 0, out[:])
 	return out[0], err
 }
 
@@ -597,9 +599,6 @@ func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int, eo *eng
 // scanAggregate is the per-region scan stage: region i's candidate
 // scans and join (joinplan.go), then the final filter and fold.
 func (e *Engine) scanAggregate(p *batchPlan, sc *regionScratch, i int) (agg.Partial, error) {
-	// The tuples may alias memo entries, which the region holds until
-	// its fold is done.
-	defer p.release(i)
 	tuples, err := p.tuples(sc, i)
 	if err != nil || len(tuples) == 0 {
 		return agg.Zero(), err

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -9,38 +10,43 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"acquire/internal/data"
 	"acquire/internal/exec/regioncache"
 	"acquire/internal/index"
 	"acquire/internal/obs"
 	"acquire/internal/relq"
 )
 
-// This file is the batch-bound plan. The regions of one AggregateBatch
-// are boxes over the same bound query that differ only in their
-// violation intervals (§5.1), so everything that does not depend on the
-// region is bound once, after bind: the attach order and each attach
-// edge's sides, the grid positions of the select dimensions, and — for
-// multi-table queries — a memo of per-table candidate lists and
-// equi-join build sides keyed by the table's local intervals. A
-// table's candidates depend only on the region's intervals
-// over that table's own dimensions, and the cells of one Expand layer
-// share each such interval combination many times over, so the first
-// region that needs a (table, intervals) entry scans and groups it and
-// the rest read it.
+// This file is the batch-bound plan and the join memo it reads. The
+// regions of one AggregateBatch are boxes over the same bound query that
+// differ only in their violation intervals (§5.1), so what does not
+// depend on the region is bound once, after bind: the attach order and
+// each edge's sides, the grid positions of the select dimensions, and —
+// for joins — each region's places in the memo.
 //
-// Per region the plan keeps the attach order, the probe/build roles and
-// the emitted tuple stream of a stand-alone execution (same tuples in
-// the same order, same MaxIntermediate error), so a region's partial is
-// the same bits in a batch as alone. Band-join and cartesian attaches
-// depend on the region (the band) or have no build structure, and run
-// per region inside the same attach loop.
+// The memo holds what a join computes from less than the whole region.
+// A table's candidates depend only on the region's intervals over that
+// table's own dimensions, so they are kept per (table, intervals) with
+// the build side made from them (grouped for an equi attach, sorted for
+// a band attach). The output of every equi attach but the last depends
+// only on the entries attached so far, so it is kept under that tuple of
+// entries. A cell (u1,u2,u3) shares u1 with cells of its own Expand
+// layer and of every later one: the first region to need an entry or a
+// prefix computes it, the rest read it. Each region still sees the
+// attach order and tuple stream of a stand-alone execution (same order,
+// same MaxIntermediate error), so its partial is the same bits. Band
+// (the band is the region's), cartesian and last attaches run per region.
 //
-// Lifetime: a plan, its memo and the per-worker scratch are reachable
-// only from the call that built them — AggregateBatch, one shard's
-// share of a scatter, or the one region of Aggregate — and are garbage
-// when it returns. Nothing is parked on Engine or in a sync.Pool: the
-// candidate lists are table-sized in the worst case, and state that
-// outlives the batch would sit in the heap between searches.
+// Lifetime: the memo belongs to a joinScope. A search opens one with
+// WithJoinScope and every batch it dispatches finds it in the context,
+// so a (table, intervals) slab is scanned once per search; a batch that
+// finds none (Aggregate, a direct AggregateBatch) gets a private one.
+// Nothing is parked on Engine, in a sync.Pool or in the region cache;
+// nothing outlives the search. A scope retains at most scopeBudget row
+// ids per row of the bound tables; entries beyond that live for their
+// batch, under the same bound again, and beyond that for their region.
+// Admission is decided as a plan is built (dispatching goroutine, region
+// order), never by worker arrival: a search's Stats repeat exactly.
 
 // planEdge records, for one table, how the attach loop reaches it.
 // pickNext depends only on the binding's edge lists and the attached
@@ -160,8 +166,7 @@ type batchPlan struct {
 	order []int      // attach order: order[slot] = table
 	pos   []int      // pos[table] = slot
 
-	// memo is per table; nil unless the query joins tables.
-	memo []tableMemo
+	*planMemo // nil unless the query joins tables
 
 	// AggregateBatch's dispatch state: the attached region cache with
 	// the batch's query-shape fingerprint, and the tracing span region
@@ -181,29 +186,108 @@ type batchPlan struct {
 	flights  []*regioncache.Flight
 }
 
-// tableMemo maps every region of the batch to the entry holding its
-// candidates on one table.
-type tableMemo struct {
-	slot    []int32 // region index -> entry
-	entries []candEntry
+// planMemo is the regions' places in the join memo: ents[ti][i] is region
+// i's entry on table ti, nil when there was no room; pre[i*memoStages+s-1]
+// its node for attach stage s, if its entries are the scope's (kept, when
+// this plan fills it, up to nodeCap row ids).
+type planMemo struct {
+	state               *scopeState
+	ents                [][]*candEntry
+	pre                 []*prefixNode
+	memoStages, nodeCap int
 }
 
-// candEntry is one (table, local intervals) combination of the batch:
-// the table's candidate rows under those intervals and, when the table
-// is attached through an equi edge, the rows grouped by build key.
-// Content is a function of the key alone, so whichever region gets
-// there first computes what every other region would have.
+// joinScope owns a join memo: a scopeState per engine that planned a join
+// under it (a scatter hands every shard engine the same context). mu guards
+// the states' maps; entries and nodes fill under their own Once.
+type joinScope struct {
+	mu     sync.Mutex
+	states map[*Engine]*scopeState
+}
+
+func newJoinScope() *joinScope { return &joinScope{states: make(map[*Engine]*scopeState)} }
+
+type scopeKey struct{}
+
+// WithJoinScope returns a context under which the join batches of one search
+// share a memo of candidates, build sides and attach prefixes (head of this
+// file). Under it the query and, short of InvalidateTable, the tables stay fixed.
+func WithJoinScope(ctx context.Context) context.Context {
+	return context.WithValue(ctx, scopeKey{}, newJoinScope())
+}
+
+// scopeBudget is the row ids a scope may retain per row of the bound tables:
+// room for all of a search's disjoint cells; nested regions fit until it is spent.
+const scopeBudget = 4
+
+// scopeState is one engine's memo under one binding: the query, its tables
+// and row counts, the engine's epoch and MaxIntermediate (a prefix carries
+// its overflow error). A plan bound to anything else starts over.
+type scopeState struct {
+	b        *binding
+	rows     []int
+	epoch    uint64
+	maxInter int
+
+	entries []map[string]*candEntry // per table, by interval bit patterns
+	nodes   map[nodeKey]*prefixNode
+	// retained is held against budget: entries' scan bounds, nodes' tuples.
+	retained atomic.Int64
+	budget   int64
+	seq      int // plans built so far
+}
+
+// stateFor returns e's memo under s for binding b. The caller holds s.mu.
+func (s *joinScope) stateFor(e *Engine, b *binding) *scopeState {
+	epoch := e.epoch.Load()
+	if st := s.states[e]; st != nil && st.b.q == b.q && st.epoch == epoch && st.maxInter == e.MaxIntermediate &&
+		slices.Equal(st.b.tables, b.tables) &&
+		slices.EqualFunc(b.tables, st.rows, func(t *data.Table, n int) bool { return t.NumRows() == n }) {
+		return st
+	}
+	st := &scopeState{b: b, epoch: epoch, maxInter: e.MaxIntermediate, nodes: make(map[nodeKey]*prefixNode)}
+	for _, t := range b.tables {
+		st.rows = append(st.rows, t.NumRows())
+		st.budget += scopeBudget * int64(t.NumRows())
+		st.entries = append(st.entries, make(map[string]*candEntry))
+	}
+	s.states[e] = st
+	return st
+}
+
+// candEntry is one (table, local intervals) combination: the table's
+// candidate rows under those intervals and, when the table is attached
+// through an equi or a band edge, the rows grouped or sorted by build key.
+// Content is a function of the key alone: the first region there fills it.
 type candEntry struct {
-	scan sync.Once
-	rows []int32
-	err  error
+	scoped bool // kept in the scope, not just for the batch that made it
+	scan   sync.Once
+	rows   []int32
+	err    error
 
 	group  sync.Once
 	groups *f64Groups
 
-	// pending counts the regions of the batch that map here and have
-	// not finished; the last one out drops the content (see release).
-	pending atomic.Int32
+	band   sync.Once
+	sorted *sortedIdx // the rows under their scaled band keys
+}
+
+// nodeKey names an equi attach stage's output by what it is made from:
+// the stage before (the root table's entry at stage 1) and ent.
+type nodeKey struct {
+	prev      *prefixNode
+	root, ent *candEntry
+}
+
+// prefixNode memoizes one equi attach stage's output with its overflow
+// error; fill sets kept unless the output exceeds the filling plan's
+// nodeCap. seq is the last plan that counted it among those it may fill.
+type prefixNode struct {
+	fill   sync.Once
+	kept   atomic.Bool
+	tuples []int32
+	err    error
+	seq    int
 }
 
 // regionScratch is one worker's reusable memory for the regions it
@@ -227,8 +311,8 @@ type regionScratch struct {
 }
 
 // newBatchPlan binds the region-invariant state of executing b over
-// regions.
-func (e *Engine) newBatchPlan(b *binding, regions []relq.Region) *batchPlan {
+// regions; a join's memo is scope's, or a private scope's when it is nil.
+func (e *Engine) newBatchPlan(b *binding, regions []relq.Region, scope *joinScope) *batchPlan {
 	p := &batchPlan{
 		e: e, b: b, regions: regions,
 		grids: e.bindGrids(b),
@@ -242,23 +326,37 @@ func (e *Engine) newBatchPlan(b *binding, regions []relq.Region) *batchPlan {
 		p.pos[ti] = p.edges[ti].slot
 	}
 	if nt > 1 {
-		p.memo = newTableMemos(b, regions)
+		if p.planMemo = new(planMemo); scope == nil {
+			scope = newJoinScope()
+		}
+		for s := 1; s < nt-1 && p.edges[p.order[s]].equi != nil; s++ {
+			p.memoStages = s
+		}
+		p.bindMemo(scope)
 	}
 	return p
 }
 
-// newTableMemos interns, per table, the distinct combinations of the
-// regions' intervals over that table's select dimensions. Intervals
-// compare by bit pattern: equal bits scan identically, and the worst a
-// -0/+0 mismatch costs is an unshared entry.
-func newTableMemos(b *binding, regions []relq.Region) []tableMemo {
-	memo := make([]tableMemo, len(b.tables))
+// bindMemo resolves every region's entries and prefix nodes in the
+// scope. Per table the key is the region's intervals over that table's
+// select dimensions by bit pattern (equal bits scan identically; a -0/+0
+// mismatch costs an unshared entry). A new entry joins the scope if the
+// rows its scan may return fit in the budget, else the batch (lent, the
+// same budget again), else no one.
+func (p *batchPlan) bindMemo(scope *joinScope) {
+	scope.mu.Lock()
+	defer scope.mu.Unlock()
+	b, st := p.b, scope.stateFor(p.e, p.b)
+	st.seq++
+	p.state = st
+	p.ents = make([][]*candEntry, len(b.tables))
 	var key []byte
-	for ti := range memo {
-		m := &memo[ti]
-		m.slot = make([]int32, len(regions))
-		ids := make(map[string]int32)
-		for i, r := range regions {
+	var sc regionScratch
+	lent := int64(0)
+	for ti := range p.ents {
+		p.ents[ti] = make([]*candEntry, len(p.regions))
+		var batch map[string]*candEntry // this batch's own entries, made on first use
+		for i, r := range p.regions {
 			if len(r) != len(b.q.Dims) {
 				continue // aggregateRegion rejects it before any lookup
 			}
@@ -269,47 +367,63 @@ func newTableMemos(b *binding, regions []relq.Region) []tableMemo {
 					key = binary.LittleEndian.AppendUint64(key, math.Float64bits(r[sd.di].Hi))
 				}
 			}
-			id, ok := ids[string(key)]
-			if !ok {
-				id = int32(len(ids))
-				ids[string(key)] = id
+			ent := st.entries[ti][string(key)]
+			if ent == nil {
+				ent = batch[string(key)]
 			}
-			m.slot[i] = id
-		}
-		m.entries = make([]candEntry, len(ids))
-		for i, r := range regions {
-			if len(r) == len(b.q.Dims) {
-				m.entries[m.slot[i]].pending.Add(1)
+			if ent == nil {
+				bound := int64(st.rows[ti])
+				if ac, err := p.e.accessPath(b, r, ti, &sc); err == nil && (ac.indexed || ac.empty) {
+					bound = int64(ac.hi - ac.lo) // the slab; 0 when a dimension admits no value
+				}
+				if st.retained.Load()+bound <= st.budget {
+					st.retained.Add(bound)
+					ent = &candEntry{scoped: true}
+					st.entries[ti][string(key)] = ent
+				} else if lent+bound <= st.budget {
+					lent += bound
+					if ent = new(candEntry); batch == nil {
+						batch = make(map[string]*candEntry)
+					}
+					batch[string(key)] = ent
+				}
 			}
+			p.ents[ti][i] = ent
 		}
 	}
-	return memo
-}
-
-// entry returns the memo entry of region i on table ti.
-func (p *batchPlan) entry(i, ti int) *candEntry {
-	m := &p.memo[ti]
-	return &m.entries[m.slot[i]]
-}
-
-// release marks region i finished with its entries. An entry whose last
-// region has finished drops its rows and groups, so a wide batch of
-// large regions that share nothing holds each candidate list only as
-// long as a stand-alone execution would, not until the batch returns.
-// (A region answered by the region cache never executes and never
-// releases; its entries simply live to the end of the batch.)
-func (p *batchPlan) release(i int) {
-	for ti := range p.memo {
-		if ent := p.entry(i, ti); ent.pending.Add(-1) == 0 {
-			ent.rows, ent.groups = nil, nil
+	if p.memoStages == 0 {
+		return
+	}
+	// The nodes this plan may be first to fill share what is left evenly:
+	// together they fit, and which are kept does not depend on fill order.
+	p.pre = make([]*prefixNode, len(p.regions)*p.memoStages)
+	unfilled := 0
+	for i := range p.regions {
+		k := nodeKey{root: p.ents[p.order[0]][i]}
+		for s := 1; s <= p.memoStages && (k.prev != nil || k.root != nil && k.root.scoped); s++ {
+			if k.ent = p.ents[p.order[s]][i]; k.ent == nil || !k.ent.scoped {
+				break
+			}
+			n := st.nodes[k]
+			if n == nil {
+				n = new(prefixNode)
+				st.nodes[k] = n
+			}
+			if n.seq != st.seq && !n.kept.Load() {
+				n.seq = st.seq
+				unfilled++
+			}
+			p.pre[i*p.memoStages+s-1] = n
+			k = nodeKey{prev: n}
 		}
 	}
+	p.nodeCap = int(st.budget-st.retained.Load()) / max(unfilled, 1)
 }
 
 // tuples returns region i's joined tuples (stride = number of tables,
 // columns in attach order) ahead of the final filter: the scanned
 // candidates of a single-table query, the attach loop's output
-// otherwise. The result may alias sc and is valid until sc's next use.
+// otherwise. The result may alias sc (or the memo) until sc's next use.
 func (p *batchPlan) tuples(sc *regionScratch, i int) ([]int32, error) {
 	if len(p.b.tables) == 1 {
 		rows, err := p.e.vscanTable(p.b, p.regions[i], 0, sc, sc.rows[:0])
@@ -319,19 +433,25 @@ func (p *batchPlan) tuples(sc *regionScratch, i int) ([]int32, error) {
 	// Every table is scanned before any is attached, in table order,
 	// and the first empty candidate list ends the region — the order in
 	// which a stand-alone execution touches (and counts) its scans.
+	var buf [8]*candEntry
+	ents := buf[:0] // the region's entries per table, its own where p.ents has none
 	for ti := range p.b.tables {
 		ent, err := p.cands(sc, i, ti)
 		if err != nil || len(ent.rows) == 0 {
 			return nil, err
 		}
+		ents = append(ents, ent)
 	}
-	return p.join(sc, i)
+	return p.join(sc, i, ents)
 }
 
-// cands returns the memo entry of region i on table ti with its
-// candidate rows scanned.
+// cands returns region i's entry on table ti with its candidate rows
+// scanned.
 func (p *batchPlan) cands(sc *regionScratch, i, ti int) (*candEntry, error) {
-	ent := p.entry(i, ti)
+	ent := p.ents[ti][i]
+	if ent == nil {
+		ent = new(candEntry)
+	}
 	ent.scan.Do(func() {
 		rows, err := p.e.vscanTable(p.b, p.regions[i], ti, sc, sc.rows[:0])
 		sc.rows = rows[:0]
@@ -341,32 +461,57 @@ func (p *batchPlan) cands(sc *regionScratch, i, ti int) (*candEntry, error) {
 }
 
 // join attaches the tables in plan order, starting from the root's
-// candidates, and returns the flattened tuples of row indexes.
-func (p *batchPlan) join(sc *regionScratch, i int) ([]int32, error) {
-	tuples := p.entry(i, p.order[0]).rows
+// candidates, and returns the flattened tuples of row indexes. A stage
+// with a node reads its output, filling it first if no region has; a
+// node that kept nothing leaves the stage to the region.
+func (p *batchPlan) join(sc *regionScratch, i int, ents []*candEntry) ([]int32, error) {
+	tuples := ents[p.order[0]].rows
 	for stride := 1; stride < len(p.order); stride++ {
-		next := p.order[stride]
-		ent, st := p.entry(i, next), &p.edges[next]
-		out := sc.tuples[stride&1][:0]
+		var n *prefixNode
+		if stride <= p.memoStages {
+			n = p.pre[i*p.memoStages+stride-1]
+		}
+		if n != nil {
+			n.fill.Do(func() {
+				if out, err := p.attachOwn(sc, ents[p.order[stride]], i, stride, tuples); err != nil || len(out) <= p.nodeCap {
+					n.tuples, n.err = slices.Clone(out), err
+					n.kept.Store(true)
+					p.state.retained.Add(int64(len(out)))
+				}
+			})
+		}
 		var err error
-		switch {
-		case st.equi != nil:
-			out, err = p.attachEqui(out, tuples, stride, st, ent)
-		case st.band != nil:
-			out, err = p.attachBand(out, tuples, stride, st, ent.rows, p.regions[i])
-		default:
-			out, err = p.attachCartesian(out, tuples, stride, ent.rows)
+		if n != nil && n.kept.Load() {
+			tuples, err = n.tuples, n.err
+		} else {
+			tuples, err = p.attachOwn(sc, ents[p.order[stride]], i, stride, tuples)
 		}
-		if err != nil {
+		if err != nil || len(tuples) == 0 {
 			return nil, err
-		}
-		sc.tuples[stride&1] = out[:0]
-		tuples = out
-		if len(tuples) == 0 {
-			return nil, nil
 		}
 	}
 	return tuples, nil
+}
+
+// attachOwn runs region i's attach stage `stride`, which attaches ent's
+// table, into sc's buffers.
+func (p *batchPlan) attachOwn(sc *regionScratch, ent *candEntry, i, stride int, tuples []int32) ([]int32, error) {
+	st := &p.edges[p.order[stride]]
+	out := sc.tuples[stride&1][:0]
+	var err error
+	switch {
+	case st.equi != nil:
+		out, err = p.attachEqui(out, tuples, stride, st, ent)
+	case st.band != nil:
+		out, err = p.attachBand(out, tuples, stride, st, ent, p.regions[i])
+	default:
+		out, err = p.attachCartesian(out, tuples, stride, ent.rows)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sc.tuples[stride&1] = out[:0]
+	return out, nil
 }
 
 func (p *batchPlan) overflow() error {
@@ -400,50 +545,50 @@ func (p *batchPlan) attachEqui(out, tuples []int32, stride int, st *planEdge, en
 }
 
 // attachBand joins on |probe - build| <= band, where the band is the
-// join dimension's bound at the region's upper interval end — region
-// dependent, so the sorted build side is per region. Both the counting
-// and the fill pass run the identical binary-search + linear band walk,
-// so they agree row for row (a NaN center compares all-false and emits
-// nothing).
-func (p *batchPlan) attachBand(out, tuples []int32, stride int, st *planEdge, build []int32, region relq.Region) ([]int32, error) {
+// join dimension's bound at the region's upper interval end. Only the
+// band is the region's: the build side sorted by key is the entry's, made
+// by the first region to attach it. The counting and the fill pass take the
+// same slab of it per tuple (a NaN center compares all-false: no rows).
+func (p *batchPlan) attachBand(out, tuples []int32, stride int, st *planEdge, ent *candEntry, region relq.Region) ([]int32, error) {
 	jd := st.band
 	maxBand := jd.dim.BoundAt(region[jd.di].Hi)
 	if st.buildCoef == 0 {
 		return nil, fmt.Errorf("exec: zero join coefficient")
 	}
-	type kv struct {
-		key float64
-		row int32
-	}
-	// NaN keys are left out: no band contains them, and under `<` they
-	// have no place in the order the searches below rely on.
-	sorted := make([]kv, 0, len(build))
-	for _, r := range build {
-		if k := st.buildCoef * st.buildVec[r]; k == k {
-			sorted = append(sorted, kv{key: k, row: r})
+	ent.band.Do(func() {
+		// NaN keys are left out: no band contains them, and under `<` they
+		// have no place in the order slab's searches rely on.
+		ix := &sortedIdx{rows: make([]int32, 0, len(ent.rows))}
+		key := func(i int) float64 { return st.buildCoef * st.buildVec[ix.rows[i]] }
+		for _, r := range ent.rows {
+			if k := st.buildCoef * st.buildVec[r]; k == k {
+				ix.rows = append(ix.rows, r)
+			}
 		}
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
+		sort.Slice(ix.rows, func(i, j int) bool { return key(i) < key(j) })
+		for i := range ix.rows {
+			ix.vals = append(ix.vals, key(i))
+		}
+		ent.sorted = ix
+	})
+	ix := ent.sorted
 	ntup := len(tuples) / stride
 	probePos := p.pos[st.probeTbl]
 	total := 0
 	for ti := 0; ti < ntup; ti++ {
 		center := st.probeCoef * st.probeVec[tuples[ti*stride+probePos]]
-		lo := sort.Search(len(sorted), func(i int) bool { return sorted[i].key >= center-maxBand })
-		for i := lo; i < len(sorted) && sorted[i].key <= center+maxBand; i++ {
-			total++
-		}
-		if total > p.e.MaxIntermediate {
+		lo, hi := ix.slab(center-maxBand, center+maxBand)
+		if total += hi - lo; total > p.e.MaxIntermediate {
 			return nil, p.overflow()
 		}
 	}
 	out = slices.Grow(out, total*(stride+1))
 	for ti := 0; ti < ntup; ti++ {
 		center := st.probeCoef * st.probeVec[tuples[ti*stride+probePos]]
-		lo := sort.Search(len(sorted), func(i int) bool { return sorted[i].key >= center-maxBand })
-		for i := lo; i < len(sorted) && sorted[i].key <= center+maxBand; i++ {
+		lo, hi := ix.slab(center-maxBand, center+maxBand)
+		for _, r := range ix.rows[lo:hi] {
 			out = append(out, tuples[ti*stride:(ti+1)*stride]...)
-			out = append(out, sorted[i].row)
+			out = append(out, r)
 		}
 	}
 	return out, nil

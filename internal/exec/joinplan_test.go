@@ -291,6 +291,11 @@ func TestJoinPlanBatchEquivalence(t *testing.T) {
 // allocation tests: fact(f_a, f_b, f_v, f_w) joins dima(a_key, a_v) and
 // dimb(b_key, b_v).
 func jpStarCatalog(t testing.TB, nFact int) (*data.Catalog, *relq.Query) {
+	return jpStar(t, 200, 400, nFact)
+}
+
+// jpStar is jpStarCatalog with nA rows in dima and nB in dimb.
+func jpStar(t testing.TB, nA, nB, nFact int) (*data.Catalog, *relq.Query) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	cat := data.NewCatalog()
@@ -313,12 +318,12 @@ func jpStarCatalog(t testing.TB, nFact int) (*data.Catalog, *relq.Query) {
 		data.Column{Name: "f_w", Type: data.Float64},
 	))
 	for i := 0; i < nFact; i++ {
-		if err := fact.AppendRow(data.IntValue(int64(rng.Intn(200))), data.IntValue(int64(rng.Intn(400))),
+		if err := fact.AppendRow(data.IntValue(int64(rng.Intn(nA))), data.IntValue(int64(rng.Intn(nB))),
 			data.FloatValue(rng.Float64()*100), data.FloatValue(rng.Float64()*10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, tbl := range []*data.Table{dim("dima", "a_key", "a_v", 200), dim("dimb", "b_key", "b_v", 400), fact} {
+	for _, tbl := range []*data.Table{dim("dima", "a_key", "a_v", nA), dim("dimb", "b_key", "b_v", nB), fact} {
 		if err := cat.Register(tbl); err != nil {
 			t.Fatal(err)
 		}
@@ -424,5 +429,295 @@ func TestJoinPlanAllocsPerRegion(t *testing.T) {
 	if perRegion := perBatch / float64(len(regions)); perRegion > 4 {
 		t.Fatalf("%.1f allocations per region of a %d-region join batch (%.0f per batch), want <= 4",
 			perRegion, len(regions), perBatch)
+	}
+}
+
+// jpExpandLayers returns the batches of an Expand sequence over d
+// dimensions: layer L holds the cells u with |u|₁ = L, so a cell shares
+// each of its per-table intervals with cells of its own layer and of
+// every other one; each batch also gets a few of jpRegions' prefix,
+// sub-query, empty and duplicate regions.
+func jpExpandLayers(rng *rand.Rand, d, layers int) [][]relq.Region {
+	step := 10 + 5*float64(rng.Intn(4))
+	out := make([][]relq.Region, layers)
+	u := make([]int, d)
+	var walk func(i, left int, batch *[]relq.Region)
+	walk = func(i, left int, batch *[]relq.Region) {
+		if i == d-1 {
+			u[i] = left
+			*batch = append(*batch, relq.CellRegion(u, step))
+			return
+		}
+		for u[i] = 0; u[i] <= left; u[i]++ {
+			walk(i+1, left-u[i], batch)
+		}
+	}
+	for l := range out {
+		walk(0, l, &out[l])
+		out[l] = append(out[l], jpRegions(rng, d, 3)...)
+		if l > 0 {
+			out[l] = append(out[l], out[l-1][rng.Intn(len(out[l-1]))])
+		}
+		rng.Shuffle(len(out[l]), func(i, j int) { out[l][i], out[l][j] = out[l][j], out[l][i] })
+	}
+	return out
+}
+
+// jpRun sends the batches through ev one after another, all under ctx,
+// and returns the partials per batch; the first error ends the run and
+// is returned with the index of the batch that raised it.
+func jpRun(ctx context.Context, ev Evaluator, q *relq.Query, batches [][]relq.Region) ([][]agg.Partial, int, error) {
+	out := make([][]agg.Partial, len(batches))
+	for k, regions := range batches {
+		var err error
+		if out[k], err = ev.AggregateBatch(ctx, q, regions); err != nil {
+			return out, k, err
+		}
+	}
+	return out, -1, nil
+}
+
+// TestJoinScopeEquivalence is the scope's property test: the layers of
+// an Expand sequence through one scope, through a fresh scope per batch
+// and region by region through Aggregate give the same bits, for every
+// worker and shard count, with the region cache cold and warm, and the
+// MaxIntermediate error fires on the same batch either way.
+func TestJoinScopeEquivalence(t *testing.T) {
+	bg := context.Background()
+	maxRows := map[int]int{2: 60, 3: 24, 4: 11}
+	prefixes := 0 // non-empty attach prefixes the scopes memoized
+	for seed := int64(0); seed < 240; seed++ {
+		rng := rand.New(rand.NewSource(7000 + seed))
+		nt := 2 + rng.Intn(3)
+		cat := jpCatalog(t, rng, nt, maxRows[nt], -1)
+		q := jpQuery(rng, nt)
+		batches := jpExpandLayers(rng, len(q.Dims), 4)
+		same := func(what string, got, want [][]agg.Partial, bits bool) {
+			t.Helper()
+			for k := range want {
+				for i := range want[k] {
+					if bits && !jpSameBits(got[k][i], want[k][i]) || !agg.ApproxEqual(got[k][i], want[k][i], 1e-9) {
+						t.Fatalf("seed %d (%d tables) %s: layer %d region %v: %+v != %+v",
+							seed, nt, what, k, batches[k][i], got[k][i], want[k][i])
+					}
+				}
+			}
+		}
+
+		ref := New(cat)
+		base, _, err := jpRun(bg, ref, q, batches) // a fresh scope per batch
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for k, regions := range batches {
+			for i, r := range regions {
+				single, err := ref.Aggregate(q, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !jpSameBits(base[k][i], single) {
+					t.Fatalf("seed %d layer %d region %v: batch %+v != Aggregate %+v", seed, k, r, base[k][i], single)
+				}
+				checkOracle(t, ref, fmt.Sprintf("seed %d layer %d region %v", seed, k, r), q, r, base[k][i])
+			}
+		}
+		for _, w := range []int{1, 2, 8} {
+			e := New(cat)
+			e.SetParallelism(w)
+			ctx := WithJoinScope(bg)
+			got, _, err := jpRun(ctx, e, q, batches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("one scope, workers=%d", w), got, base, true)
+			for _, n := range jpScopeState(ctx, e).nodes {
+				if n.kept.Load() && len(n.tuples) > 0 {
+					prefixes++
+				}
+			}
+		}
+		for shards := 1; shards <= 4; shards++ {
+			sv, err := NewSharded(cat, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perBatch, _, err := jpRun(bg, sv, q, batches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scoped, _, err := jpRun(WithJoinScope(bg), sv, q, batches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One scope or many, a shard folds the same tuples in the same
+			// order; across shards SUM re-associates and nothing else.
+			same(fmt.Sprintf("shards=%d one scope vs per batch", shards), scoped, perBatch, true)
+			same(fmt.Sprintf("shards=%d", shards), scoped, base, shards == 1)
+		}
+		cached := New(cat)
+		cached.EnableRegionCache(1 << 20)
+		for _, pass := range []string{"cold", "warm"} {
+			got, _, err := jpRun(WithJoinScope(bg), cached, q, batches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("region cache "+pass, got, base, true)
+		}
+
+		tight := New(cat)
+		tight.MaxIntermediate = 3
+		perBatch, failedAt, errBatch := jpRun(bg, tight, q, batches)
+		scoped, failedAtScoped, errScoped := jpRun(WithJoinScope(bg), tight, q, batches)
+		if failedAt != failedAtScoped || (errBatch == nil) != (errScoped == nil) ||
+			errBatch != nil && errBatch.Error() != errScoped.Error() {
+			t.Fatalf("seed %d: MaxIntermediate=3: per batch failed at %d (%v), one scope at %d (%v)",
+				seed, failedAt, errBatch, failedAtScoped, errScoped)
+		}
+		if errBatch != nil {
+			perBatch, scoped = perBatch[:failedAt], scoped[:failedAt]
+		}
+		same("MaxIntermediate=3", scoped, perBatch, true)
+	}
+	if prefixes < 100 {
+		t.Fatalf("the scopes memoized %d non-empty prefixes over all seeds: the suite barely reaches the prefix memo", prefixes)
+	}
+}
+
+// TestJoinScopeTableChange changes a table between two batches of one
+// scope in the three ways a table can change — replaced through the
+// catalog at the same row count, appended to, rewritten in place and
+// invalidated — and the second batch must see the new contents. A scope
+// keyed by table name alone would answer it from the first batch's
+// candidates.
+func TestJoinScopeTableChange(t *testing.T) {
+	changes := map[string]func(t *testing.T, cat *data.Catalog, e *Engine){
+		"replace": func(t *testing.T, cat *data.Catalog, e *Engine) {
+			old, _ := cat.Table("dima")
+			repl := data.NewTable("dima", old.Schema())
+			for r := 0; r < old.NumRows(); r++ {
+				if err := repl.AppendRow(old.ValueAt(r, 0), data.FloatValue(float64(r%50))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cat.Replace(repl)
+		},
+		"append": func(t *testing.T, cat *data.Catalog, e *Engine) {
+			fact, _ := cat.Table("fact")
+			for i := 0; i < 500; i++ {
+				if err := fact.AppendRow(data.IntValue(int64(i%40)), data.IntValue(int64(i%60)),
+					data.FloatValue(float64(i%40)), data.FloatValue(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		"rewrite in place": func(t *testing.T, cat *data.Catalog, e *Engine) {
+			dimb, _ := cat.Table("dimb")
+			vals, _ := dimb.Floats(1)
+			for i := range vals {
+				vals[i] = 100 - vals[i]
+			}
+			e.InvalidateTable("dimb")
+		},
+	}
+	for name, change := range changes {
+		t.Run(name, func(t *testing.T) {
+			cat, q := jpStar(t, 40, 60, 800)
+			regions := jpLayer()
+			e := New(cat)
+			ctx := WithJoinScope(context.Background())
+			before, err := e.AggregateBatch(ctx, q, regions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			change(t, cat, e)
+			after, err := e.AggregateBatch(ctx, q, regions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every region against an engine that never saw the old
+			// contents; the nested-loop oracle (40 x 60 x 800 tuples a
+			// region) on every 16th.
+			fresh, changed := New(cat), false
+			for i, r := range regions {
+				want, err := fresh.Aggregate(q, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !jpSameBits(after[i], want) {
+					t.Fatalf("region %v: %+v after the change, a fresh engine reads %+v", r, after[i], want)
+				}
+				if i%16 == 0 {
+					checkOracle(t, e, fmt.Sprintf("region %v", r), q, r, after[i])
+				}
+				changed = changed || !jpSameBits(before[i], after[i])
+			}
+			if !changed {
+				t.Fatal("the change moved no region's partial: the test proves nothing")
+			}
+		})
+	}
+}
+
+// jpScopeState returns the memo e keeps under the scope ctx carries.
+func jpScopeState(ctx context.Context, e *Engine) *scopeState {
+	s := ctx.Value(scopeKey{}).(*joinScope)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.states[e]
+}
+
+// TestJoinScopeBudget runs nested prefix regions — the layers of a
+// NoIncremental search — through one scope on a fixture sized to overrun
+// its budget: what the scope retains never exceeds the budget, keys stop
+// being admitted once it is spent, the partials are the ones of
+// stand-alone executions, and the counters repeat exactly on a second run.
+func TestJoinScopeBudget(t *testing.T) {
+	cat, q := jpStarCatalog(t, 4000)
+	var batches [][]relq.Region
+	for l := 0; l < 14; l++ {
+		var batch []relq.Region
+		for a := 0; a <= l; a++ {
+			for b := 0; a+b <= l; b++ {
+				batch = append(batch, relq.PrefixRegion([]float64{float64(8 * a), float64(8 * b), float64(8 * (l - a - b))}))
+			}
+		}
+		batches = append(batches, batch)
+	}
+	e := New(cat)
+	e.SetParallelism(4)
+	var deltas [2]Stats
+	for pass := range deltas {
+		ctx := WithJoinScope(context.Background())
+		before := e.Snapshot()
+		for k, regions := range batches {
+			got, err := e.AggregateBatch(ctx, q, regions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := jpScopeState(ctx, e)
+			if st.retained.Load() > st.budget {
+				t.Fatalf("pass %d layer %d: the scope retains %d row ids, budget %d", pass, k, st.retained.Load(), st.budget)
+			}
+			for i, r := range regions {
+				single, err := e.Aggregate(q, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !jpSameBits(got[i], single) {
+					t.Fatalf("pass %d layer %d region %v: %+v != Aggregate %+v", pass, k, r, got[i], single)
+				}
+			}
+		}
+		deltas[pass] = e.Snapshot().Sub(before)
+		// Every table sees 14 distinct prefixes; the scope must have run
+		// out of room before the largest.
+		for ti, entries := range jpScopeState(ctx, e).entries {
+			if len(entries) >= len(batches) {
+				t.Fatalf("the scope admitted all %d keys on table %d: the fixture does not overrun the budget", len(entries), ti)
+			}
+		}
+	}
+	if deltas[0] != deltas[1] {
+		t.Fatalf("counters differ between two runs:\n%+v\n%+v", deltas[0], deltas[1])
 	}
 }

@@ -44,7 +44,7 @@ func (e *Engine) Materialize(q *relq.Query, region relq.Region, limit int) (*Res
 		return rs, nil
 	}
 
-	p := e.newBatchPlan(b, []relq.Region{region})
+	p := e.newBatchPlan(b, []relq.Region{region}, nil)
 	tuples, err := p.tuples(new(regionScratch), 0)
 	if err != nil {
 		return nil, err

@@ -183,15 +183,16 @@ func (sv *ShardedEvaluator) AggregateBatch(ctx context.Context, q *relq.Query, r
 		return nil, nil
 	}
 	// One batch plan per shard engine: each binds against its own shard
-	// catalog, memoizes its own candidates (joinplan.go) and cuts its own
-	// scan units (sharedrive.go).
+	// catalog, keeps its own join memo in the context's scope (joinplan.go)
+	// and cuts its own scan units (sharedrive.go).
 	plans := make([]*batchPlan, ns)
+	scope, _ := ctx.Value(scopeKey{}).(*joinScope)
 	for s, e := range sv.engines {
 		b, err := e.bind(q)
 		if err != nil {
 			return nil, err
 		}
-		plans[s] = e.newBatchPlan(b, regions)
+		plans[s] = e.newBatchPlan(b, regions, scope)
 		plans[s].attachCache(q)
 	}
 	defer func() {
