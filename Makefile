@@ -40,9 +40,9 @@ bench-compare:
 bench-figures:
 	$(GO) test -run xxx -bench=. -benchmem .
 
-# Machine-readable baselines: the fig. 8 ratio sweep, the cached
-# repeated-workload study and the shard sweep — figures, config and the
-# metric registry snapshot in one JSON file each. The committed BENCH_*.json files are the
+# Machine-readable baselines: the fig. 8 ratio sweep and the cached
+# repeated-workload study — figures, config and the metric registry
+# snapshot in one JSON file each. The committed BENCH_*.json files are the
 # reference artifacts; regenerate after a perf-relevant change and
 # compare before committing. Every write goes through schema validation
 # (harness.ValidateResults) plus a temp-file rename, and the final
@@ -52,7 +52,6 @@ bench-json:
 	$(GO) run ./cmd/acqbench -experiment fig8 -rows 20000 -json BENCH_baseline.json
 	$(GO) test -run xxx -bench BenchmarkRepeatedWorkload -benchtime 1x .
 	$(GO) run ./cmd/acqbench -experiment repeated -cache -rows 20000 -json BENCH_cache.json
-	$(GO) run ./cmd/acqbench -experiment shards -rows 100000 -json BENCH_shards.json
 	$(GO) run ./cmd/benchcheck BENCH_*.json
 
 # Validate the committed benchmark artifacts against the harness

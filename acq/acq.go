@@ -166,10 +166,6 @@ type Evaluator = core.Evaluator
 type Session struct {
 	cat *data.Catalog
 	eng *exec.Engine
-	// sharded, when non-nil, scatter-gathers exact execution across
-	// range-partitioned in-process shards (EnableSharding); the
-	// monolithic engine stays around for previews and plans.
-	sharded *exec.ShardedEvaluator
 	// eval answers the refinement search's aggregate queries; defaults
 	// to eng (exact execution).
 	eval Evaluator
@@ -251,100 +247,6 @@ func (s *Session) Parse(sql string) (*Query, error) {
 	return sqlparse.ParseAndAnalyze(sql, s.cat)
 }
 
-// exact returns the exact evaluation layer: the sharded evaluator when
-// sharding is enabled, the monolithic engine otherwise.
-func (s *Session) exact() exec.Evaluator {
-	if s.sharded != nil {
-		return s.sharded
-	}
-	return s.eng
-}
-
-// usingExact reports whether s.eval is the exact layer (monolithic or
-// sharded), as opposed to sampling or histograms.
-func (s *Session) usingExact() bool {
-	if e, ok := s.eval.(*exec.Engine); ok {
-		return e == s.eng
-	}
-	if sv, ok := s.eval.(*exec.ShardedEvaluator); ok {
-		return sv == s.sharded
-	}
-	return false
-}
-
-// EnableSharding replaces the session's exact evaluation layer with a
-// ShardedEvaluator scatter-gathering over n range partitions of the
-// catalog's largest table (see exec.NewSharded): every region the
-// refinement search dispatches runs on all shards in parallel and the
-// per-shard partials fold by the §2.6 merge rule, so results are
-// equivalent to the monolithic engine (COUNT/MIN/MAX bit-identical,
-// SUM within float re-association tolerance). The session's observer
-// and region-cache configuration carry over; shard-local state (grid
-// indexes, region caches) lives per shard, so build grid indexes after
-// enabling sharding. Previews, plans and materialisation keep using
-// the monolithic engine — they need full-catalog row sets, not merged
-// partials.
-func (s *Session) EnableSharding(n int) error {
-	sv, err := exec.NewSharded(s.cat, n)
-	if err != nil {
-		return err
-	}
-	sv.SetObserver(s.obs)
-	if s.cacheBytes > 0 {
-		sv.EnableRegionCache(s.cacheBytes)
-	}
-	wasExact := s.usingExact()
-	s.sharded = sv
-	if wasExact {
-		s.eval = sv
-	}
-	return nil
-}
-
-// DisableSharding restores the monolithic exact engine. Shard-local
-// caches and indexes are dropped with the shards.
-func (s *Session) DisableSharding() {
-	if s.sharded == nil {
-		return
-	}
-	if sv, ok := s.eval.(*exec.ShardedEvaluator); ok && sv == s.sharded {
-		s.eval = s.eng
-	}
-	s.sharded = nil
-}
-
-// NumShards reports the active shard count (1 when sharding is off).
-func (s *Session) NumShards() int {
-	if s.sharded == nil {
-		return 1
-	}
-	return s.sharded.NumShards()
-}
-
-// ShardStat is one shard's fact-table row range and work counters.
-type ShardStat = exec.ShardStat
-
-// ShardStats reports per-shard statistics in shard order; nil when
-// sharding is off.
-func (s *Session) ShardStats() []ShardStat {
-	if s.sharded == nil {
-		return nil
-	}
-	return s.sharded.ShardStats()
-}
-
-// ScatterStats counts the sharded layer's dispatch decisions (scatters
-// vs shard-0 routes and gathered partials); zero when sharding is off.
-type ScatterStats = exec.ScatterStats
-
-// ScatterStats returns the sharded layer's dispatch counters.
-func (s *Session) ScatterStats() ScatterStats {
-	if s.sharded == nil {
-		return ScatterStats{}
-	}
-	return s.sharded.ScatterStats()
-}
-
 // Estimate executes the original (unrefined) query and returns its
 // actual aggregate value — step 1 of the Figure 2 architecture: if it
 // already meets the constraint, no refinement is needed.
@@ -353,7 +255,7 @@ func (s *Session) Estimate(q *Query) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	p, err := s.exact().Aggregate(q, relq.PrefixRegion(make([]float64, q.NumDims())))
+	p, err := s.eng.Aggregate(q, relq.PrefixRegion(make([]float64, q.NumDims())))
 	if err != nil {
 		return 0, err
 	}
@@ -408,12 +310,6 @@ func (s *Session) EnableCache(maxBytes int64) {
 	}
 	s.cacheBytes = maxBytes
 	s.eng.SetRegionCache(regioncache.New(maxBytes))
-	if s.sharded != nil {
-		// One instance per shard (sized maxBytes/N): shard fingerprints
-		// are not comparable across shards, so instances are never
-		// shared between them.
-		s.sharded.EnableRegionCache(maxBytes)
-	}
 	if sm, ok := s.eval.(*exec.Sampled); ok {
 		sm.SetRegionCache(regioncache.New(maxBytes))
 	}
@@ -424,9 +320,6 @@ func (s *Session) EnableCache(maxBytes int64) {
 func (s *Session) DisableCache() {
 	s.cacheBytes = 0
 	s.eng.SetRegionCache(nil)
-	if s.sharded != nil {
-		s.sharded.EnableRegionCache(0)
-	}
 	if sm, ok := s.eval.(*exec.Sampled); ok {
 		sm.SetRegionCache(nil)
 	}
@@ -438,21 +331,14 @@ func (s *Session) DisableCache() {
 // their stale entries automatically via row-count generations.
 func (s *Session) InvalidateCache() {
 	s.eng.InvalidateRegionCache()
-	if s.sharded != nil {
-		s.sharded.InvalidateRegionCache()
-	}
 	if sm, ok := s.eval.(*exec.Sampled); ok {
 		sm.InvalidateRegionCache()
 	}
 }
 
-// CacheStats returns the region cache's counters (summed across shard
-// caches when sharding is on); the zero value when caching is
-// disabled.
+// CacheStats returns the region cache's counters; the zero value when
+// caching is disabled.
 func (s *Session) CacheStats() CacheStats {
-	if s.sharded != nil {
-		return s.sharded.CacheStats()
-	}
 	if c := s.eng.RegionCache(); c != nil {
 		return c.Stats()
 	}
@@ -488,19 +374,8 @@ func (s *Session) UseHistograms(buckets int) error {
 	return nil
 }
 
-// UseExact restores exact execution (the default evaluation layer) —
-// sharded when sharding is enabled, monolithic otherwise.
-func (s *Session) UseExact() { s.eval = s.exact() }
-
-// SetParallelism bounds the worker pool used for batched
-// evaluation-layer execution. 0 (the default) means GOMAXPROCS.
-// Results are bit-identical for every worker count.
-func (s *Session) SetParallelism(workers int) {
-	s.eng.Parallelism = workers
-	if s.sharded != nil {
-		s.sharded.SetParallelism(workers)
-	}
-}
+// UseExact restores exact execution (the default evaluation layer).
+func (s *Session) UseExact() { s.eval = s.eng }
 
 // Explain renders a human-readable summary of a refinement result: the
 // search profile and the recommended (or closest) query.
@@ -519,7 +394,7 @@ func (s *Session) RefineSQL(sql string, opts Options) (*Result, error) {
 // columns of a table; subsequent refinements skip provably empty cell
 // queries.
 func (s *Session) BuildGridIndex(table string, columns []string, binsPerDim int) error {
-	return s.exact().BuildGridIndex(table, columns, binsPerDim)
+	return s.eng.BuildGridIndex(table, columns, binsPerDim)
 }
 
 // BuildGridAggIndex builds an aggregate-augmented grid over numeric
@@ -528,43 +403,17 @@ func (s *Session) BuildGridIndex(table string, columns []string, binsPerDim int)
 // are then answered by merging stored cell partials (interior cells)
 // and scanning only boundary-cell posting lists.
 func (s *Session) BuildGridAggIndex(table string, columns, aggCols []string, binsPerDim int) error {
-	return s.exact().BuildGridAggIndex(table, columns, aggCols, binsPerDim)
+	return s.eng.BuildGridAggIndex(table, columns, aggCols, binsPerDim)
 }
 
 // DropGridIndex removes a table's grid index.
-func (s *Session) DropGridIndex(table string) { s.exact().DropGridIndex(table) }
+func (s *Session) DropGridIndex(table string) { s.eng.DropGridIndex(table) }
 
-// Stats returns cumulative evaluation-layer statistics. With sharding
-// enabled this sums the shard engines (plus the monolithic engine's
-// preview/estimate work); Queries then counts physical per-shard
-// region executions.
-func (s *Session) Stats() EngineStats {
-	if s.sharded == nil {
-		return s.eng.Snapshot()
-	}
-	return mergeStats(s.sharded.Snapshot(), s.eng.Snapshot())
-}
-
-func mergeStats(a, b EngineStats) EngineStats {
-	a.Queries += b.Queries
-	a.RowsScanned += b.RowsScanned
-	a.TuplesExamined += b.TuplesExamined
-	a.CellsSkipped += b.CellsSkipped
-	a.CellsMerged += b.CellsMerged
-	a.BoundaryRows += b.BoundaryRows
-	a.CacheHits += b.CacheHits
-	a.CacheMisses += b.CacheMisses
-	a.CacheEvictions += b.CacheEvictions
-	return a
-}
+// Stats returns the exact engine's cumulative statistics.
+func (s *Session) Stats() EngineStats { return s.eng.Snapshot() }
 
 // ResetStats zeroes the statistics counters.
-func (s *Session) ResetStats() {
-	s.eng.ResetStats()
-	if s.sharded != nil {
-		s.sharded.ResetStats()
-	}
-}
+func (s *Session) ResetStats() { s.eng.ResetStats() }
 
 // ResultSet is a materialised SELECT * result.
 type ResultSet = exec.ResultSet
@@ -591,16 +440,16 @@ func (s *Session) PreviewOriginal(q *Query, limit int) (*ResultSet, error) {
 }
 
 // TopK runs the Top-k baseline (§8.2) on the query.
-func (s *Session) TopK(q *Query) (*Outcome, error) { return baseline.TopK(s.exact(), q) }
+func (s *Session) TopK(q *Query) (*Outcome, error) { return baseline.TopK(s.eng, q) }
 
 // BinSearch runs the BinSearch baseline (§8.2) on the query.
 func (s *Session) BinSearch(q *Query, opts BinSearchOptions) (*Outcome, error) {
-	return baseline.BinSearch(s.exact(), q, opts)
+	return baseline.BinSearch(s.eng, q, opts)
 }
 
 // TQGen runs the TQGen baseline (§8.2) on the query.
 func (s *Session) TQGen(q *Query, opts TQGenOptions) (*Outcome, error) {
-	return baseline.TQGen(s.exact(), q, opts)
+	return baseline.TQGen(s.eng, q, opts)
 }
 
 // ApplyTaxonomy rewrites a categorical IN/=-predicate on table.column
@@ -619,15 +468,8 @@ func (s *Session) ApplyTaxonomy(tree *Taxonomy, table, column string, target []s
 	}
 	s.cat.Replace(rewritten)
 	// The replacement keeps the row count, which generation checks
-	// cannot see: drop all engine state derived from the old table. The
-	// sharded layer additionally re-resolves the partition (re-slicing
-	// the fact table or re-broadcasting a dimension pointer) and drops
-	// every shard-local cache and grid — a monolithic-only drop would
-	// leave shards serving the pre-taxonomy table.
+	// cannot see: drop all engine state derived from the old table.
 	s.eng.InvalidateTable(table)
-	if s.sharded != nil {
-		s.sharded.InvalidateTable(table)
-	}
 	if sm, ok := s.eval.(*exec.Sampled); ok {
 		sm.InvalidateRegionCache()
 	}

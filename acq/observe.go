@@ -65,8 +65,8 @@ func ServeObs(addr string, reg *MetricsRegistry, rec *FlightRecorder) (string, f
 // EnableTracing attaches a flight recorder to the session: every
 // refinement search from then on records a hierarchical span tree
 // (search root → per-layer expand/prefetch/fold/repartition spans →
-// engine batch / per-shard scatter spans) and deposits it in the
-// returned recorder, subject to its tail-based keep and byte cap.
+// engine batch spans) and deposits it in the returned recorder,
+// subject to its tail-based keep and byte cap.
 // Calling it again replaces the recorder; a zero RecorderConfig gets
 // defaults (8 MiB cap, keep every trace).
 func (s *Session) EnableTracing(cfg RecorderConfig) *FlightRecorder {
@@ -91,9 +91,6 @@ func (s *Session) Recorder() *FlightRecorder { return s.obs.Recorder() }
 func (s *Session) Observe(o *Observer) {
 	s.obs = o
 	s.eng.SetObserver(o)
-	if s.sharded != nil {
-		s.sharded.SetObserver(o)
-	}
 	if sampled, ok := s.eval.(*exec.Sampled); ok {
 		sampled.SetObserver(o)
 	}
@@ -173,16 +170,12 @@ func (s *Session) RefineReport(ctx context.Context, q *Query, opts Options) (*Re
 	return res, rep, err
 }
 
-// evalEngine returns the evaluator backing the current evaluation
-// layer: the sample engine under UseSampling, the sharded evaluator
-// under EnableSharding, the session engine otherwise (the histogram
-// evaluator issues no engine work).
-func (s *Session) evalEngine() exec.Evaluator {
+// evalEngine returns the engine backing the current evaluation layer:
+// the sample engine under UseSampling, the session engine otherwise
+// (the histogram evaluator issues no engine work).
+func (s *Session) evalEngine() *exec.Engine {
 	if sampled, ok := s.eval.(*exec.Sampled); ok {
 		return sampled.Engine
-	}
-	if sv, ok := s.eval.(*exec.ShardedEvaluator); ok {
-		return sv
 	}
 	return s.eng
 }

@@ -14,19 +14,16 @@ import (
 )
 
 // TestTracingEndToEnd is the acceptance path for the tracing
-// subsystem: a sharded session with tracing enabled runs a refinement,
-// and the flight recorder holds a span tree with the search root, its
-// per-layer spans, and one scatter.shard child per shard — exported as
-// valid Chrome trace-event JSON.
+// subsystem: a session with tracing enabled runs a refinement, and the
+// flight recorder holds a span tree with the search root, its
+// per-layer spans, the engine.batch spans of the evaluation layer
+// inside them and evaluate spans under those — exported as valid
+// Chrome trace-event JSON.
 func TestTracingEndToEnd(t *testing.T) {
 	s, err := NewUsersSession(5000, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnableSharding(4); err != nil {
-		t.Fatal(err)
-	}
-	reg := s.Metrics() // registry first, so the skew gauge has a home
 	rec := s.EnableTracing(RecorderConfig{})
 	if s.Recorder() != rec {
 		t.Fatal("Recorder() does not return the enabled recorder")
@@ -51,20 +48,38 @@ func TestTracingEndToEnd(t *testing.T) {
 	if !ok || root.Name != "search" {
 		t.Fatalf("root = %+v", root)
 	}
-	var layers, shardSpans int
-	for _, sp := range tr.Snapshot() {
+	spans := tr.Snapshot()
+	byID := make(map[obs.SpanID]obs.TraceSpan, len(spans))
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+	}
+	// under reports whether an ancestor of sp is named name.
+	under := func(sp obs.TraceSpan, name string) bool {
+		for p, ok := byID[sp.Parent]; ok; p, ok = byID[p.Parent] {
+			if p.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	count := map[string]int{}
+	for _, sp := range spans {
+		count[sp.Name]++
 		switch sp.Name {
-		case "layer":
-			layers++
-		case "scatter.shard":
-			shardSpans++
+		case "engine.batch":
+			if !under(sp, "layer") && !under(sp, "expand") {
+				t.Errorf("engine.batch span %d is outside every layer", sp.ID)
+			}
+		case "evaluate":
+			if p := byID[sp.Parent]; p.Name != "engine.batch" {
+				t.Errorf("evaluate span %d has parent %q, want engine.batch", sp.ID, p.Name)
+			}
 		}
 	}
-	if layers == 0 {
-		t.Error("trace has no layer spans")
-	}
-	if shardSpans == 0 || shardSpans%4 != 0 {
-		t.Errorf("trace has %d scatter.shard spans, want a positive multiple of 4", shardSpans)
+	for _, name := range []string{"layer", "engine.batch", "evaluate"} {
+		if count[name] == 0 {
+			t.Errorf("trace has no %s spans (have %v)", name, count)
+		}
 	}
 
 	// Export parses as Chrome JSON and contains every structural name.
@@ -84,16 +99,10 @@ func TestTracingEndToEnd(t *testing.T) {
 	for _, ev := range doc.TraceEvents {
 		names[ev.Name] = true
 	}
-	for _, want := range []string{"search", "layer", "fold", "scatter", "scatter.shard"} {
+	for _, want := range []string{"search", "layer", "fold", "engine.batch", "evaluate"} {
 		if !names[want] {
 			t.Errorf("export missing %q event (have %v)", want, names)
 		}
-	}
-
-	// The skew gauge populated from the same scatter timings.
-	snap := reg.Snapshot()
-	if skew := snap["acquire_shard_skew_ratio"]; skew < 1 {
-		t.Errorf("acquire_shard_skew_ratio = %v, want >= 1", skew)
 	}
 }
 
@@ -125,15 +134,12 @@ func TestTracingSampling(t *testing.T) {
 }
 
 // TestConcurrentScrapeRace hammers /metrics and /debug/traces while
-// sharded searches are in flight — the race-detector regression test
-// for the observability surfaces (recorder ring, registry, span trees
-// all shared with the search goroutines).
+// searches are in flight — the race-detector regression test for the
+// observability surfaces (recorder ring, registry, span trees all
+// shared with the search goroutines and the engine's worker pool).
 func TestConcurrentScrapeRace(t *testing.T) {
 	s, err := NewUsersSession(5000, 0, 3)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EnableSharding(3); err != nil {
 		t.Fatal(err)
 	}
 	rec := s.EnableTracing(RecorderConfig{})

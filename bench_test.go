@@ -434,55 +434,6 @@ func BenchmarkParallelExploreTraced(b *testing.B) {
 	e.Parallelism = 0
 }
 
-// BenchmarkShardedExplore measures the full ACQUIRE search against the
-// sharded evaluation stack at 100K-row scale: the fig. 8 calibrated
-// 3-predicate COUNT search, run through exec.NewShardedOn with the
-// shard count swept over 1/2/4/8 (shards=0 is the monolithic engine
-// baseline). Results are verified identical across the sweep by
-// TestShardedMatchesEngine; the timing spread is the scatter-gather
-// cost/benefit. On this single-CPU host the search slows modestly with
-// shard count (per-shard bind and merge overhead on narrow cell
-// batches); raw AggregateBatch over broad regions is where shard-local
-// scan state wins — see the acqbench "shards" experiment and
-// EXPERIMENTS.md.
-func BenchmarkShardedExplore(b *testing.B) {
-	cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: 100000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mono := exec.New(cat)
-	q, err := workload.BuildCalibrated(mono, workload.Spec{
-		Kind: workload.Users, Dims: 3, Agg: relq.AggCount, Ratio: 0.3,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{0, 1, 2, 4, 8} {
-		var ev exec.Evaluator = mono
-		name := "engine"
-		if n > 0 {
-			sv, err := exec.NewShardedOn(cat, "users", n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ev = sv
-			name = fmt.Sprintf("shards=%d", n)
-		}
-		b.Run(name, func(b *testing.B) {
-			var explored, cells int
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunContext(context.Background(), ev, q, core.Options{Gamma: 20, Delta: 0.05})
-				if err != nil {
-					b.Fatal(err)
-				}
-				explored, cells = res.Explored, res.CellQueries
-			}
-			b.ReportMetric(float64(explored), "explored")
-			b.ReportMetric(float64(cells), "cell-queries")
-		})
-	}
-}
-
 // BenchmarkBoxKernel quantifies the box-aggregate kernel on the fig. 8
 // single-table workload (users, 3 dims, ratio 0.3, COUNT): one full
 // ACQUIRE search per iteration, once against the plain scan path and

@@ -71,9 +71,6 @@ var experiments = []experiment{
 	{"repeated", "repeated-workload study: cross-search partial-aggregate cache (pair with -cache)", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
 		return harness.RepeatedWorkload(ctx, c)
 	}},
-	{"shards", "sharded evaluation stack sweep: scatter-gather AggregateBatch vs the monolithic engine (fig. 8 workload)", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
-		return harness.ShardSweep(ctx, c)
-	}},
 }
 
 func main() {
@@ -95,22 +92,21 @@ func main() {
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("acqbench", flag.ContinueOnError)
 	var (
-		expName = fs.String("experiment", "all", "experiment to run (all, table1, summary, "+names()+")")
-		rows    = fs.Int("rows", 100000, "dataset size (the paper's headline scale is 1000000)")
-		seed    = fs.Int64("seed", 1, "generation seed")
-		delta   = fs.Float64("delta", 0.05, "aggregate error threshold δ")
-		gamma   = fs.Float64("gamma", 20, "refinement threshold γ")
-		sizesCS = fs.String("sizes", "", "comma-separated table sizes for fig10a (default 1000,10000,100000)")
-		gridK   = fs.Int("tqgen-k", 0, "TQGen grid values per predicate (default 8)")
-		rounds  = fs.Int("tqgen-rounds", 0, "TQGen zoom rounds (default 5)")
-		gridAgg = fs.Bool("gridagg", false, "build aggregate-augmented grids: answer eligible cell queries from stored per-cell partials")
-		cache   = fs.Bool("cache", false, "attach a cross-search partial-aggregate cache to every engine")
-		shards  = fs.Int("shards", 1, "run harness engines as a ShardedEvaluator over N range-partitioned shards")
-		cluster = fs.String("cluster", "", "re-sort generated tables by this numeric column before building engines (engages the scan's zone maps)")
-		cacheMB = fs.Int("cache-mb", 64, "region cache capacity in MiB (with -cache)")
-		metrics = fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address while experiments run")
-		logJSON = fs.Bool("log-json", false, "emit structured search/engine events as JSON on stderr")
-		jsonOut = fs.String("json", "", "also write figures + config + metric snapshot as JSON to this file")
+		expName     = fs.String("experiment", "all", "experiment to run (all, table1, summary, "+names()+")")
+		rows        = fs.Int("rows", 100000, "dataset size (the paper's headline scale is 1000000)")
+		seed        = fs.Int64("seed", 1, "generation seed")
+		delta       = fs.Float64("delta", 0.05, "aggregate error threshold δ")
+		gamma       = fs.Float64("gamma", 20, "refinement threshold γ")
+		sizesCS     = fs.String("sizes", "", "comma-separated table sizes for fig10a (default 1000,10000,100000)")
+		gridK       = fs.Int("tqgen-k", 0, "TQGen grid values per predicate (default 8)")
+		rounds      = fs.Int("tqgen-rounds", 0, "TQGen zoom rounds (default 5)")
+		gridAgg     = fs.Bool("gridagg", false, "build aggregate-augmented grids: answer eligible cell queries from stored per-cell partials")
+		cache       = fs.Bool("cache", false, "attach a cross-search partial-aggregate cache to every engine")
+		cluster     = fs.String("cluster", "", "re-sort generated tables by this numeric column before building engines (engages the scan's zone maps)")
+		cacheMB     = fs.Int("cache-mb", 64, "region cache capacity in MiB (with -cache)")
+		metrics     = fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address while experiments run")
+		logJSON     = fs.Bool("log-json", false, "emit structured search/engine events as JSON on stderr")
+		jsonOut     = fs.String("json", "", "also write figures + config + metric snapshot as JSON to this file")
 		traceDir    = fs.String("trace-dir", "", "record search span trees and write them here as Chrome trace-event JSON")
 		traceSample = fs.Int("trace-sample", 0, "with tracing: keep 1-in-N fast searches (0 or 1 = keep all)")
 		traceSlow   = fs.Duration("trace-slow", 0, "with tracing: always keep searches slower than this (tail-based keep)")
@@ -121,7 +117,7 @@ func run(ctx context.Context, args []string) error {
 	cfg := harness.Config{
 		Rows: *rows, Seed: *seed, Delta: *delta, Gamma: *gamma,
 		TQGenGridK: *gridK, TQGenRounds: *rounds, GridAgg: *gridAgg,
-		Shards: *shards, Cluster: *cluster,
+		Cluster: *cluster,
 	}
 	if *cache {
 		cfg.CacheMB = *cacheMB

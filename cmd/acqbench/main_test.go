@@ -19,7 +19,7 @@ func TestNamesAndKnown(t *testing.T) {
 			t.Errorf("known(%q) = false", want)
 		}
 	}
-	for _, gone := range []string{"nonsense", "scan", "autocluster", "zorder"} {
+	for _, gone := range []string{"nonsense", "scan", "autocluster", "zorder", "shards"} {
 		if known(gone) {
 			t.Errorf("known(%q) = true", gone)
 		}
@@ -64,6 +64,13 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-autocluster", "-experiment", "table1"}); err == nil {
 		t.Error("-autocluster: expected an unknown-flag error")
+	}
+	// So are the shard sweep and its flag.
+	if err := run(context.Background(), []string{"-experiment", "shards"}); err == nil {
+		t.Error("-experiment shards: expected an unknown-experiment error")
+	}
+	if err := run(context.Background(), []string{"-shards", "2", "-experiment", "table1"}); err == nil {
+		t.Error("-shards: expected an unknown-flag error")
 	}
 }
 

@@ -52,27 +52,26 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("acquire", flag.ContinueOnError)
 	var (
-		dataset = fs.String("dataset", "", "generated dataset: tpch or users (alternative to -load)")
-		rows    = fs.Int("rows", 100000, "generated dataset size")
-		zipf    = fs.Float64("zipf", 0, "Zipf skew Z for generated data (0 = uniform)")
-		seed    = fs.Int64("seed", 1, "generation seed")
-		loads   = multiFlag{}
-		sql     = fs.String("sql", "", "the ACQ statement (required)")
-		gamma   = fs.Float64("gamma", 10, "refinement threshold γ")
-		delta   = fs.Float64("delta", 0.05, "aggregate error threshold δ")
-		norm    = fs.String("norm", "l1", "refinement norm: l1, l2, linf")
-		index   = fs.String("gridindex", "", "build a §7.4 grid index: table:col1,col2[:bins]")
-		gridAgg = fs.Bool("gridagg", false, "build an aggregate-augmented grid over the query's select dimensions (single-table queries)")
-		cache   = fs.Bool("cache", false, "cache partial aggregates across searches (results stay bit-identical)")
-		cacheMB = fs.Int("cache-mb", 64, "partial-aggregate cache capacity in MiB (with -cache)")
-		shards  = fs.Int("shards", 1, "scatter-gather exact execution across N range-partitioned in-process shards")
-		maxOut  = fs.Int("max", 5, "maximum refined queries to print")
-		taxPath = fs.String("taxonomy", "", "make a string predicate refinable: column=outline-file (§7.3)")
-		explain = fs.Bool("explain", false, "print the search trace (one line per explored refined query)")
-		show    = fs.Int("show", 0, "materialise up to N result rows of the best refined query")
-		saveDir = fs.String("save", "", "write every loaded/generated table to this directory as CSV")
-		metrics = fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address (e.g. :8080)")
-		logJSON = fs.Bool("log-json", false, "emit structured search/engine events as JSON on stderr")
+		dataset     = fs.String("dataset", "", "generated dataset: tpch or users (alternative to -load)")
+		rows        = fs.Int("rows", 100000, "generated dataset size")
+		zipf        = fs.Float64("zipf", 0, "Zipf skew Z for generated data (0 = uniform)")
+		seed        = fs.Int64("seed", 1, "generation seed")
+		loads       = multiFlag{}
+		sql         = fs.String("sql", "", "the ACQ statement (required)")
+		gamma       = fs.Float64("gamma", 10, "refinement threshold γ")
+		delta       = fs.Float64("delta", 0.05, "aggregate error threshold δ")
+		norm        = fs.String("norm", "l1", "refinement norm: l1, l2, linf")
+		index       = fs.String("gridindex", "", "build a §7.4 grid index: table:col1,col2[:bins]")
+		gridAgg     = fs.Bool("gridagg", false, "build an aggregate-augmented grid over the query's select dimensions (single-table queries)")
+		cache       = fs.Bool("cache", false, "cache partial aggregates across searches (results stay bit-identical)")
+		cacheMB     = fs.Int("cache-mb", 64, "partial-aggregate cache capacity in MiB (with -cache)")
+		maxOut      = fs.Int("max", 5, "maximum refined queries to print")
+		taxPath     = fs.String("taxonomy", "", "make a string predicate refinable: column=outline-file (§7.3)")
+		explain     = fs.Bool("explain", false, "print the search trace (one line per explored refined query)")
+		show        = fs.Int("show", 0, "materialise up to N result rows of the best refined query")
+		saveDir     = fs.String("save", "", "write every loaded/generated table to this directory as CSV")
+		metrics     = fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address (e.g. :8080)")
+		logJSON     = fs.Bool("log-json", false, "emit structured search/engine events as JSON on stderr")
 		traceDir    = fs.String("trace-dir", "", "record search span trees and write them here as Chrome trace-event JSON (Perfetto-loadable)")
 		traceSample = fs.Int("trace-sample", 0, "with tracing: keep 1-in-N fast searches (0 or 1 = keep all)")
 		traceSlow   = fs.Duration("trace-slow", 0, "with tracing: always keep searches slower than this (tail-based keep)")
@@ -211,13 +210,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	// Sharding first: grid indexes and the cache attach to whichever
-	// exact evaluator is active, so the shards must exist before either.
-	if *shards > 1 {
-		if err := s.EnableSharding(*shards); err != nil {
-			return err
-		}
-	}
 	if *gridAgg {
 		if err := buildGridAgg(s, q); err != nil {
 			return err
@@ -264,15 +256,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		res.Explored, st.Queries, st.RowsScanned)
 	if *cache {
 		fmt.Fprintf(out, "partial-aggregate cache: %d hits, %d misses\n", st.CacheHits, st.CacheMisses)
-	}
-	if *shards > 1 {
-		sc := s.ScatterStats()
-		fmt.Fprintf(out, "sharding: %d shards, %d batches scattered, %d routed whole, %d partials merged\n",
-			s.NumShards(), sc.Scatters, sc.Routed, sc.Partials)
-		for _, sh := range s.ShardStats() {
-			fmt.Fprintf(out, "  shard %d: rows [%d,%d) — %d executions, %d rows scanned\n",
-				sh.Shard, sh.Lo, sh.Hi, sh.Stats.Queries, sh.Stats.RowsScanned)
-		}
 	}
 
 	if !res.Satisfied {

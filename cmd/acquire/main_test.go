@@ -138,6 +138,8 @@ func TestRunErrors(t *testing.T) {
 		{"-dataset", "users", "-rows", "100", "-gridindex", "bad", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
 		{"-dataset", "users", "-rows", "100", "-load", "malformed", "-sql", "x"},
 		{"-load", "t=/does/not/exist.csv", "-sql", "x"},
+		// In-process sharding is gone, not hidden.
+		{"-dataset", "users", "-rows", "100", "-shards", "2", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
 	}
 	for i, args := range cases {
 		if _, err := runCLI(t, args...); err == nil {

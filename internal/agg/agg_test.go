@@ -59,6 +59,53 @@ func TestMergeEqualsSplitFold(t *testing.T) {
 	}
 }
 
+// The §2.6 merge corners the random property above clamps away: every
+// split of a hand-written input — an empty side, all rows on one side,
+// ±Inf and NaN values — must merge to the one-pass fold. COUNT, MIN and
+// MAX are picked, never rounded, so they must match exactly (MIN/MAX
+// ignore NaN in both); SUM may re-associate, or be NaN on both sides.
+// AVG must recompose from the merged SUM and COUNT.
+func TestMergeEdgeCases(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	sameBits := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	cases := []struct {
+		name string
+		vals []float64
+	}{
+		{"empty", nil},
+		{"one-row", []float64{2.5}},
+		{"finite", []float64{3, 1, 4, 1, 5, 9, 2, 6}},
+		{"inf", []float64{1, inf, 2, -inf, 3, 4}},
+		{"only-inf", []float64{inf, inf}},
+		{"nan", []float64{1, nan, 2, 3, nan, 4}},
+		{"only-nan", []float64{nan, nan, nan}},
+		{"nan-and-inf", []float64{nan, -inf, 7, nan, inf}},
+	}
+	avg := Spec{Func: relq.AggAvg}
+	for _, c := range cases {
+		whole := partialOf(c.vals...)
+		for k := 0; k <= len(c.vals); k++ {
+			merged := Merge(partialOf(c.vals[:k]...), partialOf(c.vals[k:]...))
+			if merged.Count != whole.Count || !sameBits(merged.Min, whole.Min) || !sameBits(merged.Max, whole.Max) {
+				t.Errorf("%s split %d: merged %+v, one pass %+v", c.name, k, merged, whole)
+			}
+			if !(math.IsNaN(merged.Sum) && math.IsNaN(whole.Sum)) &&
+				!(merged.Sum == whole.Sum || math.Abs(merged.Sum-whole.Sum) <= 1e-9*(1+math.Abs(whole.Sum))) {
+				t.Errorf("%s split %d: sum %v, one pass %v", c.name, k, merged.Sum, whole.Sum)
+			}
+			got, want := avg.Final(merged), avg.Final(whole)
+			if whole.Count > 0 && !sameBits(got, merged.Sum/float64(merged.Count)) {
+				t.Errorf("%s split %d: AVG %v does not recompose from SUM/COUNT", c.name, k, got)
+			}
+			if !sameBits(got, want) && math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+				t.Errorf("%s split %d: AVG %v, one pass %v", c.name, k, got, want)
+			}
+		}
+	}
+}
+
 // Property: Merge is commutative.
 func TestMergeCommutative(t *testing.T) {
 	f := func(a, b []float64) bool {

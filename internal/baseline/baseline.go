@@ -1,7 +1,7 @@
 // Package baseline implements the three comparison techniques of §8.2,
 // each extended as the paper describes to address the ACQ problem, and
-// each running against the same exec.Evaluator evaluation layer as
-// ACQUIRE so execution-time comparisons count identical work:
+// each running against the same evaluation engine as ACQUIRE so
+// execution-time comparisons count identical work:
 //
 //   - Top-k: ORDER BY the normalized-violation expression LIMIT A_exp
 //     (tuple-oriented; COUNT only; no join refinement; no query output).
@@ -18,7 +18,7 @@ import (
 	"math"
 
 	"acquire/internal/agg"
-	"acquire/internal/exec"
+	"acquire/internal/core"
 	"acquire/internal/relq"
 )
 
@@ -55,7 +55,7 @@ func l1(scores []float64) float64 {
 
 // maxScores computes each dimension's domain-spanning refinement score,
 // shared search-bound logic for BinSearch and TQGen.
-func maxScores(e exec.Evaluator, q *relq.Query) ([]float64, error) {
+func maxScores(e core.Evaluator, q *relq.Query) ([]float64, error) {
 	cat := e.Catalog()
 	stats := func(ref relq.ColumnRef) (minV, maxV float64, err error) {
 		t, err := cat.Table(ref.Table)
@@ -113,7 +113,7 @@ func maxScores(e exec.Evaluator, q *relq.Query) ([]float64, error) {
 // returns the aggregate value. Every baseline probe passes through
 // here, so the context check makes all three methods cancellable at
 // probe granularity.
-func evalAt(ctx context.Context, e exec.Evaluator, q *relq.Query, spec agg.Spec, scores []float64) (float64, error) {
+func evalAt(ctx context.Context, e core.Evaluator, q *relq.Query, spec agg.Spec, scores []float64) (float64, error) {
 	parts, err := e.AggregateBatch(ctx, q, []relq.Region{relq.PrefixRegion(scores)})
 	if err != nil {
 		return 0, err

@@ -32,13 +32,13 @@ type BinSearchOptions struct {
 // Each probe is a whole-query execution; the method is fast (O(d log)
 // probes) but order-sensitive and gives no proximity guarantee (Table 1:
 // cardinality only, no proximity criterion).
-func BinSearch(e exec.Evaluator, q *relq.Query, opts BinSearchOptions) (*Outcome, error) {
+func BinSearch(e *exec.Engine, q *relq.Query, opts BinSearchOptions) (*Outcome, error) {
 	return BinSearchContext(context.Background(), e, q, opts)
 }
 
 // BinSearchContext is BinSearch with cancellation, checked at every
 // probe.
-func BinSearchContext(ctx context.Context, e exec.Evaluator, q *relq.Query, opts BinSearchOptions) (*Outcome, error) {
+func BinSearchContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts BinSearchOptions) (*Outcome, error) {
 	sp := e.Observer().StartPhase("baseline_binsearch")
 	defer sp.End()
 	ctx = exec.WithJoinScope(ctx) // probes move one dimension: the other tables' candidates repeat

@@ -27,13 +27,13 @@ import (
 // Figures 8.c/9.c can compare refinement quality. Its aggregate error
 // is 0 by construction ("a Top-k query explicitly specifies the number
 // of tuples to return", §8.4.1) whenever enough tuples exist.
-func TopK(e exec.Evaluator, q *relq.Query) (*Outcome, error) {
+func TopK(e *exec.Engine, q *relq.Query) (*Outcome, error) {
 	return TopKContext(context.Background(), e, q)
 }
 
 // TopKContext is TopK with cancellation, checked before the scan and
 // before the sort (the two expensive phases).
-func TopKContext(ctx context.Context, e exec.Evaluator, q *relq.Query) (*Outcome, error) {
+func TopKContext(ctx context.Context, e *exec.Engine, q *relq.Query) (*Outcome, error) {
 	sp := e.Observer().StartPhase("baseline_topk")
 	defer sp.End()
 	if q.Constraint.Func != relq.AggCount {

@@ -48,14 +48,14 @@ func (o TQGenOptions) withDefaults() TQGenOptions {
 // ACQUIRE... at the cost of a 100X increase in execution time").
 // Refinement proximity is not an objective (Figure 8.c), so the method
 // reports whatever refinement its best combination happens to carry.
-func TQGen(e exec.Evaluator, q *relq.Query, opts TQGenOptions) (*Outcome, error) {
+func TQGen(e *exec.Engine, q *relq.Query, opts TQGenOptions) (*Outcome, error) {
 	return TQGenContext(context.Background(), e, q, opts)
 }
 
 // TQGenContext is TQGen with cancellation, checked at every grid-cell
 // execution — essential here, since a single round issues GridK^d
 // whole queries.
-func TQGenContext(ctx context.Context, e exec.Evaluator, q *relq.Query, opts TQGenOptions) (*Outcome, error) {
+func TQGenContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts TQGenOptions) (*Outcome, error) {
 	sp := e.Observer().StartPhase("baseline_tqgen")
 	defer sp.End()
 	ctx = exec.WithJoinScope(ctx) // the grid's queries share their per-table candidates

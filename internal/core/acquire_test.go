@@ -310,13 +310,6 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 	cached := exec.New(cat)
 	cached.EnableRegionCache(16 << 20)
 	configs = append(configs, config{"cache-cold", cached}, config{"cache-warm", cached})
-	for n := 1; n <= 4; n++ {
-		sv, err := exec.NewSharded(cat, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		configs = append(configs, config{fmt.Sprintf("shards-%d", n), sv})
-	}
 
 	// Answers found by §6, per aggregate and per dimensionality: the
 	// matrix is only worth its time if repartitioning decided cases in it.

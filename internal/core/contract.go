@@ -81,8 +81,7 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 
 	// Tracing mirrors runSearch: contraction gets its own root (or
 	// nests under a caller span) and every candidate's AggregateBatch
-	// call carries the root via ctx, so engine and scatter spans nest
-	// under it.
+	// call carries the root via ctx, so engine spans nest under it.
 	parentSp := obs.SpanFromContext(ctx)
 	var tr *obs.Trace
 	var root obs.SpanRef

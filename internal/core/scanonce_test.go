@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"acquire/internal/agg"
+	"acquire/internal/data"
 	"acquire/internal/exec"
 	"acquire/internal/relq"
 	"acquire/internal/tpch"
@@ -189,25 +191,64 @@ func TestJoinScopeOverrun(t *testing.T) {
 	}
 }
 
+// twinScope sends every batch to a second engine over another catalog
+// as well, concurrently and under the same context — so both engines
+// read one join scope at once — and checks each engine's partials
+// against its own Aggregate.
+type twinScope struct {
+	*exec.Engine
+	twin *exec.Engine
+	t    *testing.T
+}
+
+func (w twinScope) AggregateBatch(ctx context.Context, q *relq.Query, regions []relq.Region) ([]agg.Partial, error) {
+	var twin []agg.Partial
+	var twinErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		twin, twinErr = w.twin.AggregateBatch(ctx, q, regions)
+	}()
+	got, err := w.Engine.AggregateBatch(ctx, q, regions)
+	<-done
+	if err != nil || twinErr != nil {
+		return nil, errors.Join(err, twinErr)
+	}
+	for _, side := range []struct {
+		e   *exec.Engine
+		got []agg.Partial
+	}{{w.Engine, got}, {w.twin, twin}} {
+		for i, r := range regions {
+			single, err := side.e.Aggregate(q, r)
+			if err != nil {
+				return nil, err
+			}
+			if side.got[i] != single {
+				w.t.Errorf("region %v under a shared scope: batch %+v != Aggregate %+v", r, side.got[i], single)
+			}
+		}
+	}
+	return got, nil
+}
+
 // TestJoinScopeConcurrentSearches runs whole searches from eight
 // goroutines on one shared engine, each under the scope its RunContext
 // opened, while the catalog keeps replacing a table (same rows, new
-// identity, so scopes restart mid-search), and one more search over a
-// 4-shard evaluator, whose four engines read one scope at once. Every
+// identity, so scopes restart mid-search), and one more search whose
+// batches also go to a second engine over another catalog under the
+// same scope, so two engines keep their own state in it at once. Every
 // search must return the result of an undisturbed one. Run with -race.
 func TestJoinScopeConcurrentSearches(t *testing.T) {
 	e, q := tpchSearch(t, 3000)
-	e.SetParallelism(2)
+	e.Parallelism = 2
 	opts := Options{Gamma: 12, Delta: 0.05}
 	want, err := Run(e, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat := e.Catalog()
-	sv, err := exec.NewSharded(cat, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	other, _ := tpchSearch(t, 2000)
+	twin := twinScope{Engine: e, twin: other, t: t}
 	search := func(ev Evaluator, rounds int) {
 		for r := 0; r < rounds; r++ {
 			got, err := RunContext(context.Background(), ev, q, opts)
@@ -215,7 +256,6 @@ func TestJoinScopeConcurrentSearches(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			// COUNT partials are exact, so shards re-associate nothing.
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("round %d: result differs from the undisturbed search:\n%+v\n%+v", r, got, want)
 				return
@@ -233,17 +273,34 @@ func TestJoinScopeConcurrentSearches(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		search(sv, 2)
+		search(twin, 2)
 	}()
 	part, err := cat.Table("part")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 20; r++ {
-		cat.Replace(part.Slice(0, part.NumRows()))
+		cat.Replace(copyTable(t, part))
 		if _, err := RunContext(context.Background(), e, q, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	wg.Wait()
+}
+
+// copyTable returns a new table with t's name, schema and rows: to a
+// catalog Replace it is a different table with the same contents.
+func copyTable(tb testing.TB, t *data.Table) *data.Table {
+	tb.Helper()
+	out := data.NewTable(t.Name(), t.Schema())
+	vals := make([]data.Value, t.Schema().Len())
+	for r := 0; r < t.NumRows(); r++ {
+		for c := range vals {
+			vals[c] = t.ValueAt(r, c)
+		}
+		if err := out.AppendRow(vals...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
 }

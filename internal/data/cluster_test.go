@@ -111,46 +111,3 @@ func TestSortedByClusterInfo(t *testing.T) {
 		t.Fatal("SortedBy on a missing column: expected error")
 	}
 }
-
-// TestSlicePropagatesCluster checks that a zero-copy view inherits the
-// clustering column with its sorted prefix clamped to the overlap —
-// what lets every shard of a clustered parent keep zone-map pruning.
-func TestSlicePropagatesCluster(t *testing.T) {
-	tbl := clusterTestTable(t, 200, 3)
-	sorted, err := SortedBy(tbl, "key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendClusterRows(t, sorted, 40, 4) // sortedRows=200, rows=240
-
-	cases := []struct {
-		lo, hi     int
-		wantSorted int
-	}{
-		{0, 240, 200},  // full view: same split
-		{0, 150, 150},  // inside the sorted run: fully sorted
-		{50, 200, 150}, // suffix of the run: fully sorted
-		{180, 240, 20}, // straddles the boundary
-		{200, 240, 0},  // pure tail: no sorted prefix
-		{210, 230, 0},
-	}
-	for _, tc := range cases {
-		v := sorted.Slice(tc.lo, tc.hi)
-		col, n := v.ClusterInfo()
-		if col != "key" {
-			t.Fatalf("slice [%d,%d): lost cluster column", tc.lo, tc.hi)
-		}
-		if n != tc.wantSorted {
-			t.Fatalf("slice [%d,%d): sortedRows = %d, want %d", tc.lo, tc.hi, n, tc.wantSorted)
-		}
-		if tail := v.ClusterTail(); tail != v.NumRows()-tc.wantSorted {
-			t.Fatalf("slice [%d,%d): ClusterTail = %d, want %d", tc.lo, tc.hi, tail, v.NumRows()-tc.wantSorted)
-		}
-	}
-
-	// An unclustered parent's views stay unclustered.
-	v := tbl.Slice(0, 100)
-	if col, n := v.ClusterInfo(); col != "" || n != 0 {
-		t.Fatalf("unclustered slice ClusterInfo = (%q, %d)", col, n)
-	}
-}

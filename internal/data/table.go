@@ -198,57 +198,6 @@ func (t *Table) ValueAt(row, ordinal int) Value {
 	return StringValue(t.strings[ordinal][row])
 }
 
-// Slice returns a zero-copy view of rows [lo, hi): same name, same
-// schema, column vectors sub-sliced from the parent's backing arrays.
-// The view is a first-class Table — per-view lazy stats, NumRows equal
-// to its own row span (which doubles as the view's row-count
-// generation for cache-fingerprint purposes) — so a range partitioner
-// can hand each shard an ordinary Table without duplicating data.
-// Appending to a slice view is not supported (the capacity clamp makes
-// a stray append reallocate instead of clobbering sibling shards).
-func (t *Table) Slice(lo, hi int) *Table {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > t.rows {
-		hi = t.rows
-	}
-	if hi < lo {
-		hi = lo
-	}
-	out := &Table{
-		name:    t.name,
-		schema:  t.schema,
-		rows:    hi - lo,
-		ints:    make(map[int][]int64, len(t.ints)),
-		floats:  make(map[int][]float64, len(t.floats)),
-		strings: make(map[int][]string, len(t.strings)),
-		stats:   make(map[int]ColumnStats),
-	}
-	for ord, v := range t.ints {
-		out.ints[ord] = v[lo:hi:hi]
-	}
-	for ord, v := range t.floats {
-		out.floats[ord] = v[lo:hi:hi]
-	}
-	for ord, v := range t.strings {
-		out.strings[ord] = v[lo:hi:hi]
-	}
-	// A contiguous slice of a sorted run is itself sorted: the view
-	// inherits the clustering column, with its prefix clamped to the
-	// overlap between [lo, hi) and the parent's sorted run.
-	if t.clusterCol != "" {
-		out.clusterCol = t.clusterCol
-		if s := t.sortedRows - lo; s > 0 {
-			if s > out.rows {
-				s = out.rows
-			}
-			out.sortedRows = s
-		}
-	}
-	return out
-}
-
 // Stats returns min/max/distinct for a numeric column, computing and
 // caching on first use. An empty table yields zero stats.
 func (t *Table) Stats(ordinal int) (ColumnStats, error) {

@@ -82,7 +82,7 @@ func TestBandJoinBatch(t *testing.T) {
 // closure per region). A counter, not a timing.
 func TestBandJoinAllocsPerRegion(t *testing.T) {
 	e, q, regions := bandJoinFixture(t, 20000, relq.AggSum)
-	e.SetParallelism(1)
+	e.Parallelism = 1
 	ctx := context.Background()
 	if _, err := e.AggregateBatch(ctx, q, regions); err != nil { // warm the column and sort-index caches
 		t.Fatal(err)

@@ -336,3 +336,106 @@ func TestBoundaryZoneSkip(t *testing.T) {
 		t.Fatalf("grid kernel not engaged: %+v", d)
 	}
 }
+
+// TestGridNonFiniteColumn: a grid column holding NaN, +Inf or -Inf must
+// not change any answer. A NaN select value is outside every region on
+// every scan path, so a NaN row is in no grid cell — not in the
+// per-cell partials, the posting lists or the §7.4 bitmap — and a
+// query that leaves such a column unconstrained, under which the row
+// does qualify, must not be answered from the grid. ±Inf stretches the
+// column's domain to infinite width: every value shares bin 0, no cell
+// is provably interior and the kernel merges nothing (pinned here; see
+// ROADMAP item 3). Both grids against a grid-less engine: COUNT, MIN
+// and MAX bit for bit, SUM within 1e-9.
+func TestGridNonFiniteColumn(t *testing.T) {
+	const rows = 5000
+	cases := []struct {
+		name   string
+		poison func(i int) (float64, bool)
+	}{
+		{"nan", func(i int) (float64, bool) { return math.NaN(), i%50 == 0 }},
+		{"nan-inf", func(i int) (float64, bool) {
+			switch i % 50 {
+			case 0:
+				return math.NaN(), true
+			case 17:
+				return math.Inf(1), true
+			case 33:
+				return math.Inf(-1), true
+			}
+			return 0, false
+		}},
+	}
+	sameBits := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: rows, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			users, err := cat.Table("users")
+			if err != nil {
+				t.Fatal(err)
+			}
+			income, _ := users.Floats(users.Schema().Ordinal("income"))
+			for i := range income {
+				if v, ok := tc.poison(i); ok {
+					income[i] = v
+				}
+			}
+			cols := []string{"age", "income", "distance"}
+			scan, kern, bitmap := New(cat), New(cat), New(cat)
+			if err := kern.BuildGridAggIndex("users", cols, []string{"spend"}, index.BinsForRows(3, rows)); err != nil {
+				t.Fatal(err)
+			}
+			if err := bitmap.BuildGridIndex("users", cols, 8); err != nil {
+				t.Fatal(err)
+			}
+
+			all := usersDims()
+			var queries []*relq.Query
+			for _, dims := range [][]relq.Dimension{all, {all[0], all[2]}} {
+				queries = append(queries,
+					usersQuery(relq.AggCount, "", dims...),
+					usersQuery(relq.AggSum, "spend", dims...),
+					usersQuery(relq.AggMin, "spend", dims...),
+					usersQuery(relq.AggMax, "spend", dims...))
+			}
+			rng := rand.New(rand.NewSource(99))
+			before := kern.Snapshot()
+			for trial := 0; trial < 80; trial++ {
+				for _, q := range queries {
+					region := make(relq.Region, len(q.Dims))
+					for i := range region {
+						hi := rng.Float64() * 80
+						region[i] = relq.ViolInterval{Lo: -1, Hi: hi}
+						if rng.Intn(2) == 0 {
+							region[i].Lo = hi * rng.Float64()
+						}
+					}
+					want, err := scan.Aggregate(q, region)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for name, e := range map[string]*Engine{"aggregate grid": kern, "bitmap grid": bitmap} {
+						got, err := e.Aggregate(q, region)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Count != want.Count || !sameBits(got.Min, want.Min) || !sameBits(got.Max, want.Max) ||
+							!sameBits(got.Sum, want.Sum) && math.Abs(got.Sum-want.Sum) > 1e-9*(1+math.Abs(want.Sum)) {
+							t.Fatalf("%s, %d dims, %v region %v:\ngrid %+v\nscan %+v",
+								name, len(q.Dims), q.Constraint.Func, region, got, want)
+						}
+					}
+				}
+			}
+			merged := kern.Snapshot().Sub(before).CellsMerged
+			if inf := tc.name == "nan-inf"; inf != (merged == 0) {
+				t.Errorf("kernel merged %d cells; want none exactly when the column holds ±Inf", merged)
+			}
+		})
+	}
+}

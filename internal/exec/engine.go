@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,7 +152,7 @@ type Engine struct {
 
 	mu       sync.RWMutex
 	colCache map[colKey]colEntry
-	grids    map[string]*index.Grid
+	grids    map[string]gridEntry
 	sortIdx  map[colKey]sortEntry
 	zones    map[colKey]zoneEntry
 
@@ -170,11 +171,6 @@ type Engine struct {
 	regionCache atomic.Pointer[regioncache.Cache]
 	// epoch counts InvalidateTable calls; it retires join memos (joinplan.go).
 	epoch atomic.Uint64
-
-	// zoneSkips attributes zone-map block skips to the pruning column
-	// ("table.column" keys).
-	zoneSkipMu sync.Mutex
-	zoneSkips  map[string]int64
 }
 
 type colKey struct {
@@ -212,7 +208,7 @@ func New(cat *data.Catalog) *Engine {
 	e := &Engine{
 		cat:             cat,
 		colCache:        make(map[colKey]colEntry),
-		grids:           make(map[string]*index.Grid),
+		grids:           make(map[string]gridEntry),
 		sortIdx:         make(map[colKey]sortEntry),
 		zones:           make(map[colKey]zoneEntry),
 		MaxIntermediate: DefaultMaxIntermediate,
@@ -369,27 +365,19 @@ func (e *Engine) countDegradedScans(n int64) {
 }
 
 // countZoneAxisSkips attributes one scan's zone-map block skips to the
-// columns whose predicates fired (axisSkips aligned with zps; see
-// skipAxis for the attribution rule). Only called when at least one
-// block was skipped, so unskipping scans pay nothing.
+// observer's per-column series for the columns whose predicates fired
+// (axisSkips aligned with zps; see skipAxis for the attribution rule).
+// Only called when at least one block was skipped, so unskipping scans
+// pay nothing.
 func (e *Engine) countZoneAxisSkips(t *data.Table, zps []zonePred, axisSkips []int64) {
-	cols := t.Schema().Columns
-	tk := tableKey(t)
-	e.zoneSkipMu.Lock()
-	if e.zoneSkips == nil {
-		e.zoneSkips = make(map[string]int64)
+	eo := e.obsState.Load()
+	if eo == nil {
+		return
 	}
+	cols := t.Schema().Columns
 	for i, n := range axisSkips {
 		if n > 0 {
-			e.zoneSkips[tk+"."+strings.ToLower(cols[zps[i].ord].Name)] += n
-		}
-	}
-	e.zoneSkipMu.Unlock()
-	if eo := e.obsState.Load(); eo != nil {
-		for i, n := range axisSkips {
-			if n > 0 {
-				eo.zoneSkipCounter(strings.ToLower(cols[zps[i].ord].Name)).Add(n)
-			}
+			eo.zoneSkipCounter(strings.ToLower(cols[zps[i].ord].Name)).Add(n)
 		}
 	}
 }
@@ -413,19 +401,6 @@ func (eo *engineObs) zoneSkipCounter(column string) *obs.Counter {
 	return c
 }
 
-// ZoneSkips returns a copy of the per-column zone-map skip attribution:
-// "table.column" -> blocks skipped because that column's zone predicate
-// fired first.
-func (e *Engine) ZoneSkips() map[string]int64 {
-	e.zoneSkipMu.Lock()
-	defer e.zoneSkipMu.Unlock()
-	out := make(map[string]int64, len(e.zoneSkips))
-	for k, v := range e.zoneSkips {
-		out[k] = v
-	}
-	return out
-}
-
 // BuildGridIndex builds and registers a §7.4 grid bitmap index over the
 // named numeric columns of a table. Subsequent Aggregate calls use it to
 // skip empty cell queries on that table.
@@ -438,10 +413,7 @@ func (e *Engine) BuildGridIndex(table string, columns []string, binsPerDim int) 
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	e.grids[strings.ToLower(table)] = g
-	e.mu.Unlock()
-	return nil
+	return e.registerGrid(t, g)
 }
 
 // BuildGridAggIndex builds and registers an aggregate-augmented grid
@@ -472,8 +444,30 @@ func (e *Engine) BuildGridAggIndex(table string, columns, aggCols []string, bins
 	if err != nil {
 		return err
 	}
+	return e.registerGrid(t, g)
+}
+
+// gridEntry is a registered grid index and, per grid column, whether
+// the column holds a NaN. The grid leaves such rows out of every cell,
+// so it speaks for a query only when the query constrains each of those
+// columns (bindGrids): a select dimension admits no NaN.
+type gridEntry struct {
+	g   *index.Grid
+	nan []bool
+}
+
+// registerGrid records g as t's grid index.
+func (e *Engine) registerGrid(t *data.Table, g *index.Grid) error {
+	ent := gridEntry{g: g, nan: make([]bool, len(g.Columns()))}
+	for d, col := range g.Columns() {
+		vec, err := t.NumericColumn(t.Schema().Ordinal(col))
+		if err != nil {
+			return err
+		}
+		ent.nan[d] = slices.ContainsFunc(vec, func(v float64) bool { return v != v })
+	}
 	e.mu.Lock()
-	e.grids[strings.ToLower(table)] = g
+	e.grids[strings.ToLower(t.Name())] = ent
 	e.mu.Unlock()
 	return nil
 }
@@ -499,7 +493,9 @@ func (e *Engine) DropGridIndex(table string) {
 	e.mu.Unlock()
 }
 
-func (e *Engine) grid(table string) *index.Grid {
+func (e *Engine) grid(table string) *index.Grid { return e.gridEntry(table).g }
+
+func (e *Engine) gridEntry(table string) gridEntry {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.grids[strings.ToLower(table)]
@@ -619,18 +615,17 @@ type gridBind struct {
 }
 
 // bindGrids resolves the grid registered on each of b's tables; nil
-// when none of them has one.
+// when none of them has one that speaks for the query. A grid does not
+// when the query leaves one of its NaN-holding columns unconstrained:
+// rows the grid left out of every cell would qualify.
 func (e *Engine) bindGrids(b *binding) []gridBind {
 	var out []gridBind
 	for ti := range b.tables {
-		g := e.grid(b.q.Tables[ti])
-		if g == nil {
+		ent := e.gridEntry(b.q.Tables[ti])
+		if ent.g == nil {
 			continue
 		}
-		if out == nil {
-			out = make([]gridBind, len(b.tables))
-		}
-		cols := g.Columns()
+		cols := ent.g.Columns()
 		pos := make([]int, len(b.selDims))
 		for i, sd := range b.selDims {
 			pos[i] = -1
@@ -643,7 +638,17 @@ func (e *Engine) bindGrids(b *binding) []gridBind {
 				}
 			}
 		}
-		out[ti] = gridBind{g: g, dims: len(cols), pos: pos}
+		usable := true
+		for d, nan := range ent.nan {
+			usable = usable && (!nan || slices.Contains(pos, d))
+		}
+		if !usable {
+			continue
+		}
+		if out == nil {
+			out = make([]gridBind, len(b.tables))
+		}
+		out[ti] = gridBind{g: ent.g, dims: len(cols), pos: pos}
 	}
 	return out
 }

@@ -630,3 +630,20 @@ func TestCellSumEqualsPrefixMixedKinds(t *testing.T) {
 		t.Errorf("cell sum %d != prefix %d", total.Count, prefix.Count)
 	}
 }
+
+// copyTable returns a new table with t's name, schema and rows: to a
+// catalog Replace it is a different table with the same contents.
+func copyTable(tb testing.TB, t *data.Table) *data.Table {
+	tb.Helper()
+	out := data.NewTable(t.Name(), t.Schema())
+	vals := make([]data.Value, t.Schema().Len())
+	for r := 0; r < t.NumRows(); r++ {
+		for c := range vals {
+			vals[c] = t.ValueAt(r, c)
+		}
+		if err := out.AppendRow(vals...); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
+}

@@ -198,8 +198,9 @@ type planMemo struct {
 }
 
 // joinScope owns a join memo: a scopeState per engine that planned a join
-// under it (a scatter hands every shard engine the same context). mu guards
-// the states' maps; entries and nodes fill under their own Once.
+// under it, since two engines can see one context (a session's exact engine
+// and its sample engine). mu guards the states' maps; entries and nodes fill
+// under their own Once.
 type joinScope struct {
 	mu     sync.Mutex
 	states map[*Engine]*scopeState

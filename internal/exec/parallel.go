@@ -25,11 +25,6 @@ func (e *Engine) workers() int {
 	return w
 }
 
-// SetParallelism bounds the worker pool (the method form of the
-// Parallelism field, shared with ShardedEvaluator through the
-// Evaluator interface). 0 restores GOMAXPROCS.
-func (e *Engine) SetParallelism(workers int) { e.Parallelism = workers }
-
 // chunks splits [0, n) into at most k near-equal contiguous ranges.
 func chunks(n, k int) [][2]int {
 	if k > n {

@@ -18,7 +18,7 @@ import (
 // single-table batches over tables large enough for the index path,
 // AggregateBatch must equal a stand-alone Aggregate of every region bit
 // for bit, and the row-scan oracle within tolerance, for every worker
-// count, shard count, cache state and grid configuration.
+// count, cache state and grid configuration.
 
 // sdValue draws a select-dimension value: small integers, so cell edges
 // are hit exactly and slabs repeat, plus — on a hostile table — the
@@ -170,7 +170,6 @@ type sdFixture struct {
 	cat     *data.Catalog
 	vec     *Engine
 	workers []*Engine
-	shards  []*ShardedEvaluator
 	cached  *Engine
 	// The grid configurations, over a table of finite values.
 	finite  *Engine
@@ -184,15 +183,8 @@ func newSDFixture(t testing.TB, seed int64, rows int) *sdFixture {
 	f.vec = New(f.cat)
 	for _, w := range []int{1, 2, 8} {
 		e := New(f.cat)
-		e.SetParallelism(w)
+		e.Parallelism = w
 		f.workers = append(f.workers, e)
-	}
-	for n := 1; n <= 4; n++ {
-		sv, err := NewSharded(f.cat, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.shards = append(f.shards, sv)
 	}
 	f.cached = New(f.cat)
 	f.cached.SetRegionCache(regioncache.New(1 << 22))
@@ -243,15 +235,6 @@ func (f *sdFixture) check(t *testing.T, name string, q *relq.Query, regions []re
 			t.Fatal(err)
 		}
 		same(fmt.Sprintf("workers=%d", e.Parallelism), got, true)
-	}
-	for _, sv := range f.shards {
-		got, err := sv.AggregateBatch(ctx, q, regions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One shard is the identity fold; more re-associate SUM across
-		// shard boundaries and nothing else.
-		same(fmt.Sprintf("shards=%d", sv.NumShards()), got, sv.NumShards() == 1)
 	}
 	for _, state := range []string{"cold cache", "warm cache"} {
 		before := f.cached.Snapshot()
@@ -388,7 +371,7 @@ func TestSharedDriveLongListFallsBack(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 8} {
 		e := New(cat)
-		e.SetParallelism(w)
+		e.Parallelism = w
 		got, err := e.AggregateBatch(ctx, q, regions)
 		if err != nil {
 			t.Fatal(err)
@@ -417,7 +400,7 @@ func TestSharedDriveWrongArity(t *testing.T) {
 			e.SetRegionCache(regioncache.New(1 << 20))
 		}
 		for _, w := range []int{1, 4} {
-			e.SetParallelism(w)
+			e.Parallelism = w
 			if _, err := e.AggregateBatch(ctx, q, bad); err == nil {
 				t.Fatalf("cached=%v workers=%d: wrong-arity region did not fail the batch", cached, w)
 			}
@@ -451,7 +434,7 @@ func TestSharedDriveCountersRepeat(t *testing.T) {
 		var want Stats
 		for wi, w := range []int{1, 2, 8} {
 			e := New(cat)
-			e.SetParallelism(w)
+			e.Parallelism = w
 			if _, err := e.AggregateBatch(ctx, q, regions); err != nil { // builds the sort indexes
 				t.Fatal(err)
 			}
@@ -538,7 +521,7 @@ func TestSharedDriveConcurrentBatches(t *testing.T) {
 		}(g)
 	}
 	for round := 0; round < 12; round++ {
-		cat.Replace(tbl.Slice(0, tbl.NumRows()))
+		cat.Replace(copyTable(t, tbl))
 		if _, err := plain.AggregateBatch(ctx, q, regions); err != nil {
 			t.Fatal(err)
 		}
@@ -575,7 +558,7 @@ func TestSharedDriveAllocsPerRegion(t *testing.T) {
 		}
 	}
 	e := New(cat)
-	e.SetParallelism(1)
+	e.Parallelism = 1
 	ctx := context.Background()
 	if _, err := e.AggregateBatch(ctx, q, regions); err != nil { // warm the column and sort-index caches
 		t.Fatal(err)

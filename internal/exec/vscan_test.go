@@ -11,12 +11,11 @@ import (
 	"acquire/internal/agg"
 	"acquire/internal/data"
 	"acquire/internal/relq"
-	"acquire/internal/tpch"
 )
 
 // This file holds the scan path's equivalence property suite: across
-// aggregates, joins, fixed predicates, NaN/±Inf columns, tail blocks,
-// shard counts and cache configurations, the engine must agree with
+// aggregates, joins, fixed predicates, NaN/±Inf columns, tail blocks
+// and table mutations, the engine must agree with
 // NaiveAggregate — nested loops over the cross product, sharing no scan,
 // index or join code with it — and with itself, bit for bit, between a
 // batch and a stand-alone Aggregate of the same region.
@@ -284,76 +283,6 @@ func TestScanOracleEquivalenceTailBlocks(t *testing.T) {
 	}
 }
 
-// TestScanOracleEquivalenceSharded drives the sweep through
-// ShardedEvaluators at shard counts 1-16 with the region cache on and
-// off: every merged partial against the oracle over the whole table,
-// and — the shard layout and merge order being the same — bit for bit
-// against the evaluator's own stand-alone Aggregate and against a
-// cached re-run.
-func TestScanOracleEquivalenceSharded(t *testing.T) {
-	const rows = 3000
-	cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: rows, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dims := usersDims()
-	queries := []*relq.Query{
-		usersQuery(relq.AggCount, "", dims...),
-		usersQuery(relq.AggSum, "spend", dims...),
-		usersQuery(relq.AggMin, "spend", dims...),
-		usersQuery(relq.AggMax, "spend", dims...),
-		usersQuery(relq.AggAvg, "spend", dims...),
-	}
-
-	oracle := New(cat)
-	rng := rand.New(rand.NewSource(29))
-	ctx := context.Background()
-	for _, shards := range []int{1, 2, 3, 5, 16} {
-		for _, cache := range []bool{false, true} {
-			sv := newShardedUsers(t, cat, shards, shardCfg{cache: cache})
-
-			regions := make([]relq.Region, 6)
-			for i := range regions {
-				hi := rng.Float64() * 80
-				lo := -1.0
-				if i%2 == 1 {
-					lo = hi * rng.Float64()
-				}
-				regions[i] = relq.Region{
-					{Lo: lo, Hi: hi},
-					{Lo: -1, Hi: rng.Float64() * 80},
-					{Lo: -1, Hi: rng.Float64() * 80},
-				}
-			}
-			for qi, q := range queries {
-				got, err := sv.AggregateBatch(ctx, q, regions)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range got {
-					label := fmt.Sprintf("shards=%d cache=%v q=%d region=%d", shards, cache, qi, i)
-					checkOracle(t, oracle, label, q, regions[i], got[i])
-					single, err := sv.Aggregate(q, regions[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					exactEqual(t, label+" batch vs Aggregate", got[i], single)
-				}
-				if cache {
-					// Cached re-execution must serve identical partials.
-					again, err := sv.AggregateBatch(ctx, q, regions)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range again {
-						exactEqual(t, fmt.Sprintf("shards=%d cached-rerun q=%d region=%d", shards, qi, i), again[i], got[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // clusteredCatalog builds a single-table catalog whose value column is
 // sorted — the layout where zone maps can prove whole blocks out of
 // range. val runs 0..1000 ascending.
@@ -585,67 +514,75 @@ func TestSemiJoinPushdownEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanOracleEquivalenceAfterMutation checks zone-map retirement
-// under appends: growing a table changes its column lengths, so the
-// table-identity cache scheme (exact *Table pointer + matching length)
-// must miss and rebuild — the scan never prunes with stale block bounds.
+// TestScanOracleEquivalenceAfterMutation is the mutate-then-scan sweep
+// of derived-state retirement: each round mutates the table a different
+// way — sub-block append, block-sized append, a same-size catalog
+// Replace (a re-sorted copy: only the *Table identity changes, not the
+// row count), an append onto the replacement and an in-place rewrite
+// — then calls InvalidateTable, and one engine must agree with an
+// oracle over the mutated table. A stale zone map, column vector or
+// sorted index shows up as a pruned or miscounted row. Every round runs
+// under one join scope, with a join query beside the single-table one:
+// only InvalidateTable's epoch tells the scope's memo that an in-place
+// rewrite, which keeps tables and row counts, changed the candidates.
 func TestScanOracleEquivalenceAfterMutation(t *testing.T) {
-	cat := clusteredCatalog(t, 4*blockRows)
-	vec := New(cat)
+	mutationRounds(t, 0)
+}
 
-	q := &relq.Query{
-		Tables: []string{"events"},
-		Dims: []relq.Dimension{
-			{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "events", Column: "spend"}, Bound: 20, Width: 30},
-		},
-		Fixed: []relq.FixedPred{
-			{Kind: relq.FixedRange, Col: relq.ColumnRef{Table: "events", Column: "val"}, Lo: 0, Hi: 600},
-		},
-		Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1},
-	}
-	region := relq.PrefixRegion([]float64{50})
-
-	pv := checkAgainstOracle(t, vec, "pre-mutation", q, region)
-
-	// Append out-of-order rows that an unrefreshed zone map would
-	// wrongly prune (values inside the fixed range land in new blocks,
-	// and the old tail block's max changes).
-	tbl, err := cat.Table("events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < blockRows+7; i++ {
-		if err := tbl.AppendRow(data.FloatValue(300), data.FloatValue(5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	vec.InvalidateTable("events")
-
-	pv2 := checkAgainstOracle(t, vec, "post-mutation", q, region)
-	if pv2.Count <= pv.Count {
-		t.Fatalf("appended qualifying rows must grow the count: %d -> %d", pv.Count, pv2.Count)
+// TestZoneMapRetirementSharded runs the mutation rounds of
+// TestScanOracleEquivalenceAfterMutation at worker counts 1-16, the
+// shard counts this sweep once partitioned the fact table into: a
+// generation of derived state left stale under one fan-out shape must
+// not hide behind another.
+func TestZoneMapRetirementSharded(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 5, 8, 16} {
+		mutationRounds(t, workers)
 	}
 }
 
-// TestZoneMapRetirementSharded is the mutate-then-scan sweep of the
-// derived-state retirement story at shard counts 1-16: each round
-// mutates the fact table a different way — sub-block append, block-
-// sized append, and a same-size catalog Replace (a re-sorted copy,
-// where only the *Table identity changes, not the row count) — then
-// re-scans through InvalidateTable. The sharded evaluator must agree
-// with the oracle over the mutated table after every round; a stale
-// zone map, column vector, or sorted index from a previous generation
-// shows up here as a pruned qualifying row.
-func TestZoneMapRetirementSharded(t *testing.T) {
+// mutationRounds is the body of the mutate-then-scan sweep, on one
+// engine with the given Parallelism (0: GOMAXPROCS).
+func mutationRounds(t *testing.T, parallelism int) {
+	t.Helper()
+	cat := clusteredCatalog(t, 4*blockRows)
+	events, err := cat.Table("events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// gate holds a sample of val, and the values the appends add.
+	gate := data.NewTable("gate", data.MustSchema(data.Column{Name: "g_val", Type: data.Float64}))
+	vals, _ := events.Floats(0)
+	for i := 0; i < len(vals); i += 97 {
+		if err := gate.AppendRow(data.FloatValue(vals[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []float64{300, 1} {
+		if err := gate.AppendRow(data.FloatValue(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.Register(gate); err != nil {
+		t.Fatal(err)
+	}
+
+	spend := relq.Dimension{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "events", Column: "spend"}, Bound: 20, Width: 30}
+	count := relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1}
 	q := &relq.Query{
 		Tables: []string{"events"},
-		Dims: []relq.Dimension{
-			{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "events", Column: "spend"}, Bound: 20, Width: 30},
-		},
+		Dims:   []relq.Dimension{spend},
 		Fixed: []relq.FixedPred{
 			{Kind: relq.FixedRange, Col: relq.ColumnRef{Table: "events", Column: "val"}, Lo: 0, Hi: 600},
 		},
-		Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1},
+		Constraint: count,
+	}
+	qj := &relq.Query{
+		Tables: []string{"events", "gate"},
+		Dims:   []relq.Dimension{spend},
+		Fixed: []relq.FixedPred{
+			{Kind: relq.FixedEquiJoin, Left: relq.ColumnRef{Table: "events", Column: "val"}, Right: relq.ColumnRef{Table: "gate", Column: "g_val"}},
+		},
+		Constraint: count,
 	}
 	regions := []relq.Region{
 		relq.PrefixRegion([]float64{0}),
@@ -653,94 +590,87 @@ func TestZoneMapRetirementSharded(t *testing.T) {
 		relq.PrefixRegion([]float64{100}),
 	}
 
-	for _, shards := range []int{1, 2, 3, 5, 8, 16} {
-		cat := clusteredCatalog(t, 4*blockRows)
-		vec, err := NewShardedOn(cat, "events", shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A fresh engine per round: the oracle holds no derived state
-		// that a mutation could leave stale.
-		compare := func(round string) []agg.Partial {
-			t.Helper()
-			got, err := vec.AggregateBatch(context.Background(), q, regions)
+	e := New(cat)
+	e.Parallelism = parallelism
+	ctx := WithJoinScope(context.Background())
+	// compare runs both queries and checks them against the oracle of a
+	// fresh engine, which holds no derived state a mutation could leave
+	// stale; it returns the single-table and the join partials.
+	compare := func(round string) (single, joined []agg.Partial) {
+		t.Helper()
+		oracle := New(cat)
+		var out [2][]agg.Partial
+		for k, q := range []*relq.Query{q, qj} {
+			got, err := e.AggregateBatch(ctx, q, regions)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := New(cat)
 			for i := range got {
-				checkOracle(t, oracle, fmt.Sprintf("shards=%d %s region %d", shards, round, i), q, regions[i], got[i])
+				checkOracle(t, oracle, fmt.Sprintf("workers=%d %s query %d region %d", parallelism, round, k, i), q, regions[i], got[i])
 			}
-			return got
+			out[k] = got
 		}
-		invalidate := func() { vec.InvalidateTable("events") }
-
-		base := compare("baseline")
-		tbl, err := cat.Table("events")
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Round 1: sub-block append — the tail block's bounds change
-		// without adding a full new block.
-		for i := 0; i < 7; i++ {
-			if err := tbl.AppendRow(data.FloatValue(300), data.FloatValue(5)); err != nil {
+		return out[0], out[1]
+	}
+	appendRows := func(tbl *data.Table, n int, val, spend float64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := tbl.AppendRow(data.FloatValue(val), data.FloatValue(spend)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		invalidate()
-		r1 := compare("sub-block append")
-		if r1[2].Count != base[2].Count+7 {
-			t.Fatalf("shards=%d: sub-block append: count %d -> %d, want +7",
-				shards, base[2].Count, r1[2].Count)
-		}
+		e.InvalidateTable("events")
+	}
 
-		// Round 2: block-sized append — new blocks appear whose rows a
-		// stale zone map generation would never have covered.
-		for i := 0; i < blockRows+11; i++ {
-			if err := tbl.AppendRow(data.FloatValue(300), data.FloatValue(5)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		invalidate()
-		r2 := compare("block append")
-		if r2[2].Count != r1[2].Count+blockRows+11 {
-			t.Fatalf("shards=%d: block append: count %d -> %d, want +%d",
-				shards, r1[2].Count, r2[2].Count, blockRows+11)
-		}
+	base, _ := compare("baseline")
 
-		// Round 3: same-size Replace — a re-sorted copy swaps in with an
-		// unchanged row count, so only table identity distinguishes the
-		// new layout from the old.
-		sorted, err := data.SortedBy(tbl, "val")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat.Replace(sorted)
-		invalidate()
-		r3 := compare("same-size replace")
-		if r3[2].Count != r2[2].Count {
-			t.Fatalf("shards=%d: replace changed the count: %d -> %d",
-				shards, r2[2].Count, r3[2].Count)
-		}
+	// Sub-block append: the tail block's bounds change without adding a
+	// full new block.
+	appendRows(events, 7, 300, 5)
+	r1, _ := compare("sub-block append")
+	if r1[2].Count != base[2].Count+7 {
+		t.Fatalf("workers=%d sub-block append: count %d -> %d, want +7", parallelism, base[2].Count, r1[2].Count)
+	}
 
-		// Round 4: append onto the replaced generation, out of sorted
-		// order, to confirm the new generation's tail retires too.
-		sorted2, err := cat.Table("events")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 13; i++ {
-			if err := sorted2.AppendRow(data.FloatValue(1), data.FloatValue(2)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		invalidate()
-		r4 := compare("post-replace append")
-		if r4[2].Count != r3[2].Count+13 {
-			t.Fatalf("shards=%d: post-replace append: count %d -> %d, want +13",
-				shards, r3[2].Count, r4[2].Count)
-		}
+	// Block-sized append: new blocks appear whose rows a stale zone map
+	// generation would never have covered.
+	appendRows(events, blockRows+11, 300, 5)
+	r2, _ := compare("block append")
+	if r2[2].Count != r1[2].Count+blockRows+11 {
+		t.Fatalf("workers=%d block append: count %d -> %d, want +%d", parallelism, r1[2].Count, r2[2].Count, blockRows+11)
+	}
+
+	// Same-size Replace: a re-sorted copy swaps in with an unchanged row
+	// count, so only table identity distinguishes the new layout.
+	sorted, err := data.SortedBy(events, "val")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Replace(sorted)
+	e.InvalidateTable("events")
+	r3, _ := compare("same-size replace")
+	if r3[2].Count != r2[2].Count {
+		t.Fatalf("workers=%d replace changed the count: %d -> %d", parallelism, r2[2].Count, r3[2].Count)
+	}
+
+	// Append onto the replaced generation, out of sorted order: the new
+	// generation's tail retires too.
+	appendRows(sorted, 13, 1, 2)
+	r4, j4 := compare("post-replace append")
+	if r4[2].Count != r3[2].Count+13 {
+		t.Fatalf("workers=%d post-replace append: count %d -> %d, want +13", parallelism, r3[2].Count, r4[2].Count)
+	}
+
+	// In-place rewrite: same tables, same row counts, new contents.
+	spends, _ := sorted.Floats(1)
+	for i := range spends {
+		spends[i] /= 2
+	}
+	e.InvalidateTable("events")
+	r5, j5 := compare("rewrite in place")
+	if r5[0].Count <= r4[0].Count || j5[0].Count <= j4[0].Count {
+		t.Fatalf("workers=%d halving spend must grow the spend <= 20 region: %d -> %d, join %d -> %d",
+			parallelism, r4[0].Count, r5[0].Count, j4[0].Count, j5[0].Count)
 	}
 }
 

@@ -54,12 +54,6 @@ type Config struct {
 	// (-cache): repeated and overlapping searches reuse each other's
 	// region executions (see the "repeated" experiment).
 	CacheMB int
-	// Shards, when > 1, replaces the monolithic engine with a
-	// ShardedEvaluator scatter-gathering over that many range
-	// partitions of the fact table (-shards). Every experiment then
-	// exercises the sharded path end to end; results stay equivalent by
-	// the §2.6 merge rule.
-	Shards int
 	// Cluster, when set, re-sorts every generated table that has this
 	// numeric column ascending by it before building engines (-cluster).
 	// A clustered layout is what lets the scan's per-block zone maps
@@ -128,7 +122,7 @@ type Figure struct {
 }
 
 // usersEngine builds the single-table ad-campaign dataset.
-func usersEngine(cfg Config) (exec.Evaluator, error) {
+func usersEngine(cfg Config) (*exec.Engine, error) {
 	cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: cfg.Rows, Zipf: cfg.Zipf, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -137,7 +131,7 @@ func usersEngine(cfg Config) (exec.Evaluator, error) {
 }
 
 // tpchEngine builds the three-table supply-chain dataset.
-func tpchEngine(cfg Config) (exec.Evaluator, error) {
+func tpchEngine(cfg Config) (*exec.Engine, error) {
 	cat, err := tpch.Generate(tpch.Config{Rows: cfg.Rows, Zipf: cfg.Zipf, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -170,26 +164,15 @@ func clusterCatalog(cat *data.Catalog, column string) error {
 	return nil
 }
 
-// newEngine builds the evaluation layer for a catalog: a monolithic
-// Engine, or — with cfg.Shards > 1 — a ShardedEvaluator over range
-// partitions of the largest table (users / partsupp, the fact table of
-// each skeleton).
-func newEngine(cat *data.Catalog, cfg Config) (exec.Evaluator, error) {
+// newEngine builds the evaluation engine for a catalog under cfg's
+// layout, observer and region cache.
+func newEngine(cat *data.Catalog, cfg Config) (*exec.Engine, error) {
 	if cfg.Cluster != "" {
 		if err := clusterCatalog(cat, cfg.Cluster); err != nil {
 			return nil, err
 		}
 	}
-	var e exec.Evaluator
-	if cfg.Shards > 1 {
-		sv, err := exec.NewSharded(cat, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		e = sv
-	} else {
-		e = exec.New(cat)
-	}
+	e := exec.New(cat)
 	e.SetObserver(cfg.Obs)
 	if cfg.CacheMB > 0 {
 		e.EnableRegionCache(int64(cfg.CacheMB) << 20)
@@ -200,7 +183,7 @@ func newEngine(cat *data.Catalog, cfg Config) (exec.Evaluator, error) {
 // RunACQUIRE measures one ACQUIRE execution. The context cancels the
 // search mid-flight (every runner threads it down to the evaluation
 // layer, so acqbench's signal handling interrupts real work).
-func RunACQUIRE(ctx context.Context, e exec.Evaluator, q *relq.Query, opts core.Options) (Measurement, error) {
+func RunACQUIRE(ctx context.Context, e *exec.Engine, q *relq.Query, opts core.Options) (Measurement, error) {
 	clk := opts.Observer.Clock() // Real for a nil observer
 	before := e.Snapshot()
 	start := clk.Now()
@@ -230,7 +213,7 @@ func RunACQUIRE(ctx context.Context, e exec.Evaluator, q *relq.Query, opts core.
 }
 
 // RunTopK measures the Top-k baseline.
-func RunTopK(ctx context.Context, e exec.Evaluator, q *relq.Query) (Measurement, error) {
+func RunTopK(ctx context.Context, e *exec.Engine, q *relq.Query) (Measurement, error) {
 	clk := e.Observer().Clock()
 	start := clk.Now()
 	out, err := baseline.TopKContext(ctx, e, q)
@@ -242,7 +225,7 @@ func RunTopK(ctx context.Context, e exec.Evaluator, q *relq.Query) (Measurement,
 }
 
 // RunBinSearch measures the BinSearch baseline.
-func RunBinSearch(ctx context.Context, e exec.Evaluator, q *relq.Query, delta float64) (Measurement, error) {
+func RunBinSearch(ctx context.Context, e *exec.Engine, q *relq.Query, delta float64) (Measurement, error) {
 	clk := e.Observer().Clock()
 	start := clk.Now()
 	out, err := baseline.BinSearchContext(ctx, e, q, baseline.BinSearchOptions{Delta: delta})
@@ -254,7 +237,7 @@ func RunBinSearch(ctx context.Context, e exec.Evaluator, q *relq.Query, delta fl
 }
 
 // RunTQGen measures the TQGen baseline.
-func RunTQGen(ctx context.Context, e exec.Evaluator, q *relq.Query, cfg Config) (Measurement, error) {
+func RunTQGen(ctx context.Context, e *exec.Engine, q *relq.Query, cfg Config) (Measurement, error) {
 	clk := e.Observer().Clock()
 	start := clk.Now()
 	out, err := baseline.TQGenContext(ctx, e, q, baseline.TQGenOptions{
@@ -296,7 +279,7 @@ func acquireOpts(cfg Config) core.Options {
 // constraint's aggregate column when it lives on the same table. Joins
 // and non-select dimensions leave the engine untouched — the kernel
 // would never engage for them.
-func ensureGridAgg(e exec.Evaluator, q *relq.Query) error {
+func ensureGridAgg(e *exec.Engine, q *relq.Query) error {
 	if len(q.Tables) != 1 {
 		return nil
 	}
@@ -330,7 +313,7 @@ func ensureGridAgg(e exec.Evaluator, q *relq.Query) error {
 }
 
 // compareAll runs all four methods on a freshly calibrated Users query.
-func compareAll(ctx context.Context, e exec.Evaluator, cfg Config, dims int, ratio float64) (map[string]Measurement, error) {
+func compareAll(ctx context.Context, e *exec.Engine, cfg Config, dims int, ratio float64) (map[string]Measurement, error) {
 	out := make(map[string]Measurement, 4)
 
 	build := func() (*relq.Query, error) {

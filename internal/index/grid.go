@@ -39,8 +39,8 @@ type cellAggs struct {
 	sums   [][]float64 // [aggIdx][cell]
 	mins   [][]float64
 	maxs   [][]float64
-	// postStart[c]..postStart[c+1] index postRows; postRows holds every
-	// table row id, grouped by cell, ascending within each cell.
+	// postStart[c]..postStart[c+1] index postRows; postRows holds the
+	// id of every row in a cell, grouped by cell, ascending within each.
 	postStart []int32
 	postRows  []int32
 }
@@ -118,20 +118,36 @@ func newGrid(t *data.Table, columns []string, binsPerDim, cellCap int) (*Grid, [
 }
 
 // Build constructs a grid over the named numeric columns with the given
-// number of bins per dimension.
+// number of bins per dimension. A row with a NaN in any of the columns
+// is in no cell (see cellOf).
 func Build(t *data.Table, columns []string, binsPerDim int) (*Grid, error) {
 	g, vecs, err := newGrid(t, columns, binsPerDim, maxCells)
 	if err != nil {
 		return nil, err
 	}
 	for row := 0; row < t.NumRows(); row++ {
-		cell := 0
-		for i := range columns {
-			cell += g.binOf(i, vecs[i][row]) * g.strides[i]
+		if cell := g.cellOf(vecs, row); cell >= 0 {
+			g.bits[cell/64] |= 1 << (cell % 64)
 		}
-		g.bits[cell/64] |= 1 << (cell % 64)
 	}
 	return g, nil
+}
+
+// cellOf returns the cell of one table row, or -1 when one of its grid
+// values is NaN: a NaN select value lies outside every region, so such
+// a row belongs to no cell — not to bin 0, where a float-to-int
+// conversion of NaN would put it, and where a box kernel would merge it
+// into regions it is not in.
+func (g *Grid) cellOf(vecs [][]float64, row int) int {
+	cell := 0
+	for d, vec := range vecs {
+		v := vec[row]
+		if v != v {
+			return -1
+		}
+		cell += g.binOf(d, v) * g.strides[d]
+	}
+	return cell
 }
 
 // Table returns the indexed table's name.

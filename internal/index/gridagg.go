@@ -22,7 +22,9 @@ type shardAcc struct {
 
 // BuildAgg constructs an aggregate-augmented grid: the §7.4 occupancy
 // bitmap of Build, plus per-cell COUNT, per-cell SUM/MIN/MAX of each
-// aggCols column, and a CSR posting list of row ids per cell.
+// aggCols column, and a CSR posting list of row ids per cell. As in
+// Build, a row with a NaN grid value is in no cell, so it is in no
+// partial and no posting list either.
 //
 // The build is row-partitioned: the table is cut into buildShards
 // fixed contiguous row ranges, workers accumulate one dense partial
@@ -89,11 +91,11 @@ func BuildAgg(t *data.Table, columns, aggCols []string, binsPerDim, workers int)
 			}
 		}
 		for row := shards[si].lo; row < shards[si].hi; row++ {
-			cell := 0
-			for d := range g.columns {
-				cell += g.binOf(d, vecs[d][row]) * g.strides[d]
-			}
+			cell := g.cellOf(vecs, row)
 			rowCell[row] = int32(cell)
+			if cell < 0 {
+				continue
+			}
 			acc.counts[cell]++
 			for a := 0; a < na; a++ {
 				v := aggVecs[a][row]
@@ -140,7 +142,6 @@ func BuildAgg(t *data.Table, columns, aggCols []string, binsPerDim, workers int)
 		mins:      make([][]float64, na),
 		maxs:      make([][]float64, na),
 		postStart: make([]int32, nc+1),
-		postRows:  make([]int32, n),
 	}
 	for a := 0; a < na; a++ {
 		aggs.sums[a] = make([]float64, nc)
@@ -179,12 +180,14 @@ func BuildAgg(t *data.Table, columns, aggCols []string, binsPerDim, workers int)
 		run += int32(aggs.counts[c])
 	}
 	aggs.postStart[nc] = run
+	aggs.postRows = make([]int32, run)
 	cursor := make([]int32, nc)
 	copy(cursor, aggs.postStart[:nc])
 	for row := 0; row < n; row++ {
-		c := rowCell[row]
-		aggs.postRows[cursor[c]] = int32(row)
-		cursor[c]++
+		if c := rowCell[row]; c >= 0 {
+			aggs.postRows[cursor[c]] = int32(row)
+			cursor[c]++
+		}
 	}
 
 	// Occupancy bits, so AnyInBox and the §7.4 skip path work unchanged.

@@ -17,7 +17,7 @@ import (
 //
 // The viewer nests events on a (pid, tid) track purely by time
 // containment, so concurrent sibling spans (worker-pool region
-// evaluations, per-shard scatter spans) would corrupt the rendering
+// evaluations) would corrupt the rendering
 // if they shared a track. Spans are therefore assigned to "lanes"
 // (tids) greedily: each span takes its parent's lane when that lane
 // is free over the span's interval, otherwise the first free lane —
@@ -124,7 +124,7 @@ func writeJSONString(bw *bufio.Writer, s string) {
 // first); a lane is free for a span if every span previously placed
 // there either ended at/before the span's start or is an ancestor
 // whose interval fully contains it (what the viewer renders as
-// nesting). The ancestry check matters: two sibling shard spans with
+// nesting). The ancestry check matters: two sibling spans with
 // identical intervals would otherwise "contain" each other and be
 // drawn nested instead of side by side. Parent's lane is preferred so
 // sequential call chains stay on one track.

@@ -89,33 +89,34 @@ func TestChromeJSONRoundTrip(t *testing.T) {
 }
 
 // TestChromeJSONConcurrentSiblings: overlapping siblings must land on
-// distinct lanes or the viewer would draw them as nested.
+// distinct lanes or the viewer would draw them as nested — even
+// siblings with identical intervals, which "contain" each other.
 func TestChromeJSONConcurrentSiblings(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	tr := NewTrace("scatter", clk)
+	tr := NewTrace("siblings", clk)
 	root := tr.NewSpan(0, "search")
 	base := clk.Now()
-	// Four shard spans covering the same interval.
-	sc := root.StartChild("scatter")
+	// Four sibling spans covering the same interval.
+	batch := root.StartChild("engine.batch")
 	for i := 0; i < 4; i++ {
-		sc.AddChild("scatter.shard", base, base.Add(10*time.Millisecond))
+		batch.AddChild("evaluate", base, base.Add(10*time.Millisecond))
 	}
 	clk.Advance(10 * time.Millisecond)
-	sc.End()
+	batch.End()
 	root.End()
 
 	doc := exportTrace(t, tr)
 	lanes := map[int]bool{}
 	for _, ev := range doc.TraceEvents {
-		if ev.Name == "scatter.shard" {
+		if ev.Name == "evaluate" {
 			if lanes[ev.Tid] {
-				t.Errorf("two overlapping shard spans share lane %d", ev.Tid)
+				t.Errorf("two overlapping sibling spans share lane %d", ev.Tid)
 			}
 			lanes[ev.Tid] = true
 		}
 	}
 	if len(lanes) != 4 {
-		t.Errorf("shard spans on %d lanes, want 4", len(lanes))
+		t.Errorf("sibling spans on %d lanes, want 4", len(lanes))
 	}
 }
 

@@ -178,17 +178,6 @@ func (t *Trace) NewSpan(parent SpanID, name string) SpanRef {
 	return t.addSpan(parent, name, t.clock.Now(), time.Time{})
 }
 
-// AddSpan records an already-timed span — callers that measure
-// intervals themselves (the sharded scatter path times each shard
-// with atomics and emits one span per shard afterwards) use it to
-// attach completed spans without holding the trace mutex mid-flight.
-func (t *Trace) AddSpan(parent SpanID, name string, start, end time.Time) SpanRef {
-	if t == nil {
-		return SpanRef{}
-	}
-	return t.addSpan(parent, name, start, end)
-}
-
 func (t *Trace) addSpan(parent SpanID, name string, start, end time.Time) SpanRef {
 	t.mu.Lock()
 	if len(t.spans) >= t.maxSpans {
@@ -332,12 +321,14 @@ func (s SpanRef) StartChild(name string) SpanRef {
 	return s.t.NewSpan(s.id, name)
 }
 
-// AddChild attaches an already-timed child span (see Trace.AddSpan).
+// AddChild attaches an already-timed child span: callers that measure
+// an interval themselves record it once it is over, without holding
+// the trace mutex mid-flight.
 func (s SpanRef) AddChild(name string, start, end time.Time) SpanRef {
 	if s.t == nil {
 		return SpanRef{}
 	}
-	return s.t.AddSpan(s.id, name, start, end)
+	return s.t.addSpan(s.id, name, start, end)
 }
 
 // SetAttrs appends attributes to the span. Building the attr slice
@@ -372,22 +363,6 @@ func (s SpanRef) End() time.Duration {
 		sp.End = now
 	}
 	return sp.Duration()
-}
-
-// EndAt closes the span at an explicit time (for callers that timed
-// the interval themselves).
-func (s SpanRef) EndAt(end time.Time) {
-	if s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	if int(s.id) >= 1 && int(s.id) <= len(s.t.spans) {
-		sp := &s.t.spans[s.id-1]
-		if sp.End.IsZero() {
-			sp.End = end
-		}
-	}
-	s.t.mu.Unlock()
 }
 
 // Span returns a copy of the underlying TraceSpan record (ok=false

@@ -87,7 +87,7 @@ var tpchPool = []struct {
 }
 
 // Build constructs the uncalibrated query for the spec.
-func Build(e exec.Evaluator, spec Spec) (*relq.Query, error) {
+func Build(e *exec.Engine, spec Spec) (*relq.Query, error) {
 	if spec.Dims < 1 || spec.Dims > 5 {
 		return nil, fmt.Errorf("workload: Dims must be 1-5, got %d", spec.Dims)
 	}
@@ -107,7 +107,7 @@ func Build(e exec.Evaluator, spec Spec) (*relq.Query, error) {
 	}
 }
 
-func buildUsers(e exec.Evaluator, spec Spec) (*relq.Query, error) {
+func buildUsers(e *exec.Engine, spec Spec) (*relq.Query, error) {
 	q := &relq.Query{
 		Tables:     []string{"users"},
 		Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1},
@@ -133,7 +133,7 @@ func buildUsers(e exec.Evaluator, spec Spec) (*relq.Query, error) {
 }
 
 // quantile returns the q-quantile of a numeric column.
-func quantile(e exec.Evaluator, table, col string, q float64) (float64, error) {
+func quantile(e *exec.Engine, table, col string, q float64) (float64, error) {
 	t, err := e.Catalog().Table(table)
 	if err != nil {
 		return 0, err
@@ -155,7 +155,7 @@ func quantile(e exec.Evaluator, table, col string, q float64) (float64, error) {
 	return sorted[i], nil
 }
 
-func buildTPCH(e exec.Evaluator, spec Spec) (*relq.Query, error) {
+func buildTPCH(e *exec.Engine, spec Spec) (*relq.Query, error) {
 	q := &relq.Query{
 		Tables: []string{"supplier", "part", "partsupp"},
 		Fixed: []relq.FixedPred{
@@ -234,7 +234,7 @@ func buildTPCH(e exec.Evaluator, spec Spec) (*relq.Query, error) {
 // comparable across attributes of very different selectivities, which
 // keeps the refined-space layers of the ratio sweep shallow and
 // uniform — the regime the paper's figures operate in.
-func leDim(e exec.Evaluator, table, col string, bound float64) (relq.Dimension, error) {
+func leDim(e *exec.Engine, table, col string, bound float64) (relq.Dimension, error) {
 	t, err := e.Catalog().Table(table)
 	if err != nil {
 		return relq.Dimension{}, err
@@ -263,7 +263,7 @@ func leDim(e exec.Evaluator, table, col string, bound float64) (relq.Dimension, 
 // constraint target to A_actual/ratio, returning A_actual. A ratio of
 // 0.3 therefore means the original query attains 30% of the target —
 // the x-axis of Figures 8 and 11.
-func Calibrate(e exec.Evaluator, q *relq.Query, ratio float64) (float64, error) {
+func Calibrate(e *exec.Engine, q *relq.Query, ratio float64) (float64, error) {
 	if ratio <= 0 || ratio > 1 {
 		return 0, fmt.Errorf("workload: ratio must be in (0, 1], got %v", ratio)
 	}
@@ -284,7 +284,7 @@ func Calibrate(e exec.Evaluator, q *relq.Query, ratio float64) (float64, error) 
 }
 
 // BuildCalibrated is Build followed by Calibrate.
-func BuildCalibrated(e exec.Evaluator, spec Spec) (*relq.Query, error) {
+func BuildCalibrated(e *exec.Engine, spec Spec) (*relq.Query, error) {
 	q, err := Build(e, spec)
 	if err != nil {
 		return nil, err
