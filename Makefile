@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare bench-figures bench-json bench-check bench-obs vet profile profile-join loc
+.PHONY: build test race bench bench-compare bench-figures bench-json bench-check bench-obs vet profile profile-join profile-core loc
 
 build:
 	$(GO) build ./...
@@ -83,3 +83,11 @@ profile:
 # `go tool pprof -top join.pprof`.
 profile-join:
 	$(GO) test -run xxx -bench TPCHJoinSearch -benchtime 50x -benchmem -cpuprofile join.pprof -o join.test .
+
+# CPU profile of the search driver: the five fig. 8 ACQs as SQL text on a
+# warm region cache (BenchmarkCachedSearch, the op list of bench's
+# users_sql_cached), where the Expand and Explore phases do the work.
+# Writes core.pprof and the test binary next to it; inspect with
+# `go tool pprof -top -focus BenchmarkCachedSearch core.pprof`.
+profile-core:
+	$(GO) test -run xxx -bench CachedSearch -benchtime 200x -benchmem -cpuprofile core.pprof -o core.test .

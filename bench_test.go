@@ -677,6 +677,62 @@ func BenchmarkTPCHJoinSearch(b *testing.B) {
 	b.ReportMetric(float64(d.RowsScanned), "rows_scanned/op")
 }
 
+// BenchmarkCachedSearch is the search driver's profile target: one op
+// replays the five fig. 8 ACQs (d = 3, ratios 0.1–0.9) over 1M users
+// rows as SQL text through a warm region cache that holds every cell —
+// the operation list of the repository benchmark's users_sql_cached
+// workload, where the engine answers from the cache and the Expand and
+// Explore phases do the work (make profile-core). Reports the grid
+// points an op explores and ns per explored point; -benchmem adds
+// allocs/op.
+func BenchmarkCachedSearch(b *testing.B) {
+	cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: 1000000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := exec.New(cat)
+	var sqls []string
+	for _, ratio := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+		q, err := workload.BuildCalibrated(e, workload.Spec{Kind: workload.Users, Dims: 3, Agg: relq.AggCount, Ratio: ratio})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sqls = append(sqls, q.ToSQL())
+	}
+	e.EnableRegionCache(64 << 20)
+	pass := func() (explored int) {
+		for _, sql := range sqls {
+			ast, err := sqlparse.Parse(sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			q, err := sqlparse.Analyze(ast, cat)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := core.RunContext(context.Background(), e, q, core.Options{Gamma: 20, Delta: 0.05})
+			if err != nil || !res.Satisfied {
+				b.Fatalf("satisfied=%v err=%v: %s", res != nil && res.Satisfied, err, sql)
+			}
+			explored += res.Explored
+		}
+		return explored
+	}
+	pass() // fills the region cache
+	before := e.Snapshot()
+	explored := pass()
+	if d := e.Snapshot().Sub(before); d.CacheMisses != 0 {
+		b.Fatalf("warm pass missed the region cache %d times", d.CacheMisses)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(explored), "explored/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*explored), "ns/point")
+}
+
 // BenchmarkRepeatedWorkload times the cross-search partial-aggregate
 // cache on the fig. 8 workload replayed over RepeatedSessions sessions
 // sharing one engine: the first session fills the cache, later

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"acquire/internal/agg"
+	"acquire/internal/data"
 	"acquire/internal/exec"
 	"acquire/internal/norms"
 	"acquire/internal/obs"
@@ -166,14 +168,44 @@ func RunContext(ctx context.Context, e Evaluator, q *relq.Query, opts Options) (
 		errFn = agg.DefaultError(q.Constraint)
 	}
 
-	fr, err := makeFrontier(opts, sp)
+	x := newExplorer(e, q, sp, spec, !opts.NoIncremental)
+	fr, err := makeFrontier(opts, x.lat)
 	if err != nil {
 		return nil, err
 	}
-	x := newExplorer(e, q, sp, spec, !opts.NoIncremental)
 	// One join memo for the whole search: a join's per-table slabs are
 	// scanned once per search, not once per layer (exec/joinplan.go).
-	return runSearch(exec.WithJoinScope(ctx), q, sp, fr, x, spec, errFn, opts)
+	return runSearch(exec.WithJoinScope(ctx), q, fr, x, spec, errFn, opts)
+}
+
+// openRoot opens the root span of a search named name: under the
+// caller's span in ctx, else, when fresh, in a new trace for the
+// observer's flight recorder. When neither holds the SpanRef is the zero
+// value and every use of it is free.
+func openRoot(ctx context.Context, name string, fresh bool, opts Options, dims int) (*obs.Trace, obs.SpanRef) {
+	var tr *obs.Trace
+	var root obs.SpanRef
+	switch parent := obs.SpanFromContext(ctx); {
+	case parent.Active():
+		root = parent.StartChild(name)
+	case fresh:
+		tr = obs.NewTrace(opts.Observer.SearchID(), opts.Observer.Clock())
+		root = tr.NewSpan(0, name)
+	}
+	if root.Active() {
+		root.SetAttrs(obs.Float("gamma", opts.Gamma), obs.Float("delta", opts.Delta),
+			obs.String("norm", opts.Norm.Name()), obs.Int("dims", int64(dims)))
+	}
+	return tr, root
+}
+
+// closeRootWithError ends a root span that a hard error cut short.
+func closeRootWithError(o *obs.Observer, tr *obs.Trace, root obs.SpanRef, err error) {
+	if root.Active() {
+		root.SetAttrs(obs.String("error", err.Error()))
+		root.End()
+		o.Recorder().Add(tr) // tr is nil when nested under a caller's trace
+	}
 }
 
 // isCancellation reports whether err stems from context cancellation
@@ -195,7 +227,7 @@ func isCancellation(err error) bool {
 // fire at a layer boundary (every point inside a layer ties the
 // layer's QScore within eps), so hoisting them to the boundary changes
 // nothing observable.
-func runSearch(ctx context.Context, q *relq.Query, sp *space, fr frontier, x *explorer, spec agg.Spec, errFn agg.ErrorFunc, opts Options) (*Result, error) {
+func runSearch(ctx context.Context, q *relq.Query, fr frontier, x *explorer, spec agg.Spec, errFn agg.ErrorFunc, opts Options) (*Result, error) {
 	res := &Result{}
 	target := q.Constraint.Target
 	const eps = 1e-9
@@ -209,27 +241,10 @@ func runSearch(ctx context.Context, q *relq.Query, sp *space, fr frontier, x *ex
 	searchSpan := o.StartPhase("search")
 	lt, _ := opts.Trace.(LayerTracer)
 
-	// Hierarchical tracing: one span tree per search. The root either
-	// nests under a caller-provided span (ctx) or starts a fresh Trace
-	// when the observer carries a flight recorder — or when a
-	// LayerTracer is attached, so the CLI's -explain layer table is
+	// Hierarchical tracing: one span tree per search, fresh when a
+	// LayerTracer is attached too, so the CLI's -explain layer table is
 	// always derived from the same span tree /debug/traces serves.
-	// When none of those hold every SpanRef below is the zero value
-	// and the whole block is free.
-	parentSp := obs.SpanFromContext(ctx)
-	var tr *obs.Trace
-	var root obs.SpanRef
-	switch {
-	case parentSp.Active():
-		root = parentSp.StartChild("search")
-	case o.TracingEnabled() || lt != nil:
-		tr = obs.NewTrace(o.SearchID(), clk)
-		root = tr.NewSpan(0, "search")
-	}
-	if root.Active() {
-		root.SetAttrs(obs.Float("gamma", opts.Gamma), obs.Float("delta", opts.Delta),
-			obs.String("norm", opts.Norm.Name()), obs.Int("dims", int64(q.NumDims())))
-	}
+	tr, root := openRoot(ctx, "search", o.TracingEnabled() || lt != nil, opts, q.NumDims())
 
 	o.Counter("acquire_searches_total", "Refinement searches started.").Inc()
 	pointsC := o.Counter("acquire_search_points_explored_total", "Grid queries investigated across all searches.")
@@ -256,10 +271,9 @@ func runSearch(ctx context.Context, q *relq.Query, sp *space, fr frontier, x *ex
 	layerAllOvershoot := true
 	monotoneEQ := spec.Monotone() && q.Constraint.Op == relq.CmpEQ
 
-	lf := newLayerFrontier(fr, func(p point) float64 {
-		return opts.Norm.Score(p.scores(sp.step))
-	})
+	lf := newLayerFrontier(fr, qscorer(x.lat, opts.Norm))
 	layerIdx := 0
+	var scores []float64 // the current point's; a kept refined query copies it
 
 	record := func(rq relq.RefinedQuery) {
 		res.Queries = append(res.Queries, rq)
@@ -279,7 +293,7 @@ func runSearch(ctx context.Context, q *relq.Query, sp *space, fr frontier, x *ex
 			res.Best = &res.Queries[0]
 		}
 		res.CellQueries = int(x.cellQueries.Load())
-		res.StoredPoints = x.storedPoints()
+		res.StoredPoints = x.stored
 		x.release()
 		searchSpan.End()
 		attrs := []any{"satisfied", res.Satisfied, "explored", res.Explored,
@@ -319,11 +333,7 @@ func runSearch(ctx context.Context, q *relq.Query, sp *space, fr frontier, x *ex
 			return finish(), err
 		}
 		searchSpan.End()
-		if root.Active() {
-			root.SetAttrs(obs.String("error", err.Error()))
-			root.End()
-			o.Recorder().Add(tr)
-		}
+		closeRootWithError(o, tr, root, err)
 		o.Info("search.error", "error", err.Error())
 		return nil, err
 	}
@@ -335,7 +345,7 @@ search:
 		}
 		spExpand := o.StartPhase("expand")
 		xsp := root.StartChild("expand")
-		layer, ok := lf.nextLayer()
+		layer, layerQS, ok := lf.nextLayer()
 		xsp.End()
 		spExpand.End()
 		if !ok {
@@ -358,7 +368,7 @@ search:
 
 		// Stop once past the first satisfying layer (Alg. 4's
 		// currRefLayer <= minRefLayer loop condition).
-		qs0 := opts.Norm.Score(layer[0].scores(sp.step))
+		qs0 := layerQS[0]
 		if len(res.Queries) > 0 && qs0 > bestLayer+eps {
 			break
 		}
@@ -391,7 +401,7 @@ search:
 		spFold := o.StartPhase("fold")
 		fsp := lsp.StartChild("fold")
 		ctxFold := obs.ContextWithSpan(ctx, fsp)
-		for _, pt := range layer {
+		for j, id := range layer {
 			if res.Explored >= opts.MaxExplored {
 				res.Exhausted = true
 				res.Note = "exploration budget exhausted"
@@ -402,10 +412,10 @@ search:
 			}
 			res.Explored++
 			pointsC.Inc()
-			scores := pt.scores(sp.step)
-			qs := opts.Norm.Score(scores)
+			scores = x.lat.appendScores(scores[:0], id)
+			qs := layerQS[j]
 
-			partial, err := x.aggregate(ctxFold, pt)
+			partial, err := x.aggregate(ctxFold, id)
 			if err != nil {
 				return fail(err)
 			}
@@ -418,6 +428,7 @@ search:
 			if ev < closestErr-eps || (math.Abs(ev-closestErr) <= eps && res.Closest != nil && qs < res.Closest.QScore) {
 				closestErr = ev
 				c := rq
+				c.Scores = slices.Clone(scores)
 				res.Closest = &c
 			}
 
@@ -429,13 +440,14 @@ search:
 			repartitioned := false
 			switch {
 			case ev <= opts.Delta:
+				rq.Scores = slices.Clone(scores)
 				record(rq)
 			case overshoots:
 				// §6: repartition the cell for b iterations.
 				spRep := o.StartPhase("repartition")
 				rsp := lsp.StartChild("repartition")
 				probes0, regions0 := x.probes, x.probeRegions
-				sub, found, err := repartition(obs.ContextWithSpan(ctx, rsp), x, sp, pt, spec, errFn, target, opts, q)
+				sub, found, err := repartition(obs.ContextWithSpan(ctx, rsp), x, id, spec, errFn, target, opts, q)
 				if rsp.Active() {
 					rsp.SetAttrs(obs.Int("probes", int64(x.probes-probes0)),
 						obs.Int("regions", int64(x.probeRegions-regions0)), obs.Bool("found", found))
@@ -452,7 +464,7 @@ search:
 			outcome := classify(ev <= opts.Delta, overshoots, repartitioned)
 			if opts.Trace != nil {
 				opts.Trace.Event(TraceEvent{
-					Seq: res.Explored - 1, Scores: scores, QScore: qs,
+					Seq: res.Explored - 1, Scores: slices.Clone(scores), QScore: qs,
 					Aggregate: actual, Err: ev,
 					Outcome: outcome,
 				})
@@ -494,34 +506,25 @@ search:
 }
 
 // repartition is the §6 overshoot handling: the satisfying refinement
-// lies inside the cell below pt (between the previous grid layer and
-// pt). Binary-search the cell diagonal for b iterations. Off-grid
+// lies inside the cell below point id (between the previous grid layer
+// and id). Binary-search the cell diagonal for b iterations. Off-grid
 // points cannot reuse the sub-aggregate store, but the search holds the
 // partial of the last prefix known not to overshoot — first the cell's
 // lower corner, out of the store — so each probe fetches only the thin
 // shell between that prefix and the probe and merges it on
 // (explorer.probe). The naive mode re-executes the whole refined query
 // at every probe, by definition.
-func repartition(ctx context.Context, x *explorer, sp *space, pt point, spec agg.Spec, errFn agg.ErrorFunc, target float64, opts Options, q *relq.Query) (relq.RefinedQuery, bool, error) {
+func repartition(ctx context.Context, x *explorer, id int32, spec agg.Spec, errFn agg.ErrorFunc, target float64, opts Options, q *relq.Query) (relq.RefinedQuery, bool, error) {
 	if !spec.Monotone() {
 		return relq.RefinedQuery{}, false, nil
 	}
-	hi := pt.scores(sp.step)
-	lo := make([]float64, len(hi))
-	corner := make(point, len(pt))
-	atOrigin := true
-	for i, c := range pt {
-		if c > 0 {
-			lo[i] = float64(c-1) * sp.step
-			corner[i] = c - 1
-			atOrigin = false
-		}
-	}
-	if atOrigin {
+	corner := x.lat.corner(id)
+	if corner == id {
 		// The original query itself overshoots; expansion cannot fix
 		// it (contraction problem, §7.2).
 		return relq.RefinedQuery{}, false, nil
 	}
+	hi, lo := x.lat.appendScores(nil, id), x.lat.appendScores(nil, corner)
 	// Every query in the cell dominates the cell's lower corner, so if
 	// the corner already overshoots, the whole cell does: the crossing
 	// surface is not here and the binary search would waste b probes.
@@ -531,11 +534,10 @@ func repartition(ctx context.Context, x *explorer, sp *space, pt point, spec agg
 	// base is always the partial of prefix(lo).
 	var base agg.Partial
 	if x.incremental {
-		cornerParts, err := x.computeAll(ctx, corner)
-		if err != nil {
+		var err error
+		if base, err = x.computeAll(ctx, corner); err != nil {
 			return relq.RefinedQuery{}, false, err
 		}
-		base = cornerParts[x.sp.dims]
 		if agg.Overshoots(q.Constraint, spec.Final(base), opts.Delta) {
 			return relq.RefinedQuery{}, false, nil
 		}
@@ -577,7 +579,7 @@ func repartition(ctx context.Context, x *explorer, sp *space, pt point, spec agg
 	return relq.RefinedQuery{}, false, nil
 }
 
-func makeFrontier(opts Options, sp *space) (frontier, error) {
+func makeFrontier(opts Options, lat *lattice) (frontier, error) {
 	kind := opts.Frontier
 	if kind == FrontierAuto {
 		switch {
@@ -594,19 +596,26 @@ func makeFrontier(opts Options, sp *space) (frontier, error) {
 		if !isPlainL1(opts.Norm) {
 			return nil, fmt.Errorf("core: BFS frontier (Algorithm 1) is only order-correct for the L1 norm; use FrontierPriority for %s", opts.Norm.Name())
 		}
-		return newBFSFrontier(sp), nil
+		return newBFSFrontier(lat), nil
 	case FrontierLInfLayers:
 		if !opts.Norm.Infinite() {
 			return nil, fmt.Errorf("core: L∞ layer frontier (Algorithm 2) requires an L∞ norm")
 		}
-		return newLInfFrontier(sp), nil
+		return newLInfFrontier(lat), nil
 	case FrontierPriority:
-		n := opts.Norm
-		return newPriorityFrontier(sp, func(p point) float64 {
-			return n.Score(p.scores(sp.step))
-		}), nil
+		return newPriorityFrontier(lat, qscorer(lat, opts.Norm)), nil
 	default:
 		return nil, fmt.Errorf("core: unknown frontier kind %d", kind)
+	}
+}
+
+// qscorer returns a lattice point's QScore under n, through one reused
+// PScore buffer.
+func qscorer(lat *lattice, n norms.Norm) func(int32) float64 {
+	var buf []float64
+	return func(id int32) float64 {
+		buf = lat.appendScores(buf[:0], id)
+		return n.Score(buf)
 	}
 }
 
@@ -621,55 +630,58 @@ func isPlainL1(n norms.Norm) bool {
 	}
 }
 
+// finiteExtremes returns a column's smallest and largest finite value,
+// which the refined space's caps are measured against: a row with an
+// infinite violation lies in no finite prefix.
+func finiteExtremes(cat *data.Catalog, ref relq.ColumnRef) (minV, maxV float64, err error) {
+	t, err := cat.Table(ref.Table)
+	if err != nil {
+		return 0, 0, err
+	}
+	ord := t.Schema().Ordinal(ref.Column)
+	if ord < 0 {
+		return 0, 0, fmt.Errorf("core: table %s has no column %q", ref.Table, ref.Column)
+	}
+	s, err := t.Stats(ord)
+	if err != nil {
+		return 0, 0, err
+	}
+	return s.FiniteMin, s.FiniteMax, nil
+}
+
 // domainScores computes, per dimension, the refinement score at which
 // the predicate spans the entire attribute domain — the natural cap of
 // the refined space along that axis.
 func domainScores(e Evaluator, q *relq.Query) ([]float64, error) {
 	cat := e.Catalog()
-	stats := func(ref relq.ColumnRef) (minV, maxV float64, err error) {
-		t, err := cat.Table(ref.Table)
-		if err != nil {
-			return 0, 0, err
-		}
-		ord := t.Schema().Ordinal(ref.Column)
-		if ord < 0 {
-			return 0, 0, fmt.Errorf("core: table %s has no column %q", ref.Table, ref.Column)
-		}
-		s, err := t.Stats(ord)
-		if err != nil {
-			return 0, 0, err
-		}
-		return s.Min, s.Max, nil
-	}
-
 	out := make([]float64, len(q.Dims))
 	for i := range q.Dims {
 		d := &q.Dims[i]
 		switch d.Kind {
 		case relq.SelectLE:
-			_, maxV, err := stats(d.Col)
+			_, maxV, err := finiteExtremes(cat, d.Col)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = d.Violation(maxV)
 		case relq.SelectGE:
-			minV, _, err := stats(d.Col)
+			minV, _, err := finiteExtremes(cat, d.Col)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = d.Violation(minV)
 		case relq.SelectEQ:
-			minV, maxV, err := stats(d.Col)
+			minV, maxV, err := finiteExtremes(cat, d.Col)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = math.Max(d.Violation(minV), d.Violation(maxV))
 		case relq.JoinBand:
-			lMin, lMax, err := stats(d.Left)
+			lMin, lMax, err := finiteExtremes(cat, d.Left)
 			if err != nil {
 				return nil, err
 			}
-			rMin, rMax, err := stats(d.Right)
+			rMin, rMax, err := finiteExtremes(cat, d.Right)
 			if err != nil {
 				return nil, err
 			}

@@ -655,8 +655,8 @@ func TestExplorerVerifyHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := newExplorer(e, q, sp, spec, true)
-	for u := 0; u < 8; u++ {
-		if err := x.verifyAgainstDirect(point{u}); err != nil {
+	for u := int32(0); u < 8; u++ {
+		if err := x.verifyAgainstDirect(x.lat.intern(point{u})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -688,5 +688,73 @@ func TestMaxScoreLimits(t *testing.T) {
 	}
 	if !res2.Satisfied || res2.Best.Scores[0] != 490 {
 		t.Errorf("uncapped search: %+v", res2.Best)
+	}
+}
+
+// An infinite value in a refinable column must not collapse the refined
+// space: the axis caps are measured against the column's finite
+// extremes, and a row with an infinite violation lies in no finite
+// prefix. Before, one ±Inf made a cap int(+Inf) — negative — so the
+// frontier never left the origin.
+func TestInfiniteValueKeepsRefinedSpace(t *testing.T) {
+	withRows := func(extra ...float64) *exec.Engine {
+		tbl := data.NewTable("t", data.MustSchema(
+			data.Column{Name: "x", Type: data.Float64},
+			data.Column{Name: "v", Type: data.Float64},
+		))
+		for i := 1; i <= 100; i++ {
+			if err := tbl.AppendRow(data.FloatValue(float64(i)), data.FloatValue(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, x := range extra {
+			if err := tbl.AppendRow(data.FloatValue(x), data.FloatValue(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat := data.NewCatalog()
+		if err := cat.Register(tbl); err != nil {
+			t.Fatal(err)
+		}
+		return exec.New(cat)
+	}
+	col := relq.ColumnRef{Table: "t", Column: "x"}
+	inf, ninf := math.Inf(1), math.Inf(-1)
+	cases := []struct {
+		name       string
+		extra      []float64
+		dim        relq.Dimension
+		c          relq.Constraint
+		wantScore  float64
+		wantAgg    float64
+		wantPoints int
+	}{
+		// count(x <= 10+s) = 10+s: 50 at s = 40, the fifth grid point.
+		{"LE +Inf", []float64{inf}, leDim(10), relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 50}, 40, 50, 5},
+		// count(x >= 91-s) = 10+s, plus the -Inf row nowhere.
+		{"GE -Inf", []float64{ninf}, relq.Dimension{Kind: relq.SelectGE, Col: col, Bound: 91, Width: 100},
+			relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 50}, 40, 50, 5},
+		// count(|x-50| <= s) = 2s+1: 41 at s = 20.
+		{"EQ ±Inf", []float64{inf, ninf}, relq.Dimension{Kind: relq.SelectEQ, Col: col, Bound: 50, Width: 100},
+			relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 41}, 20, 41, 3},
+		// Contraction: x <= 50 holds 50 rows and the -Inf row; COUNT <= 20
+		// needs the bound at 10 (w = 40): 11 rows, the -Inf row included.
+		{"contract LE -Inf", []float64{ninf}, leDim(50), relq.Constraint{Func: relq.AggCount, Op: relq.CmpLE, Target: 20}, -40, 11, 5},
+	}
+	for _, tc := range cases {
+		e := withRows(tc.extra...)
+		q := &relq.Query{Tables: []string{"t"}, Dims: []relq.Dimension{tc.dim}, Constraint: tc.c}
+		res, err := Run(e, q, Options{Gamma: 10, Delta: 0.001})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !res.Satisfied {
+			t.Errorf("%s: unsatisfied after %d explored (exhausted=%v)", tc.name, res.Explored, res.Exhausted)
+			continue
+		}
+		if res.Best.Scores[0] != tc.wantScore || res.Best.Aggregate != tc.wantAgg || res.Explored != tc.wantPoints {
+			t.Errorf("%s: best score %v aggregate %v after %d explored, want %v, %v, %d", tc.name,
+				res.Best.Scores[0], res.Best.Aggregate, res.Explored, tc.wantScore, tc.wantAgg, tc.wantPoints)
+		}
 	}
 }

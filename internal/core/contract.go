@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
@@ -11,7 +10,7 @@ import (
 	"acquire/internal/relq"
 )
 
-// Contract handles the inverse problem of §7.2: the original query
+// ContractContext handles the inverse problem of §7.2: the original query
 // returns too much (constraints with <= or <, or an = constraint that
 // the original query already overshoots). Per the paper, the refined
 // space is re-anchored between Q'min (every predicate at its most
@@ -24,13 +23,9 @@ import (
 // aggregates (MIN/MAX cannot be "subtracted"), so contraction pays one
 // evaluation-layer execution per candidate; the paper makes no
 // performance claims for this extension.
-func Contract(e Evaluator, q *relq.Query, opts Options) (*Result, error) {
-	return ContractContext(context.Background(), e, q, opts)
-}
-
-// ContractContext is Contract with cancellation, checked before every
-// candidate evaluation. On cancellation the partial Result gathered so
-// far is returned together with the context's error.
+//
+// Cancellation is checked before every candidate evaluation; the
+// partial Result gathered so far is returned with the context's error.
 func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := q.Validate(); err != nil {
@@ -59,7 +54,8 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 	// The w-space frontier explores contraction amounts: w = 0 is Q,
 	// growing w tightens predicates. Ordering by ||w|| minimizes
 	// refinement w.r.t. Q exactly as §7.2 requires.
-	fr, err := makeFrontier(opts, sp)
+	lat := newLattice(sp, 0)
+	fr, err := makeFrontier(opts, lat)
 	if err != nil {
 		return nil, err
 	}
@@ -79,23 +75,9 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 	o.Info("contract.start", "gamma", opts.Gamma, "delta", opts.Delta,
 		"norm", opts.Norm.Name(), "dims", q.NumDims(), "target", target)
 
-	// Tracing mirrors runSearch: contraction gets its own root (or
-	// nests under a caller span) and every candidate's AggregateBatch
-	// call carries the root via ctx, so engine spans nest under it.
-	parentSp := obs.SpanFromContext(ctx)
-	var tr *obs.Trace
-	var root obs.SpanRef
-	switch {
-	case parentSp.Active():
-		root = parentSp.StartChild("contract")
-	case o.TracingEnabled():
-		tr = obs.NewTrace(o.SearchID(), o.Clock())
-		root = tr.NewSpan(0, "contract")
-	}
-	if root.Active() {
-		root.SetAttrs(obs.Float("gamma", opts.Gamma), obs.Float("delta", opts.Delta),
-			obs.String("norm", opts.Norm.Name()), obs.Int("dims", int64(q.NumDims())))
-	}
+	// Tracing mirrors runSearch: every candidate's AggregateBatch call
+	// carries the root via ctx, so engine spans nest under it.
+	tr, root := openRoot(ctx, "contract", o.TracingEnabled(), opts, q.NumDims())
 	ctxEval := obs.ContextWithSpan(ctx, root)
 
 	finish := func() *Result {
@@ -118,16 +100,17 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 		return res
 	}
 
+	var w []float64
 	for {
 		if err := ctx.Err(); err != nil {
 			return finish(), err
 		}
-		pt, ok := fr.next()
+		id, ok := fr.next()
 		if !ok {
 			res.Exhausted = len(res.Queries) == 0
 			break
 		}
-		w := pt.scores(sp.step)
+		w = lat.appendScores(w[:0], id)
 		qs := opts.Norm.Score(w)
 		if len(res.Queries) > 0 && qs > bestLayer+eps {
 			break
@@ -147,11 +130,7 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 				return finish(), err
 			}
 			span.End()
-			if root.Active() {
-				root.SetAttrs(obs.String("error", err.Error()))
-				root.End()
-				o.Recorder().Add(tr)
-			}
+			closeRootWithError(o, tr, root, err)
 			return nil, err
 		}
 		partial := parts[0]
@@ -207,33 +186,18 @@ func tightenQuery(q *relq.Query, w []float64) (*relq.Query, []float64) {
 // tuple).
 func contractionLimits(e Evaluator, q *relq.Query) ([]float64, error) {
 	cat := e.Catalog()
-	stats := func(ref relq.ColumnRef) (minV, maxV float64, err error) {
-		t, err := cat.Table(ref.Table)
-		if err != nil {
-			return 0, 0, err
-		}
-		ord := t.Schema().Ordinal(ref.Column)
-		if ord < 0 {
-			return 0, 0, fmt.Errorf("core: table %s has no column %q", ref.Table, ref.Column)
-		}
-		s, err := t.Stats(ord)
-		if err != nil {
-			return 0, 0, err
-		}
-		return s.Min, s.Max, nil
-	}
 	out := make([]float64, len(q.Dims))
 	for i := range q.Dims {
 		d := &q.Dims[i]
 		switch d.Kind {
 		case relq.SelectLE:
-			minV, _, err := stats(d.Col)
+			minV, _, err := finiteExtremes(cat, d.Col)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = math.Max(0, (d.Bound-minV)*(100/d.Width))
 		case relq.SelectGE:
-			_, maxV, err := stats(d.Col)
+			_, maxV, err := finiteExtremes(cat, d.Col)
 			if err != nil {
 				return nil, err
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 
 	"acquire/internal/agg"
@@ -26,14 +25,14 @@ type explorer struct {
 	spec   agg.Spec
 
 	incremental bool
-	// store maps grid point -> the d+1 sub-query partials
-	// [O1 (cell), O2 (pillar), ..., Od+1 (whole query)] of §5.1.1.
-	store *pstore[[]agg.Partial]
-	// cache maps grid point -> the prefetched batch result for the
-	// point: its cell partial in incremental mode, its whole-query
-	// partial in naive mode. Entries are consumed (deleted) on first
-	// use; the store memoizes everything that must persist.
-	cache *pstore[agg.Partial]
+	// lat holds, per point, the sub-query partials [O2 (pillar), ...,
+	// Od+1 (whole query)] of §5.1.1 in incremental mode — no successor
+	// reads the cell O1 — or the whole-query partial in naive mode. The
+	// last slot first holds the prefetched batch result (stCached),
+	// consumed on first use; folded partials (stStored) persist.
+	lat         *lattice
+	stored      int     // points holding folded partials
+	stack, pend []int32 // reused worklists of the fold and the prefetch
 
 	// cellQueries counts refined-space queries the search had evaluated,
 	// the paper's §8 cost unit: one per cell sub-query (incremental) or
@@ -44,80 +43,92 @@ type explorer struct {
 	// Atomic: sessions may run searches concurrently and the snapshot
 	// in Result must be race-free.
 	cellQueries atomic.Int64
-	// probes and probeRegions count the §6 probes of the search and the
-	// regions they sent to the evaluation layer (span attributes only;
-	// written on the search goroutine).
+	// probes and probeRegions count the search's §6 probes and the
+	// regions they sent (span attributes; search goroutine only).
 	probes, probeRegions int
 }
 
 func newExplorer(e Evaluator, q *relq.Query, sp *space, spec agg.Spec, incremental bool) *explorer {
-	keyer := newPointKeyer(sp)
+	width := 1
+	if incremental {
+		width = sp.dims
+	}
 	return &explorer{
 		engine:      e,
 		q:           q,
 		sp:          sp,
 		spec:        spec,
 		incremental: incremental,
-		store:       newPstore[[]agg.Partial](keyer),
-		cache:       newPstore[agg.Partial](keyer),
+		lat:         newLattice(sp, width),
 	}
 }
 
-// prefetch dispatches the evaluation-layer queries of an Expand layer
-// as one batch: the cell sub-queries in incremental mode, the whole
-// refined queries in naive mode. Points whose result is already stored
-// or cached are skipped, so every region is fetched at most once —
-// exactly the executions the serial search would have issued, just
+// prefetch dispatches the regions of an Expand layer's points as one
+// batch, built into one backing array. Points whose result is already
+// stored or cached are skipped, so every region is fetched at most once
+// — exactly the executions the serial search would have issued, just
 // batched. Returns the batch width (number of regions dispatched).
-func (x *explorer) prefetch(ctx context.Context, pts []point) (int, error) {
-	pend := make([]point, 0, len(pts))
-	regions := make([]relq.Region, 0, len(pts))
-	for _, p := range pts {
-		if x.incremental {
-			if _, ok := x.store.get(p); ok {
-				continue
-			}
-		}
-		if _, ok := x.cache.get(p); ok {
-			continue
-		}
-		pend = append(pend, p)
-		if x.incremental {
-			regions = append(regions, relq.CellRegion(p, x.sp.step))
-		} else {
-			regions = append(regions, relq.PrefixRegion(p.scores(x.sp.step)))
+func (x *explorer) prefetch(ctx context.Context, ids []int32) (int, error) {
+	x.pend = x.pend[:0]
+	for _, id := range ids {
+		if *x.lat.st(id)&(stStored|stCached) == 0 {
+			x.pend = append(x.pend, id)
 		}
 	}
-	if len(regions) == 0 {
+	if len(x.pend) == 0 {
 		return 0, nil
+	}
+	d := x.sp.dims
+	ivs := make(relq.Region, 0, len(x.pend)*d)
+	regions := make([]relq.Region, len(x.pend))
+	for i, id := range x.pend {
+		ivs = x.region(ivs, id)
+		regions[i] = ivs[i*d : (i+1)*d : (i+1)*d]
 	}
 	parts, err := x.engine.AggregateBatch(ctx, x.q, regions)
 	if err != nil {
 		return 0, err
 	}
 	x.cellQueries.Add(int64(len(regions)))
-	for i, p := range pend {
-		x.cache.put(p, parts[i])
+	for i, id := range x.pend {
+		slots := x.lat.parts.at(id)
+		slots[len(slots)-1] = parts[i]
+		*x.lat.st(id) |= stCached
 	}
 	return len(regions), nil
 }
 
+// region appends the region id sends to the evaluation layer to dst:
+// its cell in incremental mode, its whole refined query in naive mode.
+func (x *explorer) region(dst relq.Region, id int32) relq.Region {
+	if x.incremental {
+		return relq.AppendCellRegion(dst, x.lat.point(id), x.sp.step)
+	}
+	for _, c := range x.lat.point(id) {
+		dst = append(dst, relq.ViolInterval{Lo: -1, Hi: float64(c) * x.sp.step})
+	}
+	return dst
+}
+
+// fetch returns the partial of id's region: the prefetched batch
+// result, consumed, or an on-demand execution.
+func (x *explorer) fetch(ctx context.Context, id int32) (agg.Partial, error) {
+	if st := x.lat.st(id); *st&stCached != 0 {
+		*st &^= stCached
+		slots := x.lat.parts.at(id)
+		return slots[len(slots)-1], nil
+	}
+	x.cellQueries.Add(1)
+	return x.evalOne(ctx, x.region(nil, id))
+}
+
 // aggregate returns the aggregate partial of the whole refined query at
-// grid point p.
-func (x *explorer) aggregate(ctx context.Context, p point) (agg.Partial, error) {
+// grid point id.
+func (x *explorer) aggregate(ctx context.Context, id int32) (agg.Partial, error) {
 	if !x.incremental {
-		if part, ok := x.cache.get(p); ok {
-			x.cache.del(p)
-			return part, nil
-		}
-		x.cellQueries.Add(1)
-		return x.evalOne(ctx, relq.PrefixRegion(p.scores(x.sp.step)))
+		return x.fetch(ctx, id)
 	}
-	parts, err := x.computeAll(ctx, p)
-	if err != nil {
-		return agg.Zero(), err
-	}
-	return parts[x.sp.dims], nil
+	return x.computeAll(ctx, id)
 }
 
 // evalOne executes a single region through the batched entry point so
@@ -130,24 +141,13 @@ func (x *explorer) evalOne(ctx context.Context, r relq.Region) (agg.Partial, err
 	return parts[0], nil
 }
 
-// cellPartial returns the cell sub-query O1 at p, consuming the
-// prefetched cache when possible and falling back to an on-demand
-// execution otherwise.
-func (x *explorer) cellPartial(ctx context.Context, p point) (agg.Partial, error) {
-	if part, ok := x.cache.get(p); ok {
-		x.cache.del(p)
-		return part, nil
-	}
-	x.cellQueries.Add(1)
-	return x.evalOne(ctx, relq.CellRegion(p, x.sp.step))
-}
-
 // computeAll is Algorithm 3 (ComputeAggregate): execute only the cell
 // sub-query O1, then fold the recurrence of Eq. 17,
 //
 //	O_i(u) = O_{i-1}(u) + O_i(u - e_{i-1}),
 //
-// reading O_i(u - e_{i-1}) from the store. The Expand phase guarantees
+// reading O_i(u - e_{i-1}) from the predecessor's slot in the lattice,
+// and returns O_{d+1}(u), the whole query. The Expand phase guarantees
 // (Theorem 3) every contained grid query was explored first; points
 // reachable only through ties under exotic norms fall back to on-demand
 // computation, preserving correctness.
@@ -155,27 +155,23 @@ func (x *explorer) cellPartial(ctx context.Context, p point) (agg.Partial, error
 // The traversal is an explicit worklist, not recursion: predecessor
 // chains are as long as the grid diagonal, and unbounded recursion
 // overflows the stack long before MaxExplored is reached.
-func (x *explorer) computeAll(ctx context.Context, p point) ([]agg.Partial, error) {
-	if parts, ok := x.store.get(p); ok {
-		return parts, nil
-	}
+func (x *explorer) computeAll(ctx context.Context, id int32) (agg.Partial, error) {
 	d := x.sp.dims
-	stack := []point{p}
+	stack := append(x.stack[:0], id)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
-		if _, done := x.store.get(cur); done {
+		if *x.lat.st(cur)&stStored != 0 {
 			stack = stack[:len(stack)-1]
 			continue
 		}
 		// Push every missing predecessor; revisit cur once they exist.
+		u := x.lat.point(cur)
 		missing := false
 		for i := 0; i < d; i++ {
-			if cur[i] == 0 {
+			if u[i] == 0 {
 				continue
 			}
-			prev := cur.clone()
-			prev[i]--
-			if _, ok := x.store.get(prev); !ok {
+			if prev := x.lat.predOf(cur, i); *x.lat.st(prev)&stStored == 0 {
 				stack = append(stack, prev)
 				missing = true
 			}
@@ -183,32 +179,30 @@ func (x *explorer) computeAll(ctx context.Context, p point) ([]agg.Partial, erro
 		if missing {
 			continue
 		}
-		parts := make([]agg.Partial, d+1)
 		// O1: the cell — the only sub-query unique to this point
 		// (§5.1.1 observation 1).
-		cell, err := x.cellPartial(ctx, cur)
+		acc, err := x.fetch(ctx, cur)
 		if err != nil {
-			return nil, err
+			return agg.Zero(), err
 		}
-		parts[0] = cell
-		for i := 1; i <= d; i++ {
-			// GetPreviousNeighbour(i-1): decrement dimension i-1. A
-			// neighbour outside the grid has an empty region, so its
-			// aggregate is the identity (DESIGN.md §5.2).
+		parts := x.lat.parts.at(cur)
+		for i := 0; i < d; i++ {
+			// Slot i holds O_{i+2}. GetPreviousNeighbour(i): decrement
+			// dimension i. A neighbour outside the grid has an empty
+			// region, so its aggregate is the identity (DESIGN.md §5.2).
 			prevPart := agg.Zero()
-			if cur[i-1] > 0 {
-				prev := cur.clone()
-				prev[i-1]--
-				prevParts, _ := x.store.get(prev)
-				prevPart = prevParts[i]
+			if u[i] > 0 {
+				prevPart = x.lat.parts.at(x.lat.predOf(cur, i))[i]
 			}
-			parts[i] = agg.Merge(parts[i-1], prevPart)
+			acc = agg.Merge(acc, prevPart)
+			parts[i] = acc
 		}
-		x.store.put(cur, parts)
+		*x.lat.st(cur) |= stStored
+		x.stored++
 		stack = stack[:len(stack)-1]
 	}
-	parts, _ := x.store.get(p)
-	return parts, nil
+	x.stack = stack
+	return x.lat.parts.at(id)[d-1], nil
 }
 
 // directAggregate executes the whole refined query at an arbitrary
@@ -268,36 +262,11 @@ func shellRegions(lo, mid []float64) []relq.Region {
 	return boxes
 }
 
-// storedPoints reports how many grid points hold cached sub-aggregates.
-func (x *explorer) storedPoints() int { return x.store.len() }
-
-// release frees the sub-aggregate store and the prefetch cache. The
-// driver calls it once the search result is finalised: a long-lived
-// session runs many searches against one engine, and with the
-// cross-search region cache holding the reusable state there is no
-// reason to pin a finished search's per-point maps until the explorer
-// itself is collected. The explorer must not be used afterwards.
+// release frees the lattice once the search result is final: a
+// long-lived session runs many searches against one engine, and a
+// finished search's slabs should not live as long as its explorer. The
+// explorer must not be used afterwards.
 func (x *explorer) release() {
-	x.store.free()
-	x.cache.free()
-}
-
-// verifyAgainstDirect cross-checks the incremental aggregate at p with
-// a direct whole-query execution; testing hook. The full partial is
-// compared: Count/Min/Max exactly, Sum and the UDA summary within a
-// relative tolerance (the recurrence associates float additions
-// differently than a single scan).
-func (x *explorer) verifyAgainstDirect(p point) error {
-	inc, err := x.aggregate(context.Background(), p)
-	if err != nil {
-		return err
-	}
-	direct, err := x.engine.Aggregate(x.q, relq.PrefixRegion(p.scores(x.sp.step)))
-	if err != nil {
-		return err
-	}
-	if !agg.ApproxEqual(inc, direct, 1e-9) {
-		return fmt.Errorf("core: incremental partial %+v != direct %+v at %v", inc, direct, p)
-	}
-	return nil
+	x.lat.release()
+	x.stored, x.stack, x.pend = 0, nil, nil
 }

@@ -10,41 +10,15 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"acquire/internal/relq"
 )
 
 // point is a grid point in the refined space: coordinate i counts steps
-// of size γ/d along dimension i (§4).
-type point []int
-
-// key encodes the point for map storage: 4 little-endian bytes per
-// coordinate, so points are distinguished over the full 32-bit
-// coordinate range (a 3-byte encoding would alias coordinates 2^24
-// apart and corrupt the frontier's seen-set).
-func (p point) key() string {
-	b := make([]byte, 0, len(p)*4)
-	for _, c := range p {
-		b = append(b, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-	}
-	return string(b)
-}
-
-// clone copies the point.
-func (p point) clone() point {
-	q := make(point, len(p))
-	copy(q, p)
-	return q
-}
-
-// scores converts grid coordinates to PScore percent units.
-func (p point) scores(step float64) []float64 {
-	out := make([]float64, len(p))
-	for i, c := range p {
-		out[i] = float64(c) * step
-	}
-	return out
-}
+// of size γ/d along dimension i (§4). Points live in the search's
+// lattice arena; a point value is a view into it or a scratch buffer.
+type point []int32
 
 // space holds the refined-space geometry: dimensionality, grid step
 // (γ/d, Theorem 1) and per-dimension coordinate caps.
@@ -71,166 +45,198 @@ func newSpace(q *relq.Query, gamma float64, domainScore []float64) (*space, erro
 		if m := q.Dims[i].MaxScore; m > 0 && m < limit {
 			limit = m
 		}
-		if limit <= 0 {
-			// Degenerate: the predicate already spans the domain; the
-			// dimension cannot usefully refine but still exists as an
-			// axis. One step of slack keeps the geometry uniform.
-			s.maxCoord[i] = 0
-			continue
+		// A degenerate axis (limit ≤ 0 or NaN: the predicate already spans
+		// the domain) keeps the one coordinate 0; lattice coordinates are
+		// int32.
+		if limit > 0 {
+			s.maxCoord[i] = int(math.Min(math.Ceil(limit/s.step), math.MaxInt32))
 		}
-		s.maxCoord[i] = int(math.Ceil(limit / s.step))
 	}
 	return s, nil
 }
 
-// frontier generates grid points in non-decreasing QScore order
-// (Theorem 2). Implementations: bfsFrontier (Algorithm 1),
-// linfFrontier (Algorithm 2), priorityFrontier (weighted norms).
+// frontier generates the ids of grid points, interned into the
+// search's lattice, in non-decreasing QScore order (Theorem 2); ok=false
+// when the space is exhausted.
 type frontier interface {
-	// next returns the next grid point, or ok=false when the space is
-	// exhausted.
-	next() (point, bool)
+	next() (id int32, ok bool)
 }
 
-// bfsFrontier is Algorithm 1: FIFO breadth-first search over the grid
-// graph whose edges increment one coordinate by one step. BFS order is
-// exactly non-decreasing L1 layer order (Theorem 2's proof).
+// bfsFrontier is Algorithm 1. FIFO breadth-first search from the origin,
+// incrementing dimensions 0..d−1, visits the L1 layers Σu = L in order
+// and each layer in lexicographically decreasing order (DESIGN.md
+// §5.22), so the layers are enumerated directly in that order, with no
+// queue and no seen-set. u ↦ u − e_i keeps that order, so the
+// predecessors of layer L are found by one forward cursor per dimension
+// over layer L−1.
 type bfsFrontier struct {
-	sp    *space
-	queue []point
-	seen  map[string]struct{}
+	lat *lattice
+	sum int   // the layer being enumerated
+	u   point // the next point to emit
+	// prev and cur hold layer sum−1 and the emitted part of layer sum.
+	prev, cur []int32
+	cursor    []int
+	sufCap    []int // sufCap[i] = Σ_{j≥i} maxCoord[j]
 }
 
-func newBFSFrontier(sp *space) *bfsFrontier {
-	origin := make(point, sp.dims)
-	return &bfsFrontier{
-		sp:    sp,
-		queue: []point{origin},
-		seen:  map[string]struct{}{origin.key(): {}},
+func newBFSFrontier(lat *lattice) *bfsFrontier {
+	d := lat.sp.dims
+	f := &bfsFrontier{lat: lat, u: make(point, d), cursor: make([]int, d), sufCap: make([]int, d+1)}
+	for i := d - 1; i >= 0; i-- {
+		f.sufCap[i] = f.sufCap[i+1] + lat.sp.maxCoord[i]
 	}
+	return f
 }
 
-func (f *bfsFrontier) next() (point, bool) {
-	if len(f.queue) == 0 {
-		return nil, false
+func (f *bfsFrontier) next() (int32, bool) {
+	if f.sum > f.sufCap[0] {
+		return 0, false
 	}
-	cur := f.queue[0]
-	f.queue = f.queue[1:]
-	// GetNextNeighbor(i): increment the i-th dimension (Algorithm 1
-	// lines 2-5).
-	for i := 0; i < f.sp.dims; i++ {
-		if cur[i] >= f.sp.maxCoord[i] {
+	id := f.lat.add(f.u)
+	u := f.lat.point(id)
+	for i, ui := range u {
+		if ui == 0 {
 			continue
 		}
-		nxt := cur.clone()
-		nxt[i]++
-		k := nxt.key()
-		if _, dup := f.seen[k]; !dup {
-			f.seen[k] = struct{}{}
-			f.queue = append(f.queue, nxt)
+		c := f.cursor[i]
+		for lexAfterPred(f.lat.point(f.prev[c]), u, i) {
+			c++
+		}
+		f.cursor[i] = c
+		f.lat.pred.at(id)[i] = f.prev[c] + 1
+	}
+	f.cur = append(f.cur, id)
+	if !f.advance() {
+		f.sum++
+		f.prev, f.cur = f.cur, f.prev[:0]
+		clear(f.cursor)
+		f.fill(0, f.sum)
+	}
+	return id, true
+}
+
+// fill sets u[from:] to the lexicographically largest suffix summing to
+// r under the caps.
+func (f *bfsFrontier) fill(from, r int) {
+	for j := from; j < len(f.u); j++ {
+		f.u[j] = int32(min(r, f.lat.sp.maxCoord[j]))
+		r -= int(f.u[j])
+	}
+}
+
+// advance steps u to the next point of its layer in lexicographically
+// decreasing order: decrement the rightmost coordinate whose suffix can
+// absorb one more unit, then refill that suffix as large as possible.
+func (f *bfsFrontier) advance() bool {
+	s := 0
+	for i := len(f.u) - 2; i >= 0; i-- {
+		s += int(f.u[i+1])
+		if f.u[i] > 0 && s < f.sufCap[i+1] {
+			f.u[i]--
+			f.fill(i+1, s+1)
+			return true
 		}
 	}
-	return cur, true
+	return false
+}
+
+// lexAfterPred reports whether a > u − e_i lexicographically.
+func lexAfterPred(a, u point, i int) bool {
+	for j, aj := range a {
+		t := u[j]
+		if j == i {
+			t--
+		}
+		if aj != t {
+			return aj > t
+		}
+	}
+	return false
 }
 
 // linfFrontier is Algorithm 2: explicit enumeration of the L-shaped
-// query-layers of the L∞ norm. Layer k contains every grid point whose
-// maximum coordinate equals k.
+// query-layers of the L∞ norm. Layer k holds every grid point whose
+// maximum coordinate is k, emitted in lexicographically increasing
+// order by an odometer over the box [0, min(k, maxCoord_i)].
 type linfFrontier struct {
-	sp      *space
+	lat     *lattice
 	layer   int
-	pending []point
+	u       point
+	started bool
 }
 
-func newLInfFrontier(sp *space) *linfFrontier {
-	origin := make(point, sp.dims)
-	return &linfFrontier{sp: sp, pending: []point{origin}}
+func newLInfFrontier(lat *lattice) *linfFrontier {
+	return &linfFrontier{lat: lat, u: make(point, lat.sp.dims)}
 }
 
-func (f *linfFrontier) next() (point, bool) {
-	for len(f.pending) == 0 {
-		f.layer++
-		maxLayer := 0
-		for _, m := range f.sp.maxCoord {
-			if m > maxLayer {
-				maxLayer = m
+func (f *linfFrontier) next() (int32, bool) {
+	for {
+		if !f.started {
+			f.started = true
+		} else if !f.step() {
+			if f.layer++; f.layer > slices.Max(f.lat.sp.maxCoord) {
+				return 0, false
+			}
+			clear(f.u)
+		}
+		for _, c := range f.u {
+			if int(c) == f.layer {
+				return f.lat.intern(f.u), true
 			}
 		}
-		if f.layer > maxLayer {
-			return nil, false
-		}
-		f.enumerateLayer(f.layer)
 	}
-	cur := f.pending[0]
-	f.pending = f.pending[1:]
-	return cur, true
 }
 
-// enumerateLayer emits all points with max coordinate == k: for each
-// dimension i fixed at k, every combination of the remaining
-// dimensions with coordinates < k (dimensions before i) or <= k
-// (dimensions after i) — the standard de-duplicated shell walk.
-func (f *linfFrontier) enumerateLayer(k int) {
-	d := f.sp.dims
-	cur := make(point, d)
-	var rec func(dim int, hasK bool)
-	rec = func(dim int, hasK bool) {
-		if dim == d {
-			if hasK {
-				f.pending = append(f.pending, cur.clone())
-			}
-			return
+// step advances the odometer, last dimension fastest.
+func (f *linfFrontier) step() bool {
+	for j := len(f.u) - 1; j >= 0; j-- {
+		if int(f.u[j]) < min(f.layer, f.lat.sp.maxCoord[j]) {
+			f.u[j]++
+			return true
 		}
-		hi := k
-		if hi > f.sp.maxCoord[dim] {
-			hi = f.sp.maxCoord[dim]
-		}
-		for v := 0; v <= hi; v++ {
-			cur[dim] = v
-			rec(dim+1, hasK || v == k)
-		}
+		f.u[j] = 0
 	}
-	rec(0, false)
+	return false
 }
 
 // priorityFrontier orders points by an arbitrary monotone QScore —
 // required for weighted norms (§7.1), where BFS layer order no longer
 // coincides with score order. Monotonicity of the norm guarantees a
 // point is popped after every point it contains (Theorem 3(2) carries
-// over), which the Explore phase's recurrence depends on.
+// over), which the Explore phase's recurrence depends on; expanding a
+// point records it as its successors' predecessor.
 type priorityFrontier struct {
-	sp    *space
-	score func(point) float64
+	lat   *lattice
+	score func(int32) float64
 	heap  pointHeap
-	seen  map[string]struct{}
+	u     point
 }
 
-func newPriorityFrontier(sp *space, score func(point) float64) *priorityFrontier {
-	origin := make(point, sp.dims)
-	f := &priorityFrontier{
-		sp:    sp,
-		score: score,
-		seen:  map[string]struct{}{origin.key(): {}},
-	}
-	f.heap.push(heapItem{p: origin, score: score(origin)})
+func newPriorityFrontier(lat *lattice, score func(int32) float64) *priorityFrontier {
+	f := &priorityFrontier{lat: lat, score: score, u: make(point, lat.sp.dims)}
+	origin := lat.intern(f.u)
+	*lat.st(origin) |= stQueued
+	f.heap.push(heapItem{id: origin, score: score(origin)})
 	return f
 }
 
-func (f *priorityFrontier) next() (point, bool) {
-	if f.heap.len() == 0 {
-		return nil, false
+func (f *priorityFrontier) next() (int32, bool) {
+	if len(f.heap.items) == 0 {
+		return 0, false
 	}
-	cur := f.heap.pop().p
-	for i := 0; i < f.sp.dims; i++ {
-		if cur[i] >= f.sp.maxCoord[i] {
+	cur := f.heap.pop().id
+	p := f.lat.point(cur)
+	for i := range p {
+		if int(p[i]) >= f.lat.sp.maxCoord[i] {
 			continue
 		}
-		nxt := cur.clone()
-		nxt[i]++
-		k := nxt.key()
-		if _, dup := f.seen[k]; !dup {
-			f.seen[k] = struct{}{}
-			f.heap.push(heapItem{p: nxt, score: f.score(nxt)})
+		copy(f.u, p)
+		f.u[i]++
+		id := f.lat.intern(f.u)
+		f.lat.pred.at(id)[i] = cur + 1
+		if st := f.lat.st(id); *st&stQueued == 0 {
+			*st |= stQueued
+			f.heap.push(heapItem{id: id, score: f.score(id)})
 		}
 	}
 	return cur, true
@@ -239,13 +245,11 @@ func (f *priorityFrontier) next() (point, bool) {
 // heapItem and pointHeap are a minimal binary min-heap (container/heap
 // would force interface boxing on a hot path).
 type heapItem struct {
-	p     point
+	id    int32
 	score float64
 }
 
 type pointHeap struct{ items []heapItem }
-
-func (h *pointHeap) len() int { return len(h.items) }
 
 func (h *pointHeap) push(it heapItem) {
 	h.items = append(h.items, it)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"acquire/internal/agg"
@@ -34,33 +36,36 @@ func TestFrontierOrderingInvariants(t *testing.T) {
 
 	cases := []struct {
 		name string
-		fr   frontier
+		fr   func(*lattice) frontier
 		n    norms.Norm
 	}{
-		{"bfs", newBFSFrontier(sp), norms.L1{}},
-		{"linf", newLInfFrontier(sp), norms.LInf{}},
-		{"priority-l2", newPriorityFrontier(sp, func(p point) float64 { return l2.Score(p.scores(sp.step)) }), l2},
-		{"priority-weighted", newPriorityFrontier(sp, func(p point) float64 { return lw.Score(p.scores(sp.step)) }), lw},
+		{"bfs", func(l *lattice) frontier { return newBFSFrontier(l) }, norms.L1{}},
+		{"linf", func(l *lattice) frontier { return newLInfFrontier(l) }, norms.LInf{}},
+		{"priority-l2", func(l *lattice) frontier { return newPriorityFrontier(l, qscorer(l, l2)) }, l2},
+		{"priority-weighted", func(l *lattice) frontier { return newPriorityFrontier(l, qscorer(l, lw)) }, lw},
 	}
 	for _, tc := range cases {
-		seen := make(map[string]int)
+		lat := newLattice(sp, 0)
+		fr := tc.fr(lat)
+		seen := make(map[[3]int32]int)
 		var order []point
 		last := -1.0
 		for {
-			p, ok := tc.fr.next()
+			id, ok := fr.next()
 			if !ok {
 				break
 			}
-			qs := tc.n.Score(p.scores(sp.step))
+			p := lat.point(id)
+			qs := tc.n.Score(lat.appendScores(nil, id))
 			if qs < last-1e-9 {
 				t.Fatalf("%s: QScore decreased: %v after %v", tc.name, qs, last)
 			}
 			last = qs
-			if _, dup := seen[p.key()]; dup {
+			if _, dup := seen[[3]int32(p)]; dup {
 				t.Fatalf("%s: duplicate point %v", tc.name, p)
 			}
-			seen[p.key()] = len(order)
-			order = append(order, p.clone())
+			seen[[3]int32(p)] = len(order)
+			order = append(order, p)
 		}
 		// Completeness: every grid point appears exactly once.
 		want := 7 * 7 * 7
@@ -73,9 +78,9 @@ func TestFrontierOrderingInvariants(t *testing.T) {
 				if p[i] == 0 {
 					continue
 				}
-				prev := p.clone()
+				prev := [3]int32(p)
 				prev[i]--
-				pidx, ok := seen[prev.key()]
+				pidx, ok := seen[prev]
 				if !ok || pidx >= idx {
 					t.Fatalf("%s: %v emitted before contained %v", tc.name, p, prev)
 				}
@@ -86,13 +91,15 @@ func TestFrontierOrderingInvariants(t *testing.T) {
 
 func TestFrontierRespectsCaps(t *testing.T) {
 	sp := testSpace(t, 2, 10, []int{2, 0})
-	fr := newBFSFrontier(sp)
+	lat := newLattice(sp, 0)
+	fr := newBFSFrontier(lat)
 	count := 0
 	for {
-		p, ok := fr.next()
+		id, ok := fr.next()
 		if !ok {
 			break
 		}
+		p := lat.point(id)
 		if p[0] > 2 || p[1] > 0 {
 			t.Fatalf("point %v beyond caps", p)
 		}
@@ -105,14 +112,16 @@ func TestFrontierRespectsCaps(t *testing.T) {
 
 func TestLInfLayerShape(t *testing.T) {
 	sp := testSpace(t, 2, 10, []int{3, 3})
-	fr := newLInfFrontier(sp)
+	lat := newLattice(sp, 0)
+	fr := newLInfFrontier(lat)
 	var layers [][]point
-	lastMax := -1
+	lastMax := int32(-1)
 	for {
-		p, ok := fr.next()
+		id, ok := fr.next()
 		if !ok {
 			break
 		}
+		p := lat.point(id)
 		m := p[0]
 		if p[1] > m {
 			m = p[1]
@@ -124,7 +133,7 @@ func TestLInfLayerShape(t *testing.T) {
 			layers = append(layers, nil)
 			lastMax = m
 		}
-		layers[len(layers)-1] = append(layers[len(layers)-1], p.clone())
+		layers[len(layers)-1] = append(layers[len(layers)-1], p)
 	}
 	// Layer k has (k+1)^2 - k^2 = 2k+1 points.
 	wantSizes := []int{1, 3, 5, 7}
@@ -138,40 +147,55 @@ func TestLInfLayerShape(t *testing.T) {
 	}
 }
 
+// The lattice's key table gives one id per distinct point: random
+// points of a packed 300^3 space intern to ids that round-trip through
+// lookup and the arena.
 func TestPointKeyUniqueness(t *testing.T) {
-	seen := make(map[string]point)
+	lat := newLattice(testSpace(t, 3, 3, []int{299, 299, 299}), 0)
+	if lat.widths == nil {
+		t.Fatal("a 300^3 space should pack")
+	}
+	ids := make(map[[3]int32]int32)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10000; i++ {
-		p := point{rng.Intn(300), rng.Intn(300), rng.Intn(300)}
-		k := p.key()
-		if prev, ok := seen[k]; ok {
-			if prev[0] != p[0] || prev[1] != p[1] || prev[2] != p[2] {
-				t.Fatalf("key collision: %v and %v", prev, p)
-			}
+		p := point{int32(rng.Intn(300)), int32(rng.Intn(300)), int32(rng.Intn(300))}
+		id := lat.intern(p)
+		if prev, ok := ids[[3]int32(p)]; ok && prev != id {
+			t.Fatalf("%v interned twice: ids %d and %d", p, prev, id)
 		}
-		seen[k] = p.clone()
+		ids[[3]int32(p)] = id
+		if !slices.Equal(lat.point(id), p) {
+			t.Fatalf("id %d holds %v, want %v", id, lat.point(id), p)
+		}
+	}
+	if int(lat.n) != len(ids) {
+		t.Fatalf("%d ids for %d distinct points", int(lat.n), len(ids))
 	}
 }
 
 // Regression: the old 3-byte-per-coordinate encoding truncated
 // coordinates to 24 bits, so points 2^24 steps apart shared a key and
-// the frontier's seen-set silently dropped one of them.
+// the frontier's seen-set silently dropped one of them. Such a space
+// does not pack; its hashed keys are confirmed against the arena.
 func TestPointKeyHighCoordinates(t *testing.T) {
+	lat := newLattice(testSpace(t, 3, 3, []int{1 << 30, 1 << 30, 1 << 30}), 0)
+	if lat.widths != nil {
+		t.Fatal("3x2^30 grid cannot pack into 64 bits")
+	}
 	pairs := [][2]point{
-		{{1 << 24, 0}, {0, 0}},
-		{{1<<24 + 1, 0}, {1, 0}},
-		{{0, 1 << 25}, {0, 0}},
-		{{1 << 30, 1 << 30}, {1<<30 + 1<<24, 1 << 30}},
+		{{1 << 24, 0, 0}, {0, 0, 0}},
+		{{1<<24 + 1, 0, 0}, {1, 0, 0}},
+		{{0, 1 << 25, 0}, {0, 0, 0}},
+		{{1 << 30, 1 << 30, 7}, {1<<30 - 1<<24, 1 << 30, 7}},
 	}
 	for _, pr := range pairs {
-		if pr[0].key() == pr[1].key() {
-			t.Errorf("points %v and %v share a key", pr[0], pr[1])
+		a, b := lat.intern(pr[0]), lat.intern(pr[1])
+		if a == b {
+			t.Errorf("points %v and %v share id %d", pr[0], pr[1], a)
 		}
-	}
-	// Different lengths never alias either.
-	if (point{1}).key() == (point{1, 0}).key() {
-		// Length is implicit in the key's byte count.
-		t.Error("points of different dimensionality share a key")
+		if got, ok := lat.lookup(pr[0]); !ok || got != a {
+			t.Errorf("lookup(%v) = %d, %v; want %d", pr[0], got, ok, a)
+		}
 	}
 }
 
@@ -182,10 +206,10 @@ func TestPointHeap(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		v := rng.Float64() * 100
 		vals = append(vals, v)
-		h.push(heapItem{p: point{i}, score: v})
+		h.push(heapItem{id: int32(i), score: v})
 	}
 	last := -1.0
-	for h.len() > 0 {
+	for len(h.items) > 0 {
 		it := h.pop()
 		if it.score < last {
 			t.Fatalf("heap pop out of order: %v after %v", it.score, last)
@@ -253,13 +277,13 @@ func TestIncrementalAggregateEqualsDirectProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := newExplorer(e, q, sp, spec, true)
-		fr := newBFSFrontier(sp)
+		fr := newBFSFrontier(x.lat)
 		for i := 0; i < 60; i++ {
-			p, ok := fr.next()
+			id, ok := fr.next()
 			if !ok {
 				break
 			}
-			if err := x.verifyAgainstDirect(p); err != nil {
+			if err := x.verifyAgainstDirect(id); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}
@@ -285,8 +309,8 @@ func TestCellQueryAccounting(t *testing.T) {
 	}
 	x := newExplorer(e, q, sp, spec, true)
 	ctx := context.Background()
-	for u := 0; u < 5; u++ {
-		if _, err := x.aggregate(ctx, point{u}); err != nil {
+	for u := int32(0); u < 5; u++ {
+		if _, err := x.aggregate(ctx, x.lat.intern(point{u})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,13 +318,33 @@ func TestCellQueryAccounting(t *testing.T) {
 		t.Errorf("cellQueries = %d, want 5", n)
 	}
 	// Re-asking a stored point costs nothing.
-	if _, err := x.aggregate(ctx, point{3}); err != nil {
+	if _, err := x.aggregate(ctx, x.lat.intern(point{3})); err != nil {
 		t.Fatal(err)
 	}
 	if n := x.cellQueries.Load(); n != 5 {
 		t.Errorf("cellQueries after repeat = %d, want 5", n)
 	}
-	if x.storedPoints() != 5 {
-		t.Errorf("storedPoints = %d, want 5", x.storedPoints())
+	if x.stored != 5 {
+		t.Errorf("storedPoints = %d, want 5", x.stored)
 	}
+}
+
+// verifyAgainstDirect cross-checks the incremental aggregate at p with
+// a direct whole-query execution; used by the property tests. The full partial is
+// compared: Count/Min/Max exactly, Sum and the UDA summary within a
+// relative tolerance (the recurrence associates float additions
+// differently than a single scan).
+func (x *explorer) verifyAgainstDirect(id int32) error {
+	inc, err := x.aggregate(context.Background(), id)
+	if err != nil {
+		return err
+	}
+	direct, err := x.engine.Aggregate(x.q, relq.PrefixRegion(x.lat.appendScores(nil, id)))
+	if err != nil {
+		return err
+	}
+	if !agg.ApproxEqual(inc, direct, 1e-9) {
+		return fmt.Errorf("core: incremental partial %+v != direct %+v at %v", inc, direct, x.lat.point(id))
+	}
+	return nil
 }

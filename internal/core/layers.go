@@ -9,50 +9,40 @@ const layerEps = 1e-9
 // layer-at-a-time one: nextLayer returns every pending point whose
 // QScore ties the head of the frontier (within layerEps). Frontiers
 // emit points in non-decreasing score order (Theorem 2), so a layer is
-// a contiguous run and buffering at most one lookahead point suffices.
-//
-// Within a layer the original frontier order is preserved — under L∞
-// (and tie-heavy custom norms) a layer can contain points that contain
-// one another, and the Explore recurrence needs the containment-
-// consistent order the frontier guarantees.
+// a contiguous run and one lookahead point suffices. The frontier's
+// order is kept within a layer: under L∞ (and tie-heavy custom norms) a
+// layer's points can contain one another, and the Explore recurrence
+// needs the containment-consistent order the frontier guarantees.
 type layerFrontier struct {
 	fr    frontier
-	score func(point) float64
-	// ahead holds the first point of the next layer, popped while
-	// detecting the current layer's end.
-	ahead    point
-	hasAhead bool
+	score func(int32) float64
+	// ids and qs hold the current layer (the first n) and, past it, the
+	// first point of the next layer, popped while detecting the end.
+	ids []int32
+	qs  []float64
+	n   int
 }
 
-func newLayerFrontier(fr frontier, score func(point) float64) *layerFrontier {
+func newLayerFrontier(fr frontier, score func(int32) float64) *layerFrontier {
 	return &layerFrontier{fr: fr, score: score}
 }
 
-// nextLayer returns the next full layer of grid points, or ok=false
-// when the space is exhausted.
-func (lf *layerFrontier) nextLayer() ([]point, bool) {
-	var first point
-	if lf.hasAhead {
-		first, lf.hasAhead = lf.ahead, false
-		lf.ahead = nil
-	} else {
-		p, ok := lf.fr.next()
+// nextLayer returns the next full layer of grid points and their
+// QScores, valid until the next call; ok=false when the space is
+// exhausted.
+func (lf *layerFrontier) nextLayer() (ids []int32, qs []float64, ok bool) {
+	lf.ids, lf.qs = append(lf.ids[:0], lf.ids[lf.n:]...), append(lf.qs[:0], lf.qs[lf.n:]...)
+	lf.n = len(lf.ids)
+	for lf.n == len(lf.ids) {
+		id, ok := lf.fr.next()
 		if !ok {
-			return nil, false
+			break
 		}
-		first = p
+		s := lf.score(id)
+		lf.ids, lf.qs = append(lf.ids, id), append(lf.qs, s)
+		if !(s > lf.qs[0]+layerEps) {
+			lf.n++
+		}
 	}
-	layer := []point{first}
-	base := lf.score(first)
-	for {
-		p, ok := lf.fr.next()
-		if !ok {
-			return layer, true
-		}
-		if lf.score(p) > base+layerEps {
-			lf.ahead, lf.hasAhead = p, true
-			return layer, true
-		}
-		layer = append(layer, p)
-	}
+	return lf.ids[:lf.n], lf.qs[:lf.n], lf.n > 0
 }

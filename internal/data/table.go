@@ -39,6 +39,11 @@ type Table struct {
 // ColumnStats holds the domain statistics the refinement model needs.
 type ColumnStats struct {
 	Min, Max float64
+	// FiniteMin and FiniteMax are the extremes over the finite values
+	// (+Inf and -Inf when there are none): what the refined space is
+	// measured against, since a row with an infinite violation lies in
+	// no finite prefix.
+	FiniteMin, FiniteMax float64
 	// Distinct is an exact distinct count (tables are loaded once and
 	// scanned many times, so exactness is affordable).
 	Distinct int
@@ -213,6 +218,7 @@ func (t *Table) Stats(ordinal int) (ColumnStats, error) {
 	s := ColumnStats{}
 	if len(col) > 0 {
 		s.Min, s.Max = math.Inf(1), math.Inf(-1)
+		s.FiniteMin, s.FiniteMax = s.Min, s.Max
 		seen := make(map[float64]struct{})
 		for _, v := range col {
 			if v < s.Min {
@@ -220,6 +226,14 @@ func (t *Table) Stats(ordinal int) (ColumnStats, error) {
 			}
 			if v > s.Max {
 				s.Max = v
+			}
+			if !math.IsInf(v, 0) {
+				if v < s.FiniteMin {
+					s.FiniteMin = v
+				}
+				if v > s.FiniteMax {
+					s.FiniteMax = v
+				}
 			}
 			seen[v] = struct{}{}
 		}

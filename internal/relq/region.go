@@ -37,16 +37,21 @@ func PrefixRegion(scores []float64) Region {
 // ((u[i]-1)·step, u[i]·step], or exactly 0 when u[i] == 0 (§5.1.1: the
 // cell sub-query O1 has lower bound one unit below the query on every
 // dimension; at the origin the cell degenerates to the original query).
-func CellRegion(u []int, step float64) Region {
-	r := make(Region, len(u))
-	for i, ui := range u {
+func CellRegion[T int | int32](u []T, step float64) Region {
+	return AppendCellRegion(make(Region, 0, len(u)), u, step)
+}
+
+// AppendCellRegion appends the intervals of CellRegion(u, step) to dst,
+// so a caller can build a batch of cells into one backing array.
+func AppendCellRegion[T int | int32](dst Region, u []T, step float64) Region {
+	for _, ui := range u {
 		if ui == 0 {
-			r[i] = ViolInterval{Lo: -1, Hi: 0}
+			dst = append(dst, ViolInterval{Lo: -1, Hi: 0})
 		} else {
-			r[i] = ViolInterval{Lo: float64(ui-1) * step, Hi: float64(ui) * step}
+			dst = append(dst, ViolInterval{Lo: float64(ui-1) * step, Hi: float64(ui) * step})
 		}
 	}
-	return r
+	return dst
 }
 
 // SubQueryRegion returns the region of sub-query O_j (1-indexed,

@@ -235,10 +235,12 @@ func analyzePred(
 					q.Fixed = append(q.Fixed, relq.FixedPred{Kind: relq.FixedRange, Col: ref, Lo: math.Inf(-1), Hi: num})
 					return nil
 				}
-				// Interval anchored at the attribute minimum (§2.2).
-				width := num - stats.Min
+				// Interval anchored at the attribute minimum (§2.2), over
+				// the finite values: an infinite extreme would make the
+				// width infinite and every violation 0.
+				width := num - stats.FiniteMin
 				if width <= 0 {
-					width = stats.Max - stats.Min
+					width = stats.FiniteMax - stats.FiniteMin
 				}
 				if width <= 0 {
 					width = 100
@@ -249,9 +251,9 @@ func analyzePred(
 					q.Fixed = append(q.Fixed, relq.FixedPred{Kind: relq.FixedRange, Col: ref, Lo: num, Hi: math.Inf(1)})
 					return nil
 				}
-				width := stats.Max - num
+				width := stats.FiniteMax - num
 				if width <= 0 {
-					width = stats.Max - stats.Min
+					width = stats.FiniteMax - stats.FiniteMin
 				}
 				if width <= 0 {
 					width = 100

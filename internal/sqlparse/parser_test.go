@@ -343,3 +343,47 @@ func TestFuncNames(t *testing.T) {
 		t.Error("FuncNames missing COUNT")
 	}
 }
+
+// An infinite value must not make Eq. 1's width infinite: then 100/Width
+// is 0, every violation is 0 and the predicate admits every row. The
+// width is anchored at the column's finite extremes, so x <= 10 over
+// x = 1..100 plus -Inf keeps its 11 rows (the -Inf row included) and
+// x >= 91 plus +Inf its 11.
+func TestAnalyzeInfiniteValueKeepsPredicate(t *testing.T) {
+	for _, tc := range []struct {
+		extra float64
+		pred  string
+		width float64
+	}{{math.Inf(-1), "t.x <= 10", 9}, {math.Inf(1), "t.x >= 91", 9}} {
+		tbl := data.NewTable("t", data.MustSchema(data.Column{Name: "x", Type: data.Float64}))
+		for i := 1; i <= 100; i++ {
+			if err := tbl.AppendRow(data.FloatValue(float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tbl.AppendRow(data.FloatValue(tc.extra)); err != nil {
+			t.Fatal(err)
+		}
+		cat := data.NewCatalog()
+		if err := cat.Register(tbl); err != nil {
+			t.Fatal(err)
+		}
+		q, err := ParseAndAnalyze("SELECT * FROM t CONSTRAINT COUNT(*) = 50 WHERE "+tc.pred, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := q.Dims[0]
+		if d.Width != tc.width {
+			t.Errorf("%s: width %v, want %v", tc.pred, d.Width, tc.width)
+		}
+		admitted := 0
+		for i := 0; i < tbl.NumRows(); i++ {
+			if d.Violation(tbl.ValueAt(i, 0).F) == 0 {
+				admitted++
+			}
+		}
+		if admitted != 11 {
+			t.Errorf("%s: original query admits %d rows, want 11", tc.pred, admitted)
+		}
+	}
+}
