@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare bench-figures bench-json bench-check bench-obs vet profile profile-join profile-core loc
+.PHONY: build test race bench bench-compare bench-figures bench-json bench-check bench-obs vet profile profile-join profile-core profile-scan loc
 
 build:
 	$(GO) build ./...
@@ -91,3 +91,11 @@ profile-join:
 # `go tool pprof -top -focus BenchmarkCachedSearch core.pprof`.
 profile-core:
 	$(GO) test -run xxx -bench CachedSearch -benchtime 200x -benchmem -cpuprofile core.pprof -o core.test .
+
+# CPU profile of the single-table scan regime: the five fig. 8 ACQs as SQL
+# text on a plain engine (BenchmarkUsersSQLSearch, the op list of bench's
+# users_sql), where cells reach the scan stage or the search's grouped
+# table. Writes scan.pprof and the test binary next to it; inspect with
+# `go tool pprof -top scan.pprof`.
+profile-scan:
+	$(GO) test -run xxx -bench UsersSQLSearch -benchtime 100x -benchmem -cpuprofile scan.pprof -o scan.test .

@@ -733,6 +733,57 @@ func BenchmarkCachedSearch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*explored), "ns/point")
 }
 
+// BenchmarkUsersSQLSearch is the single-table scan profile target: one op
+// replays the five fig. 8 ACQs (d = 3, ratios 0.1–0.9) over 1M users rows
+// as SQL text on a plain engine — the operation list of the repository
+// benchmark's users_sql workload, BenchmarkCachedSearch without the
+// cache, where every cell reaches the scan stage or the search's grouped
+// table (make profile-scan). Reports the rows an op gathers and ns per
+// explored point.
+func BenchmarkUsersSQLSearch(b *testing.B) {
+	cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: 1000000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := exec.New(cat)
+	var sqls []string
+	for _, ratio := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+		q, err := workload.BuildCalibrated(e, workload.Spec{Kind: workload.Users, Dims: 3, Agg: relq.AggCount, Ratio: ratio})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sqls = append(sqls, q.ToSQL())
+	}
+	pass := func() (explored int) {
+		for _, sql := range sqls {
+			ast, err := sqlparse.Parse(sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			q, err := sqlparse.Analyze(ast, cat)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := core.RunContext(context.Background(), e, q, core.Options{Gamma: 20, Delta: 0.05})
+			if err != nil || !res.Satisfied {
+				b.Fatalf("satisfied=%v err=%v: %s", res != nil && res.Satisfied, err, sql)
+			}
+			explored += res.Explored
+		}
+		return explored
+	}
+	before := e.Snapshot()
+	explored := pass()
+	rows := e.Snapshot().Sub(before).RowsScanned
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(rows), "rows_scanned/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*explored), "ns/point")
+}
+
 // BenchmarkRepeatedWorkload times the cross-search partial-aggregate
 // cache on the fig. 8 workload replayed over RepeatedSessions sessions
 // sharing one engine: the first session fills the cache, later

@@ -173,9 +173,13 @@ func RunContext(ctx context.Context, e Evaluator, q *relq.Query, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	// One join memo for the whole search: a join's per-table slabs are
-	// scanned once per search, not once per layer (exec/joinplan.go).
-	return runSearch(exec.WithJoinScope(ctx), q, fr, x, spec, errFn, opts)
+	// One scope for the whole search: a join's per-table slabs are
+	// scanned once per search, not once per layer (exec/joinplan.go), and
+	// a single-table COUNT(*) search's cells may share one grouped table
+	// (exec/grouped.go).
+	ctx, done := exec.WithSearchScope(ctx, sp.step)
+	defer done()
+	return runSearch(ctx, q, fr, x, spec, errFn, opts)
 }
 
 // openRoot opens the root span of a search named name: under the

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"log/slog"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -40,6 +41,10 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 	}
 	scope, _ := ctx.Value(scopeKey{}).(*joinScope)
 	p := e.newBatchPlan(b, regions, scope)
+	if scope != nil && scope.step > 0 && scope.step <= math.MaxFloat64 && !e.sampled && len(b.tables) == 1 &&
+		b.aggTbl < 0 && b.spec.Func == relq.AggCount && len(b.selDims) == len(q.Dims) {
+		p.gscope = scope // COUNT(*) cells may be grouped (grouped.go)
+	}
 	p.attachCache(q)
 	// Per-region and per-unit execution times land in the "evaluate"
 	// phase histogram; the dispatch event records the batch shape
@@ -64,6 +69,8 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 				obs.Int("blocks_scanned", d.BlocksScanned),
 				obs.Int("blocks_skipped", d.BlocksSkipped),
 				obs.Int("cells_merged", d.CellsMerged),
+				obs.Int("cells_grouped", d.CellsGrouped),
+				obs.Int("grouped_rows", p.groupedRows),
 				obs.Int("cells_skipped", d.CellsSkipped),
 				obs.Int("cache_hits", d.CacheHits),
 				obs.Int("cache_misses", d.CacheMisses))
@@ -80,7 +87,7 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 	if len(p.deferred) == 0 {
 		return out, nil
 	}
-	if err := p.planUnits(&scs[0]); err != nil {
+	if err := p.planUnits(ctx, scs, out); err != nil {
 		return nil, err
 	}
 	if err := drain(ctx, scs, len(p.units), func(sc *regionScratch, u int) error {

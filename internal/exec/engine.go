@@ -64,6 +64,8 @@ type Stats struct {
 	// BoundaryRows counts rows scanned from boundary-cell posting lists
 	// by the box-aggregate kernel (also included in RowsScanned).
 	BoundaryRows int64
+	// CellsGrouped counts cells answered from a search's grouped table.
+	CellsGrouped int64
 	// CacheHits counts region executions answered from the attached
 	// region cache (including joins onto another caller's in-flight
 	// execution) — these never reach Queries.
@@ -93,6 +95,7 @@ func (s Stats) Sub(prev Stats) Stats {
 		CellsSkipped:   s.CellsSkipped - prev.CellsSkipped,
 		CellsMerged:    s.CellsMerged - prev.CellsMerged,
 		BoundaryRows:   s.BoundaryRows - prev.BoundaryRows,
+		CellsGrouped:   s.CellsGrouped - prev.CellsGrouped,
 		CacheHits:      s.CacheHits - prev.CacheHits,
 		CacheMisses:    s.CacheMisses - prev.CacheMisses,
 		CacheEvictions: s.CacheEvictions - prev.CacheEvictions,
@@ -113,6 +116,7 @@ type statsCells struct {
 	cellsSkipped   atomic.Int64
 	cellsMerged    atomic.Int64
 	boundaryRows   atomic.Int64
+	cellsGrouped   atomic.Int64
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	cacheEvictions atomic.Int64
@@ -132,6 +136,7 @@ type engineObs struct {
 	cells         *obs.Counter
 	cellsMerged   *obs.Counter
 	boundary      *obs.Counter
+	cellsGrouped  *obs.Counter
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	cacheEvict    *obs.Counter
@@ -171,6 +176,9 @@ type Engine struct {
 	regionCache atomic.Pointer[regioncache.Cache]
 	// epoch counts InvalidateTable calls; it retires join memos (joinplan.go).
 	epoch atomic.Uint64
+	// countSlabs recycles grouped tables' *[]int32 counts (grouped.go).
+	countSlabs sync.Pool
+	sampled    bool // set by NewSampled: its batches keep the scan stage
 }
 
 type colKey struct {
@@ -241,6 +249,7 @@ func (e *Engine) SetObserver(o *obs.Observer) {
 		cells:         o.Counter("acquire_engine_cells_skipped_total", "Queries answered empty by the grid index without scanning (§7.4)."),
 		cellsMerged:   o.Counter("acquire_engine_cells_merged_total", "Grid cells answered by merging stored per-cell partials (box-aggregate kernel interior cells)."),
 		boundary:      o.Counter("acquire_engine_boundary_rows_total", "Rows scanned from boundary-cell posting lists by the box-aggregate kernel."),
+		cellsGrouped:  o.Counter("acquire_engine_cells_grouped_total", "Lattice cells answered from a search's grouped COUNT(*) table."),
 		cacheHits:     o.Counter("acquire_cache_hits_total", "Region executions answered from the cross-search partial-aggregate cache."),
 		cacheMisses:   o.Counter("acquire_cache_misses_total", "Region executions that missed the cross-search partial-aggregate cache and executed."),
 		cacheEvict:    o.Counter("acquire_cache_evictions_total", "Entries displaced from the cross-search partial-aggregate cache by the byte cap."),
@@ -276,6 +285,7 @@ func (e *Engine) Snapshot() Stats {
 		CellsSkipped:   c.cellsSkipped.Load(),
 		CellsMerged:    c.cellsMerged.Load(),
 		BoundaryRows:   c.boundaryRows.Load(),
+		CellsGrouped:   c.cellsGrouped.Load(),
 		CacheHits:      c.cacheHits.Load(),
 		CacheMisses:    c.cacheMisses.Load(),
 		CacheEvictions: c.cacheEvictions.Load(),

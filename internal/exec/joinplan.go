@@ -184,6 +184,9 @@ type batchPlan struct {
 	deferred []unitKey
 	units    []unitSpan
 	flights  []*regioncache.Flight
+	// A groupable batch's lattice scope and its build's rows (grouped.go).
+	gscope      *joinScope
+	groupedRows int64
 }
 
 // planMemo is the regions' places in the join memo: ents[ti][i] is region
@@ -204,6 +207,7 @@ type planMemo struct {
 type joinScope struct {
 	mu     sync.Mutex
 	states map[*Engine]*scopeState
+	step   float64 // the search's relq.CellRegion step; 0: no lattice (grouped.go)
 }
 
 func newJoinScope() *joinScope { return &joinScope{states: make(map[*Engine]*scopeState)} }
@@ -235,7 +239,8 @@ type scopeState struct {
 	// retained is held against budget: entries' scan bounds, nodes' tuples.
 	retained atomic.Int64
 	budget   int64
-	seq      int // plans built so far
+	seq      int       // plans built so far
+	group    cellGroup // a lattice search's grouped table (grouped.go)
 }
 
 // stateFor returns e's memo under s for binding b. The caller holds s.mu.
@@ -309,6 +314,9 @@ type regionScratch struct {
 	drives []scanDrive
 	locals []localDim
 	filter blockFilter
+	// cell and counts serve grouped.go: coordinates, a worker's counts.
+	cell   []int
+	counts *[]int32
 }
 
 // newBatchPlan binds the region-invariant state of executing b over

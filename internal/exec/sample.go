@@ -62,7 +62,9 @@ func NewSampled(full *data.Catalog, fraction float64, seed int64) (*Sampled, err
 			return nil, err
 		}
 	}
-	return &Sampled{Engine: New(sampleCat), full: full, fraction: fraction}, nil
+	e := New(sampleCat)
+	e.sampled = true
+	return &Sampled{Engine: e, full: full, fraction: fraction}, nil
 }
 
 // Fraction returns the per-row inclusion probability.

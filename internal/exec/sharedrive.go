@@ -2,6 +2,7 @@ package exec
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -39,6 +40,8 @@ import (
 // reproduces step for step; at or above it parallelFold re-associates
 // SUM by chunk and the scan fans out inside the region, and the pass
 // does neither. The fork reads the slab's length, nothing else.
+// A third route skips the units: a lattice search's COUNT(*) cells are
+// answered from its grouped table (grouped.go) before planUnits cuts.
 
 // unitKey places one deferred region in the batch's unit order.
 type unitKey struct {
@@ -48,6 +51,7 @@ type unitKey struct {
 	// lo, hi delimit the slab in src's sorted index.
 	lo, hi int32
 	i      int32 // region index
+	rows   int32 // what the region's scan gathers alone (grouped.go's rent)
 }
 
 const (
@@ -182,7 +186,7 @@ func (p *batchPlan) place(sc *regionScratch, key *unitKey) error {
 	if err != nil {
 		return err
 	}
-	key.src = soloSrc
+	key.src, key.rows = soloSrc, int32(ac.rows(p.b.tables[0].NumRows()))
 	if ac.indexed && ac.hi-ac.lo < parallelThreshold {
 		key.src, key.lo, key.hi = int32(ac.drive.src), int32(ac.lo), int32(ac.hi)
 	}
@@ -191,8 +195,21 @@ func (p *batchPlan) place(sc *regionScratch, key *unitKey) error {
 
 // planUnits cuts the deferred regions into units. It runs between the
 // two rounds, on one goroutine; a batch whose regions were all resolved
-// by their fronts has nothing deferred and no second round.
-func (p *batchPlan) planUnits(sc *regionScratch) error {
+// by their fronts has nothing deferred and no second round. Under a
+// lattice scope the search's grouped table first answers the cells it
+// covers, and the rest may buy a new one (grouped.go).
+func (p *batchPlan) planUnits(ctx context.Context, scs []regionScratch, out []agg.Partial) error {
+	sc := &scs[0]
+	var g *cellGroup
+	if p.gscope != nil {
+		p.gscope.mu.Lock()
+		g = &p.gscope.stateFor(p.e, p.b).group
+		p.gscope.mu.Unlock()
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		sc.cell = make([]int, len(p.b.selDims))
+		p.groupCells(g, sc, out)
+	}
 	keys := p.deferred
 	for k := range keys {
 		if keys[k].src != waitSrc {
@@ -205,6 +222,12 @@ func (p *batchPlan) planUnits(sc *regionScratch) error {
 		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.lo, b.lo),
 			cmp.Compare(a.hi, b.hi), cmp.Compare(a.i, b.i))
 	})
+	if g != nil && len(keys) > 0 {
+		if err := p.rentOrBuy(ctx, g, scs, out); err != nil {
+			return err
+		}
+		keys = p.deferred
+	}
 	for lo := 0; lo < len(keys); {
 		hi := lo + 1
 		if first := keys[lo]; first.src != soloSrc && first.src != waitSrc {
