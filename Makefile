@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-compare bench-figures bench-json bench-check bench-obs vet profile profile-join profile-core profile-scan loc
+.PHONY: build test race bench bench-compare bench-figures bench-obs vet profile-fig profile-scan profile-core profile-join loc
 
 build:
 	$(GO) build ./...
@@ -40,62 +40,36 @@ bench-compare:
 bench-figures:
 	$(GO) test -run xxx -bench=. -benchmem .
 
-# Machine-readable baselines: the fig. 8 ratio sweep and the cached
-# repeated-workload study — figures, config and the metric registry
-# snapshot in one JSON file each. The committed BENCH_*.json files are the
-# reference artifacts; regenerate after a perf-relevant change and
-# compare before committing. Every write goes through schema validation
-# (harness.ValidateResults) plus a temp-file rename, and the final
-# bench-check pass re-validates the files on disk, so a failed run can
-# never leave a malformed or truncated artifact behind.
-bench-json:
-	$(GO) run ./cmd/acqbench -experiment fig8 -rows 20000 -json BENCH_baseline.json
-	$(GO) test -run xxx -bench BenchmarkRepeatedWorkload -benchtime 1x .
-	$(GO) run ./cmd/acqbench -experiment repeated -cache -rows 20000 -json BENCH_cache.json
-	$(GO) run ./cmd/benchcheck BENCH_*.json
-
-# Validate the committed benchmark artifacts against the harness
-# results schema without regenerating them.
-bench-check:
-	$(GO) run ./cmd/benchcheck BENCH_*.json
-
 # Metrics-overhead guard: the exploration sweep bare vs with a live
 # registry/observer attached. The two ns/op columns should be within
 # noise of each other.
 bench-obs:
 	$(GO) test -run xxx -bench='BenchmarkParallelExplore(Observed)?$$' -benchmem .
 
-# Capture a 10s CPU profile from a live acqbench run through the pprof
-# endpoint the observability layer serves. Writes cpu.pprof; inspect
-# with `go tool pprof cpu.pprof`.
-PROFILE_ADDR ?= 127.0.0.1:8099
-profile:
-	$(GO) run ./cmd/acqbench -experiment fig8 -rows 50000 -metrics-addr $(PROFILE_ADDR) & \
-	BENCH_PID=$$!; \
-	sleep 2; \
-	curl -fsS -o cpu.pprof "http://$(PROFILE_ADDR)/debug/pprof/profile?seconds=10" || { kill $$BENCH_PID; exit 1; }; \
-	kill $$BENCH_PID 2>/dev/null; \
-	echo "wrote cpu.pprof"
+# CPU profiles of the benchmark's workloads under `go test`: each target
+# runs one sub-benchmark of BenchmarkWorkloadSearch, the op list of the
+# bench/ workload it is named after, and writes NAME.pprof plus the test
+# binary next to it. Inspect with `go tool pprof -top -ignore setUp
+# NAME.pprof`, which drops data generation, calibration and warm-up; add
+# `-focus BenchmarkWorkloadSearch` to keep only the calling goroutine
+# (region-cache hits, units and table builds run on the engine's worker
+# goroutines, outside that focus).
+#
+# users_fig: the fig. 8 and 9 ACQs, harness-built — few large regions,
+# scan throughput and the §6 prefix probes.
+profile-fig:
+	$(GO) test -run xxx -bench 'WorkloadSearch/users_fig$$' -benchtime 100x -benchmem -cpuprofile fig.pprof -o fig.test .
 
-# CPU profile of the join path: the five fig. 11 ACQs as SQL text end to
-# end (BenchmarkTPCHJoinSearch, the op list of bench's tpch_sql_join).
-# Writes join.pprof and the test binary next to it; inspect with
-# `go tool pprof -top join.pprof`.
-profile-join:
-	$(GO) test -run xxx -bench TPCHJoinSearch -benchtime 50x -benchmem -cpuprofile join.pprof -o join.test .
-
-# CPU profile of the search driver: the five fig. 8 ACQs as SQL text on a
-# warm region cache (BenchmarkCachedSearch, the op list of bench's
-# users_sql_cached), where the Expand and Explore phases do the work.
-# Writes core.pprof and the test binary next to it; inspect with
-# `go tool pprof -top -focus BenchmarkCachedSearch core.pprof`.
-profile-core:
-	$(GO) test -run xxx -bench CachedSearch -benchtime 200x -benchmem -cpuprofile core.pprof -o core.test .
-
-# CPU profile of the single-table scan regime: the five fig. 8 ACQs as SQL
-# text on a plain engine (BenchmarkUsersSQLSearch, the op list of bench's
-# users_sql), where cells reach the scan stage or the search's grouped
-# table. Writes scan.pprof and the test binary next to it; inspect with
-# `go tool pprof -top scan.pprof`.
+# users_sql: the fig. 8 ACQs as SQL text on a plain engine, where cells
+# reach the scan stage or the search's grouped table.
 profile-scan:
-	$(GO) test -run xxx -bench UsersSQLSearch -benchtime 100x -benchmem -cpuprofile scan.pprof -o scan.test .
+	$(GO) test -run xxx -bench 'WorkloadSearch/users_sql$$' -benchtime 100x -benchmem -cpuprofile scan.pprof -o scan.test .
+
+# users_sql_cached: the same on a warm region cache, where the Expand and
+# Explore phases of the search driver do the work.
+profile-core:
+	$(GO) test -run xxx -bench 'WorkloadSearch/users_sql_cached$$' -benchtime 200x -benchmem -cpuprofile core.pprof -o core.test .
+
+# tpch_sql_join: the five fig. 11 ACQs as SQL text, the join path.
+profile-join:
+	$(GO) test -run xxx -bench 'WorkloadSearch/tpch_sql_join$$' -benchtime 50x -benchmem -cpuprofile join.pprof -o join.test .

@@ -10,6 +10,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"acquire/internal/core"
@@ -621,199 +622,171 @@ func BenchmarkJoinPushdown(b *testing.B) {
 	b.ReportMetric(float64(d.TuplesExamined), "tuples-examined")
 }
 
-// BenchmarkTPCHJoinSearch is the join path's profile target: one op
-// replays the five fig. 11 ACQs (COUNT and SUM at ratios 0.3 and 0.7,
-// MAX at 0.3) over supplier-part-partsupp at 50K partsupp rows as SQL
-// text through sqlparse.Parse, Analyze and core.RunContext — the
-// operation list of the repository benchmark's tpch_sql_join workload,
-// here under `go test` so that
+// workloadUsersRows is the users table size of the benchmark's users_*
+// workloads.
+const workloadUsersRows = 1000000
+
+// workloadUsers is the users catalog every users_* sub-benchmark of
+// BenchmarkWorkloadSearch searches, generated on first use and once per
+// process.
+var workloadUsers = sync.OnceValues(func() (*data.Catalog, error) {
+	return tpch.GenerateUsers(tpch.UsersConfig{Rows: workloadUsersRows, Seed: 1})
+})
+
+func usersSpec(dims int, ratio float64) workload.Spec {
+	return workload.Spec{Kind: workload.Users, Dims: dims, Agg: relq.AggCount, Ratio: ratio}
+}
+
+func tpchSpec(f relq.AggFunc, ratio float64) workload.Spec {
+	return workload.Spec{Kind: workload.TPCH, Dims: 3, Agg: f, Ratio: ratio}
+}
+
+var fig8Specs = []workload.Spec{usersSpec(3, 0.1), usersSpec(3, 0.3), usersSpec(3, 0.5), usersSpec(3, 0.7), usersSpec(3, 0.9)}
+
+// searchWorkload is one workload of the repository benchmark (bench/,
+// BENCHMARK.json) replayed under `go test`: the same data, the same
+// calibrated ACQ list and the same engine layers, searched with the same
+// options.
+type searchWorkload struct {
+	name  string
+	tpch  bool
+	specs []workload.Spec
+	// sql parses and analyzes each ACQ's SQL text on every operation;
+	// without it the harness-built query is searched as is.
+	sql bool
+	// grid builds the aggregate grid over the fig. 8 dimensions.
+	grid bool
+	// cache attaches a region cache that the warm-up pass fills.
+	cache bool
+}
+
+var searchWorkloads = []searchWorkload{
+	{name: "users_fig", specs: append(append([]workload.Spec{}, fig8Specs...),
+		usersSpec(1, 0.3), usersSpec(2, 0.3), usersSpec(4, 0.3), usersSpec(5, 0.3))},
+	{name: "users_sql", specs: fig8Specs, sql: true},
+	{name: "users_sql_gridagg", specs: fig8Specs, sql: true, grid: true},
+	{name: "users_sql_cached", specs: fig8Specs, sql: true, cache: true},
+	{name: "tpch_sql_join", tpch: true, sql: true, specs: []workload.Spec{
+		tpchSpec(relq.AggCount, 0.3), tpchSpec(relq.AggCount, 0.7),
+		tpchSpec(relq.AggSum, 0.3), tpchSpec(relq.AggSum, 0.7),
+		tpchSpec(relq.AggMax, 0.3),
+	}},
+}
+
+// searchInstance is one set-up workload: the engine, the ACQ list a
+// pass replays and the work one warm pass does.
+type searchInstance struct {
+	cat         *data.Catalog
+	e           *exec.Engine
+	sqls        []string
+	qs          []*relq.Query
+	cellQueries int
+	rowsScanned int64
+}
+
+// setUp generates the data, calibrates the ACQ list, builds the
+// workload's grid or cache, and runs one warm-up pass, which builds the
+// column caches and fills the region cache, and one reference pass.
+func (w *searchWorkload) setUp(b *testing.B) *searchInstance {
+	var cat *data.Catalog
+	var err error
+	if w.tpch {
+		cat, err = tpch.Generate(tpch.Config{Rows: 50000, Seed: 1})
+	} else {
+		cat, err = workloadUsers()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := &searchInstance{cat: cat, e: exec.New(cat)}
+	for _, spec := range w.specs {
+		q, err := workload.BuildCalibrated(in.e, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if w.sql {
+			in.sqls = append(in.sqls, q.ToSQL())
+		} else {
+			in.qs = append(in.qs, q)
+		}
+	}
+	if w.grid {
+		cols := []string{"age", "income", "distance"}
+		if err := in.e.BuildGridAggIndex("users", cols, nil, index.BinsForRows(len(cols), workloadUsersRows)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if w.cache {
+		in.e.EnableRegionCache(64 << 20)
+	}
+	in.pass(b)
+	before := in.e.Snapshot()
+	in.cellQueries = in.pass(b)
+	d := in.e.Snapshot().Sub(before)
+	if w.cache && (d.CacheHits == 0 || d.CacheMisses != 0) {
+		b.Fatalf("warm pass: %d region cache hits and %d misses, want all hits", d.CacheHits, d.CacheMisses)
+	}
+	in.rowsScanned = d.RowsScanned
+	return in
+}
+
+// pass replays the ACQ list once and returns the cell queries the
+// searches issued.
+func (in *searchInstance) pass(b *testing.B) (cellQueries int) {
+	search := func(q *relq.Query) {
+		res, err := core.RunContext(context.Background(), in.e, q, core.Options{Gamma: 20, Delta: 0.05})
+		if err != nil || !res.Satisfied {
+			b.Fatalf("satisfied=%v err=%v: %s", res != nil && res.Satisfied, err, q.ToSQL())
+		}
+		cellQueries += res.CellQueries
+	}
+	for _, sql := range in.sqls {
+		ast, err := sqlparse.Parse(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q, err := sqlparse.Analyze(ast, in.cat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		search(q)
+	}
+	for _, q := range in.qs {
+		search(q)
+	}
+	return cellQueries
+}
+
+// BenchmarkWorkloadSearch replays, per sub-benchmark, one op list of the
+// repository benchmark — users_fig (the fig. 8 and 9 ACQs, harness-built),
+// users_sql (the fig. 8 ACQs as SQL text), users_sql_gridagg (the same
+// on the aggregate grid), users_sql_cached (the same on a warm region
+// cache) and tpch_sql_join (the fig. 11 ACQs over supplier-part-partsupp
+// as SQL text) — so that
 //
-//	go test -run xxx -bench TPCHJoinSearch -cpuprofile cpu.pprof .
+//	go test -run xxx -bench 'WorkloadSearch/users_fig$' -cpuprofile cpu.pprof .
 //
-// profiles it without touching bench/ (make profile-join). Reports the
-// rows an op scans, a counter that repeats exactly; -benchmem adds B/op.
-func BenchmarkTPCHJoinSearch(b *testing.B) {
-	cat, err := tpch.Generate(tpch.Config{Rows: 50000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := exec.New(cat)
-	var sqls []string
-	for _, a := range []struct {
-		f     relq.AggFunc
-		ratio float64
-	}{{relq.AggCount, 0.3}, {relq.AggCount, 0.7}, {relq.AggSum, 0.3}, {relq.AggSum, 0.7}, {relq.AggMax, 0.3}} {
-		q, err := workload.BuildCalibrated(e, workload.Spec{Kind: workload.TPCH, Dims: 3, Agg: a.f, Ratio: a.ratio})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sqls = append(sqls, q.ToSQL())
-	}
-	pass := func() {
-		for _, sql := range sqls {
-			ast, err := sqlparse.Parse(sql)
-			if err != nil {
-				b.Fatal(err)
+// profiles one workload without touching bench/ (make profile-fig,
+// profile-scan, profile-core, profile-join; `-ignore setUp` drops the
+// set-up from the profile). One op is one pass over the list. It reports
+// the cell queries and rows scanned per pass, counters that repeat
+// exactly; cell_queries/op equals the workload's executions_per_pass.
+// Set-up runs once per sub-benchmark, outside the timer.
+func BenchmarkWorkloadSearch(b *testing.B) {
+	for i := range searchWorkloads {
+		w := &searchWorkloads[i]
+		var in *searchInstance
+		b.Run(w.name, func(b *testing.B) {
+			if in == nil {
+				in = w.setUp(b)
 			}
-			q, err := sqlparse.Analyze(ast, cat)
-			if err != nil {
-				b.Fatal(err)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				in.pass(b)
 			}
-			res, err := core.RunContext(context.Background(), e, q, core.Options{Gamma: 20, Delta: 0.05})
-			if err != nil || !res.Satisfied {
-				b.Fatalf("satisfied=%v err=%v: %s", res != nil && res.Satisfied, err, sql)
-			}
-		}
-	}
-	pass() // builds the column caches and sorted indexes
-	b.ReportAllocs()
-	b.ResetTimer()
-	var d exec.Stats
-	for i := 0; i < b.N; i++ {
-		before := e.Snapshot()
-		pass()
-		d = e.Snapshot().Sub(before)
-	}
-	b.ReportMetric(float64(d.RowsScanned), "rows_scanned/op")
-}
-
-// BenchmarkCachedSearch is the search driver's profile target: one op
-// replays the five fig. 8 ACQs (d = 3, ratios 0.1–0.9) over 1M users
-// rows as SQL text through a warm region cache that holds every cell —
-// the operation list of the repository benchmark's users_sql_cached
-// workload, where the engine answers from the cache and the Expand and
-// Explore phases do the work (make profile-core). Reports the grid
-// points an op explores and ns per explored point; -benchmem adds
-// allocs/op.
-func BenchmarkCachedSearch(b *testing.B) {
-	cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: 1000000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := exec.New(cat)
-	var sqls []string
-	for _, ratio := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		q, err := workload.BuildCalibrated(e, workload.Spec{Kind: workload.Users, Dims: 3, Agg: relq.AggCount, Ratio: ratio})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sqls = append(sqls, q.ToSQL())
-	}
-	e.EnableRegionCache(64 << 20)
-	pass := func() (explored int) {
-		for _, sql := range sqls {
-			ast, err := sqlparse.Parse(sql)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q, err := sqlparse.Analyze(ast, cat)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := core.RunContext(context.Background(), e, q, core.Options{Gamma: 20, Delta: 0.05})
-			if err != nil || !res.Satisfied {
-				b.Fatalf("satisfied=%v err=%v: %s", res != nil && res.Satisfied, err, sql)
-			}
-			explored += res.Explored
-		}
-		return explored
-	}
-	pass() // fills the region cache
-	before := e.Snapshot()
-	explored := pass()
-	if d := e.Snapshot().Sub(before); d.CacheMisses != 0 {
-		b.Fatalf("warm pass missed the region cache %d times", d.CacheMisses)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pass()
-	}
-	b.ReportMetric(float64(explored), "explored/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*explored), "ns/point")
-}
-
-// BenchmarkUsersSQLSearch is the single-table scan profile target: one op
-// replays the five fig. 8 ACQs (d = 3, ratios 0.1–0.9) over 1M users rows
-// as SQL text on a plain engine — the operation list of the repository
-// benchmark's users_sql workload, BenchmarkCachedSearch without the
-// cache, where every cell reaches the scan stage or the search's grouped
-// table (make profile-scan). Reports the rows an op gathers and ns per
-// explored point.
-func BenchmarkUsersSQLSearch(b *testing.B) {
-	cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: 1000000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := exec.New(cat)
-	var sqls []string
-	for _, ratio := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		q, err := workload.BuildCalibrated(e, workload.Spec{Kind: workload.Users, Dims: 3, Agg: relq.AggCount, Ratio: ratio})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sqls = append(sqls, q.ToSQL())
-	}
-	pass := func() (explored int) {
-		for _, sql := range sqls {
-			ast, err := sqlparse.Parse(sql)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q, err := sqlparse.Analyze(ast, cat)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := core.RunContext(context.Background(), e, q, core.Options{Gamma: 20, Delta: 0.05})
-			if err != nil || !res.Satisfied {
-				b.Fatalf("satisfied=%v err=%v: %s", res != nil && res.Satisfied, err, sql)
-			}
-			explored += res.Explored
-		}
-		return explored
-	}
-	before := e.Snapshot()
-	explored := pass()
-	rows := e.Snapshot().Sub(before).RowsScanned
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pass()
-	}
-	b.ReportMetric(float64(rows), "rows_scanned/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*explored), "ns/point")
-}
-
-// BenchmarkRepeatedWorkload times the cross-search partial-aggregate
-// cache on the fig. 8 workload replayed over RepeatedSessions sessions
-// sharing one engine: the first session fills the cache, later
-// identical sessions reuse its region executions. Reports cold vs warm
-// evaluation-layer executions (the acceptance target is a >=5x
-// reduction), the warm-session hit rate and the cold/warm wall-time
-// ratio; results are bit-identical with the cache on or off.
-func BenchmarkRepeatedWorkload(b *testing.B) {
-	cfg := benchCfg()
-	cfg.CacheMB = 64
-	for i := 0; i < b.N; i++ {
-		figs, err := harness.RepeatedWorkload(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		execs := seriesY(b, figs[0], "ACQUIRE")
-		millis := seriesY(b, figs[1], "ACQUIRE")
-		hitRate := seriesY(b, figs[2], "ACQUIRE")
-		cold, warm := execs[0], mean(execs[1:])
-		b.ReportMetric(cold, "cold-execs")
-		b.ReportMetric(warm, "warm-execs")
-		if warm > 0 {
-			b.ReportMetric(cold/warm, "cold/warm-execs")
-		}
-		b.ReportMetric(mean(hitRate[1:]), "warm-hit-rate")
-		if w := mean(millis[1:]); w > 0 {
-			b.ReportMetric(millis[0]/w, "cold/warm-time")
-		}
-		if warm*5 > cold {
-			b.Fatalf("warm sessions executed %.0f queries vs cold %.0f; want >=5x reduction", warm, cold)
-		}
+			b.ReportMetric(float64(in.cellQueries), "cell_queries/op")
+			b.ReportMetric(float64(in.rowsScanned), "rows_scanned/op")
+		})
 	}
 }

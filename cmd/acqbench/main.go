@@ -68,9 +68,6 @@ var experiments = []experiment{
 	{"ablation-gridindex", "grid bitmap index ablation (§7.4)", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
 		return harness.AblationGridIndex(ctx, c)
 	}},
-	{"repeated", "repeated-workload study: cross-search partial-aggregate cache (pair with -cache)", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
-		return harness.RepeatedWorkload(ctx, c)
-	}},
 }
 
 func main() {
@@ -101,9 +98,7 @@ func run(ctx context.Context, args []string) error {
 		gridK       = fs.Int("tqgen-k", 0, "TQGen grid values per predicate (default 8)")
 		rounds      = fs.Int("tqgen-rounds", 0, "TQGen zoom rounds (default 5)")
 		gridAgg     = fs.Bool("gridagg", false, "build aggregate-augmented grids: answer eligible cell queries from stored per-cell partials")
-		cache       = fs.Bool("cache", false, "attach a cross-search partial-aggregate cache to every engine")
 		cluster     = fs.String("cluster", "", "re-sort generated tables by this numeric column before building engines (engages the scan's zone maps)")
-		cacheMB     = fs.Int("cache-mb", 64, "region cache capacity in MiB (with -cache)")
 		metrics     = fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address while experiments run")
 		logJSON     = fs.Bool("log-json", false, "emit structured search/engine events as JSON on stderr")
 		jsonOut     = fs.String("json", "", "also write figures + config + metric snapshot as JSON to this file")
@@ -118,9 +113,6 @@ func run(ctx context.Context, args []string) error {
 		Rows: *rows, Seed: *seed, Delta: *delta, Gamma: *gamma,
 		TQGenGridK: *gridK, TQGenRounds: *rounds, GridAgg: *gridAgg,
 		Cluster: *cluster,
-	}
-	if *cache {
-		cfg.CacheMB = *cacheMB
 	}
 
 	// Observability: one registry + observer instruments every engine
@@ -183,8 +175,8 @@ func run(ctx context.Context, args []string) error {
 		}
 		// Write-validate-rename: WriteResults schema-checks the payload
 		// before a byte lands, and the rename is atomic, so a failed or
-		// interrupted run can never clobber a committed BENCH_*.json
-		// with a truncated or malformed artifact.
+		// interrupted run can never leave a truncated or malformed file
+		// at the -json path.
 		tmp := *jsonOut + ".tmp"
 		f, err := os.Create(tmp)
 		if err != nil {

@@ -19,7 +19,7 @@ func TestNamesAndKnown(t *testing.T) {
 			t.Errorf("known(%q) = false", want)
 		}
 	}
-	for _, gone := range []string{"nonsense", "scan", "autocluster", "zorder", "shards"} {
+	for _, gone := range []string{"nonsense", "scan", "autocluster", "zorder", "shards", "repeated"} {
 		if known(gone) {
 			t.Errorf("known(%q) = true", gone)
 		}
@@ -71,6 +71,16 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-shards", "2", "-experiment", "table1"}); err == nil {
 		t.Error("-shards: expected an unknown-flag error")
+	}
+	// So are the repeated-workload study and its cache flags.
+	if err := run(context.Background(), []string{"-experiment", "repeated"}); err == nil {
+		t.Error("-experiment repeated: expected an unknown-experiment error")
+	}
+	for _, f := range [][]string{{"-cache"}, {"-cache-mb", "64"}} {
+		err := run(context.Background(), append(f, "-experiment", "table1"))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", f[0], err)
+		}
 	}
 }
 

@@ -39,16 +39,36 @@ func Zero() Partial {
 func (p *Partial) Step(v float64) {
 	p.Count++
 	p.Sum += v
-	if v < p.Min {
-		p.Min = v
+	p.Min = FoldMin(p.Min, v)
+	p.Max = FoldMax(p.Max, v)
+}
+
+// FoldMin folds v into the running minimum m. It orders −0 below +0, as
+// math.Min does in Merge, so a minimum over signed zeros does not depend
+// on the order the values arrive in; a NaN v leaves m unchanged. When v
+// equals m — every COUNT(*) row steps 1.0 — it costs one comparison more
+// than v < m alone.
+func FoldMin(m, v float64) float64 {
+	if v <= m && (v < m || math.Signbit(v)) {
+		return v
 	}
-	if v > p.Max {
-		p.Max = v
+	return m
+}
+
+// FoldMax folds v into the running maximum m, ordering +0 above −0 as
+// math.Max does; a NaN v leaves m unchanged.
+func FoldMax(m, v float64) float64 {
+	if v >= m && (v > m || !math.Signbit(v)) {
+		return v
 	}
+	return m
 }
 
 // Merge combines two partials; this is the OSP merge of §2.6. It is
-// commutative and associative with Zero as identity (property-tested).
+// commutative with Zero as identity. Count, Min and Max are associative
+// too; Sum and User are not, in floating point, so regrouping the same
+// partials can move the last bits of a sum (property-tested within a
+// tolerance).
 func Merge(a, b Partial) Partial {
 	return Partial{
 		Count: a.Count + b.Count,

@@ -66,7 +66,7 @@ func TestMergeEqualsSplitFold(t *testing.T) {
 // ignore NaN in both); SUM may re-associate, or be NaN on both sides.
 // AVG must recompose from the merged SUM and COUNT.
 func TestMergeEdgeCases(t *testing.T) {
-	inf, nan := math.Inf(1), math.NaN()
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
 	sameBits := func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 	}
@@ -82,6 +82,9 @@ func TestMergeEdgeCases(t *testing.T) {
 		{"nan", []float64{1, nan, 2, 3, nan, 4}},
 		{"only-nan", []float64{nan, nan, nan}},
 		{"nan-and-inf", []float64{nan, -inf, 7, nan, inf}},
+		{"pos-neg-zero", []float64{0, negZero}},
+		{"neg-pos-zero", []float64{negZero, 0}},
+		{"one-and-zeros", []float64{1, negZero, 0, negZero}},
 	}
 	avg := Spec{Func: relq.AggAvg}
 	for _, c := range cases {

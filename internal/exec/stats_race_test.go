@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -163,5 +164,32 @@ func TestObserverMirrorsStats(t *testing.T) {
 	}
 	if e.Snapshot().Queries != 4 {
 		t.Errorf("snapshot queries = %d, want 4", e.Snapshot().Queries)
+	}
+
+	// Region cache: the same batch twice on a cached engine, so the
+	// second run is answered from cached partials. The registry's cache
+	// series must mirror Snapshot's hit and miss counts.
+	ce := New(cat)
+	ce.EnableRegionCache(1 << 20)
+	creg := obs.NewRegistry()
+	ce.SetObserver(obs.NewObserver(creg))
+	var regions []relq.Region
+	for i := 0; i < 4; i++ {
+		regions = append(regions, relq.Region{{Lo: float64(10 * i), Hi: float64(10*i + 10)}})
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := ce.AggregateBatch(context.Background(), q, regions); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cst := ce.Snapshot()
+	if cst.CacheHits == 0 {
+		t.Fatalf("cached engine: second batch served no cache hits (%+v)", cst)
+	}
+	if got := creg.Counter("acquire_cache_hits_total", "").Value(); got != cst.CacheHits {
+		t.Errorf("mirrored cache hits = %d, snapshot = %d", got, cst.CacheHits)
+	}
+	if got := creg.Counter("acquire_cache_misses_total", "").Value(); got != cst.CacheMisses {
+		t.Errorf("mirrored cache misses = %d, snapshot = %d", got, cst.CacheMisses)
 	}
 }

@@ -49,11 +49,6 @@ type Config struct {
 	// query's select dimensions, so eligible cell queries are answered
 	// from stored per-cell partials instead of scans (-gridagg).
 	GridAgg bool
-	// CacheMB, when positive, attaches a cross-search partial-aggregate
-	// cache of that many MiB to every engine the harness builds
-	// (-cache): repeated and overlapping searches reuse each other's
-	// region executions (see the "repeated" experiment).
-	CacheMB int
 	// Cluster, when set, re-sorts every generated table that has this
 	// numeric column ascending by it before building engines (-cluster).
 	// A clustered layout is what lets the scan's per-block zone maps
@@ -165,7 +160,7 @@ func clusterCatalog(cat *data.Catalog, column string) error {
 }
 
 // newEngine builds the evaluation engine for a catalog under cfg's
-// layout, observer and region cache.
+// layout and observer.
 func newEngine(cat *data.Catalog, cfg Config) (*exec.Engine, error) {
 	if cfg.Cluster != "" {
 		if err := clusterCatalog(cat, cfg.Cluster); err != nil {
@@ -174,9 +169,6 @@ func newEngine(cat *data.Catalog, cfg Config) (*exec.Engine, error) {
 	}
 	e := exec.New(cat)
 	e.SetObserver(cfg.Obs)
-	if cfg.CacheMB > 0 {
-		e.EnableRegionCache(int64(cfg.CacheMB) << 20)
-	}
 	return e, nil
 }
 

@@ -22,8 +22,8 @@ type Results struct {
 
 // WriteResults serialises the figures (plus the registry snapshot of
 // cfg.Obs, when instrumented) as indented JSON to w. The payload is
-// validated first — a malformed run must fail loudly rather than
-// overwrite a committed BENCH_*.json artifact with garbage.
+// validated first — a malformed run must fail loudly rather than emit
+// a results file with garbage in it.
 func WriteResults(w io.Writer, cfg Config, figs []Figure) error {
 	r := Results{
 		GeneratedAt: time.Now().UTC(),
@@ -39,14 +39,11 @@ func WriteResults(w io.Writer, cfg Config, figs []Figure) error {
 	return enc.Encode(r)
 }
 
-// ValidateResults checks the structural invariants every benchmark
-// artifact must satisfy before it may replace a committed BENCH_*.json:
-// a real generation timestamp, at least one figure, non-empty figure
-// IDs (unique across the run), every series exactly as long as its
-// figure's X axis, and every number — axis point, series value, metric
-// — finite. It is shared by the write path (WriteResults) and the
-// repo-artifact checker (cmd/benchcheck), so the committed files and
-// fresh runs are held to the same schema.
+// ValidateResults checks the structural invariants every results file
+// must satisfy before WriteResults emits it: a real generation
+// timestamp, at least one figure, non-empty figure IDs (unique across
+// the run), every series exactly as long as its figure's X axis, and
+// every number — axis point, series value, metric — finite.
 func ValidateResults(r *Results) error {
 	if r.GeneratedAt.IsZero() {
 		return fmt.Errorf("results: generated_at is zero")
@@ -95,18 +92,4 @@ func ValidateResults(r *Results) error {
 		}
 	}
 	return nil
-}
-
-// ReadResults parses and validates one results artifact.
-func ReadResults(rd io.Reader) (*Results, error) {
-	var r Results
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return nil, err
-	}
-	if err := ValidateResults(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

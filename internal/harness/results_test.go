@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -56,8 +57,7 @@ func TestValidateResults(t *testing.T) {
 
 // TestWriteResultsRefusesInvalid pins the guard on the write path: a
 // malformed figure set must error out before any JSON is emitted, so
-// the acqbench temp-file dance never renames garbage over a committed
-// artifact.
+// the acqbench temp-file dance never renames garbage into place.
 func TestWriteResultsRefusesInvalid(t *testing.T) {
 	cfg := Config{}.WithDefaults()
 	var buf bytes.Buffer
@@ -73,7 +73,13 @@ func TestWriteResultsRefusesInvalid(t *testing.T) {
 	if err := WriteResults(&buf, cfg, good); err != nil {
 		t.Fatalf("WriteResults rejected a valid figure set: %v", err)
 	}
-	if _, err := ReadResults(&buf); err != nil {
-		t.Fatalf("ReadResults rejected WriteResults output: %v", err)
+	var r Results
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		t.Fatalf("WriteResults output does not decode: %v", err)
+	}
+	if err := ValidateResults(&r); err != nil {
+		t.Fatalf("WriteResults output fails validation: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"acquire/internal/agg"
 	"acquire/internal/data"
 )
 
@@ -100,12 +101,8 @@ func BuildAgg(t *data.Table, columns, aggCols []string, binsPerDim, workers int)
 			for a := 0; a < na; a++ {
 				v := aggVecs[a][row]
 				acc.sums[a][cell] += v
-				if v < acc.mins[a][cell] {
-					acc.mins[a][cell] = v
-				}
-				if v > acc.maxs[a][cell] {
-					acc.maxs[a][cell] = v
-				}
+				acc.mins[a][cell] = agg.FoldMin(acc.mins[a][cell], v)
+				acc.maxs[a][cell] = agg.FoldMax(acc.maxs[a][cell], v)
 			}
 		}
 		accs[si] = acc
@@ -160,12 +157,8 @@ func BuildAgg(t *data.Table, columns, aggCols []string, binsPerDim, workers int)
 			aggs.counts[c] += int64(cnt)
 			for a := 0; a < na; a++ {
 				aggs.sums[a][c] += acc.sums[a][c]
-				if acc.mins[a][c] < aggs.mins[a][c] {
-					aggs.mins[a][c] = acc.mins[a][c]
-				}
-				if acc.maxs[a][c] > aggs.maxs[a][c] {
-					aggs.maxs[a][c] = acc.maxs[a][c]
-				}
+				aggs.mins[a][c] = agg.FoldMin(aggs.mins[a][c], acc.mins[a][c])
+				aggs.maxs[a][c] = agg.FoldMax(aggs.maxs[a][c], acc.maxs[a][c])
 			}
 		}
 	}

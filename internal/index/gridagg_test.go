@@ -117,6 +117,51 @@ func TestBuildAggMatchesDirect(t *testing.T) {
 	if g.AggBytes() == 0 {
 		t.Error("AggBytes = 0 for aggregate grid")
 	}
+
+	// Signed zeros: over a ±0 aggregate column a cell's stored min and
+	// max must have the same bits whatever the row order, with −0 the
+	// min and +0 the max of every cell that holds both.
+	zrng := rand.New(rand.NewSource(12))
+	fwd := make([][3]float64, len(rows))
+	rev := make([][3]float64, len(rows))
+	for i, r := range rows {
+		fwd[i] = [3]float64{r[0], r[1], math.Copysign(0, float64(zrng.Intn(2)*2-1))}
+		rev[len(rows)-1-i] = fwd[i]
+	}
+	gf, err := BuildAgg(buildAggTable(t, fwd), []string{"x", "y"}, []string{"v"}, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := BuildAgg(buildAggTable(t, rev), []string{"x", "y"}, []string{"v"}, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, pos := make([]bool, nc), make([]bool, nc)
+	for _, r := range fwd {
+		cell := gf.binOf(0, r[0])*gf.strides[0] + gf.binOf(1, r[1])*gf.strides[1]
+		if math.Signbit(r[2]) {
+			neg[cell] = true
+		} else {
+			pos[cell] = true
+		}
+	}
+	mixed := 0
+	for c := 0; c < nc; c++ {
+		_, fmn, fmx := gf.CellAgg(0, c)
+		_, rmn, rmx := gr.CellAgg(0, c)
+		if math.Float64bits(fmn) != math.Float64bits(rmn) || math.Float64bits(fmx) != math.Float64bits(rmx) {
+			t.Fatalf("cell %d: forward min/max %v/%v, reversed %v/%v", c, fmn, fmx, rmn, rmx)
+		}
+		if neg[c] && pos[c] {
+			mixed++
+			if !math.Signbit(fmn) || math.Signbit(fmx) {
+				t.Fatalf("cell %d holds −0 and +0: min/max %v/%v, want -0/0", c, fmn, fmx)
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no cell holds both signed zeros")
+	}
 }
 
 // TestBuildAggDeterministic: the payload — including every float SUM —
