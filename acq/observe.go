@@ -123,8 +123,9 @@ type SearchReport struct {
 	SearchID string
 	// Wall is the end-to-end search duration by the observer's clock.
 	Wall time.Duration
-	// Phases maps phase name (expand, prefetch, fold, repartition,
-	// evaluate, search, ...) to its accumulated span stats.
+	// Phases maps phase name (search, expand, layer, prefetch, fold,
+	// repartition, engine.batch, evaluate) to its accumulated span
+	// stats.
 	Phases map[string]PhaseStat
 	// Engine is the engine counter movement during the search.
 	Engine EngineStats
@@ -133,14 +134,15 @@ type SearchReport struct {
 // RefineReport is RefineContext plus a per-search SearchReport. The
 // search runs under a search-scoped observer (derived from
 // opts.Observer, the session observer, or a fresh one, in that order),
-// so its events carry a unique search_id and its phase spans —
-// including the engine's per-query evaluate spans — accumulate
-// separately from other searches on the same registry. The report is
+// so its events carry a unique search_id and its phase spans
+// accumulate separately from other searches on the same registry. That
+// includes the engine's engine.batch and evaluate spans: the search
+// hands its spans to the engine through the context, and a span timed
+// under one of them times into its observer. Concurrent reports on one
+// session therefore each count their own evaluate spans. Engine is the
+// session engine's counter movement over the search's interval, which
+// concurrent searches on the same engine also move. The report is
 // returned even when the search errs mid-way.
-//
-// The evaluation engine is rescoped to the search observer for the
-// duration: concurrent RefineReport calls on one session may attribute
-// each other's evaluate spans; counters and metrics are unaffected.
 func (s *Session) RefineReport(ctx context.Context, q *Query, opts Options) (*Result, *SearchReport, error) {
 	o := opts.Observer
 	if o == nil {
@@ -154,10 +156,6 @@ func (s *Session) RefineReport(ctx context.Context, q *Query, opts Options) (*Re
 	opts.Observer = so
 
 	eng := s.evalEngine()
-	prev := eng.Observer()
-	eng.SetObserver(so)
-	defer eng.SetObserver(prev)
-
 	before := eng.Snapshot()
 	start := so.Clock().Now()
 	res, err := core.RunContext(ctx, s.eval, q, opts)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -181,5 +182,66 @@ func TestRefineReportWithoutObserver(t *testing.T) {
 	}
 	if _, ok := rep.Phases["search"]; !ok {
 		t.Errorf("report missing search phase: %+v", rep.Phases)
+	}
+}
+
+// TestRefineReportConcurrent: two reports running at once on one
+// session each count exactly their own evaluate spans — what the same
+// search counts when it runs alone. The search hands its spans to the
+// engine through the context, so no report can see the other's.
+func TestRefineReportConcurrent(t *testing.T) {
+	s, err := NewUsersSession(5000, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Observe(NewObserver(NewMetricsRegistry()))
+	opts := Options{Gamma: 15, Delta: 0.05}
+	var qs []*Query
+	for _, sql := range []string{
+		`SELECT * FROM users CONSTRAINT COUNT(*) = 2000 WHERE age <= 30`,
+		`SELECT * FROM users CONSTRAINT COUNT(*) = 1500 WHERE age <= 30 AND income <= 60000`,
+	} {
+		q, err := s.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	alone := make([]int64, len(qs))
+	for i, q := range qs {
+		_, rep, err := s.RefineReport(t.Context(), q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone[i] = rep.Phases["evaluate"].Count; alone[i] == 0 {
+			t.Fatalf("search %d counted no evaluate spans: %+v", i, rep.Phases)
+		}
+	}
+	if alone[0] == alone[1] {
+		t.Fatalf("both searches count %d evaluate spans; the test needs distinct counts", alone[0])
+	}
+	for round := 0; round < 3; round++ {
+		reps := make([]*SearchReport, len(qs))
+		errs := make([]error, len(qs))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, q := range qs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, reps[i], errs[i] = s.RefineReport(t.Context(), q, opts)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i := range qs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if got := reps[i].Phases["evaluate"].Count; got != alone[i] {
+				t.Errorf("round %d: concurrent search %d counted %d evaluate spans, %d alone", round, i, got, alone[i])
+			}
+		}
 	}
 }

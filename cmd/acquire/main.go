@@ -225,6 +225,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "original query aggregate: %.6g (target %s %.6g)\n",
 		orig, q.Constraint.Op, q.Constraint.Target)
+	before := s.Stats() // the search's own work is counted from here
 
 	opts := acq.Options{Gamma: *gamma, Delta: *delta, Norm: n}
 	var trace acq.TraceBuffer
@@ -251,7 +252,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(os.Stderr, "acquire: wrote %d trace(s) to %s\n", n, *traceDir)
 	}
-	st := s.Stats()
+	st := s.Stats().Sub(before)
 	fmt.Fprintf(out, "explored %d refined queries via %d evaluation-layer executions (%d rows scanned)\n",
 		res.Explored, st.Queries, st.RowsScanned)
 	if *cache {

@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"acquire/acq"
 )
 
 func runCLI(t *testing.T, args ...string) (string, error) {
@@ -40,6 +43,46 @@ func TestRunExplainAndShow(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunCountsSearchWorkOnly: the final line reports the executions and
+// rows of the search alone — what a library caller measures around
+// Refine — not the session's totals, which also hold the Estimate call
+// that prints the original aggregate.
+func TestRunCountsSearchWorkOnly(t *testing.T) {
+	const sql = `SELECT * FROM users CONSTRAINT COUNT(*) = 900 WHERE age <= 30`
+	out, err := runCLI(t, "-dataset", "users", "-rows", "2000", "-sql", sql)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var explored, execs, rows int64
+	i := strings.Index(out, "explored ")
+	if i < 0 {
+		t.Fatalf("no explored line:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(out[i:], "explored %d refined queries via %d evaluation-layer executions (%d rows scanned)",
+		&explored, &execs, &rows); err != nil {
+		t.Fatalf("parse %q: %v", out[i:], err)
+	}
+
+	s, err := acq.NewUsersSession(2000, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := s.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	res, err := s.Refine(q, acq.Options{Gamma: 10, Delta: 0.05, Norm: acq.L1Norm()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.Stats().Sub(before)
+	if explored != int64(res.Explored) || execs != want.Queries || rows != want.RowsScanned {
+		t.Errorf("CLI reports %d explored, %d executions, %d rows; the search did %d, %d, %d",
+			explored, execs, rows, res.Explored, want.Queries, want.RowsScanned)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"acquire/internal/agg"
 	"acquire/internal/exec"
+	"acquire/internal/obs"
 	"acquire/internal/relq"
 )
 
@@ -39,7 +40,7 @@ func BinSearch(e *exec.Engine, q *relq.Query, opts BinSearchOptions) (*Outcome, 
 // BinSearchContext is BinSearch with cancellation, checked at every
 // probe.
 func BinSearchContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts BinSearchOptions) (*Outcome, error) {
-	sp := e.Observer().StartPhase("baseline_binsearch")
+	sp := e.Observer().StartSpan(obs.SpanRef{}, "baseline_binsearch")
 	defer sp.End()
 	ctx = exec.WithJoinScope(ctx) // probes move one dimension: the other tables' candidates repeat
 	if opts.Delta == 0 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"acquire/internal/exec"
+	"acquire/internal/obs"
 	"acquire/internal/relq"
 )
 
@@ -34,7 +35,7 @@ func TopK(e *exec.Engine, q *relq.Query) (*Outcome, error) {
 // TopKContext is TopK with cancellation, checked before the scan and
 // before the sort (the two expensive phases).
 func TopKContext(ctx context.Context, e *exec.Engine, q *relq.Query) (*Outcome, error) {
-	sp := e.Observer().StartPhase("baseline_topk")
+	sp := e.Observer().StartSpan(obs.SpanRef{}, "baseline_topk")
 	defer sp.End()
 	if q.Constraint.Func != relq.AggCount {
 		return nil, fmt.Errorf("baseline: Top-k supports only COUNT constraints, got %s", q.Constraint.Func)

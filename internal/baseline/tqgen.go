@@ -6,6 +6,7 @@ import (
 
 	"acquire/internal/agg"
 	"acquire/internal/exec"
+	"acquire/internal/obs"
 	"acquire/internal/relq"
 )
 
@@ -56,7 +57,7 @@ func TQGen(e *exec.Engine, q *relq.Query, opts TQGenOptions) (*Outcome, error) {
 // execution — essential here, since a single round issues GridK^d
 // whole queries.
 func TQGenContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts TQGenOptions) (*Outcome, error) {
-	sp := e.Observer().StartPhase("baseline_tqgen")
+	sp := e.Observer().StartSpan(obs.SpanRef{}, "baseline_tqgen")
 	defer sp.End()
 	ctx = exec.WithJoinScope(ctx) // the grid's queries share their per-table candidates
 	opts = opts.withDefaults()

@@ -182,19 +182,16 @@ func RunContext(ctx context.Context, e Evaluator, q *relq.Query, opts Options) (
 	return runSearch(ctx, q, fr, x, spec, errFn, opts)
 }
 
-// openRoot opens the root span of a search named name: under the
-// caller's span in ctx, else, when fresh, in a new trace for the
-// observer's flight recorder. When neither holds the SpanRef is the zero
-// value and every use of it is free.
-func openRoot(ctx context.Context, name string, fresh bool, opts Options, dims int) (*obs.Trace, obs.SpanRef) {
-	var tr *obs.Trace
-	var root obs.SpanRef
-	switch parent := obs.SpanFromContext(ctx); {
-	case parent.Active():
-		root = parent.StartChild(name)
-	case fresh:
-		tr = obs.NewTrace(opts.Observer.SearchID(), opts.Observer.Clock())
-		root = tr.NewSpan(0, name)
+// openRoot opens the root span of a search named name, timed into the
+// search's observer: under the caller's traced span in ctx, else, when
+// fresh, as the root of a new trace for the observer's flight recorder,
+// else timing only. Without an observer or a trace the SpanRef is the
+// zero value and every use of it is free.
+func openRoot(ctx context.Context, name string, fresh bool, opts Options, dims int) (tr *obs.Trace, root obs.SpanRef) {
+	if parent := obs.SpanFromContext(ctx); parent.Active() || !fresh {
+		root = opts.Observer.StartSpan(parent, name)
+	} else {
+		tr, root = opts.Observer.StartTrace(name)
 	}
 	if root.Active() {
 		root.SetAttrs(obs.Float("gamma", opts.Gamma), obs.Float("delta", opts.Delta),
@@ -207,9 +204,9 @@ func openRoot(ctx context.Context, name string, fresh bool, opts Options, dims i
 func closeRootWithError(o *obs.Observer, tr *obs.Trace, root obs.SpanRef, err error) {
 	if root.Active() {
 		root.SetAttrs(obs.String("error", err.Error()))
-		root.End()
-		o.Recorder().Add(tr) // tr is nil when nested under a caller's trace
 	}
+	root.End()
+	o.Recorder().Add(tr) // tr is nil unless the search opened its own trace
 }
 
 // isCancellation reports whether err stems from context cancellation
@@ -238,11 +235,9 @@ func runSearch(ctx context.Context, q *relq.Query, fr frontier, x *explorer, spe
 
 	// Observability: all handles are nil-tolerant, so the
 	// uninstrumented path costs one nil check per use and allocates
-	// nothing (see internal/obs). Timing routes through the observer's
-	// Clock so deterministic tests inject a fake clock.
+	// nothing (see internal/obs). Every phase is one obs.SpanRef, timed
+	// on the observer's Clock so deterministic tests inject a fake clock.
 	o := opts.Observer
-	clk := o.Clock()
-	searchSpan := o.StartPhase("search")
 	lt, _ := opts.Trace.(LayerTracer)
 
 	// Hierarchical tracing: one span tree per search, fresh when a
@@ -299,7 +294,6 @@ func runSearch(ctx context.Context, q *relq.Query, fr frontier, x *explorer, spe
 		res.CellQueries = int(x.cellQueries.Load())
 		res.StoredPoints = x.stored
 		x.release()
-		searchSpan.End()
 		attrs := []any{"satisfied", res.Satisfied, "explored", res.Explored,
 			"cell_queries", res.CellQueries, "stored_points", res.StoredPoints,
 			"exhausted", res.Exhausted, "probes", x.probes, "probe_regions", x.probeRegions}
@@ -324,9 +318,9 @@ func runSearch(ctx context.Context, q *relq.Query, fr frontier, x *explorer, spe
 					obs.Int("cache_hits", engDelta.CacheHits),
 					obs.Int("cache_misses", engDelta.CacheMisses))
 			}
-			root.End()
-			o.Recorder().Add(tr) // tr is nil when nested under a caller's trace
 		}
+		root.End()
+		o.Recorder().Add(tr) // tr is nil unless the search opened its own trace
 		o.Info("search.done", attrs...)
 		return res
 	}
@@ -336,7 +330,6 @@ func runSearch(ctx context.Context, q *relq.Query, fr frontier, x *explorer, spe
 		if isCancellation(err) {
 			return finish(), err
 		}
-		searchSpan.End()
 		closeRootWithError(o, tr, root, err)
 		o.Info("search.error", "error", err.Error())
 		return nil, err
@@ -347,11 +340,9 @@ search:
 		if err := ctx.Err(); err != nil {
 			return finish(), err
 		}
-		spExpand := o.StartPhase("expand")
 		xsp := root.StartChild("expand")
 		layer, layerQS, ok := lf.nextLayer()
 		xsp.End()
-		spExpand.End()
 		if !ok {
 			res.Exhausted = len(res.Queries) == 0
 			break
@@ -391,25 +382,20 @@ search:
 		if budget := opts.MaxExplored - res.Explored; len(pre) > budget {
 			pre = pre[:budget]
 		}
-		layerStart := clk.Now()
 		lsp := root.StartChild("layer")
-		spPrefetch := o.StartPhase("prefetch")
 		psp := lsp.StartChild("prefetch")
 		batchWidth, err := x.prefetch(obs.ContextWithSpan(ctx, psp), pre)
 		psp.End()
-		spPrefetch.End()
 		if err != nil {
 			return fail(err)
 		}
 
-		spFold := o.StartPhase("fold")
 		fsp := lsp.StartChild("fold")
 		ctxFold := obs.ContextWithSpan(ctx, fsp)
 		for j, id := range layer {
 			if res.Explored >= opts.MaxExplored {
 				res.Exhausted = true
 				res.Note = "exploration budget exhausted"
-				spFold.End()
 				fsp.End()
 				lsp.End()
 				break search
@@ -448,7 +434,6 @@ search:
 				record(rq)
 			case overshoots:
 				// §6: repartition the cell for b iterations.
-				spRep := o.StartPhase("repartition")
 				rsp := lsp.StartChild("repartition")
 				probes0, regions0 := x.probes, x.probeRegions
 				sub, found, err := repartition(obs.ContextWithSpan(ctx, rsp), x, id, spec, errFn, target, opts, q)
@@ -457,7 +442,6 @@ search:
 						obs.Int("regions", int64(x.probeRegions-regions0)), obs.Bool("found", found))
 				}
 				rsp.End()
-				spRep.End()
 				if err != nil {
 					return fail(err)
 				} else if found {
@@ -478,13 +462,11 @@ search:
 					"aggregate", actual, "err", ev, "outcome", outcome)
 			}
 		}
-		spFold.End()
 		fsp.End()
 		layersG.Set(float64(layerIdx + 1))
-		layerWall := clk.Now().Sub(layerStart)
 		lsp.SetAttrs(obs.Int("layer", int64(layerIdx)), obs.Float("qscore", qs0),
 			obs.Int("width", int64(len(layer))), obs.Int("batch_width", int64(batchWidth)))
-		lsp.End()
+		layerWall := lsp.End()
 		if lt != nil {
 			// Single source of truth: the CLI's layer table is derived
 			// from the very span /debug/traces serves. The literal

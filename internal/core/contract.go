@@ -66,17 +66,17 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 	bestLayer := math.Inf(1)
 	closestErr := math.Inf(1)
 
-	// Contraction shares the search counters with runSearch; its wall
-	// time lands in a dedicated "contract" phase histogram.
+	// Contraction shares the search counters with runSearch; its root
+	// span times its wall into a dedicated "contract" phase histogram.
 	o := opts.Observer
-	span := o.StartPhase("contract")
 	o.Counter("acquire_searches_total", "Refinement searches started.").Inc()
 	pointsC := o.Counter("acquire_search_points_explored_total", "Grid queries investigated across all searches.")
 	o.Info("contract.start", "gamma", opts.Gamma, "delta", opts.Delta,
 		"norm", opts.Norm.Name(), "dims", q.NumDims(), "target", target)
 
 	// Tracing mirrors runSearch: every candidate's AggregateBatch call
-	// carries the root via ctx, so engine spans nest under it.
+	// carries the root via ctx, so engine spans nest under it and time
+	// into the search's observer.
 	tr, root := openRoot(ctx, "contract", o.TracingEnabled(), opts, q.NumDims())
 	ctxEval := obs.ContextWithSpan(ctx, root)
 
@@ -86,15 +86,14 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 			res.Satisfied = true
 			res.Best = &res.Queries[0]
 		}
-		span.End()
 		if root.Active() {
 			root.SetAttrs(obs.Bool("satisfied", res.Satisfied),
 				obs.Int("explored", int64(res.Explored)),
 				obs.Int("cell_queries", int64(res.CellQueries)),
 				obs.Bool("exhausted", res.Exhausted))
-			root.End()
-			o.Recorder().Add(tr)
 		}
+		root.End()
+		o.Recorder().Add(tr)
 		o.Info("contract.done", "satisfied", res.Satisfied, "explored", res.Explored,
 			"cell_queries", res.CellQueries, "exhausted", res.Exhausted)
 		return res
@@ -129,7 +128,6 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 			if isCancellation(err) {
 				return finish(), err
 			}
-			span.End()
 			closeRootWithError(o, tr, root, err)
 			return nil, err
 		}

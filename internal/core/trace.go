@@ -159,17 +159,6 @@ func LayerEventsFromTrace(t *obs.Trace) []LayerEvent {
 	return out
 }
 
-// WriterTracer streams events to an io.Writer as they happen.
-type WriterTracer struct {
-	W io.Writer
-}
-
-// Event implements Tracer.
-func (t WriterTracer) Event(ev TraceEvent) {
-	fmt.Fprintf(t.W, "#%d %s QScore=%.3f agg=%.6g err=%.4f %s\n",
-		ev.Seq, scoresString(ev.Scores), ev.QScore, ev.Aggregate, ev.Err, ev.Outcome)
-}
-
 // classify names a step's outcome for the trace.
 func classify(satisfied, overshoot, repartitioned bool) string {
 	switch {

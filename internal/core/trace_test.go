@@ -100,32 +100,6 @@ func TestWriteToRendersLayers(t *testing.T) {
 	}
 }
 
-func TestWriterTracer(t *testing.T) {
-	e := lineTable(t, 100)
-	q := countQ(50, leDim(10))
-	var sb strings.Builder
-	if _, err := Run(e, q, Options{Delta: 0.001, Trace: WriterTracer{W: &sb}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "satisfied") {
-		t.Errorf("streamed trace missing satisfied event:\n%s", sb.String())
-	}
-}
-
-// TestWriterTracerFormat pins the exact one-line-per-event format the
-// -trace CLI flag emits.
-func TestWriterTracerFormat(t *testing.T) {
-	var sb strings.Builder
-	WriterTracer{W: &sb}.Event(TraceEvent{
-		Seq: 7, Scores: []float64{12.5, 0}, QScore: 12.5,
-		Aggregate: 42, Err: 0.16, Outcome: "overshoot",
-	})
-	want := "#7 (12.5,0) QScore=12.500 agg=42 err=0.1600 overshoot\n"
-	if sb.String() != want {
-		t.Errorf("WriterTracer.Event = %q, want %q", sb.String(), want)
-	}
-}
-
 // TestExplainResultLiterals drives ExplainResult through crafted
 // Result values, covering the closest-only, exhausted, and note paths
 // without running a search.

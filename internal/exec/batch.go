@@ -46,22 +46,21 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 		p.gscope = scope // COUNT(*) cells may be grouped (grouped.go)
 	}
 	p.attachCache(q)
-	// Per-region and per-unit execution times land in the "evaluate"
-	// phase histogram; the dispatch event records the batch shape
-	// (width × workers) for the structured log.
+	// The dispatch event records the batch shape (width × workers) for
+	// the structured log.
 	if o := e.Observer(); o.LogEnabled(slog.LevelDebug) {
 		o.Debug("engine.batch", "regions", len(regions), "workers", w)
 	}
-	// Hierarchical tracing: when the context carries a span, the batch
-	// gets a child span (with this engine's stat deltas — rows scanned,
-	// gridagg merges, cache traffic) and nested "evaluate" spans: one
-	// per region its front resolved, carrying its fingerprint and cache
-	// outcome, and one per scan unit, carrying its region count. The
-	// untraced path pays one context lookup and allocates nothing.
-	if parent := obs.SpanFromContext(ctx); parent.Active() {
-		bsp := parent.StartChild("engine.batch")
+	// The batch's span is the parent of its "evaluate" spans: one per
+	// region its front resolved and one per scan unit (sharedrive.go).
+	// When traced it carries this engine's stat deltas (rows scanned,
+	// gridagg merges, cache traffic) and its evaluate spans their
+	// fingerprint and cache outcome. The uninstrumented path pays one
+	// context lookup and allocates nothing.
+	p.span = e.batchSpan(obs.SpanFromContext(ctx))
+	defer p.span.End()
+	if bsp := p.span; bsp.Active() {
 		bsp.SetAttrs(obs.Int("regions", int64(len(regions))), obs.Int("workers", int64(w)))
-		p.span = bsp
 		before := e.Snapshot()
 		defer func() {
 			d := e.Snapshot().Sub(before)
@@ -74,7 +73,6 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 				obs.Int("cells_skipped", d.CellsSkipped),
 				obs.Int("cache_hits", d.CacheHits),
 				obs.Int("cache_misses", d.CacheMisses))
-			bsp.End()
 		}()
 	}
 	defer p.abandon()
@@ -96,6 +94,17 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 		return nil, err
 	}
 	return out, nil
+}
+
+// batchSpan opens the "engine.batch" span of one engine call under
+// parent, the span its context carries. It times into parent's observer
+// — a search's, handed over through the context — or, under an untimed
+// parent, into the engine's own observer.
+func (e *Engine) batchSpan(parent obs.SpanRef) obs.SpanRef {
+	if parent.Timed() {
+		return parent.StartChild("engine.batch")
+	}
+	return e.Observer().StartSpan(parent, "engine.batch")
 }
 
 // drain runs task(sc, t) for every t in [0, n) on a pool of up to

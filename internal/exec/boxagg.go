@@ -32,7 +32,7 @@ type boxConstraint struct {
 // a cell is interior only when the padded bin spans prove every
 // resident row's violation vector inside the region, so boundary rows
 // get the exact per-row check of the scan path and results agree.
-func (e *Engine) boxAggregate(p *batchPlan, region relq.Region, eo *engineObs) (agg.Partial, bool, error) {
+func (e *Engine) boxAggregate(p *batchPlan, region relq.Region) (agg.Partial, bool, error) {
 	b := p.b
 	if p.grids == nil || len(b.tables) != 1 || len(b.joinDims) != 0 || len(b.equiJoins) != 0 ||
 		len(b.ranges[0]) != 0 || len(b.strFlts[0]) != 0 || b.spec.Func == relq.AggUser {
@@ -204,12 +204,12 @@ func (e *Engine) boxAggregate(p *batchPlan, region relq.Region, eo *engineObs) (
 	// RowsScanned/boundary_rows count only rows actually gathered; runs
 	// dropped by zone predicates surface as skipped blocks, mirroring
 	// the full-scan path's accounting.
-	e.countRows(boundaryRows)
-	e.countBoundaryRows(boundaryRows)
-	e.countBlocks(0, runsSkipped)
-	e.countCellsMerged(cellsMerged)
-	if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
-		eo.o.Debug("engine.boxagg", "table", b.q.Tables[0],
+	e.count(cRowsScanned, boundaryRows)
+	e.count(cBoundaryRows, boundaryRows)
+	e.count(cBlocksSkipped, runsSkipped)
+	e.count(cCellsMerged, cellsMerged)
+	if o := e.Observer(); o.LogEnabled(slog.LevelDebug) {
+		o.Debug("engine.boxagg", "table", b.q.Tables[0],
 			"cells_merged", cellsMerged, "boundary_rows", boundaryRows,
 			"boundary_runs_skipped", runsSkipped)
 	}

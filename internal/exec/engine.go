@@ -86,63 +86,81 @@ type Stats struct {
 // Sub returns the counter deltas s minus prev — the work performed
 // between two snapshots.
 func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		Queries:        s.Queries - prev.Queries,
-		RowsScanned:    s.RowsScanned - prev.RowsScanned,
-		BlocksScanned:  s.BlocksScanned - prev.BlocksScanned,
-		BlocksSkipped:  s.BlocksSkipped - prev.BlocksSkipped,
-		TuplesExamined: s.TuplesExamined - prev.TuplesExamined,
-		CellsSkipped:   s.CellsSkipped - prev.CellsSkipped,
-		CellsMerged:    s.CellsMerged - prev.CellsMerged,
-		BoundaryRows:   s.BoundaryRows - prev.BoundaryRows,
-		CellsGrouped:   s.CellsGrouped - prev.CellsGrouped,
-		CacheHits:      s.CacheHits - prev.CacheHits,
-		CacheMisses:    s.CacheMisses - prev.CacheMisses,
-		CacheEvictions: s.CacheEvictions - prev.CacheEvictions,
-		DegradedScans:  s.DegradedScans - prev.DegradedScans,
+	for _, c := range counters {
+		*c.field(&s) -= *c.field(&prev)
 	}
+	return s
+}
+
+// counter indexes the engine's one counter table.
+type counter int
+
+const (
+	cQueries counter = iota
+	cRowsScanned
+	cBlocksScanned
+	cBlocksSkipped
+	cTuplesExamined
+	cCellsSkipped
+	cCellsMerged
+	cBoundaryRows
+	cCellsGrouped
+	cCacheHits
+	cCacheMisses
+	cCacheEvictions
+	cDegradedScans
+	numCounters
+)
+
+// counters lists, per counter, its Stats field and the series an
+// attached observer mirrors it into. The counter cells, Snapshot, Sub
+// and SetObserver's eager registration are loops over it, and the hot
+// path bumps a counter with one call: count(k, n).
+var counters = [numCounters]struct {
+	field      func(*Stats) *int64
+	name, help string
+}{
+	cQueries: {func(s *Stats) *int64 { return &s.Queries },
+		"acquire_engine_queries_total", "Evaluation-layer query executions (cell and whole queries)."},
+	cRowsScanned: {func(s *Stats) *int64 { return &s.RowsScanned },
+		"acquire_engine_rows_scanned_total", "Base-table rows touched by scans."},
+	cBlocksScanned: {func(s *Stats) *int64 { return &s.BlocksScanned },
+		"acquire_engine_blocks_scanned_total", "Column blocks visited by the vectorized full-scan path."},
+	cBlocksSkipped: {func(s *Stats) *int64 { return &s.BlocksSkipped },
+		"acquire_engine_blocks_skipped_total", "Column blocks proven candidate-free by zone maps and skipped without touching rows."},
+	cTuplesExamined: {func(s *Stats) *int64 { return &s.TuplesExamined },
+		"acquire_engine_tuples_examined_total", "Join tuples tested against regions."},
+	cCellsSkipped: {func(s *Stats) *int64 { return &s.CellsSkipped },
+		"acquire_engine_cells_skipped_total", "Queries answered empty by the grid index without scanning (§7.4)."},
+	cCellsMerged: {func(s *Stats) *int64 { return &s.CellsMerged },
+		"acquire_engine_cells_merged_total", "Grid cells answered by merging stored per-cell partials (box-aggregate kernel interior cells)."},
+	cBoundaryRows: {func(s *Stats) *int64 { return &s.BoundaryRows },
+		"acquire_engine_boundary_rows_total", "Rows scanned from boundary-cell posting lists by the box-aggregate kernel."},
+	cCellsGrouped: {func(s *Stats) *int64 { return &s.CellsGrouped },
+		"acquire_engine_cells_grouped_total", "Lattice cells answered from a search's grouped COUNT(*) table."},
+	cCacheHits: {func(s *Stats) *int64 { return &s.CacheHits },
+		"acquire_cache_hits_total", "Region executions answered from the cross-search partial-aggregate cache."},
+	cCacheMisses: {func(s *Stats) *int64 { return &s.CacheMisses },
+		"acquire_cache_misses_total", "Region executions that missed the cross-search partial-aggregate cache and executed."},
+	cCacheEvictions: {func(s *Stats) *int64 { return &s.CacheEvictions },
+		"acquire_cache_evictions_total", "Entries displaced from the cross-search partial-aggregate cache by the byte cap."},
+	cDegradedScans: {func(s *Stats) *int64 { return &s.DegradedScans },
+		"acquire_engine_cluster_degraded_scans_total", "Full scans over clustered tables whose unsorted append tail exceeds one block (zone maps blind on the tail)."},
 }
 
 // statsCells holds one generation of the engine's counters. ResetStats
 // swaps in a fresh generation atomically, so a concurrent Snapshot
 // reads counters that all belong to the same generation — never a
 // half-reset mixture.
-type statsCells struct {
-	queries        atomic.Int64
-	rowsScanned    atomic.Int64
-	blocksScanned  atomic.Int64
-	blocksSkipped  atomic.Int64
-	tuplesExamined atomic.Int64
-	cellsSkipped   atomic.Int64
-	cellsMerged    atomic.Int64
-	boundaryRows   atomic.Int64
-	cellsGrouped   atomic.Int64
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	cacheEvictions atomic.Int64
-	degradedScans  atomic.Int64
-}
+type statsCells [numCounters]atomic.Int64
 
 // engineObs holds the pre-resolved observability handles of an
 // attached observer, so the hot path pays one nil check and direct
 // atomic increments — no registry lookups per query.
 type engineObs struct {
-	o             *obs.Observer
-	queries       *obs.Counter
-	rows          *obs.Counter
-	blocksScanned *obs.Counter
-	blocksSkipped *obs.Counter
-	tuples        *obs.Counter
-	cells         *obs.Counter
-	cellsMerged   *obs.Counter
-	boundary      *obs.Counter
-	cellsGrouped  *obs.Counter
-	cacheHits     *obs.Counter
-	cacheMisses   *obs.Counter
-	cacheEvict    *obs.Counter
-	degraded      *obs.Counter
-	queryDur      *obs.Histogram
-	selDensity    *obs.Histogram
+	o          *obs.Observer
+	counters   [numCounters]*obs.Counter // mirrors of statsCells
+	selDensity *obs.Histogram
 
 	// axisCtrs are the per-column zone-skip counters, created lazily on
 	// first skip attribution for a column (the label set is data-driven:
@@ -229,36 +247,24 @@ func New(cat *data.Catalog) *Engine {
 func (e *Engine) Catalog() *data.Catalog { return e.cat }
 
 // SetObserver attaches an observer: engine counters are mirrored into
-// its registry (acquire_engine_* series, registered eagerly so they
-// expose as 0 before the first query), per-query durations land in
-// the "evaluate" phase histogram, and engine-level events (query
-// completion, grid-index skips) stream to its structured log. A nil
-// observer detaches, restoring the zero-cost fast path.
+// its registry (the series of the counters table, registered eagerly so
+// they expose as 0 before the first query), an engine call whose
+// context carries no span times its "engine.batch" and "evaluate" spans
+// into it, and engine-level events (query completion, grid-index skips)
+// stream to its structured log. A nil observer detaches, restoring the
+// zero-cost fast path.
 func (e *Engine) SetObserver(o *obs.Observer) {
 	if o == nil {
 		e.obsState.Store(nil)
 		return
 	}
-	e.obsState.Store(&engineObs{
-		o:             o,
-		queries:       o.Counter("acquire_engine_queries_total", "Evaluation-layer query executions (cell and whole queries)."),
-		rows:          o.Counter("acquire_engine_rows_scanned_total", "Base-table rows touched by scans."),
-		blocksScanned: o.Counter("acquire_engine_blocks_scanned_total", "Column blocks visited by the vectorized full-scan path."),
-		blocksSkipped: o.Counter("acquire_engine_blocks_skipped_total", "Column blocks proven candidate-free by zone maps and skipped without touching rows."),
-		tuples:        o.Counter("acquire_engine_tuples_examined_total", "Join tuples tested against regions."),
-		cells:         o.Counter("acquire_engine_cells_skipped_total", "Queries answered empty by the grid index without scanning (§7.4)."),
-		cellsMerged:   o.Counter("acquire_engine_cells_merged_total", "Grid cells answered by merging stored per-cell partials (box-aggregate kernel interior cells)."),
-		boundary:      o.Counter("acquire_engine_boundary_rows_total", "Rows scanned from boundary-cell posting lists by the box-aggregate kernel."),
-		cellsGrouped:  o.Counter("acquire_engine_cells_grouped_total", "Lattice cells answered from a search's grouped COUNT(*) table."),
-		cacheHits:     o.Counter("acquire_cache_hits_total", "Region executions answered from the cross-search partial-aggregate cache."),
-		cacheMisses:   o.Counter("acquire_cache_misses_total", "Region executions that missed the cross-search partial-aggregate cache and executed."),
-		cacheEvict:    o.Counter("acquire_cache_evictions_total", "Entries displaced from the cross-search partial-aggregate cache by the byte cap."),
-		degraded:      o.Counter("acquire_engine_cluster_degraded_scans_total", "Full scans over clustered tables whose unsorted append tail exceeds one block (zone maps blind on the tail)."),
-		queryDur:      o.Histogram(`acquire_phase_duration_seconds{phase="evaluate"}`, "Duration of search/engine phases by phase name.", nil),
-		selDensity: o.Histogram("acquire_engine_selection_density",
-			"Post-filter selection-vector density per scanned block (kept rows / block rows).",
-			[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1}),
-	})
+	eo := &engineObs{o: o, selDensity: o.Histogram("acquire_engine_selection_density",
+		"Post-filter selection-vector density per scanned block (kept rows / block rows).",
+		[]float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1})}
+	for k, c := range counters {
+		eo.counters[k] = o.Counter(c.name, c.help)
+	}
+	e.obsState.Store(eo)
 }
 
 // Observer returns the attached observer (nil when detached) —
@@ -271,26 +277,16 @@ func (e *Engine) Observer() *obs.Observer {
 }
 
 // Snapshot returns a copy of the statistics counters. The copy is
-// generation-coherent with ResetStats: all four counters come from
-// the same generation, so a snapshot concurrent with a reset is
-// either entirely pre-reset or entirely post-reset.
+// generation-coherent with ResetStats: all counters come from the same
+// generation, so a snapshot concurrent with a reset is either entirely
+// pre-reset or entirely post-reset.
 func (e *Engine) Snapshot() Stats {
 	c := e.stats.Load()
-	return Stats{
-		Queries:        c.queries.Load(),
-		RowsScanned:    c.rowsScanned.Load(),
-		BlocksScanned:  c.blocksScanned.Load(),
-		BlocksSkipped:  c.blocksSkipped.Load(),
-		TuplesExamined: c.tuplesExamined.Load(),
-		CellsSkipped:   c.cellsSkipped.Load(),
-		CellsMerged:    c.cellsMerged.Load(),
-		BoundaryRows:   c.boundaryRows.Load(),
-		CellsGrouped:   c.cellsGrouped.Load(),
-		CacheHits:      c.cacheHits.Load(),
-		CacheMisses:    c.cacheMisses.Load(),
-		CacheEvictions: c.cacheEvictions.Load(),
-		DegradedScans:  c.degradedScans.Load(),
+	var s Stats
+	for k := range counters {
+		*counters[k].field(&s) = c[k].Load()
 	}
+	return s
 }
 
 // ResetStats zeroes the counters by atomically swapping in a fresh
@@ -299,78 +295,12 @@ func (e *Engine) ResetStats() {
 	e.stats.Store(&statsCells{})
 }
 
-// countQueries / countRows / countTuples bump a counter in the current
-// stats generation and mirror it into the attached observer, if any.
-func (e *Engine) countQueries(n int64) {
-	e.stats.Load().queries.Add(n)
+// count adds n to counter k in the current stats generation and mirrors
+// it into the attached observer, if any.
+func (e *Engine) count(k counter, n int64) {
+	e.stats.Load()[k].Add(n)
 	if eo := e.obsState.Load(); eo != nil {
-		eo.queries.Add(n)
-	}
-}
-
-func (e *Engine) countRows(n int64) {
-	e.stats.Load().rowsScanned.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.rows.Add(n)
-	}
-}
-
-func (e *Engine) countBlocks(scanned, skipped int64) {
-	c := e.stats.Load()
-	c.blocksScanned.Add(scanned)
-	c.blocksSkipped.Add(skipped)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.blocksScanned.Add(scanned)
-		eo.blocksSkipped.Add(skipped)
-	}
-}
-
-func (e *Engine) countTuples(n int64) {
-	e.stats.Load().tuplesExamined.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.tuples.Add(n)
-	}
-}
-
-func (e *Engine) countCellsMerged(n int64) {
-	e.stats.Load().cellsMerged.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.cellsMerged.Add(n)
-	}
-}
-
-func (e *Engine) countBoundaryRows(n int64) {
-	e.stats.Load().boundaryRows.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.boundary.Add(n)
-	}
-}
-
-func (e *Engine) countCacheHits(n int64) {
-	e.stats.Load().cacheHits.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.cacheHits.Add(n)
-	}
-}
-
-func (e *Engine) countCacheMisses(n int64) {
-	e.stats.Load().cacheMisses.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.cacheMisses.Add(n)
-	}
-}
-
-func (e *Engine) countCacheEvictions(n int64) {
-	e.stats.Load().cacheEvictions.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.cacheEvict.Add(n)
-	}
-}
-
-func (e *Engine) countDegradedScans(n int64) {
-	e.stats.Load().degradedScans.Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.degraded.Add(n)
+		eo.counters[k].Add(n)
 	}
 }
 
@@ -524,34 +454,19 @@ func (e *Engine) Aggregate(q *relq.Query, region relq.Region) (agg.Partial, erro
 		return agg.Zero(), err
 	}
 	var out [1]agg.Partial
-	err = e.newBatchPlan(b, []relq.Region{region}, nil).whole(new(regionScratch), 0, out[:])
+	p := e.newBatchPlan(b, []relq.Region{region}, nil)
+	p.span = e.batchSpan(obs.SpanRef{})
+	err = p.whole(new(regionScratch), 0, out[:])
+	p.span.End()
 	return out[0], err
 }
 
-// aggregateBound executes region i of a bound batch as far as
-// aggregateRegion takes it. With an observer attached it also times the
-// execution into the "evaluate" phase histogram and emits a debug-level
-// engine.query event; without one, the only instrumentation cost is a
-// nil pointer load. A deferred region reports nothing here: the unit
-// that scans it does (sharedrive.go).
-func (e *Engine) aggregateBound(p *batchPlan, sc *regionScratch, i int) (agg.Partial, bool, error) {
-	eo := e.obsState.Load()
-	if eo == nil {
-		return e.aggregateRegion(p, sc, i, nil)
-	}
-	sp := eo.o.StartPhase("evaluate")
-	part, deferred, err := e.aggregateRegion(p, sc, i, eo)
-	if !deferred {
-		eo.queryDone(p, sp.End(), 1, err)
-	}
-	return part, deferred, err
-}
-
 // queryDone emits the debug-level engine.query event of one timed
-// execution: a region, or a unit of regions scanned together.
-func (eo *engineObs) queryDone(p *batchPlan, d time.Duration, regions int, err error) {
-	if eo.o.LogEnabled(slog.LevelDebug) {
-		eo.o.Debug("engine.query",
+// execution — a region, or a unit of regions scanned together — to the
+// observer its evaluate span timed into.
+func queryDone(o *obs.Observer, p *batchPlan, d time.Duration, regions int, err error) {
+	if o.LogEnabled(slog.LevelDebug) {
+		o.Debug("engine.query",
 			"tables", len(p.b.tables), "dims", len(p.b.q.Dims), "regions", regions,
 			"duration_ms", float64(d.Microseconds())/1000,
 			"err", err != nil)
@@ -563,15 +478,12 @@ func (eo *engineObs) queryDone(p *batchPlan, d time.Duration, regions int, err e
 // emptiness proof, the box-aggregate kernel — and then its scan stage.
 // A single-table region's scan stage is not run here: deferred=true
 // hands the region to the units (sharedrive.go).
-func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int, eo *engineObs) (_ agg.Partial, deferred bool, _ error) {
+func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int) (_ agg.Partial, deferred bool, _ error) {
 	b, region := p.b, p.regions[i]
 	if len(region) != len(b.q.Dims) {
 		return agg.Zero(), false, fmt.Errorf("exec: region has %d dims, query has %d", len(region), len(b.q.Dims))
 	}
-	e.stats.Load().queries.Add(1)
-	if eo != nil {
-		eo.queries.Add(1)
-	}
+	e.count(cQueries, 1)
 	if region.Empty() {
 		return agg.Zero(), false, nil
 	}
@@ -580,10 +492,9 @@ func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int, eo *eng
 	// over the select dimensions.
 	for ti := range p.grids {
 		if cellProvablyEmpty(b, &p.grids[ti], sc, region, ti) {
-			e.stats.Load().cellsSkipped.Add(1)
-			if eo != nil {
-				eo.cells.Add(1)
-				eo.o.Debug("engine.grid_skip", "table", b.q.Tables[ti])
+			e.count(cCellsSkipped, 1)
+			if o := e.Observer(); o.LogEnabled(slog.LevelDebug) {
+				o.Debug("engine.grid_skip", "table", b.q.Tables[ti])
 			}
 			return agg.Zero(), false, nil
 		}
@@ -591,7 +502,7 @@ func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int, eo *eng
 
 	// Box-aggregate kernel: eligible single-table queries are answered
 	// from the aggregate grid's stored partials and posting lists.
-	if part, ok, err := e.boxAggregate(p, region, eo); ok || err != nil {
+	if part, ok, err := e.boxAggregate(p, region); ok || err != nil {
 		return part, false, err
 	}
 

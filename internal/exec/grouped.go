@@ -130,10 +130,7 @@ func (p *batchPlan) groupCells(g *cellGroup, sc *regionScratch, out []agg.Partia
 		}
 	}
 	p.deferred = keep
-	p.e.stats.Load().cellsGrouped.Add(int64(n))
-	if eo := p.e.obsState.Load(); eo != nil {
-		eo.cellsGrouped.Add(int64(n))
-	}
+	p.e.count(cCellsGrouped, int64(n))
 }
 
 // rentOrBuy adds what the placed, sorted cells' units gather to the rent
@@ -291,7 +288,7 @@ func (p *batchPlan) buildCells(ctx context.Context, g *cellGroup, scs []regionSc
 	}
 	g.h, g.counts, g.gathered = h, scs[0].counts, 0
 	p.groupedRows += int64(rows)
-	e.countRows(int64(rows))
-	e.countTuples(binned.Load())
+	e.count(cRowsScanned, int64(rows))
+	e.count(cTuplesExamined, binned.Load())
 	return nil
 }

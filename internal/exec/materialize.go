@@ -32,7 +32,7 @@ func (e *Engine) Materialize(q *relq.Query, region relq.Region, limit int) (*Res
 	if len(region) != len(q.Dims) {
 		return nil, fmt.Errorf("exec: region has %d dims, query has %d", len(region), len(q.Dims))
 	}
-	e.countQueries(1)
+	e.count(cQueries, 1)
 
 	rs := &ResultSet{}
 	for ti, t := range b.tables {
@@ -53,7 +53,7 @@ func (e *Engine) Materialize(q *relq.Query, region relq.Region, limit int) (*Res
 
 	viol := make([]float64, len(q.Dims))
 	ntup := len(tuples) / stride
-	e.countTuples(int64(ntup))
+	e.count(cTuplesExamined, int64(ntup))
 tuple:
 	for t := 0; t < ntup; t++ {
 		row := tuples[t*stride : (t+1)*stride]

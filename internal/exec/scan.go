@@ -37,7 +37,7 @@ func (e *Engine) ViolationScan(q *relq.Query) ([]RowViolations, error) {
 	if len(b.joinDims) != 0 {
 		return nil, fmt.Errorf("exec: ViolationScan does not support join dimensions")
 	}
-	e.countQueries(1)
+	e.count(cQueries, 1)
 	return e.violationScanVec(b, b.tables[0].NumRows())
 }
 
@@ -112,8 +112,9 @@ func (e *Engine) violationScanVec(b *binding, n int) ([]RowViolations, error) {
 			out = append(out, RowViolations{Row: r, Viol: viol, AggValue: v})
 		}
 	}
-	e.countRows(rows)
-	e.countBlocks(scanned, skipped)
+	e.count(cRowsScanned, rows)
+	e.count(cBlocksScanned, scanned)
+	e.count(cBlocksSkipped, skipped)
 	return out, nil
 }
 

@@ -89,14 +89,14 @@ var errAbandoned = errors.New("exec: batch ended before the region was executed"
 // waiting on each other's regions cannot deadlock.
 func (p *batchPlan) front(sc *regionScratch, i int, out []agg.Partial) error {
 	e := p.e
-	t0 := p.traceStart()
+	t0 := p.regionStart()
 	var fl *regioncache.Flight
 	if p.cache != nil {
 		val, hit, f := p.cache.TryClaim(p.cacheKey(i))
 		if hit {
-			e.countCacheHits(1)
+			e.count(cCacheHits, 1)
 			out[i] = val
-			p.traceRegion(i, t0, true)
+			p.endRegion(i, t0, true, nil)
 			return nil
 		}
 		if f == nil {
@@ -105,7 +105,7 @@ func (p *batchPlan) front(sc *regionScratch, i int, out []agg.Partial) error {
 		}
 		fl = f
 	}
-	part, deferred, err := e.aggregateBound(p, sc, i)
+	part, deferred, err := e.aggregateRegion(p, sc, i)
 	if deferred {
 		p.deferRegion(i, 0, fl)
 		return nil
@@ -114,7 +114,7 @@ func (p *batchPlan) front(sc *regionScratch, i int, out []agg.Partial) error {
 		p.filled(fl.Fill(part, err), err)
 	}
 	out[i] = part
-	p.traceRegion(i, t0, false)
+	p.endRegion(i, t0, false, err)
 	return err
 }
 
@@ -128,31 +128,36 @@ func (p *batchPlan) filled(evicted int64, err error) {
 	if err != nil {
 		return
 	}
-	p.e.countCacheMisses(1)
+	p.e.count(cCacheMisses, 1)
 	if evicted > 0 {
-		p.e.countCacheEvictions(evicted)
+		p.e.count(cCacheEvictions, evicted)
 	}
 }
 
-// traceStart reads the trace clock ahead of a region's front, when the
-// batch is traced.
-func (p *batchPlan) traceStart() (t0 time.Time) {
-	if p.span.Active() {
+// regionStart reads the clock ahead of a region's front, when the
+// batch is timed.
+func (p *batchPlan) regionStart() (t0 time.Time) {
+	if p.span.Timed() {
 		t0 = p.span.Clock().Now()
 	}
 	return t0
 }
 
-// traceRegion records the "evaluate" span of a region resolved without
-// a scan unit, with its fingerprint and cache outcome when a cache is
-// attached. Deferred regions are covered by their unit's span.
-func (p *batchPlan) traceRegion(i int, t0 time.Time, hit bool) {
-	if !p.span.Active() {
+// endRegion records the "evaluate" span [t0, now) of a region resolved
+// without a scan unit — traced with its fingerprint and cache outcome
+// when a cache is attached — and, for an execution, its engine.query
+// event. Deferred regions are covered by their unit's span.
+func (p *batchPlan) endRegion(i int, t0 time.Time, hit bool, err error) {
+	if !p.span.Timed() {
 		return
 	}
-	sp := p.span.AddChild("evaluate", t0, p.span.Clock().Now())
-	if p.cache != nil {
+	end := p.span.Clock().Now()
+	sp := p.span.AddChild("evaluate", t0, end)
+	if sp.Active() && p.cache != nil {
 		p.traceCache(sp, i, hit)
+	}
+	if !hit {
+		queryDone(sp.Observer(), p, end.Sub(t0), 1, err)
 	}
 }
 
@@ -255,15 +260,15 @@ func (p *batchPlan) runUnit(sc *regionScratch, u int, out []agg.Partial) error {
 // ran: normally a hit on that caller's result; should that execution
 // have failed, this one runs the region itself, whole.
 func (p *batchPlan) await(sc *regionScratch, i int, out []agg.Partial) error {
-	t0 := p.traceStart()
+	t0 := p.regionStart()
 	val, hit, evicted, err := p.cache.Do(p.cacheKey(i), func() (agg.Partial, error) {
 		err := p.whole(sc, i, out)
 		return out[i], err
 	})
 	if hit {
-		p.e.countCacheHits(1)
+		p.e.count(cCacheHits, 1)
 		out[i] = val
-		p.traceRegion(i, t0, true)
+		p.endRegion(i, t0, true, nil)
 	} else {
 		p.filled(evicted, err)
 	}
@@ -274,11 +279,11 @@ func (p *batchPlan) await(sc *regionScratch, i int, out []agg.Partial) error {
 // past the cache: its front and, if it gets that far, its scan stage as
 // a unit of one.
 func (p *batchPlan) whole(sc *regionScratch, i int, out []agg.Partial) error {
-	t0 := p.traceStart()
-	part, deferred, err := p.e.aggregateBound(p, sc, i)
+	t0 := p.regionStart()
+	part, deferred, err := p.e.aggregateRegion(p, sc, i)
 	if !deferred {
 		out[i] = part
-		p.traceRegion(i, t0, false)
+		p.endRegion(i, t0, false, err)
 		return err
 	}
 	one := [1]unitKey{{i: int32(i)}}
@@ -289,33 +294,24 @@ func (p *batchPlan) whole(sc *regionScratch, i int, out []agg.Partial) error {
 }
 
 // scan runs the scan stage of one unit's regions into out, reports it —
-// one "evaluate" phase observation and one "evaluate" span per unit —
-// and fills the members' cache claims.
+// one "evaluate" span per unit — and fills the members' cache claims.
 func (p *batchPlan) scan(sc *regionScratch, members []unitKey, out []agg.Partial) error {
 	e := p.e
-	eo := e.obsState.Load()
 	sp := p.span.StartChild("evaluate")
-	var ph obs.Span
-	if eo != nil {
-		ph = eo.o.StartPhase("evaluate")
-	}
 	var err error
 	if members[0].src == soloSrc {
 		i := int(members[0].i)
 		out[i], err = e.scanAggregate(p, sc, i)
 	} else {
-		err = p.foldSlab(sc, members, out, eo)
-	}
-	if eo != nil {
-		eo.queryDone(p, ph.End(), len(members), err)
+		err = p.foldSlab(sc, members, out, e.obsState.Load())
 	}
 	if sp.Active() {
 		sp.SetAttrs(obs.Int("regions", int64(len(members))))
 		if p.cache != nil && len(members) == 1 {
 			p.traceCache(sp, int(members[0].i), false)
 		}
-		sp.End()
 	}
+	queryDone(sp.Observer(), p, sp.End(), len(members), err)
 	if p.flights != nil {
 		for _, m := range members {
 			if fl := p.flights[m.i]; fl != nil {
@@ -378,7 +374,7 @@ func (p *batchPlan) foldSlab(sc *regionScratch, members []unitKey, out []agg.Par
 		return err
 	}
 	cands := ix.rows[first.lo:first.hi]
-	e.countRows(int64(len(cands)))
+	e.count(cRowsScanned, int64(len(cands)))
 	if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
 		eo.o.Debug("engine.scan", "table", b.q.Tables[0], "rows", int64(len(cands)),
 			"full_scan", false, "regions", len(members))
@@ -449,7 +445,7 @@ func (p *batchPlan) foldSlab(sc *regionScratch, members []unitKey, out []agg.Par
 			}
 		}
 	}
-	e.countTuples(tuples)
+	e.count(cTuplesExamined, tuples)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -42,8 +43,8 @@ func TestSnapshotResetCoherent(t *testing.T) {
 			}
 			pair.RLock()
 			c := e.stats.Load()
-			c.queries.Add(1)
-			c.rowsScanned.Add(1)
+			c[cQueries].Add(1)
+			c[cRowsScanned].Add(1)
 			pair.RUnlock()
 		}
 	}()
@@ -84,6 +85,33 @@ func TestStatsSub(t *testing.T) {
 		CacheHits: 5, CacheMisses: 4, CacheEvictions: 3}
 	if got != want {
 		t.Fatalf("Sub = %+v, want %+v", got, want)
+	}
+}
+
+// TestCounterTableCoversStats: the counter table names every Stats
+// field exactly once, each under its own series, so Snapshot, Sub and
+// the observer's mirrors can neither miss nor double a counter.
+func TestCounterTableCoversStats(t *testing.T) {
+	if n := reflect.TypeOf(Stats{}).NumField(); n != int(numCounters) {
+		t.Fatalf("Stats has %d fields, the counter table %d", n, numCounters)
+	}
+	var s Stats
+	names := map[string]bool{}
+	for k, c := range counters {
+		*c.field(&s) = int64(k + 1)
+		if c.name == "" || c.help == "" || names[c.name] {
+			t.Errorf("counter %d: name %q (duplicate or empty) or empty help", k, c.name)
+		}
+		names[c.name] = true
+	}
+	seen := map[int64]bool{}
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		if x := v.Field(i).Int(); x == 0 || seen[x] {
+			t.Errorf("Stats.%s is not set by exactly one counter", v.Type().Field(i).Name)
+		} else {
+			seen[x] = true
+		}
 	}
 }
 

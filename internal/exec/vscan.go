@@ -301,7 +301,7 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionSc
 
 	if ac.indexed {
 		candidates := ac.ix.rows[ac.lo:ac.hi]
-		e.countRows(int64(len(candidates)))
+		e.count(cRowsScanned, int64(len(candidates)))
 		if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
 			eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
 				"rows", int64(len(candidates)), "full_scan", false)
@@ -315,8 +315,9 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionSc
 	for _, s := range axisSkips {
 		blocksSkipped += s
 	}
-	e.countRows(rowsScanned)
-	e.countBlocks(blocksScanned, blocksSkipped)
+	e.count(cRowsScanned, rowsScanned)
+	e.count(cBlocksScanned, blocksScanned)
+	e.count(cBlocksSkipped, blocksSkipped)
 	if blocksSkipped > 0 {
 		e.countZoneAxisSkips(t, zps, axisSkips)
 	}
@@ -325,7 +326,7 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionSc
 	// but every tail block spans the whole domain. Surface it in stats
 	// instead of letting it look like silently-stale zone maps.
 	if t.ClusterTail() >= blockRows {
-		e.countDegradedScans(1)
+		e.count(cDegradedScans, 1)
 	}
 	if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
 		eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
@@ -453,7 +454,7 @@ func gatherFilterRange(cands []int32, lo, hi int, f *blockFilter, eo *engineObs,
 // of the given stride.
 func (e *Engine) finalizeVec(b *binding, region relq.Region, tuples []int32, stride int, pos []int) agg.Partial {
 	ntup := len(tuples) / stride
-	e.countTuples(int64(ntup))
+	e.count(cTuplesExamined, int64(ntup))
 	if ntup < parallelThreshold {
 		// parallelFold would run this same single chunk; calling it
 		// directly keeps the per-region closure off the heap.

@@ -44,8 +44,8 @@ func NewMux(reg *Registry, rec *FlightRecorder) *http.ServeMux {
 			return
 		}
 		st := rec.Stats()
-		fmt.Fprintf(w, "flight recorder: %d traces, %d bytes (added=%d kept=%d sampled=%d evicted=%d)\n",
-			st.Traces, st.Bytes, st.Added, st.Kept, st.Sampled, st.Evicted)
+		fmt.Fprintf(w, "flight recorder: %d traces, %d bytes (added=%d kept=%d sampled=%d rejected=%d evicted=%d)\n",
+			st.Traces, st.Bytes, st.Added, st.Kept, st.Sampled, st.Rejected, st.Evicted)
 		fmt.Fprintf(w, "%-24s %12s %8s %8s  %s\n", "id", "duration", "spans", "bytes", "export")
 		for _, t := range rec.Traces() {
 			fmt.Fprintf(w, "%-24s %12s %8d %8d  /debug/traces/%s\n",

@@ -65,7 +65,7 @@ func TestMuxEndpoints(t *testing.T) {
 	}
 
 	code, body, _ = get(t, srv, "/debug/traces")
-	if code != 200 || !strings.Contains(body, "search-9") {
+	if code != 200 || !strings.Contains(body, "search-9") || !strings.Contains(body, "sampled=0 rejected=0") {
 		t.Errorf("/debug/traces = %d:\n%s", code, body)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"log/slog"
 	"sync"
+	"time"
 )
 
 // Observer bundles the three observability channels — metric
@@ -23,8 +24,8 @@ type Observer struct {
 	searchID string
 	recorder *FlightRecorder
 
-	// phaseHists caches phase-name -> duration histogram so Span.End
-	// avoids the registry's name formatting and map lookup.
+	// phaseHists caches phase-name -> duration histogram so
+	// SpanRef.End avoids the registry's name formatting and map lookup.
 	phaseHists *sync.Map
 }
 
@@ -154,14 +155,31 @@ func (o *Observer) Histogram(name, help string, buckets []float64) *Histogram {
 	return o.reg.Histogram(name, help, buckets)
 }
 
-// StartPhase opens a timing span for the named phase. The returned
-// Span is a value; End() folds the duration into the phase histogram
-// and the search's phase collector.
-func (o *Observer) StartPhase(name string) Span {
+// StartSpan opens a span named name that times into o. Under a traced
+// parent it is also recorded in the parent's trace, as its child;
+// otherwise it is timing only. With a nil o and an untraced parent it
+// is the inert zero SpanRef. End closes it.
+func (o *Observer) StartSpan(parent SpanRef, name string) SpanRef {
+	return startSpan(o, parent.t, parent.id, name)
+}
+
+// StartTrace opens name as the root span of a new trace, identified by
+// the observer's search id and read on its clock, that times into o.
+// Nil-safe: a nil o records the trace without timing into any phase.
+func (o *Observer) StartTrace(name string) (*Trace, SpanRef) {
+	tr := NewTrace(o.SearchID(), o.Clock())
+	return tr, startSpan(o, tr, 0, name)
+}
+
+// observe folds one span's duration into the phase's duration
+// histogram (acquire_phase_duration_seconds{phase="<name>"}) and the
+// search-scoped phase collector.
+func (o *Observer) observe(name string, d time.Duration) {
 	if o == nil {
-		return Span{}
+		return
 	}
-	return Span{o: o, name: name, start: o.clock.Now()}
+	o.phaseHist(name).ObserveDuration(d)
+	o.phases.add(name, d)
 }
 
 // phaseHist resolves (caching) the duration histogram for a phase.

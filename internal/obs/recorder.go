@@ -33,12 +33,13 @@ const DefaultRecorderBytes = 8 << 20
 // RecorderStats counts a recorder's traffic for the /debug/traces
 // index and tests.
 type RecorderStats struct {
-	Added   int64 // traces offered via Add
-	Kept    int64 // traces accepted (currently held or later evicted)
-	Sampled int64 // fast traces dropped by 1-in-N sampling
-	Evicted int64 // kept traces later evicted by the byte cap
-	Bytes   int64 // current estimated resident bytes
-	Traces  int   // current trace count
+	Added    int64 // traces offered via Add
+	Kept     int64 // traces accepted (currently held or later evicted)
+	Sampled  int64 // fast traces dropped by 1-in-N sampling
+	Rejected int64 // traces dropped for exceeding the whole byte cap alone
+	Evicted  int64 // kept traces later evicted by the byte cap
+	Bytes    int64 // current estimated resident bytes
+	Traces   int   // current trace count
 }
 
 // FlightRecorder holds recently completed search traces in a bounded
@@ -107,7 +108,7 @@ func (r *FlightRecorder) Add(t *Trace) {
 	}
 	if b > r.cfg.MaxBytes {
 		// One over-cap trace can never be held without busting the cap.
-		r.stats.Sampled++
+		r.stats.Rejected++
 		return
 	}
 	r.stats.Kept++

@@ -145,6 +145,9 @@ func TestRecorderOverCapTrace(t *testing.T) {
 	if rec.Get("small") == nil {
 		t.Error("resident trace evicted for a rejected one")
 	}
+	if st := rec.Stats(); st.Sampled != 0 || st.Rejected != 1 {
+		t.Errorf("stats sampled=%d rejected=%d, want 0 and 1", st.Sampled, st.Rejected)
+	}
 }
 
 // TestRecorderNilSafe: every method on a nil recorder no-ops.

@@ -204,7 +204,8 @@ func TestNilFastPathAllocs(t *testing.T) {
 		c.Add(1)
 		g.Set(2)
 		h.Observe(3)
-		sp := o.StartPhase("fold")
+		sp := o.StartSpan(SpanRef{}, "fold")
+		sp.StartChild("evaluate").End()
 		sp.End()
 		o.Debug("event", "k", "v")
 		_ = reg.Counter("x", "")

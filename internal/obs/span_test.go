@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"strings"
@@ -32,12 +33,12 @@ func TestSpanDeterministicWithFakeClock(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
 	o := NewObserver(reg).WithClock(clk).ForSearch("s1")
 
-	sp := o.StartPhase("expand")
+	sp := o.StartSpan(SpanRef{}, "expand")
 	clk.Advance(250 * time.Millisecond)
 	if d := sp.End(); d != 250*time.Millisecond {
 		t.Fatalf("span duration = %v, want 250ms", d)
 	}
-	sp2 := o.StartPhase("expand")
+	sp2 := o.StartSpan(SpanRef{}, "expand")
 	clk.Advance(50 * time.Millisecond)
 	sp2.End()
 
@@ -55,13 +56,71 @@ func TestSpanDeterministicWithFakeClock(t *testing.T) {
 	}
 }
 
+// TestSpanRefOneTimer: one End times a span into the phase histogram
+// and the search's PhaseTimes and, when the ref is traced, closes its
+// trace record; children inherit the observer across a context hop,
+// traced or timing only.
+func TestSpanRefOneTimer(t *testing.T) {
+	reg := NewRegistry()
+	clk := NewFakeClock(time.Unix(0, 0))
+	o := NewObserver(reg).WithClock(clk).ForSearch("s")
+
+	tr, root := o.StartTrace("search")
+	if tr.ID() != "s" || !root.Active() || root.Observer() != o {
+		t.Fatalf("StartTrace = %q, %+v", tr.ID(), root)
+	}
+	clk.Advance(time.Millisecond)
+	layer := SpanFromContext(ContextWithSpan(context.Background(), root)).StartChild("layer")
+	clk.Advance(2 * time.Millisecond)
+	ev := layer.AddChild("evaluate", clk.Now().Add(-time.Millisecond), clk.Now())
+	layer.End()
+	root.End()
+
+	bare := o.StartSpan(SpanRef{}, "layer")
+	if bare.Active() || !bare.Timed() {
+		t.Fatalf("timing-only ref: active=%v timed=%v", bare.Active(), bare.Timed())
+	}
+	child := SpanFromContext(ContextWithSpan(context.Background(), bare)).StartChild("evaluate")
+	clk.Advance(time.Millisecond)
+	if d := child.End(); d != time.Millisecond {
+		t.Errorf("timing-only child = %v, want 1ms", d)
+	}
+	bare.End()
+
+	want := map[string]PhaseStat{
+		"search":   {Count: 1, Total: 3 * time.Millisecond},
+		"layer":    {Count: 2, Total: 3 * time.Millisecond},
+		"evaluate": {Count: 2, Total: 2 * time.Millisecond},
+	}
+	ph := o.Phases()
+	for name, w := range want {
+		if ph[name] != w {
+			t.Errorf("phase %q = %+v, want %+v", name, ph[name], w)
+		}
+		h := reg.Histogram(`acquire_phase_duration_seconds{phase="`+name+`"}`, "", nil)
+		if h.Count() != w.Count {
+			t.Errorf("phase %q histogram count = %d, want %d", name, h.Count(), w.Count)
+		}
+	}
+	spans := tr.Snapshot()
+	if len(spans) != 3 {
+		t.Fatalf("trace holds %d spans, want 3 (timing-only spans are not recorded)", len(spans))
+	}
+	if sp, _ := ev.Span(); sp.Parent != layer.ID() || sp.Duration() != time.Millisecond {
+		t.Errorf("evaluate record = %+v", sp)
+	}
+	if d := tr.Duration(); d != 3*time.Millisecond {
+		t.Errorf("trace duration = %v, want 3ms", d)
+	}
+}
+
 func TestForSearchIsolatesPhases(t *testing.T) {
 	o := NewObserver(nil)
 	a := o.ForSearch("a")
 	b := o.ForSearch("b")
 	clk := NewFakeClock(time.Unix(0, 0)).AutoAdvance(time.Millisecond)
 	a = a.WithClock(clk)
-	a.StartPhase("fold").End()
+	a.StartSpan(SpanRef{}, "fold").End()
 	if got := b.Phases(); len(got) != 0 {
 		t.Fatalf("search b sees search a's phases: %v", got)
 	}

@@ -169,26 +169,34 @@ func (t *Trace) SetMaxSpans(n int) {
 }
 
 // NewSpan starts a span under parent (0 for the root) reading the
-// start time from the trace clock. Returns the zero SpanRef when the
-// trace is nil or at its span cap.
+// start time from the trace clock. It records into the trace only and
+// times into no observer (Observer.StartSpan does both). Returns the
+// zero SpanRef when the trace is nil or at its span cap.
 func (t *Trace) NewSpan(parent SpanID, name string) SpanRef {
-	if t == nil {
-		return SpanRef{}
-	}
-	return t.addSpan(parent, name, t.clock.Now(), time.Time{})
+	return startSpan(nil, t, parent, name)
 }
 
-func (t *Trace) addSpan(parent SpanID, name string, start, end time.Time) SpanRef {
+// add appends a span and returns its id, or 0 when the trace is at its
+// span cap (the span is dropped and counted).
+func (t *Trace) add(parent SpanID, name string, start, end time.Time) SpanID {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if len(t.spans) >= t.maxSpans {
 		t.dropped++
-		t.mu.Unlock()
-		return SpanRef{}
+		return 0
 	}
 	id := SpanID(len(t.spans) + 1)
 	t.spans = append(t.spans, TraceSpan{ID: id, Parent: parent, Name: name, Start: start, End: end})
+	return id
+}
+
+// end closes span id at end; a span already ended keeps its first end.
+func (t *Trace) end(id SpanID, end time.Time) {
+	t.mu.Lock()
+	if int(id) >= 1 && int(id) <= len(t.spans) && t.spans[id-1].End.IsZero() {
+		t.spans[id-1].End = end
+	}
 	t.mu.Unlock()
-	return SpanRef{t: t, id: id}
 }
 
 // Snapshot returns a copy of every span recorded so far, in start
@@ -285,54 +293,98 @@ func (t *Trace) Bytes() int64 {
 	return n
 }
 
-// SpanRef is a value handle to one span of a Trace. The zero SpanRef
-// — what every constructor returns when tracing is off — is inert:
-// StartChild returns another zero ref, SetAttrs and End do nothing,
-// and none of them allocate, so traced code needs no branches.
+// SpanRef is the one timer of the repository: a value handle to one
+// timed span. It carries the observer it times into and, when the
+// search is traced, the Trace it is recorded in. End feeds the phase
+// histogram acquire_phase_duration_seconds{phase="<name>"} and the
+// observer's search-scoped PhaseTimes, and closes the trace's record.
+// A ref with an observer and no trace times without recording; one
+// with a trace and no observer records without timing into a phase.
+//
+// The zero SpanRef — what every constructor returns when neither is
+// present — is inert: StartChild returns another zero ref, SetAttrs and
+// End do nothing, and none of them read the clock or allocate, so
+// instrumented code needs no branches.
 type SpanRef struct {
-	t  *Trace
-	id SpanID
+	o     *Observer
+	t     *Trace
+	id    SpanID
+	name  string
+	start time.Time
 }
 
-// Active reports whether the ref addresses a live trace; callers
-// guard attr-building (which allocates) behind it on hot paths.
+// startSpan opens a span named name under span parent of t (nil t: no
+// trace) that times into o.
+func startSpan(o *Observer, t *Trace, parent SpanID, name string) SpanRef {
+	if o == nil && t == nil {
+		return SpanRef{}
+	}
+	s := SpanRef{o: o, name: name}
+	if t == nil {
+		s.start = o.Clock().Now()
+		return s
+	}
+	s.start = t.clock.Now()
+	if s.id = t.add(parent, name, s.start, time.Time{}); s.id != 0 {
+		s.t = t
+	}
+	return s
+}
+
+// Active reports whether the ref is recorded in a trace; callers guard
+// attr-building (which allocates) behind it on hot paths.
 func (s SpanRef) Active() bool { return s.t != nil }
 
-// Trace returns the owning trace (nil for the zero ref).
+// Timed reports whether End measures anything: the ref times into an
+// observer or is recorded in a trace. False only for the inert ref.
+func (s SpanRef) Timed() bool { return s.o != nil || s.t != nil }
+
+// Observer returns the observer the ref times into (nil when none).
+func (s SpanRef) Observer() *Observer { return s.o }
+
+// Trace returns the owning trace (nil when the ref is not recorded).
 func (s SpanRef) Trace() *Trace { return s.t }
 
-// ID returns the span's id (0 for the zero ref).
+// ID returns the span's id (0 when the ref is not recorded).
 func (s SpanRef) ID() SpanID { return s.id }
 
-// Clock returns the owning trace's clock (Real for the zero ref).
+// Clock returns the clock the ref reads: its trace's, else its
+// observer's (Real for the zero ref).
 func (s SpanRef) Clock() Clock {
-	if s.t == nil {
-		return Real
+	if s.t != nil {
+		return s.t.clock
 	}
-	return s.t.clock
+	return s.o.Clock()
 }
 
-// StartChild starts a child span under this one. Zero ref in, zero
-// ref out — and zero allocations either way until a span is recorded.
+// StartChild starts a child span that times into the same observer
+// and, when this ref is recorded, is recorded as its child. Zero ref
+// in, zero ref out — and zero allocations either way until a span is
+// recorded.
 func (s SpanRef) StartChild(name string) SpanRef {
-	if s.t == nil {
-		return SpanRef{}
-	}
-	return s.t.NewSpan(s.id, name)
+	return startSpan(s.o, s.t, s.id, name)
 }
 
-// AddChild attaches an already-timed child span: callers that measure
-// an interval themselves record it once it is over, without holding
-// the trace mutex mid-flight.
+// AddChild attaches an already-timed child span [start, end): callers
+// that learn only once an interval is over whether it is a span of its
+// own record it then. It is timed and recorded as StartChild's span
+// would be.
 func (s SpanRef) AddChild(name string, start, end time.Time) SpanRef {
-	if s.t == nil {
+	if !s.Timed() {
 		return SpanRef{}
 	}
-	return s.t.addSpan(s.id, name, start, end)
+	c := SpanRef{o: s.o, name: name, start: start}
+	if s.t != nil {
+		if c.id = s.t.add(s.id, name, start, end); c.id != 0 {
+			c.t = s.t
+		}
+	}
+	s.o.observe(name, max(end.Sub(start), 0))
+	return c
 }
 
-// SetAttrs appends attributes to the span. Building the attr slice
-// allocates, so hot paths call this only under Active().
+// SetAttrs appends attributes to the span's trace record. Building the
+// attr slice allocates, so hot paths call this only under Active().
 func (s SpanRef) SetAttrs(attrs ...Attr) {
 	if s.t == nil || len(attrs) == 0 {
 		return
@@ -345,24 +397,21 @@ func (s SpanRef) SetAttrs(attrs ...Attr) {
 	s.t.mu.Unlock()
 }
 
-// End closes the span at the trace clock's current time and returns
-// its duration. No-op (0) on the zero ref; ending twice keeps the
-// first end time.
+// End closes the span at the clock's current time, times it into the
+// observer and returns its duration. No-op (0) on the zero ref. End a
+// ref once: a recorded span keeps its first end time, but each End
+// feeds the phase histogram.
 func (s SpanRef) End() time.Duration {
-	if s.t == nil {
+	if !s.Timed() {
 		return 0
 	}
-	now := s.t.clock.Now()
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	if int(s.id) < 1 || int(s.id) > len(s.t.spans) {
-		return 0
+	end := s.Clock().Now()
+	if s.t != nil {
+		s.t.end(s.id, end)
 	}
-	sp := &s.t.spans[s.id-1]
-	if sp.End.IsZero() {
-		sp.End = now
-	}
-	return sp.Duration()
+	d := max(end.Sub(s.start), 0)
+	s.o.observe(s.name, d)
+	return d
 }
 
 // Span returns a copy of the underlying TraceSpan record (ok=false
@@ -382,11 +431,13 @@ func (s SpanRef) Span() (TraceSpan, bool) {
 // spanCtxKey keys the current SpanRef in a context.Context.
 type spanCtxKey struct{}
 
-// ContextWithSpan returns a context carrying s as the current span.
-// An inactive ref returns ctx unchanged (no allocation), so the
-// disabled path threads contexts for free.
+// ContextWithSpan returns a context carrying s as the current span, so
+// spans opened below it — the engine's, across the evaluation-layer
+// call — time into its observer and nest in its trace. It carries a
+// timing-only ref too. The zero ref returns ctx unchanged (no
+// allocation), so the uninstrumented path threads contexts for free.
 func ContextWithSpan(ctx context.Context, s SpanRef) context.Context {
-	if s.t == nil {
+	if !s.Timed() {
 		return ctx
 	}
 	return context.WithValue(ctx, spanCtxKey{}, s)
