@@ -177,6 +177,10 @@ type Session struct {
 	// cacheBytes is the region-cache capacity (0 = caching off); kept
 	// so an evaluation-layer switch re-attaches an equally sized cache.
 	cacheBytes int64
+	// approx rebuilds the active approximate evaluation layer from the
+	// current catalog with the settings it was made with (UseSampling,
+	// UseHistograms); nil under exact execution.
+	approx func() error
 }
 
 // NewSession creates an empty session; load tables with LoadCSV or
@@ -296,9 +300,11 @@ type CacheStats = regioncache.Stats
 // EnableCache attaches a cross-search partial-aggregate cache to the
 // session's evaluation layer: every region the refinement search
 // dispatches is first looked up by its canonical (query shape,
-// aggregate spec, region) fingerprint, so repeated or overlapping
+// aggregate spec, region) fingerprint, and the regions it missed are
+// stored when their batch succeeds, so repeated or overlapping
 // searches — including concurrent ones on this session — reuse each
-// other's work. Cached partials are the exact bytes a cold execution
+// other's work. Two searches that miss a region at the same moment
+// both execute it. Cached partials are the exact bytes a cold execution
 // produces, so results are bit-identical with the cache on, off or
 // pre-warmed. maxBytes bounds the cache's memory (LRU eviction);
 // 0 selects DefaultCacheBytes. A sampling evaluation layer keeps its
@@ -358,7 +364,7 @@ func (s *Session) UseSampling(fraction float64, seed int64) error {
 	if s.cacheBytes > 0 {
 		sampled.SetRegionCache(regioncache.New(s.cacheBytes))
 	}
-	s.eval = sampled
+	s.eval, s.approx = sampled, func() error { return s.UseSampling(fraction, seed) }
 	return nil
 }
 
@@ -370,12 +376,12 @@ func (s *Session) UseHistograms(buckets int) error {
 	if err != nil {
 		return err
 	}
-	s.eval = ev
+	s.eval, s.approx = ev, func() error { return s.UseHistograms(buckets) }
 	return nil
 }
 
 // UseExact restores exact execution (the default evaluation layer).
-func (s *Session) UseExact() { s.eval = s.eng }
+func (s *Session) UseExact() { s.eval, s.approx = s.eng, nil }
 
 // Explain renders a human-readable summary of a refinement result: the
 // search profile and the recommended (or closest) query.
@@ -470,8 +476,13 @@ func (s *Session) ApplyTaxonomy(tree *Taxonomy, table, column string, target []s
 	// The replacement keeps the row count, which generation checks
 	// cannot see: drop all engine state derived from the old table.
 	s.eng.InvalidateTable(table)
-	if sm, ok := s.eval.(*exec.Sampled); ok {
-		sm.InvalidateRegionCache()
+	// A sample or histograms drawn from the old table lack the new
+	// column: rebuild them, with the same fraction and seed or bucket
+	// count.
+	if s.approx != nil {
+		if err := s.approx(); err != nil {
+			return Dimension{}, err
+		}
 	}
 	return dim, nil
 }

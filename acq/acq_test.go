@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -200,20 +201,7 @@ func TestCategoricalRewrite(t *testing.T) {
 		t.Fatalf("fixed = %d", len(q.Fixed))
 	}
 
-	// Geography taxonomy à la Figure 7(a).
-	tax := NewTaxonomy("World")
-	tax.MustAdd("World", "EastCoast")
-	tax.MustAdd("World", "WestCoast")
-	tax.MustAdd("World", "Central")
-	tax.MustAdd("EastCoast", "Boston")
-	tax.MustAdd("EastCoast", "New York")
-	tax.MustAdd("EastCoast", "Miami")
-	tax.MustAdd("WestCoast", "Seattle")
-	tax.MustAdd("WestCoast", "Portland")
-	tax.MustAdd("Central", "Austin")
-	tax.MustAdd("Central", "Chicago")
-	tax.MustAdd("Central", "Denver")
-
+	tax := geoTaxonomy()
 	rq, err := s.RewriteCategorical(q, 0, tax)
 	if err != nil {
 		t.Fatalf("RewriteCategorical: %v", err)
@@ -232,6 +220,77 @@ func TestCategoricalRewrite(t *testing.T) {
 	// Error paths.
 	if _, err := s.RewriteCategorical(q, 5, tax); err == nil {
 		t.Error("index out of range: expected error")
+	}
+}
+
+// geoTaxonomy is a geography taxonomy à la Figure 7(a).
+func geoTaxonomy() *Taxonomy {
+	tax := NewTaxonomy("World")
+	tax.MustAdd("World", "EastCoast")
+	tax.MustAdd("World", "WestCoast")
+	tax.MustAdd("World", "Central")
+	tax.MustAdd("EastCoast", "Boston")
+	tax.MustAdd("EastCoast", "New York")
+	tax.MustAdd("EastCoast", "Miami")
+	tax.MustAdd("WestCoast", "Seattle")
+	tax.MustAdd("WestCoast", "Portland")
+	tax.MustAdd("Central", "Austin")
+	tax.MustAdd("Central", "Chicago")
+	tax.MustAdd("Central", "Denver")
+	return tax
+}
+
+// A categorical rewrite reaches the active evaluation layer: after
+// UseSampling or UseHistograms, the rewritten query refines over the
+// new distance column, exactly as on a session that switched to the
+// same layer only after the rewrite.
+func TestCategoricalRewriteEveryLayer(t *testing.T) {
+	const sql = `SELECT * FROM users CONSTRAINT COUNT(*) = 800
+		WHERE (location IN ('Boston', 'New York')) AND age <= 30`
+	layers := map[string]func(s *Session) error{
+		"exact":      func(s *Session) error { s.UseExact(); return nil },
+		"sampling":   func(s *Session) error { return s.UseSampling(0.5, 11) },
+		"histograms": func(s *Session) error { return s.UseHistograms(16) },
+	}
+	for name, use := range layers {
+		t.Run(name, func(t *testing.T) {
+			refine := func(useFirst bool) *Result {
+				s, err := NewUsersSession(2000, 0, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if useFirst {
+					if err := use(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				q, err := s.Parse(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rq, err := s.RewriteCategorical(q, 0, geoTaxonomy())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !useFirst {
+					if err := use(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := s.Refine(rq, Options{Gamma: 12, Delta: 0.05})
+				if err != nil {
+					t.Fatalf("refine after the rewrite: %v", err)
+				}
+				return res
+			}
+			before, after := refine(true), refine(false)
+			if !before.Satisfied && before.Closest == nil {
+				t.Fatalf("refine produced nothing: %+v", before)
+			}
+			if before.Satisfied != after.Satisfied || !reflect.DeepEqual(before.Queries, after.Queries) {
+				t.Errorf("layer chosen before the rewrite refines differently:\n%+v\nafter: %+v", before.Queries, after.Queries)
+			}
+		})
 	}
 }
 

@@ -67,8 +67,10 @@ func TestSessionCacheRepeatedSearch(t *testing.T) {
 
 // Eight goroutines interleaving two searches on one session must agree
 // exactly with an uncached single-threaded session over the same data,
-// and the shared cache must absorb the duplicated work. The session
-// race test's concurrency contract, extended to the cache. Run under
+// and the shared cache must absorb the duplicated work. One search per
+// SQL finishes before the other six start, so those six find its
+// regions stored whatever the scheduling. The session race test's
+// concurrency contract, extended to the cache. Run under
 // `go test -race`.
 func TestSessionCacheConcurrentSessions(t *testing.T) {
 	sqls := []string{
@@ -101,6 +103,9 @@ func TestSessionCacheConcurrentSessions(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
 	for g := 0; g < goroutines; g++ {
+		if g == len(sqls) {
+			wg.Wait()
+		}
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()

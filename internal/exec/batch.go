@@ -25,7 +25,10 @@ import (
 // Aggregate computes for the region, bit for bit, so results are
 // deterministic — identical for every worker count.
 // Cancellation is checked before each region and unit; on cancellation
-// or the first error the pool drains and the error is returned.
+// or the first error the pool drains and the error is returned. With a
+// region cache attached, the regions the cache missed are stored once
+// both rounds have succeeded; a failed or cancelled batch stores
+// nothing.
 func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []relq.Region) ([]agg.Partial, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -75,24 +78,23 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 				obs.Int("cache_misses", d.CacheMisses))
 		}()
 	}
-	defer p.abandon()
 	scs := make([]regionScratch, max(w, 1))
 	if err := drain(ctx, scs, len(regions), func(sc *regionScratch, i int) error {
 		return p.front(sc, i, out)
 	}); err != nil {
 		return nil, err
 	}
-	if len(p.deferred) == 0 {
-		return out, nil
+	if len(p.deferred) > 0 {
+		if err := p.planUnits(ctx, scs, out); err != nil {
+			return nil, err
+		}
+		if err := drain(ctx, scs, len(p.units), func(sc *regionScratch, u int) error {
+			return p.runUnit(sc, u, out)
+		}); err != nil {
+			return nil, err
+		}
 	}
-	if err := p.planUnits(ctx, scs, out); err != nil {
-		return nil, err
-	}
-	if err := drain(ctx, scs, len(p.units), func(sc *regionScratch, u int) error {
-		return p.runUnit(sc, u, out)
-	}); err != nil {
-		return nil, err
-	}
+	p.store(out)
 	return out, nil
 }
 

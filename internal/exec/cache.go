@@ -9,9 +9,11 @@ import (
 
 // SetRegionCache attaches a cross-search partial-aggregate cache: every
 // region dispatched through AggregateBatch is first looked up by its
-// canonical (query shape, aggregate spec, region) fingerprint, and
-// misses fill the cache for later — or concurrent — searches. The cache
-// may be shared between engines over the same data; nil detaches.
+// canonical (query shape, aggregate spec, region) fingerprint, and the
+// partials of the regions it missed are stored when their batch
+// succeeds, for later searches. The cache may be shared between engines
+// over the same data; nil detaches. Two batches that miss the same
+// region at the same moment both execute it.
 //
 // Hits return exactly the partial a cold execution produced, so search
 // results stay bit-identical with the cache on, off, or pre-warmed.
@@ -96,16 +98,16 @@ func (e *Engine) batchFingerprint(q *relq.Query, b *binding) relq.Fingerprint {
 }
 
 // attachCache points the plan's region executions at the engine's
-// region cache, if one is attached: every region first consults the
-// cache under its (query shape, region) fingerprint, and concurrent
-// identical regions — including ones dispatched by other sessions
-// sharing the cache — collapse onto one execution (front, in
-// sharedrive.go). A hit returns the stored partial without touching
-// the execution path — Stats.Queries does not move; a miss executes
-// exactly once per key and stores the result. The query-shape
-// fingerprint is computed once per batch.
+// region cache, if one is attached: every region's front first looks it
+// up under its (query shape, region) fingerprint (front, in
+// sharedrive.go). A hit returns the stored partial without touching the
+// execution path — Stats.Queries does not move; a miss executes as
+// without a cache, and AggregateBatch stores its partial once the batch
+// has succeeded. The query-shape fingerprint is computed once per
+// batch, and the cache generation is read here, before any region runs,
+// so an Invalidate during the batch keeps its partials out.
 func (p *batchPlan) attachCache(q *relq.Query) {
 	if c := p.e.regionCache.Load(); c != nil {
-		p.cache, p.fp = c, p.e.batchFingerprint(q, p.b)
+		p.cache, p.fp, p.gen = c, p.e.batchFingerprint(q, p.b), c.Gen()
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -21,9 +22,8 @@ func priceQuery() *relq.Query {
 	})
 }
 
-// randomRegions draws n distinct cells from a 10x10 grid so that hit
-// and miss counts within one batch are exact (duplicate regions would
-// hit the cache mid-batch).
+// randomRegions draws n distinct cells from a 10x10 grid, so a cold
+// batch's misses are exactly its regions.
 func randomRegions(rng *rand.Rand, n int) []relq.Region {
 	cells := rng.Perm(100)[:n]
 	regions := make([]relq.Region, n)
@@ -197,9 +197,11 @@ func TestRegionCacheInvalidateMatchesColdRun(t *testing.T) {
 
 // Concurrent sessions hammering one shared cache (stats_race pattern):
 // 10 goroutines interleave overlapping batches on one engine; every
-// result must be byte-identical to an uncached reference engine, and
-// hits+misses must account for every dispatched region. Run under
-// `go test -race`.
+// result must be byte-identical to an uncached reference engine,
+// hits+misses must account for every dispatched region, and exactly the
+// misses execute. Two batches that miss a region at once both execute
+// it, so the executions are not bounded by the unique regions. Run
+// under `go test -race`.
 func TestRegionCacheConcurrentSessions(t *testing.T) {
 	cat := smallCatalog(t, 10, 500, 19)
 	e := New(cat)
@@ -265,9 +267,9 @@ func TestRegionCacheConcurrentSessions(t *testing.T) {
 	if st.CacheHits == 0 {
 		t.Error("no cache hits across concurrent sessions")
 	}
-	// Singleflight + cache: unique regions execute at most once each.
-	if st.Queries > int64(len(regions)) {
-		t.Errorf("executed %d queries for %d unique regions", st.Queries, len(regions))
+	// Every region the cache missed executed, and nothing else did.
+	if st.Queries != st.CacheMisses {
+		t.Errorf("executed %d queries for %d cache misses", st.Queries, st.CacheMisses)
 	}
 	cs := e.RegionCache().Stats()
 	if cs.Hits != st.CacheHits || cs.Misses != st.CacheMisses {
@@ -297,5 +299,79 @@ func TestRegionCacheEdgeCases(t *testing.T) {
 	}
 	if d := e.Snapshot().Sub(before); d.CacheMisses != 0 || d.Queries != 3 {
 		t.Errorf("detached engine still counting cache traffic: %+v", d)
+	}
+}
+
+// A cached batch that fails stores nothing: the next batch over the
+// same regions misses every one of them and executes it, and only then
+// does a third batch hit.
+func TestRegionCacheErrorNotCached(t *testing.T) {
+	e := New(smallCatalog(t, 10, 300, 31))
+	e.SetRegionCache(regioncache.New(1 << 20))
+	q := priceQuery()
+	regions := randomRegions(rand.New(rand.NewSource(37)), 12)
+	bad := append(append([]relq.Region{}, regions...), relq.Region{{Lo: -1, Hi: 0}})
+	if _, err := e.AggregateBatch(context.Background(), q, bad); err == nil {
+		t.Fatal("batch with a wrong-arity region did not error")
+	}
+	if n := e.RegionCache().Len(); n != 0 {
+		t.Fatalf("failed batch stored %d partials", n)
+	}
+	before := e.Snapshot()
+	cold, err := e.AggregateBatch(context.Background(), q, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := e.Snapshot().Sub(before)
+	if d.CacheHits != 0 || d.CacheMisses != int64(len(regions)) || d.Queries != int64(len(regions)) {
+		t.Errorf("batch after a failed one: %+v, want %d misses executed and no hits", d, len(regions))
+	}
+	before = e.Snapshot()
+	warm, err := e.AggregateBatch(context.Background(), q, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := e.Snapshot().Sub(before); d.CacheHits != int64(len(regions)) || d.Queries != 0 {
+		t.Errorf("third batch: %+v, want all hits", d)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Error("warm partials differ from cold")
+	}
+}
+
+// A batch that holds one region twice misses it twice and executes it
+// twice — nothing is stored until the batch ends — and both copies get
+// the uncached engine's partial. Hits plus misses equals the regions
+// dispatched, cold and warm.
+func TestRegionCacheDuplicateRegions(t *testing.T) {
+	cat := smallCatalog(t, 10, 300, 41)
+	e := New(cat)
+	e.SetRegionCache(regioncache.New(1 << 20))
+	q := priceQuery()
+	rs := randomRegions(rand.New(rand.NewSource(43)), 3)
+	regions := []relq.Region{rs[0], rs[1], rs[0], rs[2], rs[0]}
+	want, err := New(cat).AggregateBatch(context.Background(), q, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass, wantHits := range []int64{0, int64(len(regions))} {
+		before := e.Snapshot()
+		got, err := e.AggregateBatch(context.Background(), q, regions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: %+v, want %+v", pass, got, want)
+		}
+		if got[0] != got[2] || got[0] != got[4] {
+			t.Errorf("pass %d: copies of one region differ: %+v", pass, got)
+		}
+		d := e.Snapshot().Sub(before)
+		if d.CacheHits+d.CacheMisses != int64(len(regions)) || d.CacheHits != wantHits || d.Queries != d.CacheMisses {
+			t.Errorf("pass %d: %+v, want %d hits of %d regions and one execution per miss", pass, d, wantHits, len(regions))
+		}
+	}
+	if n := e.RegionCache().Len(); n != len(rs) {
+		t.Errorf("cache holds %d entries, want %d", n, len(rs))
 	}
 }

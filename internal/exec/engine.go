@@ -66,15 +66,15 @@ type Stats struct {
 	BoundaryRows int64
 	// CellsGrouped counts cells answered from a search's grouped table.
 	CellsGrouped int64
-	// CacheHits counts region executions answered from the attached
-	// region cache (including joins onto another caller's in-flight
-	// execution) — these never reach Queries.
+	// CacheHits counts regions answered from the attached region cache
+	// — these never reach Queries.
 	CacheHits int64
-	// CacheMisses counts region executions that went through the cache
-	// and had to execute (each also increments Queries).
+	// CacheMisses counts regions the cache did not hold, which then
+	// executed (each also increments Queries). Two batches that miss the
+	// same region at once both count a miss and both execute it.
 	CacheMisses int64
 	// CacheEvictions counts entries displaced from the region cache by
-	// fills attributed to this engine.
+	// stores attributed to this engine.
 	CacheEvictions int64
 	// DegradedScans counts full scans over clustered tables whose
 	// unsorted append tail has outgrown the block size — the layout

@@ -109,7 +109,7 @@ func (p *batchPlan) groupCells(g *cellGroup, sc *regionScratch, out []agg.Partia
 	keep, n := p.deferred[:0], 0
 	for _, k := range p.deferred {
 		maxc, ok := 0, false
-		if k.src != waitSrc && g.counts != nil {
+		if g.counts != nil {
 			maxc, ok = p.cellCoords(p.regions[k.i], sc.cell)
 		}
 		if !ok || maxc > g.h {
@@ -124,10 +124,7 @@ func (p *batchPlan) groupCells(g *cellGroup, sc *regionScratch, out []agg.Partia
 		if c := int64((*g.counts)[id]); c > 0 {
 			part = agg.Partial{Count: c, Sum: float64(c), Min: 1, Max: 1}
 		}
-		if out[k.i], n = part, n+1; p.flights != nil && p.flights[k.i] != nil {
-			p.filled(p.flights[k.i].Fill(part, nil), nil)
-			p.flights[k.i] = nil
-		}
+		out[k.i], n = part, n+1
 	}
 	p.deferred = keep
 	p.e.count(cCellsGrouped, int64(n))
@@ -140,10 +137,7 @@ func (p *batchPlan) rentOrBuy(ctx context.Context, g *cellGroup, scs []regionScr
 	maxc, rent, members := -1, g.gathered, 0
 	var prev unitKey
 	for _, k := range p.deferred {
-		m, ok := 0, false
-		if k.src != waitSrc {
-			m, ok = p.cellCoords(p.regions[k.i], sc.cell)
-		}
+		m, ok := p.cellCoords(p.regions[k.i], sc.cell)
 		if !ok {
 			continue
 		}

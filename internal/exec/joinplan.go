@@ -169,21 +169,24 @@ type batchPlan struct {
 	*planMemo // nil unless the query joins tables
 
 	// AggregateBatch's dispatch state: the attached region cache with
-	// the batch's query-shape fingerprint, and the tracing span region
-	// executions nest under (zero value: inert).
+	// the batch's query-shape fingerprint and the cache generation read
+	// before any region ran, and the tracing span region executions nest
+	// under (zero value: inert).
 	cache *regioncache.Cache
 	fp    relq.Fingerprint
+	gen   uint64
 	span  obs.SpanRef
 
 	// The drive-shared scan stage (sharedrive.go) of a plan whose
 	// regions scan one table: a region that gets past its front is not
 	// scanned there but deferred, and the deferred regions are cut into
-	// the units a second round of dispatch drains. flights holds the
-	// cache claims of the deferred regions (nil without a cache).
-	mu       sync.Mutex // guards deferred while the fronts run
+	// the units a second round of dispatch drains. missed lists the
+	// regions the cache did not hold (nil without a cache, or when every
+	// region hit).
+	mu       sync.Mutex // guards deferred and missed while the fronts run
 	deferred []unitKey
 	units    []unitSpan
-	flights  []*regioncache.Flight
+	missed   []int32
 	// A groupable batch's lattice scope and its build's rows (grouped.go).
 	gscope      *joinScope
 	groupedRows int64

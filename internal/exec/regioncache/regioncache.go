@@ -7,11 +7,13 @@
 // across any searches that evaluate the same region of the same query
 // shape.
 //
-// Concurrent misses on one key collapse onto a single in-flight
-// execution (singleflight): the first caller runs the loader, every
-// concurrent caller for the same key blocks and shares the result.
-// Loader errors are never cached — each waiter retries with its own
-// loader, so one caller's cancellation cannot poison another's result.
+// The protocol is a lookup and a store: a caller Gets a key before it
+// executes the region and Puts the partial once the execution has
+// succeeded. There is no in-flight state, so two callers that miss the
+// same key at the same moment both execute it; their partials are the
+// same bits, and the second Put refreshes the entry. A Put carries the
+// generation (Gen) read before the execution started, and Invalidate
+// bumps it, so a value computed across an Invalidate is dropped.
 //
 // Values are agg.Partial structs stored by value; a hit returns exactly
 // the bytes a cold execution produced, so cached searches stay
@@ -20,6 +22,7 @@ package regioncache
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"acquire/internal/agg"
 )
@@ -48,29 +51,12 @@ type entry struct {
 	prev, next *entry
 }
 
-// Flight is one in-flight execution of a key. Its holder — Do, or the
-// caller TryClaim handed it to — executes the region and must call Fill
-// exactly once, whatever the outcome; until then concurrent callers for
-// the key block on done, and afterwards read val/err.
-type Flight struct {
-	c    *Cache
-	k    Key
-	gen  uint64 // the shard's generation at claim time
-	done chan struct{}
-	val  agg.Partial
-	err  error
-}
-
 type shard struct {
 	mu    sync.Mutex
 	table map[Key]*entry
 	head  *entry // most recently used
 	tail  *entry // least recently used
 	bytes int64
-	// gen is bumped by Invalidate; a fill whose flight started under an
-	// older generation is discarded instead of resurrecting stale data.
-	gen      uint64
-	inflight map[Key]*Flight
 
 	hits, misses, evictions int64
 }
@@ -80,6 +66,9 @@ type shard struct {
 type Cache struct {
 	shards   [numShards]shard
 	capShard int64
+	// gen is bumped by Invalidate; a Put carrying an older generation
+	// is dropped instead of resurrecting stale data.
+	gen atomic.Uint64
 }
 
 // Stats is a point-in-time summary of cache effectiveness and
@@ -100,7 +89,6 @@ func New(maxBytes int64) *Cache {
 	}
 	for i := range c.shards {
 		c.shards[i].table = make(map[Key]*entry)
-		c.shards[i].inflight = make(map[Key]*Flight)
 	}
 	return c
 }
@@ -109,89 +97,8 @@ func (c *Cache) shard(k Key) *shard {
 	return &c.shards[(k.Lo^k.Hi)&(numShards-1)]
 }
 
-// Do returns the cached partial for k, or executes fn exactly once to
-// fill it. hit reports whether the value came from the cache (including
-// joining another caller's in-flight execution); evicted is the number
-// of entries displaced by the fill. Errors are returned uncached.
-func (c *Cache) Do(k Key, fn func() (agg.Partial, error)) (val agg.Partial, hit bool, evicted int64, err error) {
-	s := c.shard(k)
-	for {
-		v, ok, own, other := c.claim(s, k)
-		if ok {
-			return v, true, 0, nil
-		}
-		if other != nil {
-			<-other.done
-			if other.err == nil {
-				s.mu.Lock()
-				s.hits++
-				s.mu.Unlock()
-				return other.val, true, 0, nil
-			}
-			// The owner failed (possibly its own cancellation): retry
-			// with our fn rather than inheriting a foreign error.
-			continue
-		}
-		val, err = fn()
-		return val, false, own.Fill(val, err), err
-	}
-}
-
-// TryClaim is Do's first half for a caller that computes several keys
-// in one pass and fills them afterwards. It never blocks, so claims may
-// be held while further keys are claimed. One of three things happens:
-// the key is resident (hit); the caller now owns its execution (fl is
-// non-nil and counts as the miss); or another execution of the key is
-// in flight (neither) — then come back through Do, which waits for it,
-// once every claim of one's own is filled.
-func (c *Cache) TryClaim(k Key) (val agg.Partial, hit bool, fl *Flight) {
-	val, hit, fl, _ = c.claim(c.shard(k), k)
-	return val, hit, fl
-}
-
-// claim looks k up and registers a flight for it when it is neither
-// resident nor in flight; other is the in-flight execution otherwise.
-func (c *Cache) claim(s *shard, k Key) (val agg.Partial, hit bool, own, other *Flight) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.table[k]; ok {
-		s.touch(e)
-		s.hits++
-		return e.val, true, nil, nil
-	}
-	if f, ok := s.inflight[k]; ok {
-		return val, false, nil, f
-	}
-	f := &Flight{c: c, k: k, gen: s.gen, done: make(chan struct{})}
-	s.inflight[k] = f
-	s.misses++
-	return val, false, f, nil
-}
-
-// Fill ends the flight with the execution's outcome: a value is stored
-// (unless Invalidate ran since the claim) and handed to the waiters, an
-// error sends each waiter off to execute for itself. It returns the
-// number of entries the fill displaced.
-func (f *Flight) Fill(val agg.Partial, err error) (evicted int64) {
-	s := f.c.shard(f.k)
-	f.val, f.err = val, err
-	s.mu.Lock()
-	// Only the registered flight may deregister itself: Invalidate
-	// swaps the inflight map, and a successor flight for the same
-	// key may already be registered there.
-	if s.inflight[f.k] == f {
-		delete(s.inflight, f.k)
-	}
-	if err == nil && s.gen == f.gen {
-		evicted = s.insert(f.k, val, f.c.capShard)
-	}
-	s.mu.Unlock()
-	close(f.done)
-	return evicted
-}
-
-// Get returns the cached partial for k, refreshing its recency. It
-// does not join in-flight executions; the engine path goes through Do.
+// Get returns the cached partial for k, refreshing its recency, and
+// counts the lookup as a hit or a miss.
 func (c *Cache) Get(k Key) (agg.Partial, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -205,6 +112,22 @@ func (c *Cache) Get(k Key) (agg.Partial, bool) {
 	return agg.Partial{}, false
 }
 
+// Gen returns the current generation. Read it before executing the
+// regions whose partials are to be Put.
+func (c *Cache) Gen() uint64 { return c.gen.Load() }
+
+// Put stores v under k unless Invalidate has run since gen was read,
+// and returns the number of entries the store displaced.
+func (c *Cache) Put(k Key, v agg.Partial, gen uint64) (evicted int64) {
+	s := c.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c.gen.Load() != gen {
+		return 0
+	}
+	return s.insert(k, v, c.capShard)
+}
+
 // Contains reports whether k is resident without touching its recency —
 // eviction-order tests peek through it.
 func (c *Cache) Contains(k Key) bool {
@@ -215,19 +138,19 @@ func (c *Cache) Contains(k Key) bool {
 	return ok
 }
 
-// Invalidate drops every entry and detaches every in-flight execution:
-// loaders that already started still deliver to their current waiters,
-// but their results are not stored and later callers start fresh. Call
-// it after mutating data the cached partials were computed over.
+// Invalidate drops every entry and bumps the generation, so partials
+// computed before it are not stored by a later Put. Call it after
+// mutating data the cached partials were computed over.
 func (c *Cache) Invalidate() {
+	// Bump first: a Put that saw the old generation holds its shard's
+	// lock, so it lands before that shard is cleared below.
+	c.gen.Add(1)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.table = make(map[Key]*entry)
-		s.inflight = make(map[Key]*Flight)
 		s.head, s.tail = nil, nil
 		s.bytes = 0
-		s.gen++
 		s.mu.Unlock()
 	}
 }
@@ -289,8 +212,8 @@ func (s *shard) pushFront(e *entry) {
 // until the shard fits its byte budget. Caller holds the shard lock.
 func (s *shard) insert(k Key, v agg.Partial, capBytes int64) (evicted int64) {
 	if e, ok := s.table[k]; ok {
-		// A concurrent fill for the same key under a newer generation
-		// already landed; refresh the value and recency.
+		// Another caller that missed the key stored it first; refresh
+		// the value and recency.
 		e.val = v
 		s.touch(e)
 		return 0

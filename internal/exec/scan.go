@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"acquire/internal/relq"
 )
@@ -38,92 +37,33 @@ func (e *Engine) ViolationScan(q *relq.Query) ([]RowViolations, error) {
 		return nil, fmt.Errorf("exec: ViolationScan does not support join dimensions")
 	}
 	e.count(cQueries, 1)
-	return e.violationScanVec(b, b.tables[0].NumRows())
+	return e.violationScanVec(b), nil
 }
 
-// violationScanVec scans block at a time: fixed ranges and
-// string sets run through the shared selection-vector filter
-// primitives, and blocks a fixed-range zone map proves empty are
-// skipped without touching rows. RowsScanned counts only rows in
-// visited blocks; skipped blocks are reported via BlocksSkipped. The
-// emitted rows are in ascending row order; a NaN under a fixed range is
-// rejected, as on every access path (filterRange).
-func (e *Engine) violationScanVec(b *binding, n int) ([]RowViolations, error) {
-	t := b.tables[0]
-	ranges := b.ranges[0]
-	strs := b.strFlts[0]
-	var zps []zonePred
-	for i := range ranges {
-		rb := &ranges[i]
-		if math.IsInf(rb.lo, -1) && math.IsInf(rb.hi, 1) {
-			continue
-		}
-		zps = append(zps, zonePred{zm: e.zoneMapFor(t, rb.ord, rb.vec), lo: rb.lo, hi: rb.hi})
-	}
-	eo := e.obsState.Load()
-
+// violationScanVec runs the full-scan branch of vscanTable — the fixed
+// ranges and string sets over every block, zone-map skips and the
+// in-order fan-out included — and then computes the survivors'
+// violation vectors. The emitted rows are in ascending row order; a NaN
+// under a fixed range is rejected, as on every access path
+// (filterRange).
+func (e *Engine) violationScanVec(b *binding) []RowViolations {
+	f := blockFilter{ranges: b.ranges[0], strs: b.strFlts[0], driven: -1}
+	rows := e.fullScan(b, 0, &f, e.obsState.Load(), nil)
 	d := len(b.q.Dims)
-	out := make([]RowViolations, 0, n)
+	out := make([]RowViolations, len(rows))
 	// One flat backing array for all violation vectors: a 1M-row scan
-	// must not allocate 1M tiny slices. Its capacity is n*d, so
-	// extending the length never reallocates (which would invalidate
-	// earlier sub-slices).
-	backing := make([]float64, 0, n*d)
-	var buf [blockRows]int32
-	nb := numBlocks(n)
-	var rows, scanned, skipped int64
-	for bi := 0; bi < nb; bi++ {
-		lo := bi * blockRows
-		hi := min(lo+blockRows, n)
-		if blockSkippable(zps, bi) {
-			skipped++
-			continue
+	// must not allocate 1M tiny slices.
+	backing := make([]float64, len(rows)*d)
+	for k, r := range rows {
+		viol := backing[k*d : (k+1)*d : (k+1)*d]
+		for _, sd := range b.selDims {
+			viol[sd.di] = sd.dim.Violation(sd.vec[r])
 		}
-		scanned++
-		rows += int64(hi - lo)
-		sel := buf[:0]
-		for r := lo; r < hi; r++ {
-			sel = append(sel, int32(r))
+		v := 1.0
+		if b.aggTbl >= 0 {
+			v = b.aggVec[r]
 		}
-		for i := range ranges {
-			if len(sel) == 0 {
-				break
-			}
-			sel = filterRange(sel, ranges[i].vec, ranges[i].lo, ranges[i].hi)
-		}
-		for i := range strs {
-			if len(sel) == 0 {
-				break
-			}
-			sel = filterStringIn(sel, strs[i].vec, strs[i].set)
-		}
-		observeDensity(eo, len(sel), hi-lo)
-		for _, r := range sel {
-			start := len(backing)
-			backing = backing[:start+d]
-			viol := backing[start : start+d]
-			for _, sd := range b.selDims {
-				viol[sd.di] = sd.dim.Violation(sd.vec[r])
-			}
-			v := 1.0
-			if b.aggTbl >= 0 {
-				v = b.aggVec[r]
-			}
-			out = append(out, RowViolations{Row: r, Viol: viol, AggValue: v})
-		}
+		out[k] = RowViolations{Row: r, Viol: viol, AggValue: v}
 	}
-	e.count(cRowsScanned, rows)
-	e.count(cBlocksScanned, scanned)
-	e.count(cBlocksSkipped, skipped)
-	return out, nil
-}
-
-// Count is a convenience wrapper: the COUNT(*) of the query restricted
-// to the region, regardless of the query's own constraint aggregate.
-func (e *Engine) Count(q *relq.Query, region relq.Region) (int64, error) {
-	p, err := e.Aggregate(q, region)
-	if err != nil {
-		return 0, err
-	}
-	return p.Count, nil
+	return out
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -46,7 +45,7 @@ import (
 // unitKey places one deferred region in the batch's unit order.
 type unitKey struct {
 	// src is the predicate the region's slab is driven from
-	// (scanDrive.src), or one of the two sentinels below.
+	// (scanDrive.src), or soloSrc for a region that scans alone.
 	src int32
 	// lo, hi delimit the slab in src's sorted index.
 	lo, hi int32
@@ -54,14 +53,8 @@ type unitKey struct {
 	rows   int32 // what the region's scan gathers alone (grouped.go's rent)
 }
 
-const (
-	// soloSrc marks a region that scans alone, per region.
-	soloSrc = -1
-	// waitSrc marks a region another caller is executing right now (the
-	// region cache says so); its unit waits for that result. It sorts
-	// after every other unit: see front for why that matters.
-	waitSrc = math.MaxInt32
-)
+// soloSrc marks a region that scans alone, per region.
+const soloSrc = -1
 
 // unitSpan is one unit: the deferred regions keys[lo:hi].
 type unitSpan struct{ lo, hi int32 }
@@ -72,46 +65,40 @@ type unitSpan struct{ lo, hi int32 }
 // drive still spreads over the workers.
 const maxUnitMembers = 64
 
-// errAbandoned ends the flights of deferred regions whose batch stopped
-// (an error, a cancellation) before their unit ran; callers waiting on
-// them execute for themselves.
-var errAbandoned = errors.New("exec: batch ended before the region was executed")
-
 // front runs the first round for region i: it either resolves the
 // region into out[i] or defers it to the units.
 //
-// With a region cache the region is claimed first. A hit resolves it; a
-// claim makes this batch the region's one execution, and if the region
-// is deferred the claim stays open until its unit fills it. A region
-// some other caller has claimed becomes a wait unit. Those run last, so
-// by the time a worker blocks in one, every unit holding claims of this
-// batch has been taken by a worker that does not block — two batches
-// waiting on each other's regions cannot deadlock.
+// With a region cache the region is looked up first. A hit resolves it;
+// a miss is recorded in p.missed, whose partials AggregateBatch stores
+// once the whole batch has succeeded, and the region runs as it would
+// without a cache.
 func (p *batchPlan) front(sc *regionScratch, i int, out []agg.Partial) error {
 	e := p.e
 	t0 := p.regionStart()
-	var fl *regioncache.Flight
 	if p.cache != nil {
-		val, hit, f := p.cache.TryClaim(p.cacheKey(i))
-		if hit {
+		if val, hit := p.cache.Get(p.cacheKey(i)); hit {
 			e.count(cCacheHits, 1)
 			out[i] = val
 			p.endRegion(i, t0, true, nil)
 			return nil
 		}
-		if f == nil {
-			p.deferRegion(i, waitSrc, nil)
-			return nil
+		e.count(cCacheMisses, 1)
+		p.mu.Lock()
+		if p.missed == nil {
+			p.missed = make([]int32, 0, len(p.regions))
 		}
-		fl = f
+		p.missed = append(p.missed, int32(i))
+		p.mu.Unlock()
 	}
 	part, deferred, err := e.aggregateRegion(p, sc, i)
 	if deferred {
-		p.deferRegion(i, 0, fl)
+		p.mu.Lock()
+		if p.deferred == nil {
+			p.deferred = make([]unitKey, 0, len(p.regions))
+		}
+		p.deferred = append(p.deferred, unitKey{i: int32(i)})
+		p.mu.Unlock()
 		return nil
-	}
-	if fl != nil {
-		p.filled(fl.Fill(part, err), err)
 	}
 	out[i] = part
 	p.endRegion(i, t0, false, err)
@@ -123,12 +110,14 @@ func (p *batchPlan) cacheKey(i int) regioncache.Key {
 	return regioncache.Key{Hi: k.Hi, Lo: k.Lo}
 }
 
-// filled counts one executed region's trip through the cache.
-func (p *batchPlan) filled(evicted int64, err error) {
-	if err != nil {
-		return
+// store puts the missed regions' partials into the cache, under the
+// generation read before the batch ran. AggregateBatch calls it only
+// after both rounds succeeded.
+func (p *batchPlan) store(out []agg.Partial) {
+	var evicted int64
+	for _, i := range p.missed {
+		evicted += p.cache.Put(p.cacheKey(int(i)), out[i], p.gen)
 	}
-	p.e.count(cCacheMisses, 1)
 	if evicted > 0 {
 		p.e.count(cCacheEvictions, evicted)
 	}
@@ -167,23 +156,6 @@ func (p *batchPlan) traceCache(sp obs.SpanRef, i int, hit bool) {
 		obs.Bool("cache_hit", hit))
 }
 
-// deferRegion hands region i to the second round, with the cache claim
-// its unit is to fill, if it holds one.
-func (p *batchPlan) deferRegion(i int, src int32, fl *regioncache.Flight) {
-	p.mu.Lock()
-	if p.deferred == nil {
-		p.deferred = make([]unitKey, 0, len(p.regions))
-	}
-	p.deferred = append(p.deferred, unitKey{src: src, i: int32(i)})
-	if fl != nil {
-		if p.flights == nil {
-			p.flights = make([]*regioncache.Flight, len(p.regions))
-		}
-		p.flights[i] = fl
-	}
-	p.mu.Unlock()
-}
-
 // place chooses the deferred region's access path and keys it by the
 // slab it drives from.
 func (p *batchPlan) place(sc *regionScratch, key *unitKey) error {
@@ -217,10 +189,8 @@ func (p *batchPlan) planUnits(ctx context.Context, scs []regionScratch, out []ag
 	}
 	keys := p.deferred
 	for k := range keys {
-		if keys[k].src != waitSrc {
-			if err := p.place(sc, &keys[k]); err != nil {
-				return err
-			}
+		if err := p.place(sc, &keys[k]); err != nil {
+			return err
 		}
 	}
 	slices.SortFunc(keys, func(a, b unitKey) int {
@@ -235,7 +205,7 @@ func (p *batchPlan) planUnits(ctx context.Context, scs []regionScratch, out []ag
 	}
 	for lo := 0; lo < len(keys); {
 		hi := lo + 1
-		if first := keys[lo]; first.src != soloSrc && first.src != waitSrc {
+		if first := keys[lo]; first.src != soloSrc {
 			for hi < len(keys) && hi-lo < maxUnitMembers &&
 				keys[hi].src == first.src && keys[hi].lo == first.lo && keys[hi].hi == first.hi {
 				hi++
@@ -249,35 +219,12 @@ func (p *batchPlan) planUnits(ctx context.Context, scs []regionScratch, out []ag
 
 // runUnit executes unit u of the second round.
 func (p *batchPlan) runUnit(sc *regionScratch, u int, out []agg.Partial) error {
-	members := p.deferred[p.units[u].lo:p.units[u].hi]
-	if members[0].src == waitSrc {
-		return p.await(sc, int(members[0].i), out)
-	}
-	return p.scan(sc, members, out)
-}
-
-// await resolves a region another caller was executing when its front
-// ran: normally a hit on that caller's result; should that execution
-// have failed, this one runs the region itself, whole.
-func (p *batchPlan) await(sc *regionScratch, i int, out []agg.Partial) error {
-	t0 := p.regionStart()
-	val, hit, evicted, err := p.cache.Do(p.cacheKey(i), func() (agg.Partial, error) {
-		err := p.whole(sc, i, out)
-		return out[i], err
-	})
-	if hit {
-		p.e.count(cCacheHits, 1)
-		out[i] = val
-		p.endRegion(i, t0, true, nil)
-	} else {
-		p.filled(evicted, err)
-	}
-	return err
+	return p.scan(sc, p.deferred[p.units[u].lo:p.units[u].hi], out)
 }
 
 // whole executes region i start to finish on the calling goroutine,
 // past the cache: its front and, if it gets that far, its scan stage as
-// a unit of one.
+// a unit of one. It is Aggregate's path.
 func (p *batchPlan) whole(sc *regionScratch, i int, out []agg.Partial) error {
 	t0 := p.regionStart()
 	part, deferred, err := p.e.aggregateRegion(p, sc, i)
@@ -293,8 +240,8 @@ func (p *batchPlan) whole(sc *regionScratch, i int, out []agg.Partial) error {
 	return p.scan(sc, one[:], out)
 }
 
-// scan runs the scan stage of one unit's regions into out, reports it —
-// one "evaluate" span per unit — and fills the members' cache claims.
+// scan runs the scan stage of one unit's regions into out and reports
+// it: one "evaluate" span per unit.
 func (p *batchPlan) scan(sc *regionScratch, members []unitKey, out []agg.Partial) error {
 	e := p.e
 	sp := p.span.StartChild("evaluate")
@@ -312,26 +259,7 @@ func (p *batchPlan) scan(sc *regionScratch, members []unitKey, out []agg.Partial
 		}
 	}
 	queryDone(sp.Observer(), p, sp.End(), len(members), err)
-	if p.flights != nil {
-		for _, m := range members {
-			if fl := p.flights[m.i]; fl != nil {
-				p.flights[m.i] = nil
-				p.filled(fl.Fill(out[m.i], err), err)
-			}
-		}
-	}
 	return err
-}
-
-// abandon ends every claim the batch still holds. It is a no-op after a
-// batch that ran all its units.
-func (p *batchPlan) abandon() {
-	for i, fl := range p.flights {
-		if fl != nil {
-			p.flights[i] = nil
-			fl.Fill(agg.Zero(), errAbandoned)
-		}
-	}
 }
 
 // sharedDims is the number of select dimensions whose violation

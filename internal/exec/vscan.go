@@ -280,8 +280,6 @@ func (e *Engine) zonePreds(t *data.Table, f *blockFilter) []zonePred {
 // conservative image of its violation bound, so its filter stays, but
 // runs last, over the survivors of the others.
 func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionScratch, out []int32) ([]int32, error) {
-	t := b.tables[ti]
-	n := t.NumRows()
 	ac, err := e.accessPath(b, region, ti, sc)
 	if err != nil || ac.empty {
 		return out, err
@@ -308,9 +306,16 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionSc
 		}
 		return e.blockFilterRows(candidates, f, eo, out), nil
 	}
+	return e.fullScan(b, ti, f, eo, out), nil
+}
 
+// fullScan runs f over every block of table ti in ascending row order,
+// skipping the blocks a zone map proves candidate-free, appends the
+// survivors to out and counts the scan.
+func (e *Engine) fullScan(b *binding, ti int, f *blockFilter, eo *engineObs, out []int32) []int32 {
+	t := b.tables[ti]
 	zps := e.zonePreds(t, f)
-	out, rowsScanned, blocksScanned, axisSkips := e.blockScan(n, zps, f, eo, out)
+	out, rowsScanned, blocksScanned, axisSkips := e.blockScan(t.NumRows(), zps, f, eo, out)
 	var blocksSkipped int64
 	for _, s := range axisSkips {
 		blocksSkipped += s
@@ -333,7 +338,7 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionSc
 			"rows", rowsScanned, "full_scan", true,
 			"blocks_scanned", blocksScanned, "blocks_skipped", blocksSkipped)
 	}
-	return out, nil
+	return out
 }
 
 // tableKey is the canonical (lower-cased) catalog key of a table.

@@ -8,6 +8,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"acquire/internal/data"
 )
@@ -250,16 +251,7 @@ func (g *Grid) AnyInBox(box []Interval) (bool, error) {
 func (g *Grid) OccupiedCells() int {
 	n := 0
 	for _, w := range g.bits {
-		n += popcount(w)
-	}
-	return n
-}
-
-func popcount(w uint64) int {
-	n := 0
-	for w != 0 {
-		w &= w - 1
-		n++
+		n += bits.OnesCount64(w)
 	}
 	return n
 }

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -243,32 +244,11 @@ func (g *Grid) AggIndex(col string) int {
 		return -1
 	}
 	for i, c := range g.aggs.cols {
-		if equalFold(c, col) {
+		if strings.EqualFold(c, col) {
 			return i
 		}
 	}
 	return -1
-}
-
-// equalFold is strings.EqualFold without the import (ASCII column
-// names only reach here).
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // NumCells returns the total cell count of the grid.
