@@ -14,10 +14,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The three sizes every ROADMAP re-anchor quotes: non-test Go lines under
-# internal/exec, non-test Go lines outside bench/, and _test.go lines.
+# The sizes every ROADMAP re-anchor quotes: non-test Go lines under
+# internal/exec and internal/core, non-test Go lines outside bench/, and
+# _test.go lines.
 loc:
 	@printf 'internal/exec source lines:  %s\n' "$$(find internal/exec -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'internal/core source lines:  %s\n' "$$(find internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'source lines outside bench/: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@printf 'test lines (_test.go):       %s\n' "$$(find . -name '*_test.go' | xargs cat | wc -l)"
 

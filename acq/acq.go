@@ -74,12 +74,6 @@ type (
 	UDA = agg.UDA
 	// Partial is a mergeable aggregate summary fed to UDA finalizers.
 	Partial = agg.Partial
-	// Tracer receives search events (Options.Trace).
-	Tracer = core.Tracer
-	// TraceBuffer is a Tracer recording every event.
-	TraceBuffer = core.TraceBuffer
-	// TraceEvent is one step of the refinement search.
-	TraceEvent = core.TraceEvent
 	// BinSearchOptions tunes the BinSearch baseline.
 	BinSearchOptions = baseline.BinSearchOptions
 	// TQGenOptions tunes the TQGen baseline.

@@ -39,7 +39,7 @@ func main() {
 	// best refinement found before the interrupt — is still reported.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "acquire: interrupted")
 			os.Exit(130)
@@ -49,8 +49,11 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, out io.Writer) error {
+// run executes the command line args, printing results to out and
+// notes, -log-json events and flag errors to errOut.
+func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("acquire", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	var (
 		dataset     = fs.String("dataset", "", "generated dataset: tpch or users (alternative to -load)")
 		rows        = fs.Int("rows", 100000, "generated dataset size")
@@ -67,7 +70,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cacheMB     = fs.Int("cache-mb", 64, "partial-aggregate cache capacity in MiB (with -cache)")
 		maxOut      = fs.Int("max", 5, "maximum refined queries to print")
 		taxPath     = fs.String("taxonomy", "", "make a string predicate refinable: column=outline-file (§7.3)")
-		explain     = fs.Bool("explain", false, "print the search trace (one line per explored refined query)")
+		explain     = fs.Bool("explain", false, "print the search's events as tables: one row per explored grid query (search.point), then one per Expand layer (search.layer)")
 		show        = fs.Int("show", 0, "materialise up to N result rows of the best refined query")
 		saveDir     = fs.String("save", "", "write every loaded/generated table to this directory as CSV")
 		metrics     = fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address (e.g. :8080)")
@@ -114,16 +117,25 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// Observability: -metrics-addr serves the session registry live
 	// (curl addr/metrics mid-search); -log-json streams the structured
-	// event feed; the -trace-* flags record hierarchical search traces
-	// into a flight recorder served at /debug/traces and archived to
-	// -trace-dir. All attach the same observer, so they compose.
+	// event feed and -explain tabulates its search.point and
+	// search.layer events; the -trace-* flags record hierarchical search
+	// traces into a flight recorder served at /debug/traces and archived
+	// to -trace-dir. All attach the same observer, so they compose.
 	tracing := *traceDir != "" || *traceSample > 0 || *traceSlow > 0
 	var rec *acq.FlightRecorder
-	if *metrics != "" || *logJSON || tracing {
+	var table *explainRows
+	if *metrics != "" || *logJSON || *explain || tracing {
 		reg := s.Metrics()
+		var h slog.Handler
 		if *logJSON {
-			logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}))
-			s.Observe(s.Observer().WithLogger(logger))
+			h = slog.NewJSONHandler(errOut, &slog.HandlerOptions{Level: slog.LevelDebug})
+		}
+		if *explain {
+			table = &explainRows{}
+			h = explainHandler{rows: table, next: h}
+		}
+		if h != nil {
+			s.Observe(s.Observer().WithLogger(slog.New(h)))
 		}
 		if tracing {
 			rec = s.EnableTracing(acq.RecorderConfig{
@@ -136,7 +148,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				return err
 			}
 			defer shutdown()
-			fmt.Fprintf(os.Stderr, "acquire: serving metrics on http://%s/metrics (pprof at /debug/pprof/, traces at /debug/traces)\n", addr)
+			fmt.Fprintf(errOut, "acquire: serving metrics on http://%s/metrics (pprof at /debug/pprof/, traces at /debug/traces)\n", addr)
 		}
 	}
 
@@ -211,7 +223,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	if *gridAgg {
-		if err := buildGridAgg(s, q); err != nil {
+		if err := buildGridAgg(s, q, errOut); err != nil {
 			return err
 		}
 	}
@@ -228,10 +240,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	before := s.Stats() // the search's own work is counted from here
 
 	opts := acq.Options{Gamma: *gamma, Delta: *delta, Norm: n}
-	var trace acq.TraceBuffer
-	if *explain {
-		opts.Trace = &trace
-	}
 	res, runErr := s.RefineContext(ctx, q, opts)
 	if runErr != nil && res == nil {
 		return runErr
@@ -240,8 +248,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		// Cancelled mid-search: report what was found before bailing.
 		fmt.Fprintf(out, "search interrupted — partial results after %d explored queries:\n", res.Explored)
 	}
-	if *explain {
-		if _, err := trace.WriteTo(out); err != nil {
+	if table != nil {
+		if _, err := table.WriteTo(out); err != nil {
 			return err
 		}
 	}
@@ -250,7 +258,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "acquire: wrote %d trace(s) to %s\n", n, *traceDir)
+		fmt.Fprintf(errOut, "acquire: wrote %d trace(s) to %s\n", n, *traceDir)
 	}
 	st := s.Stats().Sub(before)
 	fmt.Fprintf(out, "explored %d refined queries via %d evaluation-layer executions (%d rows scanned)\n",
@@ -308,9 +316,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // column, materializing the constraint's aggregate column when it lives
 // on the queried table. Multi-table queries and non-select dimensions
 // are skipped with a note — the box kernel never engages for them.
-func buildGridAgg(s *acq.Session, q *acq.Query) error {
+func buildGridAgg(s *acq.Session, q *acq.Query, errOut io.Writer) error {
 	if len(q.Tables) != 1 {
-		fmt.Fprintln(os.Stderr, "acquire: -gridagg skipped (multi-table query)")
+		fmt.Fprintln(errOut, "acquire: -gridagg skipped (multi-table query)")
 		return nil
 	}
 	var cols []string
@@ -320,7 +328,7 @@ func buildGridAgg(s *acq.Session, q *acq.Query) error {
 		switch d.Kind {
 		case acq.SelectLE, acq.SelectGE, acq.SelectEQ:
 		default:
-			fmt.Fprintln(os.Stderr, "acquire: -gridagg skipped (non-select dimension)")
+			fmt.Fprintln(errOut, "acquire: -gridagg skipped (non-select dimension)")
 			return nil
 		}
 		key := strings.ToLower(d.Col.Column)
@@ -330,7 +338,7 @@ func buildGridAgg(s *acq.Session, q *acq.Query) error {
 		}
 	}
 	if len(cols) == 0 {
-		fmt.Fprintln(os.Stderr, "acquire: -gridagg skipped (no refinable dimensions)")
+		fmt.Fprintln(errOut, "acquire: -gridagg skipped (no refinable dimensions)")
 		return nil
 	}
 	var aggCols []string
@@ -345,7 +353,7 @@ func buildGridAgg(s *acq.Session, q *acq.Query) error {
 	if err := s.BuildGridAggIndex(q.Tables[0], cols, aggCols, bins); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "acquire: aggregate grid over %s(%s) at %d bins/dim\n",
+	fmt.Fprintf(errOut, "acquire: aggregate grid over %s(%s) at %d bins/dim\n",
 		q.Tables[0], strings.Join(cols, ","), bins)
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +15,7 @@ import (
 func runCLI(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	var sb strings.Builder
-	err := run(context.Background(), args, &sb)
+	err := run(context.Background(), args, &sb, io.Discard)
 	return sb.String(), err
 }
 

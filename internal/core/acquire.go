@@ -18,21 +18,6 @@ import (
 	"acquire/internal/relq"
 )
 
-// FrontierKind selects the Expand phase's query generator.
-type FrontierKind uint8
-
-const (
-	// FrontierAuto picks BFS for L1, the layer enumerator for L∞, and
-	// the priority frontier for everything else.
-	FrontierAuto FrontierKind = iota
-	// FrontierBFS forces Algorithm 1 (valid for L1; ablation hook).
-	FrontierBFS
-	// FrontierLInfLayers forces Algorithm 2.
-	FrontierLInfLayers
-	// FrontierPriority forces the monotone-norm priority frontier.
-	FrontierPriority
-)
-
 // Options tunes ACQUIRE. The zero value gets the paper's sensible
 // defaults (§2.3, §8: γ=10, δ=0.05, L1 norm, b=8 repartition rounds).
 type Options struct {
@@ -57,11 +42,6 @@ type Options struct {
 	// computation, re-executing every refined query whole — the
 	// ablation quantifying §5's contribution.
 	NoIncremental bool
-	// Frontier overrides frontier selection.
-	Frontier FrontierKind
-	// Trace, when set, receives one event per explored grid query
-	// (cmd/acquire -explain; tests).
-	Trace Tracer
 	// Observer, when set, receives the search's metrics (counters,
 	// layer gauges, per-phase duration histograms), phase spans and
 	// structured events (internal/obs). All layer/span timing reads
@@ -169,10 +149,7 @@ func RunContext(ctx context.Context, e Evaluator, q *relq.Query, opts Options) (
 	}
 
 	x := newExplorer(e, q, sp, spec, !opts.NoIncremental)
-	fr, err := makeFrontier(opts, x.lat)
-	if err != nil {
-		return nil, err
-	}
+	fr := makeFrontier(opts.Norm, x.lat)
 	// One scope for the whole search: a join's per-table slabs are
 	// scanned once per search, not once per layer (exec/joinplan.go), and
 	// a single-table COUNT(*) search's cells may share one grouped table
@@ -184,11 +161,11 @@ func RunContext(ctx context.Context, e Evaluator, q *relq.Query, opts Options) (
 
 // openRoot opens the root span of a search named name, timed into the
 // search's observer: under the caller's traced span in ctx, else, when
-// fresh, as the root of a new trace for the observer's flight recorder,
-// else timing only. Without an observer or a trace the SpanRef is the
-// zero value and every use of it is free.
-func openRoot(ctx context.Context, name string, fresh bool, opts Options, dims int) (tr *obs.Trace, root obs.SpanRef) {
-	if parent := obs.SpanFromContext(ctx); parent.Active() || !fresh {
+// the observer has a flight recorder, as the root of a new trace for
+// it, else timing only. Without an observer or a trace the SpanRef is
+// the zero value and every use of it is free.
+func openRoot(ctx context.Context, name string, opts Options, dims int) (tr *obs.Trace, root obs.SpanRef) {
+	if parent := obs.SpanFromContext(ctx); parent.Active() || !opts.Observer.TracingEnabled() {
 		root = opts.Observer.StartSpan(parent, name)
 	} else {
 		tr, root = opts.Observer.StartTrace(name)
@@ -238,12 +215,10 @@ func runSearch(ctx context.Context, q *relq.Query, fr frontier, x *explorer, spe
 	// nothing (see internal/obs). Every phase is one obs.SpanRef, timed
 	// on the observer's Clock so deterministic tests inject a fake clock.
 	o := opts.Observer
-	lt, _ := opts.Trace.(LayerTracer)
 
-	// Hierarchical tracing: one span tree per search, fresh when a
-	// LayerTracer is attached too, so the CLI's -explain layer table is
-	// always derived from the same span tree /debug/traces serves.
-	tr, root := openRoot(ctx, "search", o.TracingEnabled() || lt != nil, opts, q.NumDims())
+	// Hierarchical tracing: one span tree per search when a flight
+	// recorder is attached.
+	tr, root := openRoot(ctx, "search", opts, q.NumDims())
 
 	o.Counter("acquire_searches_total", "Refinement searches started.").Inc()
 	pointsC := o.Counter("acquire_search_points_explored_total", "Grid queries investigated across all searches.")
@@ -449,17 +424,10 @@ search:
 					repartitioned = true
 				}
 			}
-			outcome := classify(ev <= opts.Delta, overshoots, repartitioned)
-			if opts.Trace != nil {
-				opts.Trace.Event(TraceEvent{
-					Seq: res.Explored - 1, Scores: slices.Clone(scores), QScore: qs,
-					Aggregate: actual, Err: ev,
-					Outcome: outcome,
-				})
-			}
 			if o.LogEnabled(slog.LevelDebug) {
-				o.Debug("search.point", "seq", res.Explored-1, "qscore", qs,
-					"aggregate", actual, "err", ev, "outcome", outcome)
+				o.Debug("search.point", "seq", res.Explored-1, "scores", slices.Clone(scores),
+					"qscore", qs, "aggregate", actual, "err", ev,
+					"outcome", classify(ev <= opts.Delta, overshoots, repartitioned))
 			}
 		}
 		fsp.End()
@@ -467,19 +435,6 @@ search:
 		lsp.SetAttrs(obs.Int("layer", int64(layerIdx)), obs.Float("qscore", qs0),
 			obs.Int("width", int64(len(layer))), obs.Int("batch_width", int64(batchWidth)))
 		layerWall := lsp.End()
-		if lt != nil {
-			// Single source of truth: the CLI's layer table is derived
-			// from the very span /debug/traces serves. The literal
-			// fallback only fires when the trace hit its span cap.
-			if ev, ok := LayerEventFromSpan(lsp); ok {
-				lt.LayerDone(ev)
-			} else {
-				lt.LayerDone(LayerEvent{
-					Layer: layerIdx, QScore: qs0, Width: len(layer),
-					BatchWidth: batchWidth, Wall: layerWall,
-				})
-			}
-		}
 		if o.LogEnabled(slog.LevelInfo) {
 			o.Info("search.layer", "layer", layerIdx, "qscore", qs0,
 				"width", len(layer), "batch_width", batchWidth,
@@ -565,33 +520,17 @@ func repartition(ctx context.Context, x *explorer, id int32, spec agg.Spec, errF
 	return relq.RefinedQuery{}, false, nil
 }
 
-func makeFrontier(opts Options, lat *lattice) (frontier, error) {
-	kind := opts.Frontier
-	if kind == FrontierAuto {
-		switch {
-		case opts.Norm.Infinite():
-			kind = FrontierLInfLayers
-		case isPlainL1(opts.Norm):
-			kind = FrontierBFS
-		default:
-			kind = FrontierPriority
-		}
-	}
-	switch kind {
-	case FrontierBFS:
-		if !isPlainL1(opts.Norm) {
-			return nil, fmt.Errorf("core: BFS frontier (Algorithm 1) is only order-correct for the L1 norm; use FrontierPriority for %s", opts.Norm.Name())
-		}
-		return newBFSFrontier(lat), nil
-	case FrontierLInfLayers:
-		if !opts.Norm.Infinite() {
-			return nil, fmt.Errorf("core: L∞ layer frontier (Algorithm 2) requires an L∞ norm")
-		}
-		return newLInfFrontier(lat), nil
-	case FrontierPriority:
-		return newPriorityFrontier(lat, qscorer(lat, opts.Norm)), nil
+// makeFrontier returns the Expand algorithm the norm calls for, as in
+// the paper: Algorithm 1 for L1, Algorithm 2 for L∞, and the priority
+// frontier for every other monotone norm.
+func makeFrontier(n norms.Norm, lat *lattice) frontier {
+	switch {
+	case n.Infinite():
+		return newLInfFrontier(lat)
+	case isPlainL1(n):
+		return newBFSFrontier(lat)
 	default:
-		return nil, fmt.Errorf("core: unknown frontier kind %d", kind)
+		return newPriorityFrontier(lat, qscorer(lat, n))
 	}
 }
 

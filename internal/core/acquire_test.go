@@ -320,9 +320,9 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 			// Relative error on every aggregate: under the default hinge
 			// a SUM or MAX above its target satisfies and never overshoots.
 			opts := Options{Gamma: gamma, Delta: delta, RepartitionDepth: depth, ErrFn: agg.RelativeError}
-			var trace TraceBuffer
+			log := &eventLog{}
 			naiveOpts := opts
-			naiveOpts.NoIncremental, naiveOpts.Trace = true, &trace
+			naiveOpts.NoIncremental, naiveOpts.Observer = true, log.observer()
 			naive, err := Run(plain, q, naiveOpts)
 			if err != nil {
 				t.Fatalf("d=%d %s naive: %v", d, f, err)
@@ -333,13 +333,13 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 			wantCells := naive.CellQueries
 			monotone := agg.Spec{Func: f}.Monotone()
 			step := gamma / float64(d)
-			for _, ev := range trace.Events {
-				switch ev.Outcome {
+			for _, ev := range log.named("search.point") {
+				switch ev.str("outcome") {
 				case "repartitioned":
 					byFunc[f]++
 					byDims[d]++
 				case "overshoot":
-					corner, atOrigin := cellCorner(ev.Scores, step)
+					corner, atOrigin := cellCorner(ev.scores(), step)
 					if monotone && !atOrigin && agg.Overshoots(q.Constraint, finalAt(t, plain.Aggregate, q, corner), delta) {
 						wantCells -= depth
 					}
@@ -549,16 +549,6 @@ func TestNormVariants(t *testing.T) {
 func TestFrontierValidation(t *testing.T) {
 	e := lineTable(t, 50)
 	q := countQ(20, leDim(10))
-	l2, _ := norms.NewLp(2, nil)
-	if _, err := Run(e, q, Options{Norm: l2, Frontier: FrontierBFS}); err == nil {
-		t.Error("BFS with L2: expected error")
-	}
-	if _, err := Run(e, q, Options{Frontier: FrontierLInfLayers}); err == nil {
-		t.Error("L∞ frontier with L1 norm: expected error")
-	}
-	if _, err := Run(e, q, Options{Frontier: FrontierKind(9)}); err == nil {
-		t.Error("unknown frontier: expected error")
-	}
 	bad := norms.Custom{Fn: func(v []float64) float64 { return -v[0] }, Label: "bad"}
 	if _, err := Run(e, q, Options{Norm: bad}); err == nil {
 		t.Error("non-monotone custom norm: expected error")

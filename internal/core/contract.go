@@ -55,10 +55,7 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 	// growing w tightens predicates. Ordering by ||w|| minimizes
 	// refinement w.r.t. Q exactly as §7.2 requires.
 	lat := newLattice(sp, 0)
-	fr, err := makeFrontier(opts, lat)
-	if err != nil {
-		return nil, err
-	}
+	fr := makeFrontier(opts.Norm, lat)
 
 	res := &Result{}
 	target := q.Constraint.Target
@@ -77,7 +74,7 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 	// Tracing mirrors runSearch: every candidate's AggregateBatch call
 	// carries the root via ctx, so engine spans nest under it and time
 	// into the search's observer.
-	tr, root := openRoot(ctx, "contract", o.TracingEnabled(), opts, q.NumDims())
+	tr, root := openRoot(ctx, "contract", opts, q.NumDims())
 	ctxEval := obs.ContextWithSpan(ctx, root)
 
 	finish := func() *Result {

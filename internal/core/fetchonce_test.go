@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"log/slog"
 	"math"
 	"testing"
 
@@ -13,9 +14,11 @@ import (
 
 // fetchLog is an Evaluator that forwards to a real one and logs every
 // region a search sends, split by the search phase whose span the call
-// arrived under. As the search's Tracer it closes a repartition's log
-// when the point that caused it is reported. The search calls both from
-// its own goroutine, so the log needs no lock.
+// arrived under. As the search's slog.Handler it closes a
+// repartition's log when the search.point event of the point that
+// caused it arrives. The search calls both from its own goroutine, so
+// the log needs no lock: the engine's workers log through the same
+// handler, but their events touch nothing.
 type fetchLog struct {
 	Evaluator
 	explore []relq.Region // prefetch batches and on-demand cells of the fold
@@ -48,12 +51,17 @@ func (l *fetchLog) AggregateBatch(ctx context.Context, q *relq.Query, regions []
 	return out, err
 }
 
-func (l *fetchLog) Event(ev TraceEvent) {
-	if len(l.open) > 0 {
-		l.reparts = append(l.reparts, repartLog{scores: ev.Scores, probes: l.open})
+func (l *fetchLog) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "search.point" && len(l.open) > 0 {
+		l.reparts = append(l.reparts, repartLog{scores: decodeEvent(r).scores(), probes: l.open})
 		l.open = nil
 	}
+	return nil
 }
+
+func (l *fetchLog) Enabled(context.Context, slog.Level) bool { return true }
+func (l *fetchLog) WithAttrs([]slog.Attr) slog.Handler       { return l }
+func (l *fetchLog) WithGroup(string) slog.Handler            { return l }
 
 // disjoint reports whether two regions share no violation vector: some
 // dimension's (Lo, Hi] intervals do not meet.
@@ -93,9 +101,9 @@ func TestFetchOnce(t *testing.T) {
 			log := &fetchLog{Evaluator: plain}
 			// A flight recorder turns the span tree on; the log reads the
 			// phase off the span each batch arrives under.
-			o := obs.NewObserver(nil).WithRecorder(obs.NewFlightRecorder(obs.RecorderConfig{}))
+			o := obs.NewObserver(nil).WithRecorder(obs.NewFlightRecorder(obs.RecorderConfig{})).WithLogger(slog.New(log))
 			_, err := Run(log, q, Options{Gamma: gamma, Delta: delta, RepartitionDepth: depth,
-				ErrFn: agg.RelativeError, Observer: o, Trace: log})
+				ErrFn: agg.RelativeError, Observer: o})
 			if err != nil {
 				t.Fatalf("d=%d %s: %v", d, f, err)
 			}

@@ -36,11 +36,10 @@ func TestSearchGolden(t *testing.T) {
 	frontiers := []struct {
 		name string
 		norm func(d int) norms.Norm
-		kind FrontierKind
 	}{
-		{"bfs", func(int) norms.Norm { return norms.L1{} }, FrontierBFS},
-		{"linf", func(int) norms.Norm { return norms.LInf{} }, FrontierLInfLayers},
-		{"priority-l2", func(int) norms.Norm { return l2 }, FrontierPriority},
+		{"bfs", func(int) norms.Norm { return norms.L1{} }},
+		{"linf", func(int) norms.Norm { return norms.LInf{} }},
+		{"priority-l2", func(int) norms.Norm { return l2 }},
 		{"priority-weighted", func(d int) norms.Norm {
 			w := make([]float64, d)
 			for i := range w {
@@ -51,7 +50,7 @@ func TestSearchGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			return n
-		}, FrontierPriority},
+		}},
 	}
 	// Targets: the aggregate 1.4 and 4.6 grid steps out on every
 	// dimension (between layers, so §6 repartitions), and one beyond the
@@ -78,7 +77,7 @@ func TestSearchGolden(t *testing.T) {
 				for _, fr := range frontiers {
 					for _, naive := range []bool{false, true} {
 						opts := Options{Gamma: gamma, Delta: delta, RepartitionDepth: depth, ErrFn: agg.RelativeError,
-							Norm: fr.norm(d), Frontier: fr.kind, NoIncremental: naive, MaxExplored: tg.budget}
+							Norm: fr.norm(d), NoIncremental: naive, MaxExplored: tg.budget}
 						res, err := Run(plain, q, opts)
 						if err != nil {
 							t.Fatalf("d=%d %s %s %s naive=%v: %v", d, f, tg.name, fr.name, naive, err)

@@ -1,102 +1,117 @@
 package core
 
 import (
+	"context"
+	"log/slog"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
+	"acquire/internal/obs"
 	"acquire/internal/relq"
 )
 
-func TestTraceBuffer(t *testing.T) {
+// searchEvent is one structured event a search emitted: its message
+// and its attributes by key.
+type searchEvent struct {
+	msg   string
+	attrs map[string]slog.Value
+}
+
+func decodeEvent(r slog.Record) searchEvent {
+	ev := searchEvent{msg: r.Message, attrs: make(map[string]slog.Value, r.NumAttrs())}
+	r.Attrs(func(a slog.Attr) bool {
+		ev.attrs[a.Key] = a.Value
+		return true
+	})
+	return ev
+}
+
+func (ev searchEvent) i64(key string) int64   { return ev.attrs[key].Int64() }
+func (ev searchEvent) f64(key string) float64 { return ev.attrs[key].Float64() }
+func (ev searchEvent) str(key string) string  { return ev.attrs[key].String() }
+func (ev searchEvent) scores() []float64      { return ev.attrs["scores"].Any().([]float64) }
+
+// eventLog is an slog.Handler that keeps every event a search emits,
+// at every level. The engine logs its events through the search's
+// observer from its worker goroutines, hence the lock.
+type eventLog struct {
+	mu     sync.Mutex
+	events []searchEvent
+}
+
+func (l *eventLog) Enabled(context.Context, slog.Level) bool { return true }
+
+func (l *eventLog) Handle(_ context.Context, r slog.Record) error {
+	ev := decodeEvent(r)
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+	return nil
+}
+
+func (l *eventLog) WithAttrs([]slog.Attr) slog.Handler { return l }
+func (l *eventLog) WithGroup(string) slog.Handler      { return l }
+
+// observer returns an observer whose structured events land in l.
+func (l *eventLog) observer() *obs.Observer {
+	return obs.NewObserver(nil).WithLogger(slog.New(l))
+}
+
+// named returns the events called msg, in emission order.
+func (l *eventLog) named(msg string) []searchEvent {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []searchEvent
+	for _, ev := range l.events {
+		if ev.msg == msg {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestSearchPointEvents: a search emits one search.point event per
+// explored grid query, in exploration order, so the event stream is a
+// readable proof of Theorem 2's layer ordering.
+func TestSearchPointEvents(t *testing.T) {
 	e := lineTable(t, 1000)
 	q := countQ(15, leDim(10)) // forces a repartition (see acquire_test)
-	var trace TraceBuffer
-	res, err := Run(e, q, Options{Gamma: 10, Delta: 0.01, Trace: &trace})
+	log := &eventLog{}
+	res, err := Run(e, q, Options{Gamma: 10, Delta: 0.01, Observer: log.observer()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Satisfied {
 		t.Fatalf("not satisfied: %+v", res)
 	}
-	if len(trace.Events) != res.Explored {
-		t.Fatalf("trace has %d events, explored %d", len(trace.Events), res.Explored)
+	points := log.named("search.point")
+	if len(points) != res.Explored {
+		t.Fatalf("%d search.point events, explored %d", len(points), res.Explored)
 	}
-	// Theorem 2 visible in the trace: QScores never decrease.
+	// Theorem 2 visible in the events: QScores never decrease.
 	last := -1.0
 	sawRepartition := false
-	for i, ev := range trace.Events {
-		if ev.Seq != i {
-			t.Errorf("event %d has Seq %d", i, ev.Seq)
+	for i, ev := range points {
+		if ev.i64("seq") != int64(i) {
+			t.Errorf("event %d has seq %d", i, ev.i64("seq"))
 		}
-		if ev.QScore < last-1e-9 {
-			t.Errorf("QScore decreased at event %d: %v after %v", i, ev.QScore, last)
+		qs := ev.f64("qscore")
+		if qs < last-1e-9 {
+			t.Errorf("QScore decreased at event %d: %v after %v", i, qs, last)
 		}
-		last = ev.QScore
-		if ev.Outcome == "repartitioned" {
+		last = qs
+		// One dimension under L1: the point's QScore is its score, so
+		// every event must hold its own copy of the scores.
+		if sc := ev.scores(); len(sc) != 1 || sc[0] != qs {
+			t.Errorf("event %d has scores %v, QScore %v", i, sc, qs)
+		}
+		if ev.str("outcome") == "repartitioned" {
 			sawRepartition = true
 		}
 	}
 	if !sawRepartition {
 		t.Error("expected a repartitioned event in this workload")
-	}
-
-	var sb strings.Builder
-	if _, err := trace.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"seq", "QScore", "repartitioned"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("rendered trace missing %q:\n%s", want, sb.String())
-		}
-	}
-}
-
-// TestWriteToRendersLayers pins the layer table: WriteTo must render
-// the recorded Layers slice (one row per Expand layer), not just the
-// per-point events.
-func TestWriteToRendersLayers(t *testing.T) {
-	trace := TraceBuffer{
-		Events: []TraceEvent{
-			{Seq: 0, Scores: []float64{0}, QScore: 0, Aggregate: 3, Err: 0.8, Outcome: "undershoot"},
-		},
-		Layers: []LayerEvent{
-			{Layer: 0, QScore: 0, Width: 1, BatchWidth: 1, Wall: 250 * time.Millisecond},
-			{Layer: 1, QScore: 10, Width: 2, BatchWidth: 2, Wall: 50 * time.Millisecond},
-		},
-	}
-	var sb strings.Builder
-	if _, err := trace.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"layer", "width", "batch", "wall", "250ms", "50ms"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered trace missing %q:\n%s", want, out)
-		}
-	}
-	// Both layer rows present, in order.
-	if strings.Index(out, "250ms") > strings.Index(out, "50ms") {
-		t.Errorf("layer rows out of order:\n%s", out)
-	}
-
-	// A search-driven trace records one layer event per explored layer
-	// and renders them too.
-	e := lineTable(t, 1000)
-	q := countQ(15, leDim(10))
-	var live TraceBuffer
-	if _, err := Run(e, q, Options{Gamma: 10, Delta: 0.01, Trace: &live}); err != nil {
-		t.Fatal(err)
-	}
-	if len(live.Layers) == 0 {
-		t.Fatal("search recorded no layer events")
-	}
-	sb.Reset()
-	if _, err := live.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "layer") {
-		t.Errorf("live trace missing layer table:\n%s", sb.String())
 	}
 }
 
@@ -177,20 +192,5 @@ func TestClassify(t *testing.T) {
 		if got := classify(c.sat, c.over, c.rep); got != c.want {
 			t.Errorf("classify(%v,%v,%v) = %q, want %q", c.sat, c.over, c.rep, got, c.want)
 		}
-	}
-}
-
-func TestTraceOnContractionAbsent(t *testing.T) {
-	// Contraction runs its own loop; tracing is an expansion feature
-	// and must simply be ignored (no panic).
-	e := lineTable(t, 100)
-	q := &relq.Query{
-		Tables:     []string{"t"},
-		Dims:       []relq.Dimension{leDim(50)},
-		Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpLE, Target: 20},
-	}
-	var trace TraceBuffer
-	if _, err := Run(e, q, Options{Delta: 0.001, Trace: &trace}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -131,52 +131,48 @@ func TestSearchSpanTree(t *testing.T) {
 	}
 }
 
-// TestLayerEventsFromTrace: the -explain layer table and the span tree
-// are the same data — a search run with both a TraceBuffer and a
-// recorder yields identical layer rows from either source.
+// TestLayerEventsFromTrace: the search.layer events and a traced
+// search's layer spans are the same data — one event per layer span
+// under the root, with equal layer, qscore, width, batch_width and
+// wall time.
 func TestLayerEventsFromTrace(t *testing.T) {
 	e := lineTable(t, 1000)
 	q := countQ(15, leDim(10))
 
 	clk := obs.NewFakeClock(time.Unix(0, 0)).AutoAdvance(time.Millisecond)
 	rec := obs.NewFlightRecorder(obs.RecorderConfig{})
-	o := obs.NewObserver(nil).WithClock(clk).WithRecorder(rec)
-	var trace TraceBuffer
-	if _, err := Run(e, q, Options{Gamma: 10, Delta: 0.01, Observer: o, Trace: &trace}); err != nil {
+	log := &eventLog{}
+	o := log.observer().WithClock(clk).WithRecorder(rec)
+	if _, err := Run(e, q, Options{Gamma: 10, Delta: 0.01, Observer: o}); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Len() != 1 {
 		t.Fatalf("recorder holds %d traces", rec.Len())
 	}
-	fromTrace := LayerEventsFromTrace(rec.Traces()[0])
-	if len(fromTrace) == 0 || len(fromTrace) != len(trace.Layers) {
-		t.Fatalf("LayerEventsFromTrace = %d rows, TraceBuffer = %d", len(fromTrace), len(trace.Layers))
-	}
-	for i := range fromTrace {
-		got, want := fromTrace[i], trace.Layers[i]
-		if got.Layer != want.Layer || got.QScore != want.QScore ||
-			got.Width != want.Width || got.BatchWidth != want.BatchWidth || got.Wall != want.Wall {
-			t.Errorf("layer %d: span-derived %+v != buffer %+v", i, got, want)
+	tr := rec.Traces()[0]
+	root, _ := tr.Root()
+	var spans []obs.TraceSpan
+	for _, sp := range tr.Snapshot() {
+		if sp.Parent == root.ID && sp.Name == "layer" {
+			spans = append(spans, sp)
 		}
 	}
-}
-
-// TestTraceBufferWithoutRecorder: -explain alone (LayerTracer, no
-// recorder) still produces layer rows — the search builds a private
-// span tree to derive them even when nothing retains it.
-func TestTraceBufferWithoutRecorder(t *testing.T) {
-	e := lineTable(t, 1000)
-	q := countQ(15, leDim(10))
-	var trace TraceBuffer
-	if _, err := Run(e, q, Options{Gamma: 10, Delta: 0.01, Trace: &trace}); err != nil {
-		t.Fatal(err)
+	events := log.named("search.layer")
+	if len(spans) == 0 || len(spans) != len(events) {
+		t.Fatalf("%d layer spans, %d search.layer events", len(spans), len(events))
 	}
-	if len(trace.Layers) == 0 {
-		t.Fatal("no layer events without a recorder")
-	}
-	for i, ev := range trace.Layers {
-		if ev.Layer != i {
-			t.Errorf("layer %d has index %d", i, ev.Layer)
+	for i, sp := range spans {
+		ev := events[i]
+		for _, key := range []string{"layer", "width", "batch_width"} {
+			if a, _ := sp.Attr(key); a.I64() != ev.i64(key) {
+				t.Errorf("layer %d: span %s=%d, event %d", i, key, a.I64(), ev.i64(key))
+			}
+		}
+		if a, _ := sp.Attr("qscore"); a.F64() != ev.f64("qscore") {
+			t.Errorf("layer %d: span qscore=%v, event %v", i, a.F64(), ev.f64("qscore"))
+		}
+		if ms := float64(sp.Duration()) / float64(time.Millisecond); ms != ev.f64("wall_ms") {
+			t.Errorf("layer %d: span wall %v ms, event %v ms", i, ms, ev.f64("wall_ms"))
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"acquire/internal/agg"
+	"acquire/internal/data"
 	"acquire/internal/index"
 	"acquire/internal/relq"
 	"acquire/internal/tpch"
@@ -435,6 +436,108 @@ func TestGridNonFiniteColumn(t *testing.T) {
 			merged := kern.Snapshot().Sub(before).CellsMerged
 			if inf := tc.name == "nan-inf"; inf != (merged == 0) {
 				t.Errorf("kernel merged %d cells; want none exactly when the column holds ±Inf", merged)
+			}
+		})
+	}
+}
+
+// TestGridFollowsTable: a registered grid follows the derived-state rule
+// of the column, sort and zone caches — it speaks only for the
+// *data.Table it was built from at the row count it saw. After a
+// catalog Replace, an append, or an in-place rewrite followed by
+// InvalidateTable the next query rebuilds it from its build
+// parameters, and a rebuild at another bin count replaces it; in every
+// case the engine answers as a fresh grid-less engine does and still
+// answers from a grid of the requested bins.
+func TestGridFollowsTable(t *testing.T) {
+	cols := []string{"age", "income", "distance"}
+	users := func(t *testing.T, rows int, seed int64) *data.Table {
+		cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: rows, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := cat.Table("users")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	cases := []struct {
+		name       string
+		rows       int
+		bins, want int // bins per dimension at the first build, after mutate
+		mutate     func(t *testing.T, e *Engine, cat *data.Catalog)
+	}{
+		{"replace", 5000, 16, 16, func(t *testing.T, e *Engine, cat *data.Catalog) {
+			cat.Replace(users(t, 500, 2))
+		}},
+		{"append", 2000, 16, 16, func(t *testing.T, e *Engine, cat *data.Catalog) {
+			tbl, _ := cat.Table("users")
+			for i := 0; i < 50; i++ { // inside the region queried below
+				if err := tbl.AppendRow(data.IntValue(int64(90000+i)), data.IntValue(20), data.FloatValue(30000),
+					data.FloatValue(90), data.FloatValue(1), data.FloatValue(10), data.StringValue("Men"), data.StringValue("Austin")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"rewrite", 2000, 16, 16, func(t *testing.T, e *Engine, cat *data.Catalog) {
+			tbl, _ := cat.Table("users")
+			income, _ := tbl.Floats(tbl.Schema().Ordinal("income"))
+			for i := 0; i < 100; i++ { // in place, inside the region queried below
+				income[i] = 30000
+			}
+			e.InvalidateTable("users")
+		}},
+		{"bins", 2000, 4, 32, func(t *testing.T, e *Engine, cat *data.Catalog) {
+			if err := e.BuildGridAggIndex("users", cols, []string{"spend"}, 32); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	region := relq.Region{{Lo: -1, Hi: 0}, {Lo: -1, Hi: 0}, {Lo: -1, Hi: 0}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			cat := data.NewCatalog()
+			if err := cat.Register(users(t, c.rows, 1)); err != nil {
+				t.Fatal(err)
+			}
+			e := New(cat)
+			if err := e.BuildGridAggIndex("users", cols, []string{"spend"}, c.bins); err != nil {
+				t.Fatal(err)
+			}
+			// Query once, so the first grid and the state it feeds are in use.
+			if _, err := e.Aggregate(usersQuery(relq.AggCount, "", usersDims()...), region); err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(t, e, cat)
+
+			fresh := New(cat)
+			before := e.Snapshot()
+			for _, q := range []*relq.Query{usersQuery(relq.AggCount, "", usersDims()...), usersQuery(relq.AggSum, "spend", usersDims()...)} {
+				got, err := e.Aggregate(q, region)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Aggregate(q, region)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Count != want.Count || math.Abs(got.Sum-want.Sum) > 1e-6*math.Max(1, math.Abs(want.Sum)) {
+					t.Errorf("%s: count %d sum %v, fresh engine %d %v", q.Constraint.Func, got.Count, got.Sum, want.Count, want.Sum)
+				}
+			}
+			if e.Snapshot().Sub(before).CellsMerged == 0 {
+				t.Error("no cell answered from the grid")
+			}
+			if g := e.grid("users"); g == nil {
+				t.Error("grid unregistered")
+			} else if g.Bins(0) != c.want {
+				t.Errorf("grid has %d bins per dimension, want %d", g.Bins(0), c.want)
 			}
 		})
 	}

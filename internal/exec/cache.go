@@ -52,12 +52,13 @@ func (e *Engine) InvalidateRegionCache() {
 
 // InvalidateTable drops every piece of derived state computed from a
 // table's contents: its cached column vectors, sorted indexes, zone
-// maps, grid index, open join memos (by epoch) and the whole region
-// cache (keyed by fingerprint, so a per-table sweep is not possible). Call
+// maps, open join memos (by epoch) and the whole region cache (keyed
+// by fingerprint, so a per-table sweep is not possible); its grid index
+// stays registered but is rebuilt from its spec at its next use. Call
 // it after rewriting a table's contents in place. Pure appends and
-// catalog Replaces need nothing: the column/sort/zone caches key on
-// table identity + row count, and the region-cache fingerprints carry
-// row-count generations.
+// catalog Replaces need no call: the column/sort/zone caches and the
+// grid registry key on table identity + row count, and the region-cache
+// fingerprints carry row-count generations.
 func (e *Engine) InvalidateTable(table string) {
 	key := strings.ToLower(table)
 	e.mu.Lock()
@@ -76,7 +77,10 @@ func (e *Engine) InvalidateTable(table string) {
 			delete(e.zones, k)
 		}
 	}
-	delete(e.grids, key)
+	if ent, ok := e.grids[key]; ok {
+		ent.src = nil
+		e.grids[key] = ent
+	}
 	e.mu.Unlock()
 	e.epoch.Add(1)
 	e.InvalidateRegionCache()

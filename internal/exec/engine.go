@@ -345,15 +345,7 @@ func (eo *engineObs) zoneSkipCounter(column string) *obs.Counter {
 // named numeric columns of a table. Subsequent Aggregate calls use it to
 // skip empty cell queries on that table.
 func (e *Engine) BuildGridIndex(table string, columns []string, binsPerDim int) error {
-	t, err := e.cat.Table(table)
-	if err != nil {
-		return err
-	}
-	g, err := index.Build(t, columns, binsPerDim)
-	if err != nil {
-		return err
-	}
-	return e.registerGrid(t, g)
+	return e.registerGrid(table, gridSpec{columns: slices.Clone(columns), bins: binsPerDim})
 }
 
 // BuildGridAggIndex builds and registers an aggregate-augmented grid
@@ -361,55 +353,113 @@ func (e *Engine) BuildGridIndex(table string, columns []string, binsPerDim int) 
 // aggCols column, and posting lists. Subsequent Aggregate calls on the
 // table answer eligible single-table box queries from the stored
 // partials (interior cells) plus posting-list scans (boundary cells).
-// The build is idempotent: when the registered grid already covers the
-// same columns and aggregate columns it is kept as is.
+// The build is idempotent: the registered grid is kept as is when it
+// is current (see gridEntry), has the same columns and bins per
+// dimension, and holds every one of aggCols.
 func (e *Engine) BuildGridAggIndex(table string, columns, aggCols []string, binsPerDim int) error {
-	if g := e.grid(table); g != nil && g.HasAggs() && sameColumns(g.Columns(), columns) {
-		all := true
-		for _, c := range aggCols {
-			if g.AggIndex(c) < 0 {
-				all = false
-				break
-			}
-		}
-		if all {
-			return nil
-		}
-	}
 	t, err := e.cat.Table(table)
 	if err != nil {
 		return err
 	}
-	g, err := index.BuildAgg(t, columns, aggCols, binsPerDim, e.workers())
-	if err != nil {
-		return err
+	if ent := e.gridEntry(table); ent.g != nil && ent.current(t) && ent.agg && ent.bins == binsPerDim &&
+		sameColumns(ent.columns, columns) &&
+		!slices.ContainsFunc(aggCols, func(c string) bool { return ent.g.AggIndex(c) < 0 }) {
+		return nil
 	}
-	return e.registerGrid(t, g)
+	return e.registerGrid(table, gridSpec{columns: slices.Clone(columns), aggCols: slices.Clone(aggCols), bins: binsPerDim, agg: true})
 }
 
-// gridEntry is a registered grid index and, per grid column, whether
-// the column holds a NaN. The grid leaves such rows out of every cell,
-// so it speaks for a query only when the query constrains each of those
-// columns (bindGrids): a select dimension admits no NaN.
+// gridSpec is what a grid index was built from: its columns and bins
+// per dimension, and for an aggregate grid its aggregate columns.
+type gridSpec struct {
+	columns, aggCols []string
+	bins             int
+	agg              bool
+}
+
+// gridEntry is a registered grid index, the table and row count it was
+// built over, its spec, and per grid column whether the column holds a
+// NaN. The grid leaves such rows out of every cell, so it speaks for a
+// query only when the query constrains each of those columns
+// (bindGrids): a select dimension admits no NaN.
+//
+// Like colEntry/sortEntry/zoneEntry, an entry is current only for the
+// exact *data.Table it was built from at the same row count: bindGrids
+// rebuilds a stale entry from its spec, so appends and catalog Replaces
+// keep the table's grid and never serve the old one.
 type gridEntry struct {
 	g   *index.Grid
 	nan []bool
+	src *data.Table
+	n   int // rows at build time
+	gridSpec
 }
 
-// registerGrid records g as t's grid index.
-func (e *Engine) registerGrid(t *data.Table, g *index.Grid) error {
-	ent := gridEntry{g: g, nan: make([]bool, len(g.Columns()))}
+func (ent *gridEntry) current(t *data.Table) bool { return ent.src == t && ent.n == t.NumRows() }
+
+// buildGrid builds the grid spec describes over t.
+func (e *Engine) buildGrid(t *data.Table, spec gridSpec) (gridEntry, error) {
+	var g *index.Grid
+	var err error
+	if spec.agg {
+		g, err = index.BuildAgg(t, spec.columns, spec.aggCols, spec.bins, e.workers())
+	} else {
+		g, err = index.Build(t, spec.columns, spec.bins)
+	}
+	if err != nil {
+		return gridEntry{}, err
+	}
+	ent := gridEntry{g: g, nan: make([]bool, len(g.Columns())), src: t, n: t.NumRows(), gridSpec: spec}
 	for d, col := range g.Columns() {
 		vec, err := t.NumericColumn(t.Schema().Ordinal(col))
 		if err != nil {
-			return err
+			return gridEntry{}, err
 		}
 		ent.nan[d] = slices.ContainsFunc(vec, func(v float64) bool { return v != v })
+	}
+	return ent, nil
+}
+
+// registerGrid builds the grid spec describes over the named table and
+// registers it as the table's grid index.
+func (e *Engine) registerGrid(table string, spec gridSpec) error {
+	t, err := e.cat.Table(table)
+	if err != nil {
+		return err
+	}
+	ent, err := e.buildGrid(t, spec)
+	if err != nil {
+		return err
 	}
 	e.mu.Lock()
 	e.grids[strings.ToLower(t.Name())] = ent
 	e.mu.Unlock()
 	return nil
+}
+
+// currentGrid returns t's grid entry, first rebuilding a stale one from
+// its spec. A rebuild that fails — a Replace dropped a grid column, say
+// — unregisters the grid, and the table runs without one.
+func (e *Engine) currentGrid(t *data.Table) gridEntry {
+	key := strings.ToLower(t.Name())
+	e.mu.RLock()
+	stale, ok := e.grids[key]
+	e.mu.RUnlock()
+	if !ok || stale.current(t) {
+		return stale
+	}
+	ent, err := e.buildGrid(t, stale.gridSpec)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if cur, ok := e.grids[key]; !ok || cur.g != stale.g {
+		return cur // dropped or re-registered meanwhile
+	}
+	if err != nil {
+		delete(e.grids, key)
+	} else {
+		e.grids[key] = ent
+	}
+	return ent
 }
 
 // sameColumns reports case-insensitive equality of two ordered column
@@ -541,8 +591,8 @@ type gridBind struct {
 // rows the grid left out of every cell would qualify.
 func (e *Engine) bindGrids(b *binding) []gridBind {
 	var out []gridBind
-	for ti := range b.tables {
-		ent := e.gridEntry(b.q.Tables[ti])
+	for ti, t := range b.tables {
+		ent := e.currentGrid(t)
 		if ent.g == nil {
 			continue
 		}

@@ -229,14 +229,6 @@ func pow(b, e int) int {
 // HasAggs reports whether the grid carries the aggregate payload.
 func (g *Grid) HasAggs() bool { return g.aggs != nil }
 
-// AggColumns returns the aggregate column names (nil for plain grids).
-func (g *Grid) AggColumns() []string {
-	if g.aggs == nil {
-		return nil
-	}
-	return append([]string(nil), g.aggs.cols...)
-}
-
 // AggIndex resolves an aggregate column name (case-insensitive) to its
 // payload index, or -1 when the column is not materialized.
 func (g *Grid) AggIndex(col string) int {

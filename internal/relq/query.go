@@ -157,14 +157,6 @@ func (d *Dimension) label() string {
 // Label returns a human-readable identifier for the dimension.
 func (d *Dimension) Label() string { return d.label() }
 
-// EffectiveWeight returns the norm weight, defaulting to 1.
-func (d *Dimension) EffectiveWeight() float64 {
-	if d.Weight == 0 {
-		return 1
-	}
-	return d.Weight
-}
-
 // Violation computes the tuple-level PScore for a scalar select value.
 // Only valid for the Select* kinds.
 func (d *Dimension) Violation(v float64) float64 {
