@@ -117,7 +117,7 @@ func (s *Session) Metrics() *MetricsRegistry {
 
 // SearchReport breaks one refinement search down for dashboards and
 // regression tracking: wall time, per-phase durations, and the
-// evaluation-layer work the search caused (engine counter deltas).
+// evaluation-layer work the search did.
 type SearchReport struct {
 	// SearchID tags the search's structured events (search_id attr).
 	SearchID string
@@ -127,7 +127,10 @@ type SearchReport struct {
 	// repartition, engine.batch, evaluate) to its accumulated span
 	// stats.
 	Phases map[string]PhaseStat
-	// Engine is the engine counter movement during the search.
+	// Engine is the evaluation-layer work of this search alone
+	// (Result.Engine): exact when other searches share the session's
+	// engine. It is zero when the search failed with a hard error, which
+	// returns no Result.
 	Engine EngineStats
 }
 
@@ -139,10 +142,9 @@ type SearchReport struct {
 // includes the engine's engine.batch and evaluate spans: the search
 // hands its spans to the engine through the context, and a span timed
 // under one of them times into its observer. Concurrent reports on one
-// session therefore each count their own evaluate spans. Engine is the
-// session engine's counter movement over the search's interval, which
-// concurrent searches on the same engine also move. The report is
-// returned even when the search errs mid-way.
+// session therefore each count their own evaluate spans, and each its
+// own engine work (SearchReport.Engine). The report is returned even
+// when the search errs mid-way.
 func (s *Session) RefineReport(ctx context.Context, q *Query, opts Options) (*Result, *SearchReport, error) {
 	o := opts.Observer
 	if o == nil {
@@ -155,25 +157,15 @@ func (s *Session) RefineReport(ctx context.Context, q *Query, opts Options) (*Re
 	so := o.ForSearch(id)
 	opts.Observer = so
 
-	eng := s.evalEngine()
-	before := eng.Snapshot()
 	start := so.Clock().Now()
 	res, err := core.RunContext(ctx, s.eval, q, opts)
 	rep := &SearchReport{
 		SearchID: id,
 		Wall:     so.Clock().Now().Sub(start),
 		Phases:   so.Phases(),
-		Engine:   eng.Snapshot().Sub(before),
+	}
+	if res != nil {
+		rep.Engine = res.Engine
 	}
 	return res, rep, err
-}
-
-// evalEngine returns the engine backing the current evaluation layer:
-// the sample engine under UseSampling, the session engine otherwise
-// (the histogram evaluator issues no engine work).
-func (s *Session) evalEngine() *exec.Engine {
-	if sampled, ok := s.eval.(*exec.Sampled); ok {
-		return sampled.Engine
-	}
-	return s.eng
 }

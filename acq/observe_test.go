@@ -186,9 +186,10 @@ func TestRefineReportWithoutObserver(t *testing.T) {
 }
 
 // TestRefineReportConcurrent: two reports running at once on one
-// session each count exactly their own evaluate spans — what the same
-// search counts when it runs alone. The search hands its spans to the
-// engine through the context, so no report can see the other's.
+// session each count exactly their own evaluate spans and their own
+// engine work — what the same search counts when it runs alone. The
+// search hands its spans and its scope to the engine through the
+// context, so no report can see the other's.
 func TestRefineReportConcurrent(t *testing.T) {
 	s, err := NewUsersSession(5000, 0, 3)
 	if err != nil {
@@ -208,6 +209,7 @@ func TestRefineReportConcurrent(t *testing.T) {
 		qs = append(qs, q)
 	}
 	alone := make([]int64, len(qs))
+	aloneEngine := make([]EngineStats, len(qs))
 	for i, q := range qs {
 		_, rep, err := s.RefineReport(t.Context(), q, opts)
 		if err != nil {
@@ -215,6 +217,9 @@ func TestRefineReportConcurrent(t *testing.T) {
 		}
 		if alone[i] = rep.Phases["evaluate"].Count; alone[i] == 0 {
 			t.Fatalf("search %d counted no evaluate spans: %+v", i, rep.Phases)
+		}
+		if aloneEngine[i] = rep.Engine; rep.Engine.Queries == 0 || rep.Engine.RowsScanned == 0 {
+			t.Fatalf("search %d counted no engine work: %+v", i, rep.Engine)
 		}
 	}
 	if alone[0] == alone[1] {
@@ -241,6 +246,9 @@ func TestRefineReportConcurrent(t *testing.T) {
 			}
 			if got := reps[i].Phases["evaluate"].Count; got != alone[i] {
 				t.Errorf("round %d: concurrent search %d counted %d evaluate spans, %d alone", round, i, got, alone[i])
+			}
+			if got := reps[i].Engine; got != aloneEngine[i] {
+				t.Errorf("round %d: concurrent search %d counted engine work %+v, alone %+v", round, i, got, aloneEngine[i])
 			}
 		}
 	}

@@ -23,9 +23,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 
@@ -85,6 +87,9 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	}
 	if *sql == "" {
 		return fmt.Errorf("-sql is required")
+	}
+	if *cacheMB <= 0 || *cacheMB > math.MaxInt64>>20 {
+		return fmt.Errorf("-cache-mb wants a positive size in MiB, at most %d; got %d", math.MaxInt64>>20, *cacheMB)
 	}
 
 	var s *acq.Session
@@ -165,12 +170,12 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 
 	if *index != "" {
 		parts := strings.Split(*index, ":")
-		if len(parts) < 2 {
-			return fmt.Errorf("-gridindex wants table:col1,col2[:bins]")
+		if len(parts) < 2 || len(parts) > 3 {
+			return fmt.Errorf("-gridindex wants table:col1,col2[:bins], got %q", *index)
 		}
 		bins := 32
 		if len(parts) == 3 {
-			if _, err := fmt.Sscanf(parts[2], "%d", &bins); err != nil {
+			if bins, err = strconv.Atoi(parts[2]); err != nil {
 				return fmt.Errorf("-gridindex bins: %w", err)
 			}
 		}
@@ -237,7 +242,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	}
 	fmt.Fprintf(out, "original query aggregate: %.6g (target %s %.6g)\n",
 		orig, q.Constraint.Op, q.Constraint.Target)
-	before := s.Stats() // the search's own work is counted from here
 
 	opts := acq.Options{Gamma: *gamma, Delta: *delta, Norm: n}
 	res, runErr := s.RefineContext(ctx, q, opts)
@@ -260,7 +264,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		}
 		fmt.Fprintf(errOut, "acquire: wrote %d trace(s) to %s\n", n, *traceDir)
 	}
-	st := s.Stats().Sub(before)
+	st := res.Engine // the search's own work, not the Estimate above
 	fmt.Fprintf(out, "explored %d refined queries via %d evaluation-layer executions (%d rows scanned)\n",
 		res.Explored, st.Queries, st.RowsScanned)
 	if *cache {

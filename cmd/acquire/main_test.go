@@ -184,6 +184,11 @@ func TestRunErrors(t *testing.T) {
 		{"-load", "t=/does/not/exist.csv", "-sql", "x"},
 		// In-process sharding is gone, not hidden.
 		{"-dataset", "users", "-rows", "100", "-shards", "2", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		// Flag values are checked whole, not read up to what parses.
+		{"-dataset", "users", "-rows", "100", "-gridindex", "users:age:8junk", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		{"-dataset", "users", "-rows", "100", "-gridindex", "users:age:16:x", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		{"-dataset", "users", "-rows", "100", "-cache", "-cache-mb", "-5", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		{"-dataset", "users", "-rows", "100", "-cache", "-cache-mb", "9223372036854775807", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
 	}
 	for i, args := range cases {
 		if _, err := runCLI(t, args...); err == nil {

@@ -75,7 +75,7 @@ func main() {
 			i+1, rq.Aggregate, rq.QScore, rq.ToSQL())
 	}
 
-	stats := session.Stats()
+	stats := result.Engine // the search's own work
 	fmt.Printf("\n[%d evaluation-layer queries, %d rows scanned — one interactive round trip,\n"+
 		" not %d manual refine-and-estimate iterations]\n",
 		stats.Queries, stats.RowsScanned, result.Explored)

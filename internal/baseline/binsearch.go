@@ -42,7 +42,8 @@ func BinSearch(e *exec.Engine, q *relq.Query, opts BinSearchOptions) (*Outcome, 
 func BinSearchContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts BinSearchOptions) (*Outcome, error) {
 	sp := e.Observer().StartSpan(obs.SpanRef{}, "baseline_binsearch")
 	defer sp.End()
-	ctx = exec.WithJoinScope(ctx) // probes move one dimension: the other tables' candidates repeat
+	ctx, done := exec.WithSearchScope(ctx, 0) // probes move one dimension: the other tables' candidates repeat
+	defer done()
 	if opts.Delta == 0 {
 		opts.Delta = 0.05
 	}
@@ -77,7 +78,6 @@ func BinSearchContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts B
 		return nil, err
 	}
 
-	before := e.Snapshot()
 	target := q.Constraint.Target
 	scores := make([]float64, len(q.Dims))
 
@@ -141,7 +141,6 @@ func BinSearchContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts B
 		scores[di] = bestScores[di]
 	}
 
-	after := e.Snapshot()
 	return &Outcome{
 		Method:     "BinSearch",
 		Satisfied:  best <= opts.Delta,
@@ -149,7 +148,7 @@ func BinSearchContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts B
 		Err:        best,
 		Scores:     bestScores,
 		QScore:     l1(bestScores),
-		Executions: after.Queries - before.Queries,
+		Executions: exec.ScopeStats(ctx).Queries,
 	}, nil
 }
 

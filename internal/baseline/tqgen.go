@@ -59,7 +59,8 @@ func TQGen(e *exec.Engine, q *relq.Query, opts TQGenOptions) (*Outcome, error) {
 func TQGenContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts TQGenOptions) (*Outcome, error) {
 	sp := e.Observer().StartSpan(obs.SpanRef{}, "baseline_tqgen")
 	defer sp.End()
-	ctx = exec.WithJoinScope(ctx) // the grid's queries share their per-table candidates
+	ctx, done := exec.WithSearchScope(ctx, 0) // the grid's queries share their per-table candidates
+	defer done()
 	opts = opts.withDefaults()
 	spec, err := agg.SpecFor(q.Constraint)
 	if err != nil {
@@ -71,7 +72,6 @@ func TQGenContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts TQGen
 		return nil, err
 	}
 
-	before := e.Snapshot()
 	d := len(q.Dims)
 	target := q.Constraint.Target
 
@@ -135,7 +135,6 @@ func TQGenContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts TQGen
 		}
 	}
 
-	after := e.Snapshot()
 	return &Outcome{
 		Method:     "TQGen",
 		Satisfied:  best <= opts.Delta,
@@ -143,7 +142,7 @@ func TQGenContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts TQGen
 		Err:        best,
 		Scores:     append([]float64(nil), bestScores...),
 		QScore:     l1(bestScores),
-		Executions: after.Queries - before.Queries,
+		Executions: exec.ScopeStats(ctx).Queries,
 	}, nil
 }
 

@@ -98,6 +98,12 @@ type Result struct {
 	// Note carries a human-readable diagnostic (e.g. "original query
 	// already overshoots; use contraction").
 	Note string
+	// Engine is the evaluation-layer work of this search alone: the
+	// totals of its search scope (exec.ScopeStats), which every engine
+	// call it makes adds to when the call returns. Concurrent searches on
+	// the same engine do not move it. It is zero for an evaluator that
+	// runs no engine (histogram estimation).
+	Engine exec.Stats
 }
 
 // Run executes ACQUIRE on the query against the engine.
@@ -177,6 +183,19 @@ func openRoot(ctx context.Context, name string, opts Options, dims int) (tr *obs
 	return tr, root
 }
 
+// closeRoot ends the root span of a search that returns res, tagged with
+// res's outcome and with its scope's engine work, which it records in res.
+func closeRoot(ctx context.Context, o *obs.Observer, tr *obs.Trace, root obs.SpanRef, res *Result) {
+	res.Engine = exec.ScopeStats(ctx)
+	if root.Active() {
+		root.SetAttrs(obs.Bool("satisfied", res.Satisfied), obs.Int("explored", int64(res.Explored)),
+			obs.Int("cell_queries", int64(res.CellQueries)), obs.Bool("exhausted", res.Exhausted))
+		root.SetAttrs(res.Engine.Attrs()...)
+	}
+	root.End()
+	o.Recorder().Add(tr) // tr is nil unless the search opened its own trace
+}
+
 // closeRootWithError ends a root span that a hard error cut short.
 func closeRootWithError(o *obs.Observer, tr *obs.Trace, root obs.SpanRef, err error) {
 	if root.Active() {
@@ -227,16 +246,6 @@ func runSearch(ctx context.Context, q *relq.Query, fr frontier, x *explorer, spe
 	o.Info("search.start", "gamma", opts.Gamma, "delta", opts.Delta,
 		"norm", opts.Norm.Name(), "dims", q.NumDims(), "target", target)
 
-	// Engine work attribution: when the evaluator exposes exec.Stats
-	// snapshots, search.done reports the deltas this search caused —
-	// rows scanned, grid skips, and the box kernel's merge/boundary
-	// split.
-	engStats, hasEngStats := x.engine.(interface{ Snapshot() exec.Stats })
-	var engBefore exec.Stats
-	if hasEngStats {
-		engBefore = engStats.Snapshot()
-	}
-
 	bestLayer := math.Inf(1) // minRefLayer: QScore of the first satisfying layer
 	var closestErr = math.Inf(1)
 
@@ -269,34 +278,19 @@ func runSearch(ctx context.Context, q *relq.Query, fr frontier, x *explorer, spe
 		res.CellQueries = int(x.cellQueries.Load())
 		res.StoredPoints = x.stored
 		x.release()
-		attrs := []any{"satisfied", res.Satisfied, "explored", res.Explored,
-			"cell_queries", res.CellQueries, "stored_points", res.StoredPoints,
-			"exhausted", res.Exhausted, "probes", x.probes, "probe_regions", x.probeRegions}
-		var engDelta exec.Stats
-		if hasEngStats {
-			engDelta = engStats.Snapshot().Sub(engBefore)
-			attrs = append(attrs, "rows_scanned", engDelta.RowsScanned,
-				"blocks_scanned", engDelta.BlocksScanned, "blocks_skipped", engDelta.BlocksSkipped,
-				"cells_skipped", engDelta.CellsSkipped, "cells_merged", engDelta.CellsMerged,
-				"boundary_rows", engDelta.BoundaryRows,
-				"cache_hits", engDelta.CacheHits, "cache_misses", engDelta.CacheMisses)
-		}
 		if root.Active() {
-			root.SetAttrs(obs.Bool("satisfied", res.Satisfied),
-				obs.Int("explored", int64(res.Explored)),
-				obs.Int("cell_queries", int64(res.CellQueries)),
-				obs.Bool("exhausted", res.Exhausted),
-				obs.Int("probes", int64(x.probes)),
-				obs.Int("probe_regions", int64(x.probeRegions)))
-			if hasEngStats {
-				root.SetAttrs(obs.Int("rows_scanned", engDelta.RowsScanned),
-					obs.Int("cache_hits", engDelta.CacheHits),
-					obs.Int("cache_misses", engDelta.CacheMisses))
-			}
+			root.SetAttrs(obs.Int("probes", int64(x.probes)), obs.Int("probe_regions", int64(x.probeRegions)))
 		}
-		root.End()
-		o.Recorder().Add(tr) // tr is nil unless the search opened its own trace
-		o.Info("search.done", attrs...)
+		closeRoot(ctx, o, tr, root, res)
+		if o.LogEnabled(slog.LevelInfo) {
+			attrs := []any{"satisfied", res.Satisfied, "explored", res.Explored,
+				"cell_queries", res.CellQueries, "stored_points", res.StoredPoints,
+				"exhausted", res.Exhausted, "probes", x.probes, "probe_regions", x.probeRegions}
+			for _, a := range res.Engine.Attrs() {
+				attrs = append(attrs, a.Key, a.I64())
+			}
+			o.Info("search.done", attrs...)
+		}
 		return res
 	}
 	// fail funnels mid-search errors: cancellation still reports the

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"acquire/internal/agg"
+	"acquire/internal/exec"
 	"acquire/internal/obs"
 	"acquire/internal/relq"
 )
@@ -73,7 +74,10 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 
 	// Tracing mirrors runSearch: every candidate's AggregateBatch call
 	// carries the root via ctx, so engine spans nest under it and time
-	// into the search's observer.
+	// into the search's observer. The scope totals the search's work; its
+	// join memo starts over at every candidate, each another query.
+	ctx, done := exec.WithSearchScope(ctx, 0)
+	defer done()
 	tr, root := openRoot(ctx, "contract", opts, q.NumDims())
 	ctxEval := obs.ContextWithSpan(ctx, root)
 
@@ -83,14 +87,7 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 			res.Satisfied = true
 			res.Best = &res.Queries[0]
 		}
-		if root.Active() {
-			root.SetAttrs(obs.Bool("satisfied", res.Satisfied),
-				obs.Int("explored", int64(res.Explored)),
-				obs.Int("cell_queries", int64(res.CellQueries)),
-				obs.Bool("exhausted", res.Exhausted))
-		}
-		root.End()
-		o.Recorder().Add(tr)
+		closeRoot(ctx, o, tr, root, res)
 		o.Info("contract.done", "satisfied", res.Satisfied, "explored", res.Explored,
 			"cell_queries", res.CellQueries, "exhausted", res.Exhausted)
 		return res

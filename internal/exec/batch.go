@@ -28,7 +28,7 @@ import (
 // or the first error the pool drains and the error is returned. With a
 // region cache attached, the regions the cache missed are stored once
 // both rounds have succeeded; a failed or cancelled batch stores
-// nothing.
+// nothing. Its work, cancelled or not, counts once it returns (flush).
 func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []relq.Region) ([]agg.Partial, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -44,6 +44,7 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 	}
 	scope, _ := ctx.Value(scopeKey{}).(*joinScope)
 	p := e.newBatchPlan(b, regions, scope)
+	defer e.flush(&p.stats, scope)
 	if scope != nil && scope.step > 0 && scope.step <= math.MaxFloat64 && !e.sampled && len(b.tables) == 1 &&
 		b.aggTbl < 0 && b.spec.Func == relq.AggCount && len(b.selDims) == len(q.Dims) {
 		p.gscope = scope // COUNT(*) cells may be grouped (grouped.go)
@@ -56,27 +57,15 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 	}
 	// The batch's span is the parent of its "evaluate" spans: one per
 	// region its front resolved and one per scan unit (sharedrive.go).
-	// When traced it carries this engine's stat deltas (rows scanned,
-	// gridagg merges, cache traffic) and its evaluate spans their
-	// fingerprint and cache outcome. The uninstrumented path pays one
-	// context lookup and allocates nothing.
+	// When traced it carries the batch's own tally (Stats.Attrs: rows
+	// scanned, gridagg merges, cache traffic, …) and its evaluate spans
+	// their fingerprint and cache outcome. The uninstrumented path pays
+	// one context lookup and allocates nothing.
 	p.span = e.batchSpan(obs.SpanFromContext(ctx))
 	defer p.span.End()
 	if bsp := p.span; bsp.Active() {
 		bsp.SetAttrs(obs.Int("regions", int64(len(regions))), obs.Int("workers", int64(w)))
-		before := e.Snapshot()
-		defer func() {
-			d := e.Snapshot().Sub(before)
-			bsp.SetAttrs(obs.Int("rows_scanned", d.RowsScanned),
-				obs.Int("blocks_scanned", d.BlocksScanned),
-				obs.Int("blocks_skipped", d.BlocksSkipped),
-				obs.Int("cells_merged", d.CellsMerged),
-				obs.Int("cells_grouped", d.CellsGrouped),
-				obs.Int("grouped_rows", p.groupedRows),
-				obs.Int("cells_skipped", d.CellsSkipped),
-				obs.Int("cache_hits", d.CacheHits),
-				obs.Int("cache_misses", d.CacheMisses))
-		}()
+		defer func() { bsp.SetAttrs(append(p.stats.stats().Attrs(), obs.Int("grouped_rows", p.groupedRows))...) }()
 	}
 	scs := make([]regionScratch, max(w, 1))
 	if err := drain(ctx, scs, len(regions), func(sc *regionScratch, i int) error {

@@ -204,10 +204,10 @@ func (e *Engine) boxAggregate(p *batchPlan, region relq.Region) (agg.Partial, bo
 	// RowsScanned/boundary_rows count only rows actually gathered; runs
 	// dropped by zone predicates surface as skipped blocks, mirroring
 	// the full-scan path's accounting.
-	e.count(cRowsScanned, boundaryRows)
-	e.count(cBoundaryRows, boundaryRows)
-	e.count(cBlocksSkipped, runsSkipped)
-	e.count(cCellsMerged, cellsMerged)
+	p.stats[cRowsScanned].Add(boundaryRows)
+	p.stats[cBoundaryRows].Add(boundaryRows)
+	p.stats[cBlocksSkipped].Add(runsSkipped)
+	p.stats[cCellsMerged].Add(cellsMerged)
 	if o := e.Observer(); o.LogEnabled(slog.LevelDebug) {
 		o.Debug("engine.boxagg", "table", b.q.Tables[0],
 			"cells_merged", cellsMerged, "boundary_rows", boundaryRows,

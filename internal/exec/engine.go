@@ -29,8 +29,10 @@ import (
 // accidental unbounded cartesian products.
 const DefaultMaxIntermediate = 1 << 26
 
-// Stats counts the work the engine has performed. All counters are
-// cumulative and atomically updated; Snapshot returns a consistent copy.
+// Stats counts evaluation-layer work: the engine's (Snapshot) or one
+// search's (ScopeStats). Each engine call counts into its own tally and
+// flushes it when it returns, so engine counters move once per batch, not
+// once per region, and a search's totals are its own work alone.
 type Stats struct {
 	// Queries is the number of query executions (cell queries and whole
 	// queries alike — each is one round trip to the evaluation layer).
@@ -113,9 +115,9 @@ const (
 )
 
 // counters lists, per counter, its Stats field and the series an
-// attached observer mirrors it into. The counter cells, Snapshot, Sub
-// and SetObserver's eager registration are loops over it, and the hot
-// path bumps a counter with one call: count(k, n).
+// attached observer mirrors it into. The counter cells, Snapshot, Sub,
+// Attrs, flush and SetObserver's eager registration are loops over it,
+// and the hot path bumps a counter with one add into its call's tally.
 var counters = [numCounters]struct {
 	field      func(*Stats) *int64
 	name, help string
@@ -148,11 +150,30 @@ var counters = [numCounters]struct {
 		"acquire_engine_cluster_degraded_scans_total", "Full scans over clustered tables whose unsorted append tail exceeds one block (zone maps blind on the tail)."},
 }
 
-// statsCells holds one generation of the engine's counters. ResetStats
-// swaps in a fresh generation atomically, so a concurrent Snapshot
-// reads counters that all belong to the same generation — never a
-// half-reset mixture.
+// statsCells is a call's tally, a scope's totals or one generation of the
+// engine's counters. ResetStats swaps in a fresh generation atomically,
+// so a concurrent Snapshot reads counters that all belong to the same
+// generation — never a half-reset mixture.
 type statsCells [numCounters]atomic.Int64
+
+func (c *statsCells) stats() Stats {
+	var s Stats
+	for k := range counters {
+		*counters[k].field(&s) = c[k].Load()
+	}
+	return s
+}
+
+// Attrs returns s as span attributes keyed by the counters' metric names
+// without acquire_, engine_ and _total: queries, rows_scanned, cache_hits, …
+func (s Stats) Attrs() []obs.Attr {
+	out := make([]obs.Attr, numCounters)
+	for k, c := range counters {
+		key := strings.TrimSuffix(strings.TrimPrefix(c.name, "acquire_"), "_total")
+		out[k] = obs.Int(strings.TrimPrefix(key, "engine_"), *c.field(&s))
+	}
+	return out
+}
 
 // engineObs holds the pre-resolved observability handles of an
 // attached observer, so the hot path pays one nil check and direct
@@ -276,31 +297,27 @@ func (e *Engine) Observer() *obs.Observer {
 	return nil
 }
 
-// Snapshot returns a copy of the statistics counters. The copy is
-// generation-coherent with ResetStats: all counters come from the same
-// generation, so a snapshot concurrent with a reset is either entirely
-// pre-reset or entirely post-reset.
-func (e *Engine) Snapshot() Stats {
-	c := e.stats.Load()
-	var s Stats
-	for k := range counters {
-		*counters[k].field(&s) = c[k].Load()
-	}
-	return s
-}
+// Snapshot returns a copy of the engine's counters, all of one generation:
+// a snapshot concurrent with ResetStats is entirely pre- or post-reset.
+func (e *Engine) Snapshot() Stats { return e.stats.Load().stats() }
 
-// ResetStats zeroes the counters by atomically swapping in a fresh
-// counter generation (see Snapshot for the coherence contract).
-func (e *Engine) ResetStats() {
-	e.stats.Store(&statsCells{})
-}
+// ResetStats zeroes the counters by swapping in a fresh generation.
+func (e *Engine) ResetStats() { e.stats.Store(&statsCells{}) }
 
-// count adds n to counter k in the current stats generation and mirrors
-// it into the attached observer, if any.
-func (e *Engine) count(k counter, n int64) {
-	e.stats.Load()[k].Add(n)
-	if eo := e.obsState.Load(); eo != nil {
-		eo.counters[k].Add(n)
+// flush adds a call's tally to the engine, the observer's mirrors and the
+// call's search scope s (nil: none). It is deferred, so a cancelled or
+// failed batch counts the work it did.
+func (e *Engine) flush(t *statsCells, s *joinScope) {
+	c, eo := e.stats.Load(), e.obsState.Load()
+	for k := range t {
+		n := t[k].Load()
+		c[k].Add(n)
+		if eo != nil {
+			eo.counters[k].Add(n)
+		}
+		if s != nil {
+			s.stats[k].Add(n)
+		}
 	}
 }
 
@@ -505,6 +522,7 @@ func (e *Engine) Aggregate(q *relq.Query, region relq.Region) (agg.Partial, erro
 	}
 	var out [1]agg.Partial
 	p := e.newBatchPlan(b, []relq.Region{region}, nil)
+	defer e.flush(&p.stats, nil)
 	p.span = e.batchSpan(obs.SpanRef{})
 	err = p.whole(new(regionScratch), 0, out[:])
 	p.span.End()
@@ -533,7 +551,7 @@ func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int) (_ agg.
 	if len(region) != len(b.q.Dims) {
 		return agg.Zero(), false, fmt.Errorf("exec: region has %d dims, query has %d", len(region), len(b.q.Dims))
 	}
-	e.count(cQueries, 1)
+	p.stats[cQueries].Add(1)
 	if region.Empty() {
 		return agg.Zero(), false, nil
 	}
@@ -542,7 +560,7 @@ func (e *Engine) aggregateRegion(p *batchPlan, sc *regionScratch, i int) (_ agg.
 	// over the select dimensions.
 	for ti := range p.grids {
 		if cellProvablyEmpty(b, &p.grids[ti], sc, region, ti) {
-			e.count(cCellsSkipped, 1)
+			p.stats[cCellsSkipped].Add(1)
 			if o := e.Observer(); o.LogEnabled(slog.LevelDebug) {
 				o.Debug("engine.grid_skip", "table", b.q.Tables[ti])
 			}
@@ -571,7 +589,7 @@ func (e *Engine) scanAggregate(p *batchPlan, sc *regionScratch, i int) (agg.Part
 		return agg.Zero(), err
 	}
 
-	return e.finalizeVec(p.b, p.regions[i], tuples, len(p.order), p.pos), nil
+	return e.finalizeVec(p.b, p.regions[i], tuples, len(p.order), p.pos, &p.stats), nil
 }
 
 // gridBind is one table's registered grid index as the bound query sees

@@ -10,21 +10,6 @@ import (
 	"acquire/internal/relq"
 )
 
-// WithSearchScope is WithJoinScope for a search whose cells are
-// relq.CellRegion(u, step): its single-table COUNT(*) cells share one
-// table of per-cell row counts (DESIGN.md §5.23). done hands the tables'
-// counts to the engines' pools.
-func WithSearchScope(ctx context.Context, step float64) (_ context.Context, done func()) {
-	s := &joinScope{states: make(map[*Engine]*scopeState), step: step}
-	return context.WithValue(ctx, scopeKey{}, s), func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for e, st := range s.states {
-			st.group.drop(e)
-		}
-	}
-}
-
 // cellGroup is a search's table on one engine; mu guards reads and builds.
 type cellGroup struct {
 	mu       sync.Mutex
@@ -127,7 +112,7 @@ func (p *batchPlan) groupCells(g *cellGroup, sc *regionScratch, out []agg.Partia
 		out[k.i], n = part, n+1
 	}
 	p.deferred = keep
-	p.e.count(cCellsGrouped, int64(n))
+	p.stats[cCellsGrouped].Add(int64(n))
 }
 
 // rentOrBuy adds what the placed, sorted cells' units gather to the rent
@@ -282,7 +267,7 @@ func (p *batchPlan) buildCells(ctx context.Context, g *cellGroup, scs []regionSc
 	}
 	g.h, g.counts, g.gathered = h, scs[0].counts, 0
 	p.groupedRows += int64(rows)
-	e.count(cRowsScanned, int64(rows))
-	e.count(cTuplesExamined, binned.Load())
+	p.stats[cRowsScanned].Add(int64(rows))
+	p.stats[cTuplesExamined].Add(binned.Load())
 	return nil
 }

@@ -216,8 +216,8 @@ func TestGroupedPassEquivalence(t *testing.T) {
 	}
 }
 
-// TestGroupedPassNotGrouped: SUM, a join-free query under WithJoinScope
-// (no step), non-cell regions and a sampled engine never read the table.
+// TestGroupedPassNotGrouped: SUM, a join-free query under a scope with
+// no step, non-cell regions and a sampled engine never read the table.
 func TestGroupedPassNotGrouped(t *testing.T) {
 	cat := sdCatalog(t, 7, 12000, true)
 	rng := rand.New(rand.NewSource(7))
@@ -251,7 +251,7 @@ func TestGroupedPassNotGrouped(t *testing.T) {
 			return gpRun(t, ctx, e, New(cat), "sum", &sum, batches, 97)
 		},
 		"no step": func(e *Engine) int64 {
-			return gpRun(t, WithJoinScope(context.Background()), e, New(cat), "no step", q, batches, 97)
+			return gpRun(t, searchScope(context.Background()), e, New(cat), "no step", q, batches, 97)
 		},
 		"prefix regions": func(e *Engine) int64 {
 			ctx, done := WithSearchScope(context.Background(), step)

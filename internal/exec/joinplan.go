@@ -38,7 +38,7 @@ import (
 // (the band is the region's), cartesian and last attaches run per region.
 //
 // Lifetime: the memo belongs to a joinScope. A search opens one with
-// WithJoinScope and every batch it dispatches finds it in the context,
+// WithSearchScope and every batch it dispatches finds it in the context,
 // so a (table, intervals) slab is scanned once per search; a batch that
 // finds none (Aggregate, a direct AggregateBatch) gets a private one.
 // Nothing is parked on Engine, in a sync.Pool or in the region cache;
@@ -160,6 +160,7 @@ type batchPlan struct {
 	e       *Engine
 	b       *binding
 	regions []relq.Region
+	stats   statsCells // the call's tally, flushed once when it returns
 
 	grids []gridBind // per table; nil when no table has a grid
 	edges []planEdge // per table
@@ -206,22 +207,42 @@ type planMemo struct {
 // joinScope owns a join memo: a scopeState per engine that planned a join
 // under it, since two engines can see one context (a session's exact engine
 // and its sample engine). mu guards the states' maps; entries and nodes fill
-// under their own Once.
+// under their own Once. stats totals the work of the calls under the scope.
 type joinScope struct {
 	mu     sync.Mutex
 	states map[*Engine]*scopeState
 	step   float64 // the search's relq.CellRegion step; 0: no lattice (grouped.go)
+	stats  statsCells
 }
 
 func newJoinScope() *joinScope { return &joinScope{states: make(map[*Engine]*scopeState)} }
 
 type scopeKey struct{}
 
-// WithJoinScope returns a context under which the join batches of one search
-// share a memo of candidates, build sides and attach prefixes (head of this
-// file). Under it the query and, short of InvalidateTable, the tables stay fixed.
-func WithJoinScope(ctx context.Context) context.Context {
-	return context.WithValue(ctx, scopeKey{}, newJoinScope())
+// WithSearchScope returns the context of one search: its join batches share
+// a memo (head of this file), its engine calls total their work
+// (ScopeStats), and at a relq.CellRegion step > 0 its single-table COUNT(*)
+// cells share a table of per-cell counts (grouped.go). A batch of another
+// query, or after InvalidateTable, starts the memo over. done hands the
+// tables' counts to the engines' pools.
+func WithSearchScope(ctx context.Context, step float64) (_ context.Context, done func()) {
+	s := &joinScope{states: make(map[*Engine]*scopeState), step: step}
+	return context.WithValue(ctx, scopeKey{}, s), func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for e, st := range s.states {
+			st.group.drop(e)
+		}
+	}
+}
+
+// ScopeStats returns the work of the engine calls made so far under ctx's
+// search scope, each added when the call returned; zero without a scope.
+func ScopeStats(ctx context.Context) (st Stats) {
+	if s, _ := ctx.Value(scopeKey{}).(*joinScope); s != nil {
+		st = s.stats.stats()
+	}
+	return st
 }
 
 // scopeBudget is the row ids a scope may retain per row of the bound tables:
@@ -438,7 +459,7 @@ func (p *batchPlan) bindMemo(scope *joinScope) {
 // otherwise. The result may alias sc (or the memo) until sc's next use.
 func (p *batchPlan) tuples(sc *regionScratch, i int) ([]int32, error) {
 	if len(p.b.tables) == 1 {
-		rows, err := p.e.vscanTable(p.b, p.regions[i], 0, sc, sc.rows[:0])
+		rows, err := p.e.vscanTable(p.b, p.regions[i], 0, sc, &p.stats, sc.rows[:0])
 		sc.rows = rows[:0]
 		return rows, err
 	}
@@ -465,7 +486,7 @@ func (p *batchPlan) cands(sc *regionScratch, i, ti int) (*candEntry, error) {
 		ent = new(candEntry)
 	}
 	ent.scan.Do(func() {
-		rows, err := p.e.vscanTable(p.b, p.regions[i], ti, sc, sc.rows[:0])
+		rows, err := p.e.vscanTable(p.b, p.regions[i], ti, sc, &p.stats, sc.rows[:0])
 		sc.rows = rows[:0]
 		ent.rows, ent.err = slices.Clone(rows), err
 	})

@@ -446,6 +446,13 @@ func jpExpandLayers(rng *rand.Rand, d, layers int) [][]relq.Region {
 	return out
 }
 
+// searchScope is WithSearchScope with step 0: a join memo and totals, and
+// no grouped table for done to hand back.
+func searchScope(ctx context.Context) context.Context {
+	ctx, _ = WithSearchScope(ctx, 0)
+	return ctx
+}
+
 // jpRun sends the batches through ev one after another, all under ctx,
 // and returns the partials per batch; the first error ends the run and
 // is returned with the index of the batch that raised it.
@@ -507,7 +514,7 @@ func TestJoinScopeEquivalence(t *testing.T) {
 		for _, w := range []int{1, 2, 8} {
 			e := New(cat)
 			e.Parallelism = w
-			ctx := WithJoinScope(bg)
+			ctx := searchScope(bg)
 			got, _, err := jpRun(ctx, e, q, batches)
 			if err != nil {
 				t.Fatal(err)
@@ -522,7 +529,7 @@ func TestJoinScopeEquivalence(t *testing.T) {
 		cached := New(cat)
 		cached.EnableRegionCache(1 << 20)
 		for _, pass := range []string{"cold", "warm"} {
-			got, _, err := jpRun(WithJoinScope(bg), cached, q, batches)
+			got, _, err := jpRun(searchScope(bg), cached, q, batches)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -532,7 +539,7 @@ func TestJoinScopeEquivalence(t *testing.T) {
 		tight := New(cat)
 		tight.MaxIntermediate = 3
 		perBatch, failedAt, errBatch := jpRun(bg, tight, q, batches)
-		scoped, failedAtScoped, errScoped := jpRun(WithJoinScope(bg), tight, q, batches)
+		scoped, failedAtScoped, errScoped := jpRun(searchScope(bg), tight, q, batches)
 		if failedAt != failedAtScoped || (errBatch == nil) != (errScoped == nil) ||
 			errBatch != nil && errBatch.Error() != errScoped.Error() {
 			t.Fatalf("seed %d: MaxIntermediate=3: per batch failed at %d (%v), one scope at %d (%v)",
@@ -589,7 +596,7 @@ func TestJoinScopeTableChange(t *testing.T) {
 			cat, q := jpStar(t, 40, 60, 800)
 			regions := jpLayer()
 			e := New(cat)
-			ctx := WithJoinScope(context.Background())
+			ctx := searchScope(context.Background())
 			before, err := e.AggregateBatch(ctx, q, regions)
 			if err != nil {
 				t.Fatal(err)
@@ -652,7 +659,7 @@ func TestJoinScopeBudget(t *testing.T) {
 	e.Parallelism = 4
 	var deltas [2]Stats
 	for pass := range deltas {
-		ctx := WithJoinScope(context.Background())
+		ctx := searchScope(context.Background())
 		before := e.Snapshot()
 		for k, regions := range batches {
 			got, err := e.AggregateBatch(ctx, q, regions)

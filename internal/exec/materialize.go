@@ -32,7 +32,9 @@ func (e *Engine) Materialize(q *relq.Query, region relq.Region, limit int) (*Res
 	if len(region) != len(q.Dims) {
 		return nil, fmt.Errorf("exec: region has %d dims, query has %d", len(region), len(q.Dims))
 	}
-	e.count(cQueries, 1)
+	p := e.newBatchPlan(b, []relq.Region{region}, nil)
+	defer e.flush(&p.stats, nil)
+	p.stats[cQueries].Add(1)
 
 	rs := &ResultSet{}
 	for ti, t := range b.tables {
@@ -44,7 +46,6 @@ func (e *Engine) Materialize(q *relq.Query, region relq.Region, limit int) (*Res
 		return rs, nil
 	}
 
-	p := e.newBatchPlan(b, []relq.Region{region}, nil)
 	tuples, err := p.tuples(new(regionScratch), 0)
 	if err != nil {
 		return nil, err
@@ -53,7 +54,7 @@ func (e *Engine) Materialize(q *relq.Query, region relq.Region, limit int) (*Res
 
 	viol := make([]float64, len(q.Dims))
 	ntup := len(tuples) / stride
-	e.count(cTuplesExamined, int64(ntup))
+	p.stats[cTuplesExamined].Add(int64(ntup))
 tuple:
 	for t := 0; t < ntup; t++ {
 		row := tuples[t*stride : (t+1)*stride]

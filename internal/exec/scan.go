@@ -36,8 +36,10 @@ func (e *Engine) ViolationScan(q *relq.Query) ([]RowViolations, error) {
 	if len(b.joinDims) != 0 {
 		return nil, fmt.Errorf("exec: ViolationScan does not support join dimensions")
 	}
-	e.count(cQueries, 1)
-	return e.violationScanVec(b), nil
+	var st statsCells
+	defer e.flush(&st, nil)
+	st[cQueries].Add(1)
+	return e.violationScanVec(b, &st), nil
 }
 
 // violationScanVec runs the full-scan branch of vscanTable — the fixed
@@ -46,9 +48,9 @@ func (e *Engine) ViolationScan(q *relq.Query) ([]RowViolations, error) {
 // violation vectors. The emitted rows are in ascending row order; a NaN
 // under a fixed range is rejected, as on every access path
 // (filterRange).
-func (e *Engine) violationScanVec(b *binding) []RowViolations {
+func (e *Engine) violationScanVec(b *binding, st *statsCells) []RowViolations {
 	f := blockFilter{ranges: b.ranges[0], strs: b.strFlts[0], driven: -1}
-	rows := e.fullScan(b, 0, &f, e.obsState.Load(), nil)
+	rows := e.fullScan(b, 0, &f, e.obsState.Load(), st, nil)
 	d := len(b.q.Dims)
 	out := make([]RowViolations, len(rows))
 	// One flat backing array for all violation vectors: a 1M-row scan

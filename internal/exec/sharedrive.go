@@ -77,12 +77,12 @@ func (p *batchPlan) front(sc *regionScratch, i int, out []agg.Partial) error {
 	t0 := p.regionStart()
 	if p.cache != nil {
 		if val, hit := p.cache.Get(p.cacheKey(i)); hit {
-			e.count(cCacheHits, 1)
+			p.stats[cCacheHits].Add(1)
 			out[i] = val
 			p.endRegion(i, t0, true, nil)
 			return nil
 		}
-		e.count(cCacheMisses, 1)
+		p.stats[cCacheMisses].Add(1)
 		p.mu.Lock()
 		if p.missed == nil {
 			p.missed = make([]int32, 0, len(p.regions))
@@ -118,9 +118,7 @@ func (p *batchPlan) store(out []agg.Partial) {
 	for _, i := range p.missed {
 		evicted += p.cache.Put(p.cacheKey(int(i)), out[i], p.gen)
 	}
-	if evicted > 0 {
-		p.e.count(cCacheEvictions, evicted)
-	}
+	p.stats[cCacheEvictions].Add(evicted)
 }
 
 // regionStart reads the clock ahead of a region's front, when the
@@ -302,7 +300,7 @@ func (p *batchPlan) foldSlab(sc *regionScratch, members []unitKey, out []agg.Par
 		return err
 	}
 	cands := ix.rows[first.lo:first.hi]
-	e.count(cRowsScanned, int64(len(cands)))
+	p.stats[cRowsScanned].Add(int64(len(cands)))
 	if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
 		eo.o.Debug("engine.scan", "table", b.q.Tables[0], "rows", int64(len(cands)),
 			"full_scan", false, "regions", len(members))
@@ -373,7 +371,7 @@ func (p *batchPlan) foldSlab(sc *regionScratch, members []unitKey, out []agg.Par
 			}
 		}
 	}
-	e.count(cTuplesExamined, tuples)
+	p.stats[cTuplesExamined].Add(tuples)
 	return nil
 }
 

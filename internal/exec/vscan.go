@@ -278,8 +278,8 @@ func (e *Engine) zonePreds(t *data.Table, f *blockFilter) []zonePred {
 // to reject next to nothing. A driving fixed range is dropped (the slab
 // is exact). A driving select dimension's value interval is only a
 // conservative image of its violation bound, so its filter stays, but
-// runs last, over the survivors of the others.
-func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionScratch, out []int32) ([]int32, error) {
+// runs last, over the survivors of the others. It counts into st.
+func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionScratch, st *statsCells, out []int32) ([]int32, error) {
 	ac, err := e.accessPath(b, region, ti, sc)
 	if err != nil || ac.empty {
 		return out, err
@@ -299,20 +299,20 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionSc
 
 	if ac.indexed {
 		candidates := ac.ix.rows[ac.lo:ac.hi]
-		e.count(cRowsScanned, int64(len(candidates)))
+		st[cRowsScanned].Add(int64(len(candidates)))
 		if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
 			eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
 				"rows", int64(len(candidates)), "full_scan", false)
 		}
 		return e.blockFilterRows(candidates, f, eo, out), nil
 	}
-	return e.fullScan(b, ti, f, eo, out), nil
+	return e.fullScan(b, ti, f, eo, st, out), nil
 }
 
 // fullScan runs f over every block of table ti in ascending row order,
 // skipping the blocks a zone map proves candidate-free, appends the
-// survivors to out and counts the scan.
-func (e *Engine) fullScan(b *binding, ti int, f *blockFilter, eo *engineObs, out []int32) []int32 {
+// survivors to out and counts the scan into st.
+func (e *Engine) fullScan(b *binding, ti int, f *blockFilter, eo *engineObs, st *statsCells, out []int32) []int32 {
 	t := b.tables[ti]
 	zps := e.zonePreds(t, f)
 	out, rowsScanned, blocksScanned, axisSkips := e.blockScan(t.NumRows(), zps, f, eo, out)
@@ -320,9 +320,9 @@ func (e *Engine) fullScan(b *binding, ti int, f *blockFilter, eo *engineObs, out
 	for _, s := range axisSkips {
 		blocksSkipped += s
 	}
-	e.count(cRowsScanned, rowsScanned)
-	e.count(cBlocksScanned, blocksScanned)
-	e.count(cBlocksSkipped, blocksSkipped)
+	st[cRowsScanned].Add(rowsScanned)
+	st[cBlocksScanned].Add(blocksScanned)
+	st[cBlocksSkipped].Add(blocksSkipped)
 	if blocksSkipped > 0 {
 		e.countZoneAxisSkips(t, zps, axisSkips)
 	}
@@ -331,7 +331,7 @@ func (e *Engine) fullScan(b *binding, ti int, f *blockFilter, eo *engineObs, out
 	// but every tail block spans the whole domain. Surface it in stats
 	// instead of letting it look like silently-stale zone maps.
 	if t.ClusterTail() >= blockRows {
-		e.count(cDegradedScans, 1)
+		st[cDegradedScans].Add(1)
 	}
 	if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
 		eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
@@ -457,9 +457,9 @@ func gatherFilterRange(cands []int32, lo, hi int, f *blockFilter, eo *engineObs,
 // cover the whole region. Qualifying tuples step the aggregate in
 // ascending tuple order. pos maps a table index to its slot in a tuple
 // of the given stride.
-func (e *Engine) finalizeVec(b *binding, region relq.Region, tuples []int32, stride int, pos []int) agg.Partial {
+func (e *Engine) finalizeVec(b *binding, region relq.Region, tuples []int32, stride int, pos []int, st *statsCells) agg.Partial {
 	ntup := len(tuples) / stride
-	e.count(cTuplesExamined, int64(ntup))
+	st[cTuplesExamined].Add(int64(ntup))
 	if ntup < parallelThreshold {
 		// parallelFold would run this same single chunk; calling it
 		// directly keeps the per-region closure off the heap.

@@ -592,7 +592,7 @@ func mutationRounds(t *testing.T, parallelism int) {
 
 	e := New(cat)
 	e.Parallelism = parallelism
-	ctx := WithJoinScope(context.Background())
+	ctx := searchScope(context.Background())
 	// compare runs both queries and checks them against the oracle of a
 	// fresh engine, which holds no derived state a mutation could leave
 	// stale; it returns the single-table and the join partials.

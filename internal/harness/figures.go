@@ -407,15 +407,13 @@ func AblationGridIndex(ctx context.Context, cfg Config) ([]Figure, error) {
 		if err := e.BuildGridIndex("users", []string{"age"}, 256); err != nil {
 			return nil, err
 		}
-		before := e.Snapshot()
 		m, err = RunACQUIRE(ctx, e, q, opts)
 		if err != nil {
 			return nil, err
 		}
-		after := e.Snapshot()
 		with.Y[i] = m.Millis
-		if queries := after.Queries - before.Queries; queries > 0 {
-			skipped.Y[i] = float64(after.CellsSkipped-before.CellsSkipped) / float64(queries)
+		if m.Executions > 0 {
+			skipped.Y[i] = float64(m.CellsSkipped) / float64(m.Executions)
 		}
 		e.DropGridIndex("users")
 	}

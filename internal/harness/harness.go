@@ -96,8 +96,9 @@ type Measurement struct {
 	Refinement float64
 	// Satisfied reports whether the method met the constraint.
 	Satisfied bool
-	// Executions counts evaluation-layer query executions.
-	Executions int64
+	// Executions counts evaluation-layer query executions, CellsSkipped
+	// those the §7.4 grid index answered empty (ACQUIRE only).
+	Executions, CellsSkipped int64
 }
 
 // Series is one plotted line: y-values per x position.
@@ -177,19 +178,18 @@ func newEngine(cat *data.Catalog, cfg Config) (*exec.Engine, error) {
 // layer, so acqbench's signal handling interrupts real work).
 func RunACQUIRE(ctx context.Context, e *exec.Engine, q *relq.Query, opts core.Options) (Measurement, error) {
 	clk := opts.Observer.Clock() // Real for a nil observer
-	before := e.Snapshot()
 	start := clk.Now()
 	res, err := core.RunContext(ctx, e, q, opts)
 	elapsed := clk.Now().Sub(start)
 	if err != nil {
 		return Measurement{}, err
 	}
-	after := e.Snapshot()
 	m := Measurement{
-		Method:     "ACQUIRE",
-		Millis:     float64(elapsed.Microseconds()) / 1000,
-		Satisfied:  res.Satisfied,
-		Executions: after.Queries - before.Queries,
+		Method:       "ACQUIRE",
+		Millis:       float64(elapsed.Microseconds()) / 1000,
+		Satisfied:    res.Satisfied,
+		Executions:   res.Engine.Queries,
+		CellsSkipped: res.Engine.CellsSkipped,
 	}
 	pick := res.Best
 	if pick == nil {
