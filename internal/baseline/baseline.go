@@ -14,8 +14,6 @@ package baseline
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"acquire/internal/agg"
 	"acquire/internal/core"
@@ -51,62 +49,6 @@ func l1(scores []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// maxScores computes each dimension's domain-spanning refinement score,
-// shared search-bound logic for BinSearch and TQGen.
-func maxScores(e core.Evaluator, q *relq.Query) ([]float64, error) {
-	cat := e.Catalog()
-	stats := func(ref relq.ColumnRef) (minV, maxV float64, err error) {
-		t, err := cat.Table(ref.Table)
-		if err != nil {
-			return 0, 0, err
-		}
-		ord := t.Schema().Ordinal(ref.Column)
-		if ord < 0 {
-			return 0, 0, fmt.Errorf("baseline: table %s has no column %q", ref.Table, ref.Column)
-		}
-		s, err := t.Stats(ord)
-		if err != nil {
-			return 0, 0, err
-		}
-		return s.Min, s.Max, nil
-	}
-	out := make([]float64, len(q.Dims))
-	for i := range q.Dims {
-		d := &q.Dims[i]
-		switch d.Kind {
-		case relq.SelectLE:
-			_, maxV, err := stats(d.Col)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = d.Violation(maxV)
-		case relq.SelectGE:
-			minV, _, err := stats(d.Col)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = d.Violation(minV)
-		case relq.SelectEQ:
-			minV, maxV, err := stats(d.Col)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = math.Max(d.Violation(minV), d.Violation(maxV))
-		case relq.JoinBand:
-			lMin, lMax, err := stats(d.Left)
-			if err != nil {
-				return nil, err
-			}
-			rMin, rMax, err := stats(d.Right)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = math.Max(d.JoinViolation(lMax, rMin), d.JoinViolation(lMin, rMax))
-		}
-	}
-	return out, nil
 }
 
 // evalAt executes the whole refined query at the score vector and

@@ -242,3 +242,44 @@ func TestOutcomesComparableAcrossMethods(t *testing.T) {
 		t.Errorf("TQGen executions %d should exceed BinSearch %d", tq.Executions, bs.Executions)
 	}
 }
+
+// TestBaselinesOnInfiniteColumn: a +Inf value must not stretch the
+// search bound. BinSearch and TQGen bound each dimension where ACQUIRE
+// does — the domain of its finite values (core.DomainScores) — so on
+// t(x) with x = 1..99 plus one +Inf row both satisfy COUNT(*) = 25 over
+// x <= 10 with a finite refinement, instead of bisecting [0, +Inf] or
+// gridding it into NaN scores.
+func TestBaselinesOnInfiniteColumn(t *testing.T) {
+	tbl := data.NewTable("t", data.MustSchema(
+		data.Column{Name: "x", Type: data.Float64},
+		data.Column{Name: "y", Type: data.Float64},
+	))
+	for i := 0; i <= 99; i++ {
+		x := float64(i)
+		if i == 0 {
+			x = math.Inf(1)
+		}
+		if err := tbl.AppendRow(data.FloatValue(x), data.FloatValue(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := data.NewCatalog()
+	if err := cat.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	e := exec.New(cat)
+	q := countQuery(25, leDim("x", 10))
+	bs, err := BinSearch(e, q, BinSearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tq, err := TQGen(e, q, TQGenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []*Outcome{bs, tq} {
+		if !out.Satisfied || math.IsNaN(out.QScore) || math.IsInf(out.QScore, 0) || out.QScore > 89 {
+			t.Errorf("%s: %+v, want a satisfied refinement within the finite domain (score <= 89)", out.Method, out)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"acquire/internal/agg"
+	"acquire/internal/core"
 	"acquire/internal/exec"
 	"acquire/internal/obs"
 	"acquire/internal/relq"
@@ -73,7 +74,7 @@ func BinSearchContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts B
 		return nil, err
 	}
 	errFn := agg.DefaultError(q.Constraint)
-	limits, err := maxScores(e, q)
+	limits, err := core.DomainScores(e, q)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"acquire/internal/agg"
+	"acquire/internal/core"
 	"acquire/internal/exec"
 	"acquire/internal/obs"
 	"acquire/internal/relq"
@@ -67,7 +68,7 @@ func TQGenContext(ctx context.Context, e *exec.Engine, q *relq.Query, opts TQGen
 		return nil, err
 	}
 	errFn := agg.DefaultError(q.Constraint)
-	limits, err := maxScores(e, q)
+	limits, err := core.DomainScores(e, q)
 	if err != nil {
 		return nil, err
 	}

@@ -137,7 +137,7 @@ func RunContext(ctx context.Context, e Evaluator, q *relq.Query, opts Options) (
 		}
 	}
 
-	domain, err := domainScores(e, q)
+	domain, err := DomainScores(e, q)
 	if err != nil {
 		return nil, err
 	}
@@ -194,6 +194,18 @@ func closeRoot(ctx context.Context, o *obs.Observer, tr *obs.Trace, root obs.Spa
 	}
 	root.End()
 	o.Recorder().Add(tr) // tr is nil unless the search opened its own trace
+}
+
+// logDone emits the closing event of a search or a contraction that
+// returns res: its outcome, extra, and every engine counter of its work
+// (res.Engine, which closeRoot set).
+func logDone(o *obs.Observer, event string, res *Result, extra ...any) {
+	attrs := append([]any{"satisfied", res.Satisfied, "explored", res.Explored,
+		"cell_queries", res.CellQueries, "exhausted", res.Exhausted}, extra...)
+	for _, a := range res.Engine.Attrs() {
+		attrs = append(attrs, a.Key, a.I64())
+	}
+	o.Info(event, attrs...)
 }
 
 // closeRootWithError ends a root span that a hard error cut short.
@@ -283,13 +295,8 @@ func runSearch(ctx context.Context, q *relq.Query, fr frontier, x *explorer, spe
 		}
 		closeRoot(ctx, o, tr, root, res)
 		if o.LogEnabled(slog.LevelInfo) {
-			attrs := []any{"satisfied", res.Satisfied, "explored", res.Explored,
-				"cell_queries", res.CellQueries, "stored_points", res.StoredPoints,
-				"exhausted", res.Exhausted, "probes", x.probes, "probe_regions", x.probeRegions}
-			for _, a := range res.Engine.Attrs() {
-				attrs = append(attrs, a.Key, a.I64())
-			}
-			o.Info("search.done", attrs...)
+			logDone(o, "search.done", res, "stored_points", res.StoredPoints,
+				"probes", x.probes, "probe_regions", x.probeRegions)
 		}
 		return res
 	}
@@ -568,10 +575,11 @@ func finiteExtremes(cat *data.Catalog, ref relq.ColumnRef) (minV, maxV float64, 
 	return s.FiniteMin, s.FiniteMax, nil
 }
 
-// domainScores computes, per dimension, the refinement score at which
-// the predicate spans the entire attribute domain — the natural cap of
-// the refined space along that axis.
-func domainScores(e Evaluator, q *relq.Query) ([]float64, error) {
+// DomainScores computes, per dimension, the refinement score at which
+// the predicate spans the entire attribute domain over its finite values
+// — the natural cap of the refined space along that axis, and the search
+// bound of ACQUIRE and of the BinSearch and TQGen baselines alike.
+func DomainScores(e Evaluator, q *relq.Query) ([]float64, error) {
 	cat := e.Catalog()
 	out := make([]float64, len(q.Dims))
 	for i := range q.Dims {

@@ -632,7 +632,7 @@ func TestContractionUnsatisfiableEquality(t *testing.T) {
 func TestExplorerVerifyHook(t *testing.T) {
 	e := lineTable(t, 300)
 	q := countQ(100, leDim(10))
-	domain, err := domainScores(e, q)
+	domain, err := DomainScores(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}

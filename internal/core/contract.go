@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"log/slog"
 	"math"
 	"sort"
 
@@ -88,8 +89,9 @@ func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Optio
 			res.Best = &res.Queries[0]
 		}
 		closeRoot(ctx, o, tr, root, res)
-		o.Info("contract.done", "satisfied", res.Satisfied, "explored", res.Explored,
-			"cell_queries", res.CellQueries, "exhausted", res.Exhausted)
+		if o.LogEnabled(slog.LevelInfo) {
+			logDone(o, "contract.done", res)
+		}
 		return res
 	}
 

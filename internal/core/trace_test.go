@@ -115,6 +115,43 @@ func TestSearchPointEvents(t *testing.T) {
 	}
 }
 
+// TestDoneEventsCarryEngineWork: a search's search.done and a
+// contraction's contract.done both list every engine counter of the
+// work they report in Result.Engine, under the keys of Stats.Attrs.
+func TestDoneEventsCarryEngineWork(t *testing.T) {
+	e := lineTable(t, 1000)
+	for _, c := range []struct {
+		event string
+		q     *relq.Query
+	}{
+		{"search.done", countQ(15, leDim(10))},
+		{"contract.done", &relq.Query{Tables: []string{"t"}, Dims: []relq.Dimension{leDim(600)},
+			Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpLE, Target: 300}}},
+	} {
+		log := &eventLog{}
+		res, err := Run(e, c.q, Options{Gamma: 10, Delta: 0.01, Observer: log.observer()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := log.named(c.event)
+		if len(done) != 1 {
+			t.Fatalf("%d %s events, want 1", len(done), c.event)
+		}
+		if res.Engine.Queries == 0 || res.Engine.RowsScanned == 0 {
+			t.Fatalf("%s: the search counted no engine work: %+v", c.event, res.Engine)
+		}
+		for _, a := range res.Engine.Attrs() {
+			v, ok := done[0].attrs[a.Key]
+			if !ok || v.Int64() != a.I64() {
+				t.Errorf("%s: %s = %v (present %v), Result.Engine has %d", c.event, a.Key, v, ok, a.I64())
+			}
+		}
+		if got := done[0].i64("cell_queries"); got != int64(res.CellQueries) {
+			t.Errorf("%s: cell_queries = %d, Result has %d", c.event, got, res.CellQueries)
+		}
+	}
+}
+
 // TestExplainResultLiterals drives ExplainResult through crafted
 // Result values, covering the closest-only, exhausted, and note paths
 // without running a search.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"log/slog"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -21,9 +22,11 @@ import (
 // what the regions share is planned once (joinplan.go). The pool runs
 // two rounds: every region's front, then — for a single-table batch —
 // the units that scan the regions their fronts deferred, grouped by the
-// index slab they drive from (sharedrive.go). Each partial is the one
-// Aggregate computes for the region, bit for bit, so results are
-// deterministic — identical for every worker count.
+// index slab they drive from, a long slab cut into several units
+// (sharedrive.go). The pool is the engine's only fan-out: each region or
+// unit runs start to finish on the worker that pulled it. Each partial
+// is the one Aggregate computes for the region, bit for bit, so results
+// are deterministic — identical for every worker count.
 // Cancellation is checked before each region and unit; on cancellation
 // or the first error the pool drains and the error is returned. With a
 // region cache attached, the regions the cache missed are stored once
@@ -77,11 +80,13 @@ func (e *Engine) AggregateBatch(ctx context.Context, q *relq.Query, regions []re
 		if err := p.planUnits(ctx, scs, out); err != nil {
 			return nil, err
 		}
+		scs = e.widen(scs, len(p.units)) // a narrow batch's long slab still spreads
 		if err := drain(ctx, scs, len(p.units), func(sc *regionScratch, u int) error {
 			return p.runUnit(sc, u, out)
 		}); err != nil {
 			return nil, err
 		}
+		p.mergeParts(out)
 	}
 	p.store(out)
 	return out, nil
@@ -96,6 +101,25 @@ func (e *Engine) batchSpan(parent obs.SpanRef) obs.SpanRef {
 		return parent.StartChild("engine.batch")
 	}
 	return e.Observer().StartSpan(parent, "engine.batch")
+}
+
+// workers returns the engine's worker count (Parallelism, defaulting
+// to GOMAXPROCS, floored at 1).
+func (e *Engine) workers() int {
+	w := e.Parallelism
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return max(w, 1)
+}
+
+// widen returns scs with as many scratches as the engine has workers, or
+// as a drain of n tasks can use if that is fewer; it never shrinks scs.
+func (e *Engine) widen(scs []regionScratch, n int) []regionScratch {
+	if w := min(e.workers(), n); w > len(scs) {
+		scs = append(scs[:len(scs):len(scs)], make([]regionScratch, w-len(scs))...)
+	}
+	return scs
 }
 
 // drain runs task(sc, t) for every t in [0, n) on a pool of up to

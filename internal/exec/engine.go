@@ -8,6 +8,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"math"
@@ -202,7 +203,8 @@ type Engine struct {
 
 	// MaxIntermediate bounds intermediate join sizes (tuples).
 	MaxIntermediate int
-	// Parallelism caps scan/aggregation workers; 0 means GOMAXPROCS.
+	// Parallelism caps the workers of a batch's pool (and of an aggregate
+	// grid's build); 0 means GOMAXPROCS.
 	Parallelism int
 
 	// stats points at the current counter generation; see statsCells.
@@ -514,19 +516,15 @@ func (e *Engine) gridEntry(table string) gridEntry {
 // The region has one interval per query dimension (in q.Dims order): a
 // result tuple qualifies iff its violation vector lies inside the
 // region. PrefixRegion yields whole refined queries; CellRegion yields
-// the cell sub-queries of §5.1.1.
+// the cell sub-queries of §5.1.1. It is a batch of one region, so it
+// consults the region cache and a long drive spreads over the workers
+// as in any batch (sharedrive.go).
 func (e *Engine) Aggregate(q *relq.Query, region relq.Region) (agg.Partial, error) {
-	b, err := e.bind(q)
+	out, err := e.AggregateBatch(context.Background(), q, []relq.Region{region})
 	if err != nil {
 		return agg.Zero(), err
 	}
-	var out [1]agg.Partial
-	p := e.newBatchPlan(b, []relq.Region{region}, nil)
-	defer e.flush(&p.stats, nil)
-	p.span = e.batchSpan(obs.SpanRef{})
-	err = p.whole(new(regionScratch), 0, out[:])
-	p.span.End()
-	return out[0], err
+	return out[0], nil
 }
 
 // queryDone emits the debug-level engine.query event of one timed
@@ -589,7 +587,7 @@ func (e *Engine) scanAggregate(p *batchPlan, sc *regionScratch, i int) (agg.Part
 		return agg.Zero(), err
 	}
 
-	return e.finalizeVec(p.b, p.regions[i], tuples, len(p.order), p.pos, &p.stats), nil
+	return finalizeVec(p.b, p.regions[i], tuples, len(p.order), p.pos, &p.stats), nil
 }
 
 // gridBind is one table's registered grid index as the bound query sees

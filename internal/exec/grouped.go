@@ -200,9 +200,7 @@ func (p *batchPlan) buildCells(ctx context.Context, g *cellGroup, scs []regionSc
 	}
 	const chunk = 16 * blockRows
 	tasks := (rows + chunk - 1) / chunk
-	if ws := e.workers(); len(scs) < ws { // a narrow batch still builds on every worker
-		scs = append(scs[:len(scs):len(scs)], make([]regionScratch, ws-len(scs))...)
-	}
+	scs = e.widen(scs, tasks) // a narrow batch still builds on every worker
 	scs = scs[:max(min(len(scs), tasks), 1)]
 	for k := range scs {
 		scs[k].counts = e.countSlab(cells)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"acquire/internal/agg"
 	"acquire/internal/data"
 	"acquire/internal/exec/regioncache"
 	"acquire/internal/index"
@@ -181,12 +182,14 @@ type batchPlan struct {
 	// The drive-shared scan stage (sharedrive.go) of a plan whose
 	// regions scan one table: a region that gets past its front is not
 	// scanned there but deferred, and the deferred regions are cut into
-	// the units a second round of dispatch drains. missed lists the
+	// the units a second round of dispatch drains. parts holds the
+	// partials of the units that fold a cut slab. missed lists the
 	// regions the cache did not hold (nil without a cache, or when every
 	// region hit).
 	mu       sync.Mutex // guards deferred and missed while the fronts run
 	deferred []unitKey
 	units    []unitSpan
+	parts    []agg.Partial
 	missed   []int32
 	// A groupable batch's lattice scope and its build's rows (grouped.go).
 	gscope      *joinScope

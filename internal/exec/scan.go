@@ -43,9 +43,9 @@ func (e *Engine) ViolationScan(q *relq.Query) ([]RowViolations, error) {
 }
 
 // violationScanVec runs the full-scan branch of vscanTable — the fixed
-// ranges and string sets over every block, zone-map skips and the
-// in-order fan-out included — and then computes the survivors'
-// violation vectors. The emitted rows are in ascending row order; a NaN
+// ranges and string sets over every block, zone-map skips included — on
+// the calling goroutine, and then computes the survivors' violation
+// vectors. The emitted rows are in ascending row order; a NaN
 // under a fixed range is rejected, as on every access path
 // (filterRange).
 func (e *Engine) violationScanVec(b *binding, st *statsCells) []RowViolations {

@@ -14,9 +14,10 @@ import (
 // ascending row order, each block's selection vector is compacted one
 // predicate at a time, zone maps skip blocks that provably cannot
 // contain a candidate, and the finalize fold steps the aggregate in
-// tuple order on a chunk grid that depends on the tuple count alone, so
-// every partial — SUM bits included — is the same for every worker
-// count. Engine.NaiveAggregate, which shares no scan, index or join
+// tuple order. A region's scan and fold run on the one worker that owns
+// it — the batch pool (batch.go) is the engine's only fan-out — so every
+// partial, SUM bits included, is the same for every worker count.
+// Engine.NaiveAggregate, which shares no scan, index or join
 // code with it, is the oracle the tests compare it against.
 //
 // On a zone-pruned full scan the candidate list leaves out blocks whose
@@ -304,7 +305,7 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionSc
 			eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
 				"rows", int64(len(candidates)), "full_scan", false)
 		}
-		return e.blockFilterRows(candidates, f, eo, out), nil
+		return blockFilterRows(candidates, f, eo, out), nil
 	}
 	return e.fullScan(b, ti, f, eo, st, out), nil
 }
@@ -315,7 +316,7 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionSc
 func (e *Engine) fullScan(b *binding, ti int, f *blockFilter, eo *engineObs, st *statsCells, out []int32) []int32 {
 	t := b.tables[ti]
 	zps := e.zonePreds(t, f)
-	out, rowsScanned, blocksScanned, axisSkips := e.blockScan(t.NumRows(), zps, f, eo, out)
+	out, rowsScanned, blocksScanned, axisSkips := blockScan(t.NumRows(), zps, f, eo, out)
 	var blocksSkipped int64
 	for _, s := range axisSkips {
 		blocksSkipped += s
@@ -344,53 +345,14 @@ func (e *Engine) fullScan(b *binding, ti int, f *blockFilter, eo *engineObs, st 
 // tableKey is the canonical (lower-cased) catalog key of a table.
 func tableKey(t *data.Table) string { return strings.ToLower(t.Name()) }
 
-// blockScan runs the zone-pruned block scan over [0, n) in ascending
-// row order, appending survivors to out. Large tables fan blocks out to
-// the worker pool in contiguous chunks concatenated in chunk order, so
-// the output matches the sequential scan exactly. axisSkips is aligned
-// with zps: skipped blocks are attributed to the first predicate that
-// fired (skipAxis).
-func (e *Engine) blockScan(n int, zps []zonePred, f *blockFilter, eo *engineObs, out []int32) (_ []int32, rowsScanned, blocksScanned int64, axisSkips []int64) {
-	nb := numBlocks(n)
-	w := e.workers()
-	if w == 1 || n < parallelThreshold {
-		return scanBlockRange(0, nb, n, zps, f, eo, out)
-	}
-	parts := chunks(nb, w)
-	outs := make([][]int32, len(parts))
-	var rows, scanned []int64
-	rows = make([]int64, len(parts))
-	scanned = make([]int64, len(parts))
-	skips := make([][]int64, len(parts))
-	done := make(chan struct{})
-	for ci := range parts {
-		go func(ci int) {
-			defer func() { done <- struct{}{} }()
-			outs[ci], rows[ci], scanned[ci], skips[ci] =
-				scanBlockRange(parts[ci][0], parts[ci][1], n, zps, f, eo, nil)
-		}(ci)
-	}
-	for range parts {
-		<-done
-	}
-	axisSkips = make([]int64, len(zps))
-	for ci := range outs {
-		out = append(out, outs[ci]...)
-		rowsScanned += rows[ci]
-		blocksScanned += scanned[ci]
-		for ai, s := range skips[ci] {
-			axisSkips[ai] += s
-		}
-	}
-	return out, rowsScanned, blocksScanned, axisSkips
-}
-
-// scanBlockRange scans blocks [b0, b1) of an n-row table, appending
-// survivors to out.
-func scanBlockRange(b0, b1, n int, zps []zonePred, f *blockFilter, eo *engineObs, out []int32) (_ []int32, rows, scanned int64, axisSkips []int64) {
+// blockScan runs the zone-pruned block scan over the n rows of a table
+// in ascending row order, appending survivors to out. axisSkips is
+// aligned with zps: skipped blocks are attributed to the first
+// predicate that fired (skipAxis).
+func blockScan(n int, zps []zonePred, f *blockFilter, eo *engineObs, out []int32) (_ []int32, rows, scanned int64, axisSkips []int64) {
 	var buf [blockRows]int32
 	axisSkips = make([]int64, len(zps))
-	for bi := b0; bi < b1; bi++ {
+	for bi := range numBlocks(n) {
 		lo := bi * blockRows
 		hi := min(lo+blockRows, n)
 		if ax := skipAxis(zps, bi); ax >= 0 {
@@ -408,37 +370,11 @@ func scanBlockRange(b0, b1, n int, zps []zonePred, f *blockFilter, eo *engineObs
 
 // blockFilterRows applies the filter chain to an explicit candidate
 // list (the index path) in blockRows-sized gather chunks, appending
-// survivors to out in candidate order. Large lists split across the
-// worker pool with chunk-ordered concatenation.
-func (e *Engine) blockFilterRows(cands []int32, f *blockFilter, eo *engineObs, out []int32) []int32 {
-	w := e.workers()
-	if w == 1 || len(cands) < parallelThreshold {
-		return gatherFilterRange(cands, 0, len(cands), f, eo, out)
-	}
-	parts := chunks(len(cands), w)
-	outs := make([][]int32, len(parts))
-	done := make(chan struct{})
-	for ci := range parts {
-		go func(ci int) {
-			defer func() { done <- struct{}{} }()
-			outs[ci] = gatherFilterRange(cands, parts[ci][0], parts[ci][1], f, eo, nil)
-		}(ci)
-	}
-	for range parts {
-		<-done
-	}
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	return out
-}
-
-// gatherFilterRange filters cands[lo:hi] block by block, appending
-// survivors to out.
-func gatherFilterRange(cands []int32, lo, hi int, f *blockFilter, eo *engineObs, out []int32) []int32 {
+// survivors to out in candidate order.
+func blockFilterRows(cands []int32, f *blockFilter, eo *engineObs, out []int32) []int32 {
 	var buf [blockRows]int32
-	for blo := lo; blo < hi; blo += blockRows {
-		bhi := min(blo+blockRows, hi)
+	for blo := 0; blo < len(cands); blo += blockRows {
+		bhi := min(blo+blockRows, len(cands))
 		sel := buf[:bhi-blo]
 		copy(sel, cands[blo:bhi])
 		sel = f.apply(sel)
@@ -449,33 +385,19 @@ func gatherFilterRange(cands []int32, lo, hi int, f *blockFilter, eo *engineObs,
 }
 
 // finalizeVec filters the joined tuples by the region and folds the
-// qualifying ones: parallelFold's chunk grid (boundaries and merge
-// order a function of the tuple count alone), each chunk processed in
-// blockRows-sized sub-blocks whose selection vector is compacted one
-// condition at a time. Every query dimension is a select or a join
-// dimension (bind rejects anything else), so the per-dimension tests
-// cover the whole region. Qualifying tuples step the aggregate in
-// ascending tuple order. pos maps a table index to its slot in a tuple
-// of the given stride.
-func (e *Engine) finalizeVec(b *binding, region relq.Region, tuples []int32, stride int, pos []int, st *statsCells) agg.Partial {
+// qualifying ones, in blockRows-sized sub-blocks whose selection vector
+// is compacted one condition at a time. Every query dimension is a
+// select or a join dimension (bind rejects anything else), so the
+// per-dimension tests cover the whole region. Qualifying tuples step
+// the aggregate in ascending tuple order. pos maps a table index to its
+// slot in a tuple of the given stride.
+func finalizeVec(b *binding, region relq.Region, tuples []int32, stride int, pos []int, st *statsCells) agg.Partial {
 	ntup := len(tuples) / stride
 	st[cTuplesExamined].Add(int64(ntup))
-	if ntup < parallelThreshold {
-		// parallelFold would run this same single chunk; calling it
-		// directly keeps the per-region closure off the heap.
-		return foldTuples(b, region, tuples, stride, pos, 0, ntup)
-	}
-	return e.parallelFold(ntup, func(lo, hi int) agg.Partial {
-		return foldTuples(b, region, tuples, stride, pos, lo, hi)
-	})
-}
-
-// foldTuples folds tuples [lo, hi) of one parallelFold chunk.
-func foldTuples(b *binding, region relq.Region, tuples []int32, stride int, pos []int, lo, hi int) agg.Partial {
 	p := agg.Zero()
 	var buf [blockRows]int
-	for blo := lo; blo < hi; blo += blockRows {
-		bhi := min(blo+blockRows, hi)
+	for blo := 0; blo < ntup; blo += blockRows {
+		bhi := min(blo+blockRows, ntup)
 		sel := buf[:0]
 		for t := blo; t < bhi; t++ {
 			sel = append(sel, t)

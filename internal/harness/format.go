@@ -88,8 +88,8 @@ func LatencySummary(reg *obs.Registry) string {
 		return ""
 	}
 	type row struct {
-		name             string
-		count            int64
+		name          string
+		count         int64
 		p50, p95, p99 float64
 	}
 	var rows []row

@@ -22,14 +22,14 @@ func TestHistogramQuantile(t *testing.T) {
 	cases := []struct {
 		q, want float64
 	}{
-		{0.5, 1.0},   // rank 5 = top of first bucket: 0 + 1*(5/5)
-		{0.25, 0.5},  // rank 2.5 mid first bucket: 0 + 1*(2.5/5)
-		{0.8, 2.0},   // rank 8 = top of second bucket: 1 + 1*(3/3)
-		{0.9, 3.0},   // rank 9 mid third bucket: 2 + 2*(1/2)
-		{1.0, 4.0},   // rank 10 = top of third bucket
-		{0.0, 0.0},   // rank 0 interpolates from bucket floor
-		{-0.5, 0.0},  // clamped
-		{1.5, 4.0},   // clamped
+		{0.5, 1.0},  // rank 5 = top of first bucket: 0 + 1*(5/5)
+		{0.25, 0.5}, // rank 2.5 mid first bucket: 0 + 1*(2.5/5)
+		{0.8, 2.0},  // rank 8 = top of second bucket: 1 + 1*(3/3)
+		{0.9, 3.0},  // rank 9 mid third bucket: 2 + 2*(1/2)
+		{1.0, 4.0},  // rank 10 = top of third bucket
+		{0.0, 0.0},  // rank 0 interpolates from bucket floor
+		{-0.5, 0.0}, // clamped
+		{1.5, 4.0},  // clamped
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
