@@ -17,9 +17,9 @@ import (
 //
 // Hits return exactly the partial a cold execution produced, so search
 // results stay bit-identical with the cache on, off, or pre-warmed.
-// The single-region Aggregate entry point deliberately bypasses the
-// cache: it is the independent oracle the incremental-computation
-// verification compares against.
+// Aggregate is a batch of one region, so it reads and fills the cache
+// too; a check that needs an answer independent of the cache uses
+// NaiveAggregate or an engine without one.
 func (e *Engine) SetRegionCache(c *regioncache.Cache) {
 	e.regionCache.Store(c)
 }
