@@ -325,10 +325,9 @@ func (s *Session) DisableCache() {
 	}
 }
 
-// InvalidateCache drops every cached partial. Sessions mutating table
-// contents in place (outside ApplyTaxonomy, which invalidates
-// automatically) must call it before the next search; appends retire
-// their stale entries automatically via row-count generations.
+// InvalidateCache drops every cached partial, freeing the caches' memory.
+// Stale partials are never served without it: a cache key mixes each
+// table's generation, which appends and ApplyTaxonomy's replacement move.
 func (s *Session) InvalidateCache() {
 	s.eng.InvalidateRegionCache()
 	if sm, ok := s.eval.(*exec.Sampled); ok {
@@ -467,9 +466,6 @@ func (s *Session) ApplyTaxonomy(tree *Taxonomy, table, column string, target []s
 		return Dimension{}, err
 	}
 	s.cat.Replace(rewritten)
-	// The replacement keeps the row count, which generation checks
-	// cannot see: drop all engine state derived from the old table.
-	s.eng.InvalidateTable(table)
 	// A sample or histograms drawn from the old table lack the new
 	// column: rebuild them, with the same fraction and seed or bucket
 	// count.

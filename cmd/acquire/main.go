@@ -88,6 +88,9 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	if *sql == "" {
 		return fmt.Errorf("-sql is required")
 	}
+	if *maxOut < 0 || *show < 0 || *traceSample < 0 {
+		return fmt.Errorf("-max, -show and -trace-sample want counts of 0 or more, got %d, %d and %d", *maxOut, *show, *traceSample)
+	}
 	if *cacheMB <= 0 || *cacheMB > math.MaxInt64>>20 {
 		return fmt.Errorf("-cache-mb wants a positive size in MiB, at most %d; got %d", math.MaxInt64>>20, *cacheMB)
 	}

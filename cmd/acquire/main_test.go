@@ -189,6 +189,14 @@ func TestRunErrors(t *testing.T) {
 		{"-dataset", "users", "-rows", "100", "-gridindex", "users:age:16:x", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
 		{"-dataset", "users", "-rows", "100", "-cache", "-cache-mb", "-5", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
 		{"-dataset", "users", "-rows", "100", "-cache", "-cache-mb", "9223372036854775807", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		// Search options no search can use, and negative counts.
+		{"-dataset", "users", "-rows", "100", "-gamma", "NaN", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		{"-dataset", "users", "-rows", "100", "-gamma", "+Inf", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		{"-dataset", "users", "-rows", "100", "-delta", "NaN", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		{"-dataset", "users", "-rows", "100", "-delta", "-0.5", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		{"-dataset", "users", "-rows", "100", "-max", "-1", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		{"-dataset", "users", "-rows", "100", "-show", "-1", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
+		{"-dataset", "users", "-rows", "100", "-trace-sample", "-1", "-sql", "SELECT * FROM users CONSTRAINT COUNT(*) = 1 WHERE age <= 30"},
 	}
 	for i, args := range cases {
 		if _, err := runCLI(t, args...); err == nil {

@@ -50,12 +50,21 @@ type Options struct {
 	Observer *obs.Observer
 }
 
-func (o Options) withDefaults() Options {
+// resolved fills in o's defaults and rejects what no search can use: a
+// Gamma that is not positive and finite, a Delta that is negative or not
+// finite (0 means the default for both).
+func (o Options) resolved() (Options, error) {
 	if o.Gamma == 0 {
 		o.Gamma = 10
 	}
 	if o.Delta == 0 {
 		o.Delta = 0.05
+	}
+	if !(o.Gamma > 0) || math.IsInf(o.Gamma, 1) {
+		return o, fmt.Errorf("core: refinement threshold gamma must be positive and finite, got %v", o.Gamma)
+	}
+	if !(o.Delta > 0) || math.IsInf(o.Delta, 1) {
+		return o, fmt.Errorf("core: aggregate error threshold delta must be non-negative and finite, got %v", o.Delta)
 	}
 	if o.Norm == nil {
 		o.Norm = norms.L1{}
@@ -66,7 +75,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxExplored == 0 {
 		o.MaxExplored = 100000
 	}
-	return o
+	return o, nil
 }
 
 // Result is the output of a refinement search.
@@ -121,7 +130,10 @@ func Run(e Evaluator, q *relq.Query, opts Options) (*Result, error) {
 // the partial Result accumulated so far together with the context's
 // error, so callers can report progress before abandoning the search.
 func RunContext(ctx context.Context, e Evaluator, q *relq.Query, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.resolved()
+	if err != nil {
+		return nil, err
+	}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -572,8 +573,21 @@ func TestRunInputValidation(t *testing.T) {
 		t.Error("no refinable predicates: expected error")
 	}
 	q := countQ(5, leDim(3))
-	if _, err := Run(e, q, Options{Gamma: -1}); err == nil {
-		t.Error("negative gamma: expected error")
+	contractQ := &relq.Query{Tables: []string{"t"}, Dims: []relq.Dimension{leDim(5)},
+		Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpLE, Target: 2}}
+	for _, o := range []Options{
+		{Gamma: -1}, {Gamma: math.NaN()}, {Gamma: math.Inf(1)},
+		{Delta: -0.5}, {Delta: math.NaN()}, {Delta: math.Inf(1)},
+	} {
+		if _, err := Run(e, q, o); err == nil {
+			t.Errorf("options %+v: expected error", o)
+		}
+		if _, err := Run(e, contractQ, o); err == nil {
+			t.Errorf("options %+v, contraction: expected error", o)
+		}
+		if _, err := ContractContext(context.Background(), e, contractQ, o); err == nil {
+			t.Errorf("options %+v, ContractContext: expected error", o)
+		}
 	}
 	badCol := countQ(5, relq.Dimension{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "t", Column: "zzz"}, Bound: 1, Width: 1})
 	if _, err := Run(e, badCol, Options{}); err == nil {

@@ -29,7 +29,10 @@ import (
 // Cancellation is checked before every candidate evaluation; the
 // partial Result gathered so far is returned with the context's error.
 func ContractContext(ctx context.Context, e Evaluator, q *relq.Query, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+	opts, err := opts.resolved()
+	if err != nil {
+		return nil, err
+	}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}

@@ -36,9 +36,6 @@ func newSpace(q *relq.Query, gamma float64, domainScore []float64) (*space, erro
 	if d == 0 {
 		return nil, fmt.Errorf("core: query has no refinable predicates; nothing to refine")
 	}
-	if gamma <= 0 {
-		return nil, fmt.Errorf("core: refinement threshold gamma must be positive, got %v", gamma)
-	}
 	s := &space{dims: d, step: gamma / float64(d), maxCoord: make([]int, d)}
 	for i := range q.Dims {
 		limit := domainScore[i]

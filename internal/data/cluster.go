@@ -61,8 +61,8 @@ func permuted(t *Table, perm []int) *Table {
 		ints:    make(map[int][]int64, len(t.ints)),
 		floats:  make(map[int][]float64, len(t.floats)),
 		strings: make(map[int][]string, len(t.strings)),
-		stats:   make(map[int]ColumnStats),
 	}
+	out.Touch()
 	for o, v := range t.ints {
 		nv := make([]int64, len(v))
 		for i, p := range perm {

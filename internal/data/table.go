@@ -3,13 +3,23 @@ package data
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 )
 
 // Table is an immutable-after-load, append-only columnar table. Numeric
 // columns are stored as dense vectors so the executor can scan without
 // per-cell allocation; string columns are dictionary-free plain slices
 // (categorical cardinalities in our workloads are tiny).
+//
+// A table has a generation (Gen), unique across the process: a new table
+// gets a fresh one and every AppendRow and Touch moves it, so a catalog
+// Replace always changes the generation a name resolves to. Everything
+// derived from the columns — the float view of an Int64 column, Stats,
+// and the state packages above keep through Derived — lives in a memo of
+// one generation and is built at most once per generation. That is the
+// one staleness rule: state of an old generation is never served. The
+// table cannot see a rewrite of a vector Ints or Floats returned; whoever
+// rewrites one in place calls Touch before the next read.
 type Table struct {
 	name   string
 	schema *Schema
@@ -28,13 +38,22 @@ type Table struct {
 	clusterCol string
 	sortedRows int
 
-	// stats are lazily computed min/max per numeric ordinal; ACQUIRE
-	// needs attribute domains to anchor predicate intervals (§2.2:
-	// "if the minimum value of B.y is 0 ..."). statsMu guards the lazy
-	// fill — concurrent refinement searches share one catalog.
-	statsMu sync.Mutex
-	stats   map[int]ColumnStats
+	gen  atomic.Uint64
+	memo atomic.Pointer[tableMemo] // derived.go
 }
+
+// genSeq hands out generations; one counter for every table makes them
+// unique across the process.
+var genSeq atomic.Uint64
+
+// Gen returns the table's generation: equal generations mean the same
+// table with the same contents.
+func (t *Table) Gen() uint64 { return t.gen.Load() }
+
+// Touch moves the table to a fresh generation, retiring everything derived
+// from its columns. Call it after rewriting a column vector in place, the
+// one change the table cannot see; appends move the generation themselves.
+func (t *Table) Touch() { t.gen.Store(genSeq.Add(1)) }
 
 // ColumnStats holds the domain statistics the refinement model needs.
 type ColumnStats struct {
@@ -57,8 +76,8 @@ func NewTable(name string, schema *Schema) *Table {
 		ints:    make(map[int][]int64),
 		floats:  make(map[int][]float64),
 		strings: make(map[int][]string),
-		stats:   make(map[int]ColumnStats),
 	}
+	t.Touch()
 	for i, c := range schema.Columns {
 		switch c.Type {
 		case Int64:
@@ -130,9 +149,7 @@ func (t *Table) AppendRow(vals ...Value) error {
 		}
 	}
 	t.rows++
-	t.statsMu.Lock()
-	t.stats = make(map[int]ColumnStats) // invalidate
-	t.statsMu.Unlock()
+	t.Touch()
 	return nil
 }
 
@@ -167,20 +184,25 @@ func (t *Table) NumericAt(row, ordinal int) (float64, error) {
 	return 0, fmt.Errorf("data: table %s: column ordinal %d is not numeric", t.name, ordinal)
 }
 
-// NumericColumn materialises a float64 view of a numeric column. For
-// Int64 columns this copies; for Float64 it returns the backing vector.
+// NumericColumn returns a float64 view of a numeric column: a Float64
+// column's backing vector, or for an Int64 column a copy built once per
+// generation and shared by every caller. The returned slice must not be
+// mutated.
 func (t *Table) NumericColumn(ordinal int) ([]float64, error) {
 	if fv, ok := t.floats[ordinal]; ok {
 		return fv, nil
 	}
-	if iv, ok := t.ints[ordinal]; ok {
+	iv, ok := t.ints[ordinal]
+	if !ok {
+		return nil, fmt.Errorf("data: table %s: column ordinal %d is not numeric", t.name, ordinal)
+	}
+	return t.colMemo(ordinal).view.get(func() ([]float64, error) {
 		out := make([]float64, len(iv))
 		for i, v := range iv {
 			out[i] = float64(v)
 		}
 		return out, nil
-	}
-	return nil, fmt.Errorf("data: table %s: column ordinal %d is not numeric", t.name, ordinal)
+	})
 }
 
 // StringAt returns the string value at (row, ordinal).
@@ -203,42 +225,48 @@ func (t *Table) ValueAt(row, ordinal int) Value {
 	return StringValue(t.strings[ordinal][row])
 }
 
-// Stats returns min/max/distinct for a numeric column, computing and
-// caching on first use. An empty table yields zero stats.
+// Stats returns min/max/distinct for a numeric column, computed once per
+// generation; ACQUIRE needs attribute domains to anchor predicate
+// intervals (§2.2: "if the minimum value of B.y is 0 ..."). An empty
+// table yields zero stats.
 func (t *Table) Stats(ordinal int) (ColumnStats, error) {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	if s, ok := t.stats[ordinal]; ok {
-		return s, nil
+	if fv, ok := t.floats[ordinal]; ok {
+		return t.colMemo(ordinal).stats.get(func() (ColumnStats, error) { return columnStats(fv), nil })
 	}
-	col, err := t.NumericColumn(ordinal)
-	if err != nil {
-		return ColumnStats{}, err
+	if iv, ok := t.ints[ordinal]; ok {
+		// From the integers: a float view built only for stats would stay
+		// in the memo for the generation.
+		return t.colMemo(ordinal).stats.get(func() (ColumnStats, error) { return columnStats(iv), nil })
 	}
+	return ColumnStats{}, fmt.Errorf("data: table %s: column ordinal %d is not numeric", t.name, ordinal)
+}
+
+func columnStats[T int64 | float64](col []T) ColumnStats {
 	s := ColumnStats{}
-	if len(col) > 0 {
-		s.Min, s.Max = math.Inf(1), math.Inf(-1)
-		s.FiniteMin, s.FiniteMax = s.Min, s.Max
-		seen := make(map[float64]struct{})
-		for _, v := range col {
-			if v < s.Min {
-				s.Min = v
-			}
-			if v > s.Max {
-				s.Max = v
-			}
-			if !math.IsInf(v, 0) {
-				if v < s.FiniteMin {
-					s.FiniteMin = v
-				}
-				if v > s.FiniteMax {
-					s.FiniteMax = v
-				}
-			}
-			seen[v] = struct{}{}
-		}
-		s.Distinct = len(seen)
+	if len(col) == 0 {
+		return s
 	}
-	t.stats[ordinal] = s
-	return s, nil
+	s.Min, s.Max = math.Inf(1), math.Inf(-1)
+	s.FiniteMin, s.FiniteMax = s.Min, s.Max
+	seen := make(map[float64]struct{})
+	for _, x := range col {
+		v := float64(x)
+		if v < s.Min {
+			s.Min = v
+		}
+		if v > s.Max {
+			s.Max = v
+		}
+		if !math.IsInf(v, 0) {
+			if v < s.FiniteMin {
+				s.FiniteMin = v
+			}
+			if v > s.FiniteMax {
+				s.FiniteMax = v
+			}
+		}
+		seen[v] = struct{}{}
+	}
+	s.Distinct = len(seen)
+	return s
 }

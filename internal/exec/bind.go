@@ -100,7 +100,7 @@ func coefOr1(c float64) float64 {
 }
 
 // bind compiles q against the engine's catalog, resolving column
-// references through the numeric-column cache.
+// references to the tables' float views.
 func (e *Engine) bind(q *relq.Query) (*binding, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -127,8 +127,12 @@ func (e *Engine) bind(q *relq.Query) (*binding, error) {
 		if !ok {
 			return 0, 0, nil, fmt.Errorf("exec: predicate references table %q not in FROM", ref.Table)
 		}
-		ord := b.tables[ti].Schema().Ordinal(ref.Column)
-		vec, err := e.numericColumn(b.tables[ti], ref.Column)
+		t := b.tables[ti]
+		ord := t.Schema().Ordinal(ref.Column)
+		if ord < 0 {
+			return 0, 0, nil, fmt.Errorf("exec: table %s has no column %q", t.Name(), ref.Column)
+		}
+		vec, err := t.NumericColumn(ord)
 		if err != nil {
 			return 0, 0, nil, err
 		}
@@ -229,32 +233,4 @@ func (e *Engine) bind(q *relq.Query) (*binding, error) {
 		b.aggTbl, b.aggVec = ti, vec
 	}
 	return b, nil
-}
-
-// numericColumn returns the cached float64 view of a numeric column.
-// data.Table.NumericColumn copies Int64 vectors on every call; the cache
-// makes repeated cell-query execution allocation-free. Hits require the
-// entry to have been built from this exact *Table at this row count
-// (see colEntry), so both appends and same-size catalog Replaces miss
-// and rebuild.
-func (e *Engine) numericColumn(t *data.Table, col string) ([]float64, error) {
-	ord := t.Schema().Ordinal(col)
-	if ord < 0 {
-		return nil, fmt.Errorf("exec: table %s has no column %q", t.Name(), col)
-	}
-	key := colKey{table: strings.ToLower(t.Name()), ord: ord}
-	e.mu.RLock()
-	ent, ok := e.colCache[key]
-	e.mu.RUnlock()
-	if ok && ent.src == t && len(ent.vec) == t.NumRows() {
-		return ent.vec, nil
-	}
-	vec, err := t.NumericColumn(ord)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.colCache[key] = colEntry{vec: vec, src: t}
-	e.mu.Unlock()
-	return vec, nil
 }

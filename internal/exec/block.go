@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math"
-	"strings"
 
 	"acquire/internal/data"
 	"acquire/internal/relq"
@@ -66,26 +65,11 @@ func buildZoneMap(vec []float64) *zoneMap {
 	return zm
 }
 
-// zoneMapFor returns the cached zone map for a column, building it on
-// first use. Zone maps live alongside the column and sorted-index
-// caches under the same table-identity scheme: a hit requires the exact
-// *Table the map was built from at the same column length, so both
-// appends and same-size catalog Replaces rebuild, and InvalidateTable
-// drops the entry with the rest of the
-// table's derived state. vec must be the column's current vector (as
-// resolved through numericColumn), so the build never re-fetches.
-func (e *Engine) zoneMapFor(t *data.Table, ord int, vec []float64) *zoneMap {
-	key := colKey{table: strings.ToLower(t.Name()), ord: ord}
-	e.mu.RLock()
-	ent, ok := e.zones[key]
-	e.mu.RUnlock()
-	if ok && ent.src == t && ent.n == len(vec) {
-		return ent.zm
-	}
-	zm := buildZoneMap(vec)
-	e.mu.Lock()
-	e.zones[key] = zoneEntry{zm: zm, src: t, n: len(vec)}
-	e.mu.Unlock()
+// zoneMapFor returns column ord's zone map, built once per table
+// generation and shared by every engine over the table (data.Derived). The
+// column is bound, so numeric: the lookup cannot fail.
+func zoneMapFor(t *data.Table, ord int) *zoneMap {
+	zm, _ := data.Derived(t, ord, data.ZoneMap, func(vec []float64) (*zoneMap, error) { return buildZoneMap(vec), nil })
 	return zm
 }
 

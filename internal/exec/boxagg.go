@@ -147,7 +147,7 @@ func (e *Engine) boxAggregate(p *batchPlan, region relq.Region) (agg.Partial, bo
 		if math.IsInf(zlo, -1) && math.IsInf(zhi, 1) {
 			continue
 		}
-		zm := e.zoneMapFor(b.tables[0], cons[i].sd.ord, cons[i].sd.vec)
+		zm := zoneMapFor(b.tables[0], cons[i].sd.ord)
 		zps = append(zps, zonePred{zm: zm, lo: zlo, hi: zhi})
 	}
 

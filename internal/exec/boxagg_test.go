@@ -290,7 +290,7 @@ func TestBoundaryZoneSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	val, err := e.numericColumn(tbl, "val")
+	val, err := tbl.NumericColumn(tbl.Schema().Ordinal("val"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,9 +441,8 @@ func TestGridNonFiniteColumn(t *testing.T) {
 	}
 }
 
-// TestGridFollowsTable: a registered grid follows the derived-state rule
-// of the column, sort and zone caches — it speaks only for the
-// *data.Table it was built from at the row count it saw. After a
+// TestGridFollowsTable: a registered grid follows the one derived-state
+// rule — it speaks only for the table generation it was built over. After a
 // catalog Replace, an append, or an in-place rewrite followed by
 // InvalidateTable the next query rebuilds it from its build
 // parameters, and a rebuild at another bin count replaces it; in every

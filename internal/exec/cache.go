@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"strings"
-
 	"acquire/internal/exec/regioncache"
 	"acquire/internal/relq"
 )
@@ -40,63 +38,38 @@ func (e *Engine) RegionCache() *regioncache.Cache {
 	return e.regionCache.Load()
 }
 
-// InvalidateRegionCache drops every cached partial. Call it after
-// mutating table contents in place (replacing a table via the catalog,
-// rewriting a column); pure appends retire their entries automatically
-// because the fingerprint mixes per-table row counts.
+// InvalidateRegionCache drops every cached partial, freeing the cache's
+// memory. Stale partials are never served without it: a fingerprint mixes
+// each bound table's generation, which appends, catalog Replaces and
+// data.Table.Touch all move.
 func (e *Engine) InvalidateRegionCache() {
 	if c := e.regionCache.Load(); c != nil {
 		c.Invalidate()
 	}
 }
 
-// InvalidateTable drops every piece of derived state computed from a
-// table's contents: its cached column vectors, sorted indexes, zone
-// maps, open join memos (by epoch) and the whole region cache (keyed
-// by fingerprint, so a per-table sweep is not possible); its grid index
-// stays registered but is rebuilt from its spec at its next use. Call
-// it after rewriting a table's contents in place. Pure appends and
-// catalog Replaces need no call: the column/sort/zone caches and the
-// grid registry key on table identity + row count, and the region-cache
-// fingerprints carry row-count generations.
+// InvalidateTable declares the named table rewritten in place: it touches
+// the table, retiring everything derived from its columns in every engine
+// (column views, sorted indexes, zone maps, grids, join memos, grouped
+// tables), and drops the region cache. Appends and catalog Replaces need
+// no call; they move the generation themselves.
 func (e *Engine) InvalidateTable(table string) {
-	key := strings.ToLower(table)
-	e.mu.Lock()
-	for k := range e.colCache {
-		if k.table == key {
-			delete(e.colCache, k)
-		}
+	if t, err := e.cat.Table(table); err == nil {
+		t.Touch()
 	}
-	for k := range e.sortIdx {
-		if k.table == key {
-			delete(e.sortIdx, k)
-		}
-	}
-	for k := range e.zones {
-		if k.table == key {
-			delete(e.zones, k)
-		}
-	}
-	if ent, ok := e.grids[key]; ok {
-		ent.src = nil
-		e.grids[key] = ent
-	}
-	e.mu.Unlock()
-	e.epoch.Add(1)
 	e.InvalidateRegionCache()
 }
 
 // batchFingerprint computes the query-shape fingerprint shared by every
-// region of one batch, folding in each table's row count as a
-// generation word: a table that has grown since an entry was cached can
-// never produce that key again, so stale entries age out of the LRU
-// instead of being served (the column cache's cacheGen scheme, applied
-// to cache keys).
+// region of one batch, mixing in each bound table's generation: a table
+// appended to, replaced or touched since an entry was cached can never
+// produce that key again, so stale entries age out of the LRU instead of
+// being served.
 func (e *Engine) batchFingerprint(q *relq.Query, b *binding) relq.Fingerprint {
 	fp := relq.QueryFingerprint(q)
 	gens := make([]uint64, len(b.tables))
 	for i, t := range b.tables {
-		gens[i] = uint64(t.NumRows())
+		gens[i] = t.Gen()
 	}
 	return fp.Mix(gens...)
 }

@@ -375,3 +375,62 @@ func TestRegionCacheDuplicateRegions(t *testing.T) {
 		t.Errorf("cache holds %d entries, want %d", n, len(rs))
 	}
 }
+
+// shiftedPart returns a copy of part with every price raised by 250: the
+// same row count, other contents.
+func shiftedPart(t *testing.T, part *data.Table) *data.Table {
+	t.Helper()
+	repl := data.NewTable("part", part.Schema())
+	row := make([]data.Value, part.Schema().Len())
+	for r := 0; r < part.NumRows(); r++ {
+		for c := range row {
+			row[c] = part.ValueAt(r, c)
+		}
+		price, err := row[1].AsFloat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		row[1] = data.FloatValue(price + 250)
+		if err := repl.AppendRow(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return repl
+}
+
+// A same-size catalog Replace with no invalidate call: the cache keys mix
+// the table's generation, so the warm engine equals a cold one on the new
+// contents. Keyed by row counts, 13 of these 50 regions were served stale.
+func TestRegionCacheReplaceMatchesColdRun(t *testing.T) {
+	cat := smallCatalog(t, 10, 300, 13)
+	e := New(cat)
+	e.SetRegionCache(regioncache.New(1 << 20))
+	q := priceQuery()
+	regions := randomRegions(rand.New(rand.NewSource(17)), 50)
+	if _, err := e.AggregateBatch(context.Background(), q, regions); err != nil {
+		t.Fatal(err)
+	}
+	part, err := cat.Table("part")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Replace(shiftedPart(t, part))
+
+	got, err := e.AggregateBatch(context.Background(), q, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(cat).AggregateBatch(context.Background(), q, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for i := range want {
+		if got[i] != want[i] {
+			stale++
+		}
+	}
+	if stale > 0 {
+		t.Fatalf("%d of %d regions differ from a cold engine after a same-size Replace", stale, len(regions))
+	}
+}

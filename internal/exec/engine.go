@@ -195,11 +195,8 @@ type engineObs struct {
 type Engine struct {
 	cat *data.Catalog
 
-	mu       sync.RWMutex
-	colCache map[colKey]colEntry
-	grids    map[string]gridEntry
-	sortIdx  map[colKey]sortEntry
-	zones    map[colKey]zoneEntry
+	mu    sync.RWMutex
+	grids map[string]gridEntry
 
 	// MaxIntermediate bounds intermediate join sizes (tuples).
 	MaxIntermediate int
@@ -215,51 +212,16 @@ type Engine struct {
 	// regionCache memoizes per-region partials across searches and
 	// sessions (see cache.go); nil (the default) executes every region.
 	regionCache atomic.Pointer[regioncache.Cache]
-	// epoch counts InvalidateTable calls; it retires join memos (joinplan.go).
-	epoch atomic.Uint64
 	// countSlabs recycles grouped tables' *[]int32 counts (grouped.go).
 	countSlabs sync.Pool
 	sampled    bool // set by NewSampled: its batches keep the scan stage
-}
-
-type colKey struct {
-	table string
-	ord   int
-}
-
-// colEntry / sortEntry / zoneEntry are derived-state cache slots keyed
-// by *table identity*: a hit requires the exact *data.Table the entry
-// was built from (pointer equality) at the same row count. Row-count
-// generations alone cannot see a catalog Replace that keeps the row
-// count — a re-sorted copy of the table, say — while pointer
-// identity retires such entries for free (the catalog hands out a new
-// *Table, so lookups against it miss and rebuild). In-place rewrites of
-// an existing table still require InvalidateTable, as before.
-type colEntry struct {
-	vec []float64
-	src *data.Table
-}
-
-type sortEntry struct {
-	idx *sortedIdx
-	src *data.Table
-	n   int // rows at build time
-}
-
-type zoneEntry struct {
-	zm  *zoneMap
-	src *data.Table
-	n   int // column length at build time
 }
 
 // New creates an engine over the catalog.
 func New(cat *data.Catalog) *Engine {
 	e := &Engine{
 		cat:             cat,
-		colCache:        make(map[colKey]colEntry),
 		grids:           make(map[string]gridEntry),
-		sortIdx:         make(map[colKey]sortEntry),
-		zones:           make(map[colKey]zoneEntry),
 		MaxIntermediate: DefaultMaxIntermediate,
 	}
 	e.stats.Store(&statsCells{})
@@ -380,7 +342,7 @@ func (e *Engine) BuildGridAggIndex(table string, columns, aggCols []string, bins
 	if err != nil {
 		return err
 	}
-	if ent := e.gridEntry(table); ent.g != nil && ent.current(t) && ent.agg && ent.bins == binsPerDim &&
+	if ent := e.gridEntry(table); ent.g != nil && ent.gen == t.Gen() && ent.agg && ent.bins == binsPerDim &&
 		sameColumns(ent.columns, columns) &&
 		!slices.ContainsFunc(aggCols, func(c string) bool { return ent.g.AggIndex(c) < 0 }) {
 		return nil
@@ -396,25 +358,21 @@ type gridSpec struct {
 	agg              bool
 }
 
-// gridEntry is a registered grid index, the table and row count it was
+// gridEntry is a registered grid index, the table generation it was
 // built over, its spec, and per grid column whether the column holds a
 // NaN. The grid leaves such rows out of every cell, so it speaks for a
 // query only when the query constrains each of those columns
 // (bindGrids): a select dimension admits no NaN.
 //
-// Like colEntry/sortEntry/zoneEntry, an entry is current only for the
-// exact *data.Table it was built from at the same row count: bindGrids
-// rebuilds a stale entry from its spec, so appends and catalog Replaces
-// keep the table's grid and never serve the old one.
+// An entry is current only for the generation it was built over:
+// bindGrids rebuilds a stale entry from its spec, so appends, catalog
+// Replaces and Touch keep the table's grid and never serve the old one.
 type gridEntry struct {
 	g   *index.Grid
 	nan []bool
-	src *data.Table
-	n   int // rows at build time
+	gen uint64
 	gridSpec
 }
-
-func (ent *gridEntry) current(t *data.Table) bool { return ent.src == t && ent.n == t.NumRows() }
 
 // buildGrid builds the grid spec describes over t.
 func (e *Engine) buildGrid(t *data.Table, spec gridSpec) (gridEntry, error) {
@@ -428,7 +386,7 @@ func (e *Engine) buildGrid(t *data.Table, spec gridSpec) (gridEntry, error) {
 	if err != nil {
 		return gridEntry{}, err
 	}
-	ent := gridEntry{g: g, nan: make([]bool, len(g.Columns())), src: t, n: t.NumRows(), gridSpec: spec}
+	ent := gridEntry{g: g, nan: make([]bool, len(g.Columns())), gen: t.Gen(), gridSpec: spec}
 	for d, col := range g.Columns() {
 		vec, err := t.NumericColumn(t.Schema().Ordinal(col))
 		if err != nil {
@@ -464,7 +422,7 @@ func (e *Engine) currentGrid(t *data.Table) gridEntry {
 	e.mu.RLock()
 	stale, ok := e.grids[key]
 	e.mu.RUnlock()
-	if !ok || stale.current(t) {
+	if !ok || stale.gen == t.Gen() {
 		return stale
 	}
 	ent, err := e.buildGrid(t, stale.gridSpec)

@@ -226,8 +226,8 @@ type scopeKey struct{}
 // a memo (head of this file), its engine calls total their work
 // (ScopeStats), and at a relq.CellRegion step > 0 its single-table COUNT(*)
 // cells share a table of per-cell counts (grouped.go). A batch of another
-// query, or after InvalidateTable, starts the memo over. done hands the
-// tables' counts to the engines' pools.
+// query, or over a table of another generation, starts the memo over.
+// done hands the tables' counts to the engines' pools.
 func WithSearchScope(ctx context.Context, step float64) (_ context.Context, done func()) {
 	s := &joinScope{states: make(map[*Engine]*scopeState), step: step}
 	return context.WithValue(ctx, scopeKey{}, s), func() {
@@ -252,13 +252,12 @@ func ScopeStats(ctx context.Context) (st Stats) {
 // room for all of a search's disjoint cells; nested regions fit until it is spent.
 const scopeBudget = 4
 
-// scopeState is one engine's memo under one binding: the query, its tables
-// and row counts, the engine's epoch and MaxIntermediate (a prefix carries
-// its overflow error). A plan bound to anything else starts over.
+// scopeState is one engine's memo under one binding: the query, its
+// tables' generations and MaxIntermediate (a prefix carries its overflow
+// error). A plan bound to anything else starts over.
 type scopeState struct {
 	b        *binding
-	rows     []int
-	epoch    uint64
+	gens     []uint64
 	maxInter int
 
 	entries []map[string]*candEntry // per table, by interval bit patterns
@@ -272,15 +271,13 @@ type scopeState struct {
 
 // stateFor returns e's memo under s for binding b. The caller holds s.mu.
 func (s *joinScope) stateFor(e *Engine, b *binding) *scopeState {
-	epoch := e.epoch.Load()
-	if st := s.states[e]; st != nil && st.b.q == b.q && st.epoch == epoch && st.maxInter == e.MaxIntermediate &&
-		slices.Equal(st.b.tables, b.tables) &&
-		slices.EqualFunc(b.tables, st.rows, func(t *data.Table, n int) bool { return t.NumRows() == n }) {
+	if st := s.states[e]; st != nil && st.b.q == b.q && st.maxInter == e.MaxIntermediate &&
+		slices.EqualFunc(b.tables, st.gens, func(t *data.Table, g uint64) bool { return t.Gen() == g }) {
 		return st
 	}
-	st := &scopeState{b: b, epoch: epoch, maxInter: e.MaxIntermediate, nodes: make(map[nodeKey]*prefixNode)}
+	st := &scopeState{b: b, maxInter: e.MaxIntermediate, nodes: make(map[nodeKey]*prefixNode)}
 	for _, t := range b.tables {
-		st.rows = append(st.rows, t.NumRows())
+		st.gens = append(st.gens, t.Gen())
 		st.budget += scopeBudget * int64(t.NumRows())
 		st.entries = append(st.entries, make(map[string]*candEntry))
 	}
@@ -408,7 +405,7 @@ func (p *batchPlan) bindMemo(scope *joinScope) {
 				ent = batch[string(key)]
 			}
 			if ent == nil {
-				bound := int64(st.rows[ti])
+				bound := int64(b.tables[ti].NumRows())
 				if ac, err := p.e.accessPath(b, r, ti, &sc); err == nil && (ac.indexed || ac.empty) {
 					bound = int64(ac.hi - ac.lo) // the slab; 0 when a dimension admits no value
 				}

@@ -401,7 +401,7 @@ func TestJoinPlanAllocsPerRegion(t *testing.T) {
 	e := New(cat)
 	e.Parallelism = 1
 	ctx := context.Background()
-	if _, err := e.AggregateBatch(ctx, q, regions); err != nil { // warm the column and sort-index caches
+	if _, err := e.AggregateBatch(ctx, q, regions); err != nil { // warm the tables' float views and sorted indexes
 		t.Fatal(err)
 	}
 	perBatch := testing.AllocsPerRun(5, func() {

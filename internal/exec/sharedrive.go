@@ -319,7 +319,7 @@ const sharedDims = 6
 // RowsScanned counts the rows once — the rows physically gathered —
 // and TuplesExamined the rows that survive the hull.
 func (p *batchPlan) foldSlab(sc *regionScratch, members []unitKey, slo, shi int32, parts, out []agg.Partial, eo *engineObs) error {
-	e, b := p.e, p.b
+	b := p.b
 	first := members[0]
 	nr := len(b.ranges[0])
 	driveSel := int(first.src) - nr // the drive's select dimension, < 0 for a fixed range
@@ -329,7 +329,7 @@ func (p *batchPlan) foldSlab(sc *regionScratch, members []unitKey, slo, shi int3
 	} else {
 		ord = b.ranges[0][first.src].ord
 	}
-	ix, err := e.sortedIndex(b.tables[0], ord)
+	ix, err := sortedIndex(b.tables[0], ord)
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"sort"
-	"strings"
 
 	"acquire/internal/data"
 )
@@ -22,22 +21,13 @@ type sortedIdx struct {
 	rows []int32
 }
 
-// sortedIndex returns the cached sorted index for a column, building it
-// on first use. Hits require the same *Table identity at the same row
-// count (see sortEntry): appends and same-size Replaces both miss.
-func (e *Engine) sortedIndex(t *data.Table, ord int) (*sortedIdx, error) {
-	key := colKey{table: strings.ToLower(t.Name()), ord: ord}
-	e.mu.RLock()
-	ent, ok := e.sortIdx[key]
-	e.mu.RUnlock()
-	if ok && ent.src == t && ent.n == t.NumRows() {
-		return ent.idx, nil
-	}
-	// Refresh through the column cache.
-	vec, err := e.numericColumn(t, t.Schema().Columns[ord].Name)
-	if err != nil {
-		return nil, err
-	}
+// sortedIndex returns column ord's sorted index, built once per table
+// generation and shared by every engine over the table (data.Derived).
+func sortedIndex(t *data.Table, ord int) (*sortedIdx, error) {
+	return data.Derived(t, ord, data.SortedIndex, buildSortedIdx)
+}
+
+func buildSortedIdx(vec []float64) (*sortedIdx, error) {
 	perm := make([]int32, 0, len(vec))
 	for i, v := range vec {
 		if v == v {
@@ -53,9 +43,6 @@ func (e *Engine) sortedIndex(t *data.Table, ord int) (*sortedIdx, error) {
 		idx.vals[i] = vec[r]
 		idx.rows[i] = r
 	}
-	e.mu.Lock()
-	e.sortIdx[key] = sortEntry{idx: idx, src: t, n: t.NumRows()}
-	e.mu.Unlock()
 	return idx, nil
 }
 

@@ -91,7 +91,7 @@ func TestSortedIndexSkipsNaN(t *testing.T) {
 	if err := cat.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := New(cat).sortedIndex(tbl, 0)
+	ix, err := sortedIndex(tbl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

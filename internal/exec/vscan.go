@@ -134,7 +134,7 @@ func (e *Engine) accessPath(b *binding, region relq.Region, ti int, sc *regionSc
 	n := t.NumRows()
 	bestSize := n + 1
 	for _, d := range sc.drives {
-		ix, err := e.sortedIndex(t, d.ord)
+		ix, err := sortedIndex(t, d.ord)
 		if err != nil {
 			return ac, err
 		}
@@ -251,7 +251,7 @@ func (e *Engine) zonePreds(t *data.Table, f *blockFilter) []zonePred {
 		if math.IsInf(rb.lo, -1) && math.IsInf(rb.hi, 1) {
 			continue
 		}
-		zps = append(zps, zonePred{zm: e.zoneMapFor(t, rb.ord, rb.vec), lo: rb.lo, hi: rb.hi, ord: rb.ord})
+		zps = append(zps, zonePred{zm: zoneMapFor(t, rb.ord), lo: rb.lo, hi: rb.hi, ord: rb.ord})
 	}
 	for i := range f.locals {
 		ld := &f.locals[i]
@@ -259,7 +259,7 @@ func (e *Engine) zonePreds(t *data.Table, f *blockFilter) []zonePred {
 		if math.IsInf(lo, -1) && math.IsInf(hi, 1) {
 			continue
 		}
-		zps = append(zps, zonePred{zm: e.zoneMapFor(t, ld.ord, ld.vec), lo: lo, hi: hi, ord: ld.ord})
+		zps = append(zps, zonePred{zm: zoneMapFor(t, ld.ord), lo: lo, hi: hi, ord: ld.ord})
 	}
 	return zps
 }

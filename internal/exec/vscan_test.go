@@ -523,8 +523,9 @@ func TestSemiJoinPushdownEquivalence(t *testing.T) {
 // oracle over the mutated table. A stale zone map, column vector or
 // sorted index shows up as a pruned or miscounted row. Every round runs
 // under one join scope, with a join query beside the single-table one:
-// only InvalidateTable's epoch tells the scope's memo that an in-place
-// rewrite, which keeps tables and row counts, changed the candidates.
+// only the generation InvalidateTable moves tells the scope's memo that
+// an in-place rewrite, which keeps tables and row counts, changed the
+// candidates.
 func TestScanOracleEquivalenceAfterMutation(t *testing.T) {
 	mutationRounds(t, 0)
 }
@@ -540,9 +541,25 @@ func TestZoneMapRetirementSharded(t *testing.T) {
 	}
 }
 
+// TestGenerationMutationRounds runs the mutation rounds with no call after
+// the appends and the Replace, which move the table's generation
+// themselves; only the in-place rewrite calls Touch.
+func TestGenerationMutationRounds(t *testing.T) {
+	for _, workers := range []int{0, 1, 3} {
+		mutationSweep(t, workers, false)
+	}
+}
+
 // mutationRounds is the body of the mutate-then-scan sweep, on one
 // engine with the given Parallelism (0: GOMAXPROCS).
 func mutationRounds(t *testing.T, parallelism int) {
+	t.Helper()
+	mutationSweep(t, parallelism, true)
+}
+
+// mutationSweep runs the rounds; invalidate makes every round call
+// InvalidateTable, otherwise only the in-place rewrite touches the table.
+func mutationSweep(t *testing.T, parallelism int, invalidate bool) {
 	t.Helper()
 	cat := clusteredCatalog(t, 4*blockRows)
 	events, err := cat.Table("events")
@@ -619,7 +636,9 @@ func mutationRounds(t *testing.T, parallelism int) {
 				t.Fatal(err)
 			}
 		}
-		e.InvalidateTable("events")
+		if invalidate {
+			e.InvalidateTable("events")
+		}
 	}
 
 	base, _ := compare("baseline")
@@ -647,7 +666,9 @@ func mutationRounds(t *testing.T, parallelism int) {
 		t.Fatal(err)
 	}
 	cat.Replace(sorted)
-	e.InvalidateTable("events")
+	if invalidate {
+		e.InvalidateTable("events")
+	}
 	r3, _ := compare("same-size replace")
 	if r3[2].Count != r2[2].Count {
 		t.Fatalf("workers=%d replace changed the count: %d -> %d", parallelism, r2[2].Count, r3[2].Count)
@@ -666,7 +687,11 @@ func mutationRounds(t *testing.T, parallelism int) {
 	for i := range spends {
 		spends[i] /= 2
 	}
-	e.InvalidateTable("events")
+	if invalidate {
+		e.InvalidateTable("events")
+	} else {
+		sorted.Touch()
+	}
 	r5, j5 := compare("rewrite in place")
 	if r5[0].Count <= r4[0].Count || j5[0].Count <= j4[0].Count {
 		t.Fatalf("workers=%d halving spend must grow the spend <= 20 region: %d -> %d, join %d -> %d",

@@ -182,10 +182,10 @@ func fixedFingerprint(p *FixedPred) Fingerprint {
 	return f
 }
 
-// Mix folds extra words into the fingerprint — the engine mixes
-// per-table row counts so appending rows retires every entry of the
-// grown table's queries without an explicit invalidation (the same
-// generation scheme the engine's column cache uses).
+// Mix folds extra words into the fingerprint — the engine mixes each
+// bound table's generation (data.Table.Gen), so an append, a catalog
+// Replace or a Touch retires every entry of the table's queries without
+// an explicit invalidation.
 func (f Fingerprint) Mix(vals ...uint64) Fingerprint {
 	for _, v := range vals {
 		f.u64(v)
