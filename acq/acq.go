@@ -405,6 +405,15 @@ func (s *Session) BuildGridAggIndex(table string, columns, aggCols []string, bin
 	return s.eng.BuildGridAggIndex(table, columns, aggCols, binsPerDim)
 }
 
+// QueryGrid is the aggregate grid BuildQueryGrid picked for a query.
+type QueryGrid = exec.QueryGrid
+
+// BuildQueryGrid builds the aggregate grid a single-table query's cell
+// queries read: over its select dimensions' columns, materializing the
+// constraint's column, at bins sized to the table. For a query the grid
+// cannot serve it builds nothing and says why in QueryGrid.Skipped.
+func (s *Session) BuildQueryGrid(q *Query) (QueryGrid, error) { return s.eng.BuildQueryGrid(q) }
+
 // DropGridIndex removes a table's grid index.
 func (s *Session) DropGridIndex(table string) { s.eng.DropGridIndex(table) }
 
@@ -416,15 +425,6 @@ func (s *Session) ResetStats() { s.eng.ResetStats() }
 
 // ResultSet is a materialised SELECT * result.
 type ResultSet = exec.ResultSet
-
-// Plan is the engine's EXPLAIN output.
-type Plan = exec.Plan
-
-// ExplainPlan returns the access plan the engine would use for the
-// (unrefined) query: per-table access paths and join order.
-func (s *Session) ExplainPlan(q *Query) (*Plan, error) {
-	return s.eng.Explain(q, relq.PrefixRegion(make([]float64, q.NumDims())))
-}
 
 // Preview materialises up to limit result tuples of a refined query —
 // what the user would see after picking one of ACQUIRE's

@@ -294,27 +294,6 @@ func TestCategoricalRewriteEveryLayer(t *testing.T) {
 	}
 }
 
-func TestExplainPlanThroughSession(t *testing.T) {
-	s := tpchSession(t, 2000)
-	q, err := s.Parse(`SELECT * FROM supplier, part, partsupp
-		CONSTRAINT COUNT(*) = 100
-		WHERE (s_suppkey = ps_suppkey) NOREFINE AND (p_partkey = ps_partkey) NOREFINE
-		AND p_retailprice < 1000`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := s.ExplainPlan(q)
-	if err != nil {
-		t.Fatalf("ExplainPlan: %v", err)
-	}
-	rendered := plan.String()
-	for _, want := range []string{"supplier", "part", "partsupp", "hash equi-join"} {
-		if !strings.Contains(rendered, want) {
-			t.Errorf("plan missing %q:\n%s", want, rendered)
-		}
-	}
-}
-
 func TestExplainHelper(t *testing.T) {
 	s := tpchSession(t, 1000)
 	q, err := s.Parse(`SELECT * FROM part CONSTRAINT COUNT(*) = 100 WHERE p_retailprice < 1200`)

@@ -98,7 +98,6 @@ func run(ctx context.Context, args []string) error {
 		gridK       = fs.Int("tqgen-k", 0, "TQGen grid values per predicate (default 8)")
 		rounds      = fs.Int("tqgen-rounds", 0, "TQGen zoom rounds (default 5)")
 		gridAgg     = fs.Bool("gridagg", false, "build aggregate-augmented grids: answer eligible cell queries from stored per-cell partials")
-		cluster     = fs.String("cluster", "", "re-sort generated tables by this numeric column before building engines (engages the scan's zone maps)")
 		metrics     = fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address while experiments run")
 		logJSON     = fs.Bool("log-json", false, "emit structured search/engine events as JSON on stderr")
 		jsonOut     = fs.String("json", "", "also write figures + config + metric snapshot as JSON to this file")
@@ -112,7 +111,6 @@ func run(ctx context.Context, args []string) error {
 	cfg := harness.Config{
 		Rows: *rows, Seed: *seed, Delta: *delta, Gamma: *gamma,
 		TQGenGridK: *gridK, TQGenRounds: *rounds, GridAgg: *gridAgg,
-		Cluster: *cluster,
 	}
 
 	// Observability: one registry + observer instruments every engine

@@ -65,6 +65,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-autocluster", "-experiment", "table1"}); err == nil {
 		t.Error("-autocluster: expected an unknown-flag error")
 	}
+	// So is the flag that re-sorted tables for the zone maps.
+	if err := run(context.Background(), []string{"-cluster", "age", "-experiment", "table1"}); err == nil {
+		t.Error("-cluster: expected an unknown-flag error")
+	}
 	// So are the shard sweep and its flag.
 	if err := run(context.Background(), []string{"-experiment", "shards"}); err == nil {
 		t.Error("-experiment shards: expected an unknown-experiment error")

@@ -32,7 +32,6 @@ import (
 	"syscall"
 
 	"acquire/acq"
-	gridindex "acquire/internal/index"
 )
 
 func main() {
@@ -318,50 +317,19 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 	return runErr
 }
 
-// buildGridAgg builds an aggregate-augmented grid from the parsed
-// query's select dimensions (-gridagg): the grid covers each refinable
-// column, materializing the constraint's aggregate column when it lives
-// on the queried table. Multi-table queries and non-select dimensions
-// are skipped with a note — the box kernel never engages for them.
+// buildGridAgg builds the aggregate grid of the parsed query (-gridagg)
+// and notes on errOut what it built, or why it built none.
 func buildGridAgg(s *acq.Session, q *acq.Query, errOut io.Writer) error {
-	if len(q.Tables) != 1 {
-		fmt.Fprintln(errOut, "acquire: -gridagg skipped (multi-table query)")
-		return nil
-	}
-	var cols []string
-	seen := map[string]bool{}
-	for i := range q.Dims {
-		d := &q.Dims[i]
-		switch d.Kind {
-		case acq.SelectLE, acq.SelectGE, acq.SelectEQ:
-		default:
-			fmt.Fprintln(errOut, "acquire: -gridagg skipped (non-select dimension)")
-			return nil
-		}
-		key := strings.ToLower(d.Col.Column)
-		if !seen[key] {
-			seen[key] = true
-			cols = append(cols, d.Col.Column)
-		}
-	}
-	if len(cols) == 0 {
-		fmt.Fprintln(errOut, "acquire: -gridagg skipped (no refinable dimensions)")
-		return nil
-	}
-	var aggCols []string
-	if a := q.Constraint.Attr; a.Column != "" && strings.EqualFold(a.Table, q.Tables[0]) {
-		aggCols = []string{a.Column}
-	}
-	rows, err := s.TableRows(q.Tables[0])
-	if err != nil {
+	g, err := s.BuildQueryGrid(q)
+	switch {
+	case err != nil:
 		return err
+	case g.Skipped != "":
+		fmt.Fprintf(errOut, "acquire: -gridagg skipped (%s)\n", g.Skipped)
+	default:
+		fmt.Fprintf(errOut, "acquire: aggregate grid over %s(%s) at %d bins/dim\n",
+			g.Table, strings.Join(g.Columns, ","), g.Bins)
 	}
-	bins := gridindex.BinsForRows(len(cols), rows)
-	if err := s.BuildGridAggIndex(q.Tables[0], cols, aggCols, bins); err != nil {
-		return err
-	}
-	fmt.Fprintf(errOut, "acquire: aggregate grid over %s(%s) at %d bins/dim\n",
-		q.Tables[0], strings.Join(cols, ","), bins)
 	return nil
 }
 

@@ -239,3 +239,25 @@ func TestRunMetricsAndLogFlags(t *testing.T) {
 		t.Error("bad -metrics-addr: expected error")
 	}
 }
+
+// TestRunGridAggNotes: -gridagg builds the query's aggregate grid over
+// its distinct select columns and says so, and says why it builds none
+// for a join.
+func TestRunGridAggNotes(t *testing.T) {
+	for _, tc := range []struct{ dataset, sql, note string }{
+		{"users", `SELECT * FROM users CONSTRAINT SUM(spend) = 9000 WHERE age <= 30 AND income >= 20000 AND age >= 20`,
+			"acquire: aggregate grid over users(age,income) at "},
+		{"tpch", `SELECT * FROM supplier, partsupp CONSTRAINT COUNT(*) = 100
+			WHERE (s_suppkey = ps_suppkey) NOREFINE AND s_acctbal < 2000`,
+			"acquire: -gridagg skipped (multi-table query)"},
+	} {
+		var errOut strings.Builder
+		if err := run(context.Background(), []string{"-dataset", tc.dataset, "-rows", "2000", "-gridagg", "-sql", tc.sql},
+			io.Discard, &errOut); err != nil {
+			t.Fatalf("%s: %v", tc.dataset, err)
+		}
+		if !strings.Contains(errOut.String(), tc.note) {
+			t.Errorf("%s: stderr lacks %q:\n%s", tc.dataset, tc.note, errOut.String())
+		}
+	}
+}

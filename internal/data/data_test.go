@@ -102,9 +102,15 @@ func TestTableAppendCoercion(t *testing.T) {
 	if v := tbl.ValueAt(0, 1); v.Kind != Float64 || v.F != 7 {
 		t.Errorf("ValueAt(0,1) = %+v", v)
 	}
-	// Fractional floats do not coerce into BIGINT.
-	if err := tbl.AppendRow(FloatValue(4.5), IntValue(7)); err == nil {
-		t.Error("AppendRow fractional float into BIGINT: expected error")
+	// Floats coerce into BIGINT only when integral and inside the int64
+	// range: none of these may wrap to MinInt64.
+	for _, f := range []float64{4.5, math.Inf(1), math.Inf(-1), math.NaN(), 1e30, -1e30, 1 << 63} {
+		if err := tbl.AppendRow(FloatValue(f), IntValue(7)); err == nil {
+			t.Errorf("AppendRow(%v) into BIGINT: expected error, stored %v", f, tbl.ValueAt(tbl.NumRows()-1, 0))
+		}
+	}
+	if err := tbl.AppendRow(FloatValue(-(1 << 63)), IntValue(7)); err != nil || tbl.ValueAt(1, 0).I != math.MinInt64 {
+		t.Errorf("AppendRow(-2^63) into BIGINT: %v, stored %v", err, tbl.ValueAt(tbl.NumRows()-1, 0))
 	}
 	// Arity mismatch.
 	if err := tbl.AppendRow(IntValue(1)); err == nil {
@@ -113,6 +119,29 @@ func TestTableAppendCoercion(t *testing.T) {
 	// Type mismatch with string.
 	if err := tbl.AppendRow(StringValue("x"), FloatValue(1)); err == nil {
 		t.Error("AppendRow TEXT into BIGINT: expected error")
+	}
+}
+
+// TestTableAppendRowAllOrNothing: a row rejected on a later column must
+// leave no value in the earlier ones, or every following row reads back
+// shifted.
+func TestTableAppendRowAllOrNothing(t *testing.T) {
+	tbl := NewTable("x", MustSchema(Column{Name: "i", Type: Int64}, Column{Name: "f", Type: Float64}))
+	gen := tbl.Gen()
+	if err := tbl.AppendRow(IntValue(1), StringValue("oops")); err == nil {
+		t.Fatal("AppendRow TEXT into DOUBLE: expected error")
+	}
+	if tbl.NumRows() != 0 || tbl.Gen() != gen {
+		t.Fatalf("rejected row: %d rows, generation moved %v", tbl.NumRows(), tbl.Gen() != gen)
+	}
+	if ints, _ := tbl.Ints(0); len(ints) != 0 {
+		t.Fatalf("rejected row left %v in the BIGINT column", ints)
+	}
+	if err := tbl.AppendRow(IntValue(2), FloatValue(2)); err != nil {
+		t.Fatal(err)
+	}
+	if i, f := tbl.ValueAt(0, 0), tbl.ValueAt(0, 1); i.I != 2 || f.F != 2 {
+		t.Fatalf("row after a rejected one reads (%v, %v), want (2, 2)", i, f)
 	}
 }
 

@@ -3,13 +3,12 @@ package data
 import "sync"
 
 // Slot names one kind of state a package above data derives from a
-// column and keeps in the table's memo: exec's sorted index and zone map.
-// The values stay that package's own types.
+// column and keeps in the table's memo: today exec's sorted index. The
+// values stay that package's own types.
 type Slot int
 
 const (
 	SortedIndex Slot = iota
-	ZoneMap
 	numSlots
 )
 

@@ -29,15 +29,6 @@ type Table struct {
 	floats  map[int][]float64 // ordinal -> vector
 	strings map[int][]string  // ordinal -> vector
 
-	// Clustering metadata: clusterCol names the numeric column the rows
-	// were last sorted by (SortedBy; empty when unclustered) and
-	// sortedRows is the length of the sorted prefix run. Appends after
-	// clustering land beyond sortedRows as an explicitly-degraded
-	// unsorted tail; the executor reads ClusterInfo and ClusterTail to
-	// decide whether zone maps stay trustworthy by construction.
-	clusterCol string
-	sortedRows int
-
 	gen  atomic.Uint64
 	memo atomic.Pointer[tableMemo] // derived.go
 }
@@ -100,57 +91,54 @@ func (t *Table) Schema() *Schema { return t.schema }
 // NumRows returns the row count.
 func (t *Table) NumRows() int { return t.rows }
 
-// ClusterInfo reports the clustering column the table was last sorted
-// by and the length of the sorted prefix run; an unclustered table
-// returns ("", 0). sortedRows < NumRows means appends have grown an
-// unsorted tail beyond the clustered run.
-func (t *Table) ClusterInfo() (column string, sortedRows int) {
-	return t.clusterCol, t.sortedRows
-}
-
-// ClusterTail returns the number of rows appended after the last
-// clustering pass (zero for unclustered or fully-sorted tables).
-func (t *Table) ClusterTail() int {
-	if t.clusterCol == "" {
-		return 0
-	}
-	return t.rows - t.sortedRows
-}
-
-// AppendRow appends one row given values in schema order.
+// AppendRow appends one row given values in schema order. It is
+// all-or-nothing: every value is checked before any column grows, so a
+// rejected row leaves the table, its generation included, as it was.
 func (t *Table) AppendRow(vals ...Value) error {
 	if len(vals) != t.schema.Len() {
 		return fmt.Errorf("data: table %s: append %d values into %d columns", t.name, len(vals), t.schema.Len())
 	}
 	for i, c := range t.schema.Columns {
+		if v := vals[i]; !fits(c.Type, v) {
+			return fmt.Errorf("data: table %s column %s: expected %s, got %s %v", t.name, c.Name, c.Type, v.Kind, v)
+		}
+	}
+	for i, c := range t.schema.Columns {
 		v := vals[i]
 		switch c.Type {
 		case Int64:
-			if v.Kind == Float64 && v.F == math.Trunc(v.F) {
-				v = IntValue(int64(v.F))
-			}
-			if v.Kind != Int64 {
-				return fmt.Errorf("data: table %s column %s: expected BIGINT, got %s", t.name, c.Name, v.Kind)
+			if v.Kind == Float64 {
+				v.I = int64(v.F)
 			}
 			t.ints[i] = append(t.ints[i], v.I)
 		case Float64:
 			if v.Kind == Int64 {
-				v = FloatValue(float64(v.I))
-			}
-			if v.Kind != Float64 {
-				return fmt.Errorf("data: table %s column %s: expected DOUBLE, got %s", t.name, c.Name, v.Kind)
+				v.F = float64(v.I)
 			}
 			t.floats[i] = append(t.floats[i], v.F)
 		case String:
-			if v.Kind != String {
-				return fmt.Errorf("data: table %s column %s: expected TEXT, got %s", t.name, c.Name, v.Kind)
-			}
 			t.strings[i] = append(t.strings[i], v.S)
 		}
 	}
 	t.rows++
 	t.Touch()
 	return nil
+}
+
+// fits reports whether v can be stored in a column of type k: a BIGINT
+// widens to DOUBLE, and a DOUBLE narrows to BIGINT only when it is an
+// integer inside the int64 range (so ±Inf, NaN and 1e30 are rejected,
+// not wrapped).
+func fits(k Type, v Value) bool {
+	switch {
+	case v.Kind == k:
+		return true
+	case k == Float64:
+		return v.Kind == Int64
+	case k == Int64 && v.Kind == Float64:
+		return v.F == math.Trunc(v.F) && v.F >= -(1<<63) && v.F < 1<<63
+	}
+	return false
 }
 
 // Ints returns the int64 vector for a column ordinal. The returned slice

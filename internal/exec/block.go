@@ -3,7 +3,6 @@ package exec
 import (
 	"math"
 
-	"acquire/internal/data"
 	"acquire/internal/relq"
 )
 
@@ -15,157 +14,9 @@ import (
 // inside L1.
 const blockRows = 1024
 
-// zoneMap holds per-block min/max summaries of one column, aligned to
-// blockRows-row blocks: block bi covers rows [bi*blockRows,
-// (bi+1)*blockRows). A block whose [min, max] provably cannot satisfy a
-// range predicate is skipped without touching any row. nan flags blocks
-// containing at least one NaN: the scan keeps NaN rows for select
-// dimensions until finalize (Violation(NaN) > hi is false), so a
-// NaN-bearing block is never skippable.
-//
-// All-NaN blocks get {min:+Inf, max:-Inf}; the nan flag already makes
-// them unskippable, and the degenerate interval keeps comparisons safe.
-type zoneMap struct {
-	mins []float64
-	maxs []float64
-	nan  []bool
-}
-
 // numBlocks returns the number of blockRows-sized blocks covering n rows.
 func numBlocks(n int) int {
 	return (n + blockRows - 1) / blockRows
-}
-
-// buildZoneMap summarizes a column vector into per-block min/max/NaN.
-func buildZoneMap(vec []float64) *zoneMap {
-	nb := numBlocks(len(vec))
-	zm := &zoneMap{
-		mins: make([]float64, nb),
-		maxs: make([]float64, nb),
-		nan:  make([]bool, nb),
-	}
-	for bi := 0; bi < nb; bi++ {
-		lo := bi * blockRows
-		hi := min(lo+blockRows, len(vec))
-		mn, mx, hasNaN := math.Inf(1), math.Inf(-1), false
-		for _, v := range vec[lo:hi] {
-			if v != v {
-				hasNaN = true
-				continue
-			}
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		zm.mins[bi], zm.maxs[bi], zm.nan[bi] = mn, mx, hasNaN
-	}
-	return zm
-}
-
-// zoneMapFor returns column ord's zone map, built once per table
-// generation and shared by every engine over the table (data.Derived). The
-// column is bound, so numeric: the lookup cannot fail.
-func zoneMapFor(t *data.Table, ord int) *zoneMap {
-	zm, _ := data.Derived(t, ord, data.ZoneMap, func(vec []float64) (*zoneMap, error) { return buildZoneMap(vec), nil })
-	return zm
-}
-
-// zonePred is one block-skip test: skip a block when its zone interval
-// provably misses [lo, hi] and the block holds no NaN (NaN rows pass
-// the select-dimension filters this prunes for, so they pin their
-// block). ord records the column ordinal the predicate prunes on, so
-// skips can be attributed per column.
-type zonePred struct {
-	zm     *zoneMap
-	lo, hi float64
-	ord    int
-}
-
-// skip reports whether block bi can be skipped outright.
-func (zp *zonePred) skip(bi int) bool {
-	return !zp.zm.nan[bi] && (zp.zm.maxs[bi] < zp.lo || zp.zm.mins[bi] > zp.hi)
-}
-
-// skipAxis returns the index (into zps) of the first predicate proving
-// block bi empty of candidates, or -1 when the block must be visited.
-// Attribution goes to the first firing predicate: a block failing on
-// several axes counts once, under the earliest axis in predicate order.
-func skipAxis(zps []zonePred, bi int) int {
-	for i := range zps {
-		if zps[i].skip(bi) {
-			return i
-		}
-	}
-	return -1
-}
-
-// blockSkippable reports whether any zone predicate proves block bi
-// empty of candidates.
-func blockSkippable(zps []zonePred, bi int) bool {
-	return skipAxis(zps, bi) >= 0
-}
-
-// prunePad widens a finite pruning endpoint by a relative epsilon so
-// float rounding between the violation arithmetic ((v-Bound)*(100/W))
-// and the inverse bound arithmetic (Bound + hi*(W/100)) can only widen
-// the admitted interval, never skip a block holding a qualifying row.
-// Mirrors the box-aggregate kernel's padding discipline.
-func prunePad(lo, hi float64) (float64, float64) {
-	pad := 1e-9
-	if !math.IsInf(lo, -1) {
-		pad += 1e-9 * math.Abs(lo)
-	}
-	if !math.IsInf(hi, 1) {
-		pad += 1e-9 * math.Abs(hi)
-	}
-	if !math.IsInf(lo, -1) {
-		lo -= pad
-	}
-	if !math.IsInf(hi, 1) {
-		hi += pad
-	}
-	return lo, hi
-}
-
-// pruneInterval returns the conservative value interval a select
-// dimension admits under a region interval — the hull used for
-// zone-map block skipping on full scans.
-//
-// The Hi side is what the scan's verify step enforces (rows with
-// Violation(v) > iv.Hi are rejected at scan time), so it always prunes.
-// The Lo side is enforced only later — per surviving tuple, in
-// finalize's `v > iv.Lo && v <= iv.Hi` check and Materialize's
-// region.Contains — but that is exactly what makes Lo pruning sound for
-// the monotone kinds: a block whose every value has Violation <= iv.Lo
-// contributes no tuple that survives finalize, so dropping it cannot
-// change any aggregate, violation stream, or materialized result. For
-// SelectLE violation grows with v, so iv.Lo > 0 yields the sound lower
-// bound v > BoundAt(iv.Lo); SelectGE mirrors it. SelectEQ's admitted
-// set under iv.Lo > 0 is a band with a hole in the middle — not a
-// single interval — so only its outer (Hi) band prunes.
-func pruneInterval(d *relq.Dimension, iv relq.ViolInterval) (float64, float64) {
-	lo, hi := math.Inf(-1), math.Inf(1)
-	switch d.Kind {
-	case relq.SelectLE:
-		hi = d.BoundAt(iv.Hi)
-		if iv.Lo > 0 {
-			lo = d.BoundAt(iv.Lo)
-		}
-	case relq.SelectGE:
-		lo = d.BoundAt(iv.Hi)
-		if iv.Lo > 0 {
-			hi = d.BoundAt(iv.Lo)
-		}
-	case relq.SelectEQ:
-		band := d.BoundAt(iv.Hi)
-		lo, hi = d.Bound-band, d.Bound+band
-	default:
-		return lo, hi
-	}
-	return prunePad(lo, hi)
 }
 
 // The filter primitives below compact a selection vector in place in

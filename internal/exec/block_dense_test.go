@@ -117,60 +117,6 @@ func TestFilterViolationDenseMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestZoneSkipNeverDropsQualifyingBlock is the block-level soundness
-// property behind two-sided pruneInterval hulls: whenever the zone test
-// built from pruneInterval skips a block, no row of that block can
-// contribute to the final result — i.e. no value has a violation inside
-// (iv.Lo, iv.Hi]. Randomized over dimension shapes, intervals (Lo > 0
-// included) and clustered-ish data.
-func TestZoneSkipNeverDropsQualifyingBlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n = 16 * blockRows
-	for trial := 0; trial < 60; trial++ {
-		// Clustered-ish column: sorted base with local jitter, so zone
-		// intervals are tight and skips actually fire.
-		vec := make([]float64, n)
-		for i := range vec {
-			vec[i] = float64(i)/float64(n)*1000 + rng.NormFloat64()*5
-		}
-		if trial%3 == 0 {
-			vec[rng.Intn(n)] = math.NaN()
-		}
-
-		kind := []relq.DimKind{relq.SelectLE, relq.SelectGE, relq.SelectEQ}[rng.Intn(3)]
-		d := &relq.Dimension{
-			Kind:  kind,
-			Bound: rng.Float64() * 1000,
-			Width: 50 + rng.Float64()*500,
-		}
-		if kind == relq.SelectEQ {
-			d.Width = 100
-		}
-		iv := relq.ViolInterval{Hi: rng.Float64() * 120}
-		if rng.Intn(2) == 0 {
-			iv.Lo = iv.Hi * rng.Float64()
-		}
-
-		lo, hi := pruneInterval(d, iv)
-		zp := zonePred{zm: buildZoneMap(vec), lo: lo, hi: hi}
-		skips := 0
-		for bi := 0; bi < numBlocks(n); bi++ {
-			if !zp.skip(bi) {
-				continue
-			}
-			skips++
-			blo, bhi := bi*blockRows, min((bi+1)*blockRows, n)
-			for r := blo; r < bhi; r++ {
-				if v := d.Violation(vec[r]); v > iv.Lo && v <= iv.Hi {
-					t.Fatalf("trial %d kind %d iv=(%v,%v]: skipped block %d holds qualifying row %d (value %v, violation %v)",
-						trial, kind, iv.Lo, iv.Hi, bi, r, vec[r], v)
-				}
-			}
-		}
-		_ = skips // skips may legitimately be 0 for wide intervals
-	}
-}
-
 func BenchmarkFilterRangeDense(b *testing.B) {
 	vec := make([]float64, blockRows)
 	rng := rand.New(rand.NewSource(1))

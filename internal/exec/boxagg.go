@@ -133,29 +133,11 @@ func (e *Engine) boxAggregate(p *batchPlan, region relq.Region) (agg.Partial, bo
 		}
 	}
 
-	// Zone predicates for boundary-cell posting runs: the same
-	// pruneInterval hulls the full scan uses, keyed by each constraint's
-	// column. Posting lists are ascending, so a cell's rows group into
-	// per-physical-block runs (Grid.PostingRuns) and a run whose block
-	// provably misses a hull is dropped without gathering a single row —
-	// sound here because the per-row keep test enforces both interval
-	// sides (v > iv.Lo && v <= iv.Hi), so every skipped row is one the
-	// filter would have rejected anyway.
-	var zps []zonePred
-	for i := range cons {
-		zlo, zhi := pruneInterval(cons[i].sd.dim, cons[i].iv)
-		if math.IsInf(zlo, -1) && math.IsInf(zhi, 1) {
-			continue
-		}
-		zm := zoneMapFor(b.tables[0], cons[i].sd.ord)
-		zps = append(zps, zonePred{zm: zm, lo: zlo, hi: zhi})
-	}
-
 	// Walk the box in odometer order (deterministic): interior cells
 	// merge the stored partial; boundary cells scan their posting list
 	// with the exact per-row region check of the scan path.
 	out := agg.Zero()
-	var cellsMerged, boundaryRows, runsSkipped int64
+	var cellsMerged, boundaryRows int64
 	cur := make([]int, ndims)
 	copy(cur, los)
 	for {
@@ -182,9 +164,7 @@ func (e *Engine) boxAggregate(p *batchPlan, region relq.Region) (agg.Partial, bo
 				}
 				cellsMerged++
 			} else {
-				visited, skipped := boundaryCellVec(b, cons, zps, g, cell, &out)
-				boundaryRows += visited
-				runsSkipped += skipped
+				boundaryRows += boundaryCellVec(b, cons, g.PostingList(cell), &out)
 			}
 		}
 		d := len(cur) - 1
@@ -201,41 +181,27 @@ func (e *Engine) boxAggregate(p *batchPlan, region relq.Region) (agg.Partial, bo
 		}
 	}
 
-	// RowsScanned/boundary_rows count only rows actually gathered; runs
-	// dropped by zone predicates surface as skipped blocks, mirroring
-	// the full-scan path's accounting.
 	p.stats[cRowsScanned].Add(boundaryRows)
 	p.stats[cBoundaryRows].Add(boundaryRows)
-	p.stats[cBlocksSkipped].Add(runsSkipped)
 	p.stats[cCellsMerged].Add(cellsMerged)
 	if o := e.Observer(); o.LogEnabled(slog.LevelDebug) {
 		o.Debug("engine.boxagg", "table", b.q.Tables[0],
-			"cells_merged", cellsMerged, "boundary_rows", boundaryRows,
-			"boundary_runs_skipped", runsSkipped)
+			"cells_merged", cellsMerged, "boundary_rows", boundaryRows)
 	}
 	return out, true, nil
 }
 
-// boundaryCellVec folds one boundary cell's posting list block-style:
-// the ascending list is cut into per-physical-block runs, runs whose
-// block a zone predicate proves empty of qualifying rows are dropped
-// whole (each counted as one skipped block), and surviving runs compact
-// a selection vector one constraint at a time — keeping rows with
-// Violation in (iv.Lo, iv.Hi], exactly the per-dimension test
-// region.Contains performs, and cons covers every query dimension for
-// eligible queries. Skipped rows are rows that test would have rejected,
-// so survivors step the aggregate in posting-list order.
-func boundaryCellVec(b *binding, cons []boxConstraint, zps []zonePred, g *index.Grid, cell int, out *agg.Partial) (visited, skipped int64) {
+// boundaryCellVec folds one boundary cell's posting list, ascending, in
+// blockRows-row chunks: each chunk compacts a selection vector one
+// constraint at a time — keeping rows with Violation in (iv.Lo, iv.Hi],
+// exactly the per-dimension test region.Contains performs, and cons
+// covers every query dimension for eligible queries — and the survivors
+// step the aggregate in posting-list order. It returns the rows read.
+func boundaryCellVec(b *binding, cons []boxConstraint, rows []int32, out *agg.Partial) int64 {
 	var buf [blockRows]int32
-	g.PostingRuns(cell, blockRows, func(bi int, rows []int32) {
-		if blockSkippable(zps, bi) {
-			skipped++
-			return
-		}
-		visited += int64(len(rows))
-		// A run never crosses a block, so it fits the block buffer.
-		sel := buf[:len(rows)]
-		copy(sel, rows)
+	for lo := 0; lo < len(rows); lo += blockRows {
+		sel := buf[:min(blockRows, len(rows)-lo)]
+		copy(sel, rows[lo:])
 		for i := range cons {
 			if len(sel) == 0 {
 				break
@@ -258,6 +224,6 @@ func boundaryCellVec(b *binding, cons []boxConstraint, zps []zonePred, g *index.
 				b.spec.StepValue(out, 1.0)
 			}
 		}
-	})
-	return visited, skipped
+	}
+	return int64(len(rows))
 }

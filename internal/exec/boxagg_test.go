@@ -247,21 +247,16 @@ func TestBuildGridAggIdempotent(t *testing.T) {
 	}
 }
 
-// TestBoundaryZoneSkip covers the zone-consulting boundary-cell walk:
-// on a clustered layout, a boundary cell's posting list is cut into
-// per-block runs and runs whose blocks provably miss the pruned value
-// hull are skipped outright. The walk must gather strictly fewer rows
-// than the posting lists of the cells the region cuts through hold
-// (the saving BlocksSkipped accounts for), while every partial agrees
-// with the oracle — the per-row keep test enforces both interval sides,
-// so a skipped run can only hold rows the filter would reject anyway.
-func TestBoundaryZoneSkip(t *testing.T) {
+// TestBoundaryWalkGathersCutCells: the box kernel merges the cells a
+// region holds whole, leaves out the cells it misses, and reads the whole
+// posting list of every cell the region's edge cuts through — in
+// blockRows chunks, so 8 bins over 20 blocks give lists of about 2.5
+// chunks. BoundaryRows must equal exactly those lists' lengths, and
+// every partial must agree with the oracle.
+func TestBoundaryWalkGathersCutCells(t *testing.T) {
 	const n = 20 * blockRows
 	cat := clusteredCatalog(t, n) // events(val sorted 0..1000, spend)
 	e := New(cat)
-	// 8 bins over 20 blocks: each cell spans ~2.5 physical blocks, so a
-	// violation hull cutting mid-cell leaves whole out-of-range blocks
-	// inside boundary cells for the zone test to drop.
 	if err := e.BuildGridAggIndex("events", []string{"val"}, []string{"spend"}, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -276,40 +271,31 @@ func TestBoundaryZoneSkip(t *testing.T) {
 		{Tables: []string{"events"}, Dims: dims,
 			Constraint: relq.Constraint{Func: relq.AggSum, Attr: relq.ColumnRef{Table: "events", Column: "spend"}, Op: relq.CmpEQ, Target: 1}},
 	}
-	// Bands with Lo > 0 exercise the two-sided hull; prefix regions the
-	// one-sided one.
+	// Bands with Lo >= 0 cut cells on both edges; prefix regions on one.
+	// No edge lies near a bin edge (multiples of ~125 in val).
 	regions := []relq.Region{
 		{{Lo: -1, Hi: 30}}, {{Lo: -1, Hi: 75}},
 		{{Lo: 10, Hi: 40}}, {{Lo: 33.3, Hi: 66.6}}, {{Lo: 0, Hi: 5}},
 	}
 
-	// A cell holding both rows inside the region and rows outside it can
-	// be neither merged nor left out: whatever the kernel's interior
-	// proof, an unpruned walk gathers at least those cells' whole lists.
-	tbl, err := cat.Table("events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	val, err := tbl.NumericColumn(tbl.Schema().Ordinal("val"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A cell is cut when its bin span is neither inside the region nor
+	// outside it; the violation is monotone in val, so the span's
+	// endpoints decide.
 	g := e.grid("events")
-	var unpruned int64
+	var cut int64
 	for _, region := range regions {
+		iv := region[0]
 		for cell := 0; cell < g.NumCells(); cell++ {
-			rows, in := g.PostingList(cell), 0
-			for _, r := range rows {
-				if region.Contains([]float64{dims[0].Violation(val[r])}) {
-					in++
-				}
-			}
-			if 0 < in && in < len(rows) {
-				unpruned += int64(len(rows))
+			sLo, sHi := g.BinSpan(0, cell)
+			vLo, vHi := dims[0].Violation(sLo), dims[0].Violation(sHi)
+			inside := vLo > iv.Lo && vHi <= iv.Hi
+			outside := vHi <= iv.Lo || vLo > iv.Hi
+			if !inside && !outside {
+				cut += int64(len(g.PostingList(cell)))
 			}
 		}
 	}
-	unpruned *= int64(len(queries))
+	cut *= int64(len(queries))
 
 	before := e.Snapshot()
 	for qi, q := range queries {
@@ -322,15 +308,9 @@ func TestBoundaryZoneSkip(t *testing.T) {
 		}
 	}
 	d := e.Snapshot().Sub(before)
-	if d.BoundaryRows == 0 {
-		t.Fatalf("expected boundary-cell work: %+v", d)
-	}
-	if d.BlocksSkipped == 0 {
-		t.Fatalf("zone-consulting walk skipped no posting runs: %+v", d)
-	}
-	if d.BoundaryRows >= unpruned {
-		t.Fatalf("zone-consulting walk gathered %d boundary rows, the cut cells' posting lists hold %d — expected a saving",
-			d.BoundaryRows, unpruned)
+	if d.BoundaryRows != cut || d.RowsScanned != cut || d.BlocksSkipped != 0 {
+		t.Fatalf("walk read %d boundary rows (%d scanned, %d blocks skipped); the cut cells' posting lists hold %d",
+			d.BoundaryRows, d.RowsScanned, d.BlocksSkipped, cut)
 	}
 	// The kernel (not the scan) answered.
 	if d.CellsMerged == 0 {

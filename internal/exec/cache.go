@@ -50,9 +50,9 @@ func (e *Engine) InvalidateRegionCache() {
 
 // InvalidateTable declares the named table rewritten in place: it touches
 // the table, retiring everything derived from its columns in every engine
-// (column views, sorted indexes, zone maps, grids, join memos, grouped
-// tables), and drops the region cache. Appends and catalog Replaces need
-// no call; they move the generation themselves.
+// (column views, sorted indexes, grids, join memos, grouped tables), and
+// drops the region cache. Appends and catalog Replaces need no call; they
+// move the generation themselves.
 func (e *Engine) InvalidateTable(table string) {
 	if t, err := e.cat.Table(table); err == nil {
 		t.Touch()

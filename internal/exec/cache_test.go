@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -432,5 +433,48 @@ func TestRegionCacheReplaceMatchesColdRun(t *testing.T) {
 	}
 	if stale > 0 {
 		t.Fatalf("%d of %d regions differ from a cold engine after a same-size Replace", stale, len(regions))
+	}
+}
+
+// TestRegionCacheKeyExactBounds: two queries whose fixed-range bounds
+// differ only beyond 9.2e9 (epoch timestamps, say) admit different rows,
+// so the second must not be answered from the first's cache entry.
+func TestRegionCacheKeyExactBounds(t *testing.T) {
+	tbl := data.NewTable("events", data.MustSchema(
+		data.Column{Name: "ts", Type: data.Float64},
+		data.Column{Name: "x", Type: data.Float64},
+	))
+	for i := range 1000 {
+		if err := tbl.AppendRow(data.FloatValue(1e10+float64(i)*1e7), data.FloatValue(float64(i%10))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := data.NewCatalog()
+	if err := cat.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	e := New(cat)
+	e.SetRegionCache(regioncache.New(1 << 20))
+	region := relq.PrefixRegion([]float64{0})
+	for _, hi := range []float64{1.2e10, 1.8e10} {
+		q := &relq.Query{
+			Tables: []string{"events"},
+			Dims: []relq.Dimension{{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "events", Column: "x"},
+				Bound: 4, Width: 10}},
+			Fixed: []relq.FixedPred{{Kind: relq.FixedRange, Col: relq.ColumnRef{Table: "events", Column: "ts"},
+				Lo: math.Inf(-1), Hi: hi}},
+			Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1},
+		}
+		got, err := e.Aggregate(q, region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.NaiveAggregate(q, region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("ts <= %g: cached engine counts %d rows, the oracle %d", hi, got.Count, want.Count)
+		}
 	}
 }

@@ -41,15 +41,14 @@ type Stats struct {
 	// RowsScanned counts base-table rows touched by scans — rows
 	// physically read, not rows per region: when the regions of a batch
 	// drive from the same sorted-index slab, the slab is gathered once
-	// for all of them and counted once (sharedrive.go). Rows in
-	// zone-map-skipped blocks are never touched and are not counted
-	// (see BlocksSkipped).
+	// for all of them and counted once (sharedrive.go).
 	RowsScanned int64
 	// BlocksScanned counts column blocks visited by full scans
 	// (index-driven scans count rows, not blocks).
 	BlocksScanned int64
-	// BlocksSkipped counts column blocks proven candidate-free by zone
-	// maps and skipped without touching any row.
+	// BlocksSkipped is always 0: no access path skips blocks. It stays
+	// because bench/ reads it, and goes with the benchmark change that
+	// drops that read.
 	BlocksSkipped int64
 	// TuplesExamined counts the tuples that reach the final region test:
 	// per region, its scanned candidates or joined tuples; per
@@ -79,11 +78,6 @@ type Stats struct {
 	// CacheEvictions counts entries displaced from the region cache by
 	// stores attributed to this engine.
 	CacheEvictions int64
-	// DegradedScans counts full scans over clustered tables whose
-	// unsorted append tail has outgrown the block size — the layout
-	// regime where zone maps still prune the sorted prefix but the tail
-	// blocks span the whole domain and are never skippable.
-	DegradedScans int64
 }
 
 // Sub returns the counter deltas s minus prev — the work performed
@@ -111,7 +105,6 @@ const (
 	cCacheHits
 	cCacheMisses
 	cCacheEvictions
-	cDegradedScans
 	numCounters
 )
 
@@ -130,7 +123,7 @@ var counters = [numCounters]struct {
 	cBlocksScanned: {func(s *Stats) *int64 { return &s.BlocksScanned },
 		"acquire_engine_blocks_scanned_total", "Column blocks visited by the vectorized full-scan path."},
 	cBlocksSkipped: {func(s *Stats) *int64 { return &s.BlocksSkipped },
-		"acquire_engine_blocks_skipped_total", "Column blocks proven candidate-free by zone maps and skipped without touching rows."},
+		"acquire_engine_blocks_skipped_total", "Always 0: no access path skips blocks."},
 	cTuplesExamined: {func(s *Stats) *int64 { return &s.TuplesExamined },
 		"acquire_engine_tuples_examined_total", "Join tuples tested against regions."},
 	cCellsSkipped: {func(s *Stats) *int64 { return &s.CellsSkipped },
@@ -147,8 +140,6 @@ var counters = [numCounters]struct {
 		"acquire_cache_misses_total", "Region executions that missed the cross-search partial-aggregate cache and executed."},
 	cCacheEvictions: {func(s *Stats) *int64 { return &s.CacheEvictions },
 		"acquire_cache_evictions_total", "Entries displaced from the cross-search partial-aggregate cache by the byte cap."},
-	cDegradedScans: {func(s *Stats) *int64 { return &s.DegradedScans },
-		"acquire_engine_cluster_degraded_scans_total", "Full scans over clustered tables whose unsorted append tail exceeds one block (zone maps blind on the tail)."},
 }
 
 // statsCells is a call's tally, a scope's totals or one generation of the
@@ -183,12 +174,6 @@ type engineObs struct {
 	o          *obs.Observer
 	counters   [numCounters]*obs.Counter // mirrors of statsCells
 	selDensity *obs.Histogram
-
-	// axisCtrs are the per-column zone-skip counters, created lazily on
-	// first skip attribution for a column (the label set is data-driven:
-	// one series per pruning column actually seen).
-	axisMu   sync.Mutex
-	axisCtrs map[string]*obs.Counter
 }
 
 // Engine executes relq queries against a catalog.
@@ -285,43 +270,6 @@ func (e *Engine) flush(t *statsCells, s *joinScope) {
 	}
 }
 
-// countZoneAxisSkips attributes one scan's zone-map block skips to the
-// observer's per-column series for the columns whose predicates fired
-// (axisSkips aligned with zps; see skipAxis for the attribution rule).
-// Only called when at least one block was skipped, so unskipping scans
-// pay nothing.
-func (e *Engine) countZoneAxisSkips(t *data.Table, zps []zonePred, axisSkips []int64) {
-	eo := e.obsState.Load()
-	if eo == nil {
-		return
-	}
-	cols := t.Schema().Columns
-	for i, n := range axisSkips {
-		if n > 0 {
-			eo.zoneSkipCounter(strings.ToLower(cols[zps[i].ord].Name)).Add(n)
-		}
-	}
-}
-
-// zoneSkipCounter returns (creating on first use) the per-column
-// zone-skip counter series. Registration is idempotent in the registry,
-// so concurrent first touches of the same column are safe.
-func (eo *engineObs) zoneSkipCounter(column string) *obs.Counter {
-	eo.axisMu.Lock()
-	defer eo.axisMu.Unlock()
-	if eo.axisCtrs == nil {
-		eo.axisCtrs = make(map[string]*obs.Counter)
-	}
-	if c, ok := eo.axisCtrs[column]; ok {
-		return c
-	}
-	c := eo.o.Counter(
-		fmt.Sprintf("acquire_engine_zone_skips_total{column=%q}", column),
-		"Zone-map block skips attributed to the pruning column (first firing predicate).")
-	eo.axisCtrs[column] = c
-	return c
-}
-
 // BuildGridIndex builds and registers a §7.4 grid bitmap index over the
 // named numeric columns of a table. Subsequent Aggregate calls use it to
 // skip empty cell queries on that table.
@@ -348,6 +296,53 @@ func (e *Engine) BuildGridAggIndex(table string, columns, aggCols []string, bins
 		return nil
 	}
 	return e.registerGrid(table, gridSpec{columns: slices.Clone(columns), aggCols: slices.Clone(aggCols), bins: binsPerDim, agg: true})
+}
+
+// QueryGrid is the aggregate grid BuildQueryGrid picked for a query: its
+// table, its columns and its bins per dimension — or, in Skipped, why it
+// built none.
+type QueryGrid struct {
+	Table   string
+	Columns []string
+	Bins    int
+	Skipped string
+}
+
+// BuildQueryGrid builds (idempotently) the aggregate grid the box kernel
+// reads for q: over the distinct columns of its select dimensions,
+// materializing the constraint's column when it lives on the queried
+// table, at index.BinsForRows bins per dimension. A join, a non-select
+// dimension or a query without dimensions builds nothing: the kernel
+// never engages for them.
+func (e *Engine) BuildQueryGrid(q *relq.Query) (QueryGrid, error) {
+	if len(q.Tables) != 1 {
+		return QueryGrid{Skipped: "multi-table query"}, nil
+	}
+	var cols []string
+	for i := range q.Dims {
+		d := &q.Dims[i]
+		switch d.Kind {
+		case relq.SelectLE, relq.SelectGE, relq.SelectEQ:
+		default:
+			return QueryGrid{Skipped: "non-select dimension"}, nil
+		}
+		if !slices.ContainsFunc(cols, func(c string) bool { return strings.EqualFold(c, d.Col.Column) }) {
+			cols = append(cols, d.Col.Column)
+		}
+	}
+	if len(cols) == 0 {
+		return QueryGrid{Skipped: "no refinable dimensions"}, nil
+	}
+	var aggCols []string
+	if a := q.Constraint.Attr; a.Column != "" && strings.EqualFold(a.Table, q.Tables[0]) {
+		aggCols = []string{a.Column}
+	}
+	t, err := e.cat.Table(q.Tables[0])
+	if err != nil {
+		return QueryGrid{}, err
+	}
+	qg := QueryGrid{Table: q.Tables[0], Columns: cols, Bins: index.BinsForRows(len(cols), t.NumRows())}
+	return qg, e.BuildGridAggIndex(qg.Table, cols, aggCols, qg.Bins)
 }
 
 // gridSpec is what a grid index was built from: its columns and bins

@@ -20,8 +20,8 @@ import (
 // same-size contents. Every batch takes 30 of 50 regions from a
 // rotating window, so it overlaps what earlier batches cached under
 // either table; it binds one table or the other and must return that
-// table's answers for all its regions: no cache entry, join memo, sorted
-// index or zone map of one generation may serve the other. Run with -race.
+// table's answers for all its regions: no cache entry, join memo or
+// sorted index of one generation may serve the other. Run with -race.
 func TestGenerationTwoEnginesUnderReplace(t *testing.T) {
 	cat := smallCatalog(t, 10, 300, 13)
 	a, err := cat.Table("part")

@@ -195,7 +195,7 @@ func (p *batchPlan) buildCells(ctx context.Context, g *cellGroup, scs []regionSc
 	for j := range b.selDims {
 		if cells *= h + 1; j != drive {
 			sd := &b.selDims[j]
-			f.locals = append(f.locals, localDim{dim: sd.dim, vec: sd.vec, ord: sd.ord, hi: grid.lim})
+			f.locals = append(f.locals, localDim{dim: sd.dim, vec: sd.vec, hi: grid.lim})
 		}
 	}
 	const chunk = 16 * blockRows

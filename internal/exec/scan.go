@@ -43,14 +43,13 @@ func (e *Engine) ViolationScan(q *relq.Query) ([]RowViolations, error) {
 }
 
 // violationScanVec runs the full-scan branch of vscanTable — the fixed
-// ranges and string sets over every block, zone-map skips included — on
-// the calling goroutine, and then computes the survivors' violation
-// vectors. The emitted rows are in ascending row order; a NaN
-// under a fixed range is rejected, as on every access path
-// (filterRange).
+// ranges and string sets over every block — on the calling goroutine,
+// and then computes the survivors' violation vectors. The emitted rows
+// are in ascending row order; a NaN under a fixed range is rejected, as
+// on every access path (filterRange).
 func (e *Engine) violationScanVec(b *binding, st *statsCells) []RowViolations {
 	f := blockFilter{ranges: b.ranges[0], strs: b.strFlts[0], driven: -1}
-	rows := e.fullScan(b, 0, &f, e.obsState.Load(), st, nil)
+	rows := fullScan(b, 0, &f, e.obsState.Load(), st, nil)
 	d := len(b.q.Dims)
 	out := make([]RowViolations, len(rows))
 	// One flat backing array for all violation vectors: a 1M-row scan

@@ -357,7 +357,7 @@ func (p *batchPlan) foldSlab(sc *regionScratch, members []unitKey, slo, shi int3
 		for _, m := range members {
 			hi = max(hi, p.regions[m.i][sd.di].Hi)
 		}
-		locals = append(locals, localDim{dim: sd.dim, vec: sd.vec, ord: sd.ord, hi: hi})
+		locals = append(locals, localDim{dim: sd.dim, vec: sd.vec, hi: hi})
 	}
 	sc.locals, f.locals = locals, locals
 	dst := func(k int) *agg.Partial { // members[k]'s partial

@@ -3,39 +3,28 @@ package exec
 import (
 	"log/slog"
 	"math"
-	"strings"
 
 	"acquire/internal/agg"
-	"acquire/internal/data"
 	"acquire/internal/relq"
 )
 
 // This file is the scan path: block at a time. Blocks are visited in
 // ascending row order, each block's selection vector is compacted one
-// predicate at a time, zone maps skip blocks that provably cannot
-// contain a candidate, and the finalize fold steps the aggregate in
+// predicate at a time, and the finalize fold steps the aggregate in
 // tuple order. A region's scan and fold run on the one worker that owns
 // it — the batch pool (batch.go) is the engine's only fan-out — so every
 // partial, SUM bits included, is the same for every worker count.
 // Engine.NaiveAggregate, which shares no scan, index or join
 // code with it, is the oracle the tests compare it against.
-//
-// On a zone-pruned full scan the candidate list leaves out blocks whose
-// every row provably fails the region's *lower* bound; finalize would
-// have rejected those rows per tuple, so the surviving tuples and their
-// order are the same either way.
 
 // localDim is one select dimension local to the scanned table: rows
 // with Violation(v) > hi (the region's upper bound on the dimension)
 // cannot qualify anywhere in the region and are dropped at scan time.
-// lo carries the region's lower bound for zone-map pruning only — the
-// per-row filters never use it (finalize enforces it per tuple).
+// The region's lower bound is finalize's to enforce, per tuple.
 type localDim struct {
 	dim *relq.Dimension
 	vec []float64
-	ord int
 	hi  float64
-	lo  float64
 }
 
 // localDims collects table ti's local select dimensions into locals.
@@ -54,7 +43,7 @@ func localDims(b *binding, region relq.Region, ti, last int, locals []localDim) 
 }
 
 func (sd *selBind) local(region relq.Region) localDim {
-	return localDim{dim: sd.dim, vec: sd.vec, ord: sd.ord, hi: region[sd.di].Hi, lo: region[sd.di].Lo}
+	return localDim{dim: sd.dim, vec: sd.vec, hi: region[sd.di].Hi}
 }
 
 // scanDrive is one candidate driving interval: a fixed range or a
@@ -95,14 +84,14 @@ func scanDrives(b *binding, region relq.Region, ti int, drives []scanDrive) (_ [
 
 // access is the access path of one table under one region — the one
 // decision that the scan, the unit grouping of a drive-shared batch
-// (sharedrive.go) and Explain all read.
+// (sharedrive.go) and the grouped table (grouped.go) all read.
 type access struct {
 	// empty: some select dimension admits no value at all, so the table
 	// has no candidates and is not touched.
 	empty bool
 	// indexed: the candidates are the slab ix.rows[lo:hi] of the sorted
-	// index over drive's column, in value order. Otherwise the table is
-	// scanned block by block behind its zone maps.
+	// index over drive's column, in value order. Otherwise every block of
+	// the table is scanned.
 	indexed bool
 	drive   scanDrive
 	ix      *sortedIdx
@@ -115,15 +104,9 @@ type access struct {
 // the region) generates the candidates through its sorted index when it
 // narrows the table to at most half its rows; the remaining predicates
 // are verified per candidate. It leaves the table's driving intervals
-// in sc.drives.
-//
-// One layout-aware refinement: when the table is clustered over the
-// best drive's column with at most a sub-block append tail, a
-// moderately selective drive (more than n/8 rows) stays on the
-// zone-pruned full-scan path instead of the index. The clustered
-// layout makes zone maps drop roughly the same rows the index would,
-// through dense block kernels instead of per-row gathers. Clearly
-// narrow drives (<= n/8) still take the index.
+// in sc.drives. A region with no driving interval, or whose narrowest
+// one holds more than half the table, scans every block: the dense
+// kernels read a broad candidate set faster than per-row gathers.
 func (e *Engine) accessPath(b *binding, region relq.Region, ti int, sc *regionScratch) (access, error) {
 	var ac access
 	sc.drives, ac.empty = scanDrives(b, region, ti, sc.drives[:0])
@@ -144,22 +127,8 @@ func (e *Engine) accessPath(b *binding, region relq.Region, ti int, sc *regionSc
 			ac.drive, ac.ix, ac.lo, ac.hi = d, ix, lo, hi
 		}
 	}
-	ac.indexed = ac.ix != nil && bestSize <= n/2 && !e.preferClusteredScan(t, ac.drive, bestSize, n)
+	ac.indexed = ac.ix != nil && bestSize <= n/2
 	return ac, nil
-}
-
-// preferClusteredScan reports whether a moderately-selective best drive
-// should stay on the full-scan path because the table's clustered
-// layout covers its column (see accessPath).
-func (e *Engine) preferClusteredScan(t *data.Table, d scanDrive, size, n int) bool {
-	if size*8 <= n {
-		return false // clearly narrow: the index wins outright
-	}
-	if t.ClusterTail() >= blockRows {
-		return false // degraded layout: tail blocks are never skippable
-	}
-	col, _ := t.ClusterInfo()
-	return col != "" && strings.EqualFold(col, t.Schema().Columns[d.ord].Name)
 }
 
 // blockFilter is the compiled predicate chain applied to each block's
@@ -240,39 +209,11 @@ func observeDensity(eo *engineObs, kept, blockLen int) {
 	eo.selDensity.Observe(float64(kept) / float64(blockLen))
 }
 
-// zonePreds compiles the block-skip tests for a full scan: one per
-// fixed range with a finite bound, one per local select dimension's
-// conservative value hull. String-set predicates never prune —
-// zone maps only summarize numeric order.
-func (e *Engine) zonePreds(t *data.Table, f *blockFilter) []zonePred {
-	var zps []zonePred
-	for i := range f.ranges {
-		rb := &f.ranges[i]
-		if math.IsInf(rb.lo, -1) && math.IsInf(rb.hi, 1) {
-			continue
-		}
-		zps = append(zps, zonePred{zm: zoneMapFor(t, rb.ord), lo: rb.lo, hi: rb.hi, ord: rb.ord})
-	}
-	for i := range f.locals {
-		ld := &f.locals[i]
-		lo, hi := pruneInterval(ld.dim, relq.ViolInterval{Lo: ld.lo, Hi: ld.hi})
-		if math.IsInf(lo, -1) && math.IsInf(hi, 1) {
-			continue
-		}
-		zps = append(zps, zonePred{zm: zoneMapFor(t, ld.ord), lo: lo, hi: hi, ord: ld.ord})
-	}
-	return zps
-}
-
 // vscanTable scans table ti along its access path (accessPath), block
 // at a time: the rows that pass the fixed filters and every local
 // select dimension's upper bound under the region, in the path's
 // candidate order. Candidates are appended to out (the caller's scratch
-// buffer, possibly nil) and the extended slice is returned. On the
-// full-scan path blocks failing a zone test are skipped without
-// touching rows — RowsScanned counts only rows in visited blocks
-// (skipped blocks are reported via BlocksSkipped), keeping the
-// rows-touched statistics honest about physical work.
+// buffer, possibly nil) and the extended slice is returned.
 //
 // On the index path the predicate the slab was driven from does not
 // head the filter chain, where it would gather the whole candidate list
@@ -307,65 +248,29 @@ func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, sc *regionSc
 		}
 		return blockFilterRows(candidates, f, eo, out), nil
 	}
-	return e.fullScan(b, ti, f, eo, st, out), nil
+	return fullScan(b, ti, f, eo, st, out), nil
 }
 
 // fullScan runs f over every block of table ti in ascending row order,
-// skipping the blocks a zone map proves candidate-free, appends the
-// survivors to out and counts the scan into st.
-func (e *Engine) fullScan(b *binding, ti int, f *blockFilter, eo *engineObs, st *statsCells, out []int32) []int32 {
-	t := b.tables[ti]
-	zps := e.zonePreds(t, f)
-	out, rowsScanned, blocksScanned, axisSkips := blockScan(t.NumRows(), zps, f, eo, out)
-	var blocksSkipped int64
-	for _, s := range axisSkips {
-		blocksSkipped += s
-	}
-	st[cRowsScanned].Add(rowsScanned)
-	st[cBlocksScanned].Add(blocksScanned)
-	st[cBlocksSkipped].Add(blocksSkipped)
-	if blocksSkipped > 0 {
-		e.countZoneAxisSkips(t, zps, axisSkips)
-	}
-	// A clustered table whose unsorted append tail has outgrown one
-	// block runs in a degraded regime: the sorted prefix still prunes
-	// but every tail block spans the whole domain. Surface it in stats
-	// instead of letting it look like silently-stale zone maps.
-	if t.ClusterTail() >= blockRows {
-		st[cDegradedScans].Add(1)
-	}
-	if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
-		eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
-			"rows", rowsScanned, "full_scan", true,
-			"blocks_scanned", blocksScanned, "blocks_skipped", blocksSkipped)
-	}
-	return out
-}
-
-// tableKey is the canonical (lower-cased) catalog key of a table.
-func tableKey(t *data.Table) string { return strings.ToLower(t.Name()) }
-
-// blockScan runs the zone-pruned block scan over the n rows of a table
-// in ascending row order, appending survivors to out. axisSkips is
-// aligned with zps: skipped blocks are attributed to the first
-// predicate that fired (skipAxis).
-func blockScan(n int, zps []zonePred, f *blockFilter, eo *engineObs, out []int32) (_ []int32, rows, scanned int64, axisSkips []int64) {
+// appends the survivors to out and counts the scan into st. It is the
+// path of a region with no index drive, of ViolationScan and of a join's
+// candidate scan of a table the region leaves broad.
+func fullScan(b *binding, ti int, f *blockFilter, eo *engineObs, st *statsCells, out []int32) []int32 {
+	n := b.tables[ti].NumRows()
 	var buf [blockRows]int32
-	axisSkips = make([]int64, len(zps))
-	for bi := range numBlocks(n) {
-		lo := bi * blockRows
+	for lo := 0; lo < n; lo += blockRows {
 		hi := min(lo+blockRows, n)
-		if ax := skipAxis(zps, bi); ax >= 0 {
-			axisSkips[ax]++
-			continue
-		}
-		scanned++
-		rows += int64(hi - lo)
 		sel := f.applyDense(buf[:0], lo, hi)
 		observeDensity(eo, len(sel), hi-lo)
 		out = append(out, sel...)
 	}
-	return out, rows, scanned, axisSkips
+	st[cRowsScanned].Add(int64(n))
+	st[cBlocksScanned].Add(int64(numBlocks(n)))
+	if eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
+		eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
+			"rows", n, "full_scan", true, "blocks_scanned", numBlocks(n))
+	}
+	return out
 }
 
 // blockFilterRows applies the filter chain to an explicit candidate

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -283,9 +284,9 @@ func TestScanOracleEquivalenceTailBlocks(t *testing.T) {
 	}
 }
 
-// clusteredCatalog builds a single-table catalog whose value column is
-// sorted — the layout where zone maps can prove whole blocks out of
-// range. val runs 0..1000 ascending.
+// clusteredCatalog builds a single-table catalog loaded in value order:
+// val runs 0..1000 ascending, so a range on it holds a run of whole
+// blocks.
 func clusteredCatalog(t testing.TB, n int) *data.Catalog {
 	t.Helper()
 	cat := data.NewCatalog()
@@ -305,12 +306,11 @@ func clusteredCatalog(t testing.TB, n int) *data.Catalog {
 	return cat
 }
 
-// TestVectorZoneSkip verifies the zone-map fast path: on a clustered
-// column, a broad fixed range (too wide for the index path, narrow
-// enough to exclude whole blocks) must skip blocks without touching
-// their rows, RowsScanned must exclude the skipped rows, and the result
-// must still match the oracle.
-func TestVectorZoneSkip(t *testing.T) {
+// TestVectorFullScanReadsEveryBlock: a broad fixed range (too wide for
+// the index path) runs the block full scan, which reads every block and
+// every row even where the table's order puts whole blocks outside the
+// range, and matches the oracle.
+func TestVectorFullScanReadsEveryBlock(t *testing.T) {
 	const n = 20 * blockRows
 	cat := clusteredCatalog(t, n)
 	vec := New(cat)
@@ -325,7 +325,7 @@ func TestVectorZoneSkip(t *testing.T) {
 			Kind: relq.FixedRange,
 			Col:  relq.ColumnRef{Table: "events", Column: "val"},
 			// 60% of the sorted domain: > n/2 matches, so the index path
-			// is rejected and the full scan runs with zone pruning.
+			// is rejected and the full scan runs.
 			Lo: 0, Hi: 600,
 		}},
 		Constraint: relq.Constraint{Func: relq.AggSum, Attr: relq.ColumnRef{Table: "events", Column: "spend"}, Op: relq.CmpEQ, Target: 1},
@@ -338,20 +338,10 @@ func TestVectorZoneSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := vec.Snapshot().Sub(before)
-	checkOracle(t, vec, "zone-skip query", q, region, pv)
-
-	if d.BlocksSkipped == 0 {
-		t.Fatalf("expected zone maps to skip blocks on clustered data; stats: %+v", d)
-	}
-	if d.BlocksScanned == 0 {
-		t.Fatalf("expected some blocks scanned; stats: %+v", d)
-	}
-	if d.RowsScanned >= int64(n) {
-		t.Fatalf("RowsScanned %d should exclude rows in the %d skipped blocks (n=%d)", d.RowsScanned, d.BlocksSkipped, n)
-	}
-	if got := d.RowsScanned + d.BlocksSkipped*blockRows; got != int64(n) {
-		t.Fatalf("scanned rows (%d) + skipped rows (%d blocks) should cover the table: got %d, want %d",
-			d.RowsScanned, d.BlocksSkipped, got, n)
+	checkOracle(t, vec, "broad-range query", q, region, pv)
+	if d.BlocksScanned != int64(numBlocks(n)) || d.RowsScanned != n || d.BlocksSkipped != 0 {
+		t.Fatalf("full scan read %d blocks, %d rows, skipped %d; want %d, %d, 0",
+			d.BlocksScanned, d.RowsScanned, d.BlocksSkipped, numBlocks(n), n)
 	}
 }
 
@@ -398,9 +388,8 @@ rows:
 
 // TestViolationScanEquivalence compares the Top-k primitive row by row
 // with a per-row reference loop: same rows, same order, same violation
-// vectors bit for bit, same aggregate values — and on a clustered layout
-// the scan must skip blocks while still emitting the identical row
-// stream.
+// vectors bit for bit, same aggregate values — on a random layout and
+// on one in value order, where the scan reads every block all the same.
 func TestViolationScanEquivalence(t *testing.T) {
 	cat := messyCatalog(t, 3*blockRows+100, 50, 23)
 	vec := New(cat)
@@ -438,8 +427,7 @@ func TestViolationScanEquivalence(t *testing.T) {
 		}
 	}
 
-	// Clustered layout: ViolationScan must engage zone maps on its fixed
-	// range and exclude skipped rows from RowsScanned.
+	// Value-ordered layout: the same row stream, every block read.
 	ccat := clusteredCatalog(t, 10*blockRows)
 	cvec := New(ccat)
 	cq := &relq.Query{
@@ -467,11 +455,9 @@ func TestViolationScanEquivalence(t *testing.T) {
 			t.Fatalf("clustered row %d: %d != %d", i, cv[i].Row, cl[i].Row)
 		}
 	}
-	if cd.BlocksSkipped == 0 {
-		t.Fatalf("clustered ViolationScan should skip blocks; stats %+v", cd)
-	}
-	if cd.RowsScanned >= int64(10*blockRows) {
-		t.Fatalf("RowsScanned %d should exclude skipped blocks", cd.RowsScanned)
+	if cd.BlocksScanned != 10 || cd.RowsScanned != 10*blockRows || cd.BlocksSkipped != 0 {
+		t.Fatalf("clustered ViolationScan read %d blocks, %d rows, skipped %d; want 10, %d, 0",
+			cd.BlocksScanned, cd.RowsScanned, cd.BlocksSkipped, 10*blockRows)
 	}
 }
 
@@ -520,8 +506,8 @@ func TestSemiJoinPushdownEquivalence(t *testing.T) {
 // Replace (a re-sorted copy: only the *Table identity changes, not the
 // row count), an append onto the replacement and an in-place rewrite
 // — then calls InvalidateTable, and one engine must agree with an
-// oracle over the mutated table. A stale zone map, column vector or
-// sorted index shows up as a pruned or miscounted row. Every round runs
+// oracle over the mutated table. A stale column vector, sorted index or
+// grid shows up as a pruned or miscounted row. Every round runs
 // under one join scope, with a join query beside the single-table one:
 // only the generation InvalidateTable moves tells the scope's memo that
 // an in-place rewrite, which keeps tables and row counts, changed the
@@ -530,12 +516,12 @@ func TestScanOracleEquivalenceAfterMutation(t *testing.T) {
 	mutationRounds(t, 0)
 }
 
-// TestZoneMapRetirementSharded runs the mutation rounds of
-// TestScanOracleEquivalenceAfterMutation at worker counts 1-16, the
+// TestScanOracleEquivalenceAfterMutationSharded runs the mutation rounds
+// of TestScanOracleEquivalenceAfterMutation at worker counts 1-16, the
 // shard counts this sweep once partitioned the fact table into: a
 // generation of derived state left stale under one fan-out shape must
 // not hide behind another.
-func TestZoneMapRetirementSharded(t *testing.T) {
+func TestScanOracleEquivalenceAfterMutationSharded(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 5, 8, 16} {
 		mutationRounds(t, workers)
 	}
@@ -548,6 +534,32 @@ func TestGenerationMutationRounds(t *testing.T) {
 	for _, workers := range []int{0, 1, 3} {
 		mutationSweep(t, workers, false)
 	}
+}
+
+// sortedCopy returns a new table of the same name and schema holding
+// tbl's rows in ascending order of numeric column ord.
+func sortedCopy(t *testing.T, tbl *data.Table, ord int) *data.Table {
+	t.Helper()
+	key, err := tbl.NumericColumn(ord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := make([]int, tbl.NumRows())
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(a, b int) int { return cmp.Compare(key[a], key[b]) })
+	out := data.NewTable(tbl.Name(), tbl.Schema())
+	row := make([]data.Value, len(tbl.Schema().Columns))
+	for _, r := range perm {
+		for c := range row {
+			row[c] = tbl.ValueAt(r, c)
+		}
+		if err := out.AppendRow(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // mutationRounds is the body of the mutate-then-scan sweep, on one
@@ -651,8 +663,8 @@ func mutationSweep(t *testing.T, parallelism int, invalidate bool) {
 		t.Fatalf("workers=%d sub-block append: count %d -> %d, want +7", parallelism, base[2].Count, r1[2].Count)
 	}
 
-	// Block-sized append: new blocks appear whose rows a stale zone map
-	// generation would never have covered.
+	// Block-sized append: new blocks appear whose rows a stale sorted
+	// index generation would never have covered.
 	appendRows(events, blockRows+11, 300, 5)
 	r2, _ := compare("block append")
 	if r2[2].Count != r1[2].Count+blockRows+11 {
@@ -661,10 +673,7 @@ func mutationSweep(t *testing.T, parallelism int, invalidate bool) {
 
 	// Same-size Replace: a re-sorted copy swaps in with an unchanged row
 	// count, so only table identity distinguishes the new layout.
-	sorted, err := data.SortedBy(events, "val")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sorted := sortedCopy(t, events, 0)
 	cat.Replace(sorted)
 	if invalidate {
 		e.InvalidateTable("events")
@@ -767,56 +776,5 @@ func TestNaNUnderFixedRange(t *testing.T) {
 		if got[i].Row != want[i].Row {
 			t.Fatalf("ViolationScan row %d is %d, reference %d", i, got[i].Row, want[i].Row)
 		}
-	}
-}
-
-// TestClusterTailDegradation is the SortedBy + append regression test:
-// appends after clustering land in an explicit unsorted tail, and full
-// scans over a block-or-bigger tail surface as DegradedScans instead of
-// silently losing pruning — while the answers stay the oracle's.
-func TestClusterTailDegradation(t *testing.T) {
-	cat := clusteredCatalog(t, 6*blockRows)
-	tbl, err := cat.Table("events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted, err := data.SortedBy(tbl, "val")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat.Replace(sorted)
-	e := New(cat)
-	q := &relq.Query{
-		Tables: []string{"events"},
-		Dims: []relq.Dimension{
-			{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "events", Column: "spend"}, Bound: 20, Width: 30},
-		},
-		// 60% of the sorted domain: past the index path's cut, so the
-		// full scan runs behind the zone maps.
-		Fixed: []relq.FixedPred{
-			{Kind: relq.FixedRange, Col: relq.ColumnRef{Table: "events", Column: "val"}, Lo: 0, Hi: 600},
-		},
-		Constraint: relq.Constraint{Func: relq.AggCount, Op: relq.CmpEQ, Target: 1},
-	}
-	region := relq.PrefixRegion([]float64{50})
-
-	before := e.Snapshot()
-	checkAgainstOracle(t, e, "clean layout", q, region)
-	if d := e.Snapshot().Sub(before); d.DegradedScans != 0 || d.BlocksSkipped == 0 {
-		t.Fatalf("clean clustered table: %+v, want block skips and no degraded scans", d)
-	}
-
-	for i := 0; i < blockRows+100; i++ {
-		if err := sorted.AppendRow(data.FloatValue(300), data.FloatValue(5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sorted.ClusterTail() != blockRows+100 {
-		t.Fatalf("ClusterTail = %d, want %d", sorted.ClusterTail(), blockRows+100)
-	}
-	before = e.Snapshot()
-	checkAgainstOracle(t, e, "block-sized tail", q, region)
-	if d := e.Snapshot().Sub(before); d.DegradedScans == 0 {
-		t.Errorf("block-sized tail produced no degraded scans: %+v", d)
 	}
 }

@@ -153,7 +153,7 @@ func Figure10b(ctx context.Context, cfg Config) ([]Figure, error) {
 			return nil, err
 		}
 		if cfg.GridAgg {
-			if err := ensureGridAgg(e, q); err != nil {
+			if _, err := e.BuildQueryGrid(q); err != nil {
 				return nil, err
 			}
 		}
@@ -191,7 +191,7 @@ func Figure10c(ctx context.Context, cfg Config) ([]Figure, error) {
 			return nil, err
 		}
 		if cfg.GridAgg {
-			if err := ensureGridAgg(e, q); err != nil {
+			if _, err := e.BuildQueryGrid(q); err != nil {
 				return nil, err
 			}
 		}

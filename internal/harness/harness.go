@@ -14,13 +14,10 @@ import (
 	"math"
 	"time"
 
-	"strings"
-
 	"acquire/internal/baseline"
 	"acquire/internal/core"
 	"acquire/internal/data"
 	"acquire/internal/exec"
-	"acquire/internal/index"
 	"acquire/internal/obs"
 	"acquire/internal/relq"
 	"acquire/internal/tpch"
@@ -49,13 +46,6 @@ type Config struct {
 	// query's select dimensions, so eligible cell queries are answered
 	// from stored per-cell partials instead of scans (-gridagg).
 	GridAgg bool
-	// Cluster, when set, re-sorts every generated table that has this
-	// numeric column ascending by it before building engines (-cluster).
-	// A clustered layout is what lets the scan's per-block zone maps
-	// prove blocks out of range and skip them; on the generators' i.i.d.
-	// layouts every block spans the full value domain and zone maps
-	// never fire.
-	Cluster string
 	// Obs instruments every engine and search the harness builds
 	// (metrics, phase spans, events); nil runs uninstrumented. Excluded
 	// from results JSON — it is a live handle, not a parameter.
@@ -123,7 +113,7 @@ func usersEngine(cfg Config) (*exec.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(cat, cfg)
+	return newEngine(cat, cfg), nil
 }
 
 // tpchEngine builds the three-table supply-chain dataset.
@@ -132,45 +122,15 @@ func tpchEngine(cfg Config) (*exec.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(cat, cfg)
-}
-
-// clusterCatalog re-sorts every table carrying the named numeric
-// column ascending by it, replacing each in place in the catalog.
-func clusterCatalog(cat *data.Catalog, column string) error {
-	found := false
-	for _, name := range cat.Names() {
-		t, err := cat.Table(name)
-		if err != nil {
-			return err
-		}
-		if t.Schema().Ordinal(column) < 0 {
-			continue
-		}
-		sorted, err := data.SortedBy(t, column)
-		if err != nil {
-			return err
-		}
-		cat.Replace(sorted)
-		found = true
-	}
-	if !found {
-		return fmt.Errorf("harness: no table has cluster column %q", column)
-	}
-	return nil
+	return newEngine(cat, cfg), nil
 }
 
 // newEngine builds the evaluation engine for a catalog under cfg's
-// layout and observer.
-func newEngine(cat *data.Catalog, cfg Config) (*exec.Engine, error) {
-	if cfg.Cluster != "" {
-		if err := clusterCatalog(cat, cfg.Cluster); err != nil {
-			return nil, err
-		}
-	}
+// observer.
+func newEngine(cat *data.Catalog, cfg Config) *exec.Engine {
 	e := exec.New(cat)
 	e.SetObserver(cfg.Obs)
-	return e, nil
+	return e
 }
 
 // RunACQUIRE measures one ACQUIRE execution. The context cancels the
@@ -266,44 +226,6 @@ func acquireOpts(cfg Config) core.Options {
 	return core.Options{Gamma: cfg.Gamma, Delta: cfg.Delta, Observer: cfg.Obs}
 }
 
-// ensureGridAgg builds (idempotently) an aggregate-augmented grid over
-// a single-table query's select-dimension columns, materializing the
-// constraint's aggregate column when it lives on the same table. Joins
-// and non-select dimensions leave the engine untouched — the kernel
-// would never engage for them.
-func ensureGridAgg(e *exec.Engine, q *relq.Query) error {
-	if len(q.Tables) != 1 {
-		return nil
-	}
-	var cols []string
-	seen := make(map[string]bool)
-	for i := range q.Dims {
-		d := &q.Dims[i]
-		switch d.Kind {
-		case relq.SelectLE, relq.SelectGE, relq.SelectEQ:
-		default:
-			return nil
-		}
-		key := strings.ToLower(d.Col.Column)
-		if !seen[key] {
-			seen[key] = true
-			cols = append(cols, d.Col.Column)
-		}
-	}
-	if len(cols) == 0 {
-		return nil
-	}
-	var aggCols []string
-	if a := q.Constraint.Attr; a.Column != "" && strings.EqualFold(a.Table, q.Tables[0]) {
-		aggCols = []string{a.Column}
-	}
-	t, err := e.Catalog().Table(q.Tables[0])
-	if err != nil {
-		return err
-	}
-	return e.BuildGridAggIndex(q.Tables[0], cols, aggCols, index.BinsForRows(len(cols), t.NumRows()))
-}
-
 // compareAll runs all four methods on a freshly calibrated Users query.
 func compareAll(ctx context.Context, e *exec.Engine, cfg Config, dims int, ratio float64) (map[string]Measurement, error) {
 	out := make(map[string]Measurement, 4)
@@ -316,7 +238,7 @@ func compareAll(ctx context.Context, e *exec.Engine, cfg Config, dims int, ratio
 			return nil, err
 		}
 		if cfg.GridAgg {
-			if err := ensureGridAgg(e, q); err != nil {
+			if _, err := e.BuildQueryGrid(q); err != nil {
 				return nil, err
 			}
 		}

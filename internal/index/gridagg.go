@@ -306,26 +306,6 @@ func (g *Grid) PostingList(cell int) []int32 {
 	return a.postRows[a.postStart[cell]:a.postStart[cell+1]]
 }
 
-// PostingRuns cuts one cell's ascending posting list into maximal runs
-// of rows sharing a physical block of rowsPerBlock rows and calls fn
-// once per run with the block index and the run's row ids (aliasing the
-// index — callers must not mutate). Because the CSR build emits rows in
-// ascending order, each block's rows form one contiguous run, so a
-// caller holding per-block summaries (zone maps) can skip a whole run
-// with a single predicate test instead of probing every row.
-func (g *Grid) PostingRuns(cell, rowsPerBlock int, fn func(block int, rows []int32)) {
-	rows := g.PostingList(cell)
-	for i := 0; i < len(rows); {
-		bi := int(rows[i]) / rowsPerBlock
-		j := i + 1
-		for j < len(rows) && int(rows[j])/rowsPerBlock == bi {
-			j++
-		}
-		fn(bi, rows[i:j])
-		i = j
-	}
-}
-
 // AggBytes reports the aggregate payload's steady-state size in bytes;
 // diagnostics and benchmarks.
 func (g *Grid) AggBytes() int {

@@ -55,33 +55,17 @@ func (f *Fingerprint) str(s string) {
 	}
 }
 
-// f64 hashes a float quantized to 1e-9 units — the same epsilon the
-// search uses for score comparisons (ScoresAlmostEqual) — so bounds
-// that differ only by accumulated grid arithmetic jitter collapse to
-// one entry, while any materially different bound separates.
+// f64 hashes a float's exact bits, so two bounds share a key only when
+// they admit the same rows. −0 hashes as +0 and every NaN as one NaN:
+// comparisons cannot tell those apart.
 func (f *Fingerprint) f64(v float64) {
-	f.u64(quantize(v))
-}
-
-// quantize maps a float to a stable integer code: round(v·1e9) with
-// saturation, plus distinct codes for the non-finite values.
-func quantize(v float64) uint64 {
 	switch {
-	case math.IsNaN(v):
-		return math.MaxUint64
-	case math.IsInf(v, 1):
-		return math.MaxUint64 - 1
-	case math.IsInf(v, -1):
-		return math.MaxUint64 - 2
+	case v == 0:
+		v = 0
+	case v != v:
+		v = math.NaN()
 	}
-	r := math.Round(v * 1e9)
-	switch {
-	case r >= math.MaxInt64:
-		return uint64(math.MaxInt64)
-	case r <= math.MinInt64:
-		return uint64(1) << 63 // MinInt64 bit pattern
-	}
-	return uint64(int64(r))
+	f.u64(math.Float64bits(v))
 }
 
 // coefOr1 normalizes join coefficients: 0 means 1 everywhere a
@@ -193,7 +177,7 @@ func (f Fingerprint) Mix(vals ...uint64) Fingerprint {
 	return f
 }
 
-// WithRegion extends the query fingerprint with the quantized interval
+// WithRegion extends the query fingerprint with the exact interval
 // bounds of a violation region, yielding the full cache key of one
 // (query shape, aggregate spec, region) execution.
 func (f Fingerprint) WithRegion(r Region) Fingerprint {

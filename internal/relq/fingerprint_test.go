@@ -114,9 +114,10 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// Region extension separates distinct regions, tolerates float jitter
-// below the quantum, and distinguishes the -1 closed-at-zero sentinel
-// from a zero lower bound.
+// Region extension separates distinct regions however close or large
+// their bounds, folds only the float values comparisons cannot tell
+// apart (−0 and +0, NaN payloads), and distinguishes the -1
+// closed-at-zero sentinel from a zero lower bound.
 func TestFingerprintWithRegion(t *testing.T) {
 	fp := QueryFingerprint(fpQuery())
 	r1 := PrefixRegion([]float64{5, 10})
@@ -125,9 +126,19 @@ func TestFingerprintWithRegion(t *testing.T) {
 	if a == b {
 		t.Fatal("distinct regions collide")
 	}
+	// (−1, 5+1e-12] admits rows (−1, 5] does not.
 	jitter := PrefixRegion([]float64{5 + 1e-12, 10})
-	if got := fp.WithRegion(jitter); got != a {
-		t.Errorf("sub-quantum jitter separated regions: %x != %x", got, a)
+	if got := fp.WithRegion(jitter); got == a {
+		t.Errorf("regions 1e-12 apart collide: %x", got)
+	}
+	if fp.WithRegion(Region{{Lo: -1, Hi: 1.2e10}}) == fp.WithRegion(Region{{Lo: -1, Hi: 1.8e10}}) {
+		t.Error("bounds beyond 9.2e9 collide")
+	}
+	if fp.WithRegion(Region{{Lo: math.Copysign(0, -1), Hi: 5}}) != fp.WithRegion(Region{{Lo: 0, Hi: 5}}) {
+		t.Error("-0 and +0 separate")
+	}
+	if fp.WithRegion(Region{{Lo: -1, Hi: math.NaN()}}) != fp.WithRegion(Region{{Lo: -1, Hi: math.Float64frombits(0x7ff8000000000bad)}}) {
+		t.Error("NaN payloads separate")
 	}
 	sentinel := Region{{Lo: -1, Hi: 0}, {Lo: -1, Hi: 0}}
 	zero := Region{{Lo: 0, Hi: 0}, {Lo: 0, Hi: 0}}
